@@ -5,7 +5,7 @@ Layers
 ------
 ``numerics``     pluggable complex backends (double precision / mpmath)
 ``kernel``       q-Pochhammer products, theta functions, elliptic gamma
-``contour``      adaptive Gauss-Kronrod quadrature over deformed contours
+``contour``      periodic trapezoid quadrature on one smooth path, pole audit
 ``special``      the integrands and closed forms under verification
 ``catalog``      registry of named identity checks with samplers
 ``series``       exact truncated Laurent arithmetic over the rationals

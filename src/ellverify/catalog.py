@@ -1,9 +1,11 @@
 """Registry of verifiable identities.
 
-Each entry pairs an LHS and RHS evaluator with a seeded domain sampler, a
-pole inventory for the mandatory pre-integration audit, and a declared
-tolerance.  Identity IDs are stable strings; ``identity_ids()`` is the
-machine-readable manifest.
+Each entry pairs an LHS and RHS evaluator with a seeded domain sampler and a
+declared tolerance.  Identity IDs are stable strings; ``identity_ids()`` is
+the machine-readable manifest.  The integral evaluators in :mod:`.special`
+and :mod:`.lemmas` audit their own paths before every quadrature and raise
+:class:`PoleOnPath` on a rejected path; :func:`run_check` reports the
+largest error those quadratures achieved.
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import lemmas, special
-from .contour import Deformation, PoleSpec, build_contour, pole_audit
+from .contour import PoleOnPath, achieved_errors
 from .kernel import ell_gamma, ell_gamma_modular_Q, jacobi_theta
 from .numerics import STANDARD
 
@@ -49,10 +51,6 @@ class UnknownIdentity(KeyError):
     """Requested identity ID is not registered."""
 
 
-class PoleOnPath(RuntimeError):
-    """The pole audit rejected the integration path for a sampled point."""
-
-
 @dataclasses.dataclass(frozen=True)
 class IdentityEntry:
     id: str
@@ -63,10 +61,6 @@ class IdentityEntry:
     lhs: Callable
     rhs: Callable
     sampler: Callable
-    #: params -> list of PoleSpec, or None for pointwise identities
-    poles: Optional[Callable] = None
-    #: params -> Contour used by the quadrature (audited against ``poles``)
-    contour: Optional[Callable] = None
     tolerance: float = DEFAULT_TOLERANCE
     #: draws used by a default full-suite run
     default_samples: int = 20
@@ -81,8 +75,8 @@ class IdentityResult:
     rhs_value: complex
     abs_error: float
     rel_error: float
-    #: certified bound requested from the adaptive quadrature (None when the
-    #: identity involves no integration)
+    #: largest error / max(1, |value|) among the quadratures the draw ran
+    #: (None when it ran none)
     quadrature_error_estimate: Optional[float]
     tolerance: float
     decision: str
@@ -331,10 +325,6 @@ def _register(entry: IdentityEntry):
     _REGISTRY[entry.id] = entry
 
 
-def _straight(params):
-    return build_contour()
-
-
 _register(
     IdentityEntry(
         id="spiridonov",
@@ -343,34 +333,28 @@ _register(
         lhs=lambda p, ctx: special.spiridonov_lhs(p["s"], p["tau"], p["sigma"], ctx=ctx),
         rhs=lambda p, ctx: special.spiridonov_rhs(p["s"], p["tau"], p["sigma"], ctx=ctx),
         sampler=_sample_spiridonov,
-        poles=lambda p: special.spiridonov_poles(p["s"]),
-        contour=_straight,
     )
 )
 
 _register(
     IdentityEntry(
         id="eval1",
-        ref="quarter-shift integral, first orientation, vs (1+i) gamma-ratio value",
-        domain="Im tau, Im sigma in [0.5, 1.2]; bumps at -1/4 above, +1/4 below",
+        ref="quarter-shift integral vs (1+i) gamma-ratio value",
+        domain="Im tau, Im sigma in [0.5, 1.2]; path above -1/4, below +1/4",
         lhs=lambda p, ctx: special.eval1_lhs(p["tau"], p["sigma"], ctx=ctx),
         rhs=lambda p, ctx: special.eval1_rhs(p["tau"], p["sigma"], ctx=ctx),
         sampler=_sample_two_moduli,
-        poles=lambda p: special.quarter_shift_poles(p["tau"], p["sigma"], +1),
-        contour=lambda p: build_contour(special.EVAL1_DEFORMATIONS),
     )
 )
 
 _register(
     IdentityEntry(
         id="eval2",
-        ref="quarter-shift integral, mirrored orientation, vs (1-i) gamma-ratio value",
-        domain="Im tau, Im sigma in [0.5, 1.2]; bumps at +1/4 above, -1/4 below",
+        ref="mirrored quarter-shift integral vs (1-i) gamma-ratio value",
+        domain="Im tau, Im sigma in [0.5, 1.2]; path above +1/4, below -1/4",
         lhs=lambda p, ctx: special.eval2_lhs(p["tau"], p["sigma"], ctx=ctx),
         rhs=lambda p, ctx: special.eval2_rhs(p["tau"], p["sigma"], ctx=ctx),
         sampler=_sample_two_moduli,
-        poles=lambda p: special.quarter_shift_poles(p["tau"], p["sigma"], -1),
-        contour=lambda p: build_contour(special.EVAL2_DEFORMATIONS),
     )
 )
 
@@ -382,8 +366,6 @@ _register(
         lhs=lambda p, ctx: special.I_sym(p["lam"], p["tau"], p["eta"], ctx=ctx),
         rhs=lambda p, ctx: special.eval3_rhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
         sampler=_sample_eval3,
-        poles=lambda p: special.asym_poles(p["tau"], p["eta"]),
-        contour=_straight,
         default_samples=30,
     )
 )
@@ -392,14 +374,10 @@ _register(
     IdentityEntry(
         id="fv-val1",
         ref="half-integral weight value of u at the lower quarter point",
-        domain="Im tau, Im sigma in [0.5, 1.2]; eta = -1/8 with quarter bumps",
-        lhs=lambda p, ctx: special.fv_u(
-            0.5, 0.5, p["tau"], p["sigma"], -0.125, special.EVAL2_DEFORMATIONS, ctx=ctx
-        ),
+        domain="Im tau, Im sigma in [0.5, 1.2]; eta = -1/8, path above +1/4, below -1/4",
+        lhs=lambda p, ctx: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], -0.125, ctx=ctx),
         rhs=lambda p, ctx: special.fv_val1_rhs(p["tau"], p["sigma"], ctx=ctx),
         sampler=_sample_two_moduli,
-        poles=lambda p: special.fv_u_poles(p["tau"], p["sigma"], -0.125),
-        contour=lambda p: build_contour(special.EVAL2_DEFORMATIONS),
     )
 )
 
@@ -407,14 +385,10 @@ _register(
     IdentityEntry(
         id="fv-val2",
         ref="half-integral weight value of u at the upper quarter point",
-        domain="Im tau, Im sigma in [0.5, 1.2]; eta = +1/8 with quarter bumps",
-        lhs=lambda p, ctx: special.fv_u(
-            0.5, 0.5, p["tau"], p["sigma"], 0.125, special.EVAL1_DEFORMATIONS, ctx=ctx
-        ),
+        domain="Im tau, Im sigma in [0.5, 1.2]; eta = +1/8, path above -1/4, below +1/4",
+        lhs=lambda p, ctx: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], 0.125, ctx=ctx),
         rhs=lambda p, ctx: special.fv_val2_rhs(p["tau"], p["sigma"], ctx=ctx),
         sampler=_sample_two_moduli,
-        poles=lambda p: special.fv_u_poles(p["tau"], p["sigma"], 0.125),
-        contour=lambda p: build_contour(special.EVAL1_DEFORMATIONS),
     )
 )
 
@@ -426,8 +400,6 @@ _register(
         lhs=lambda p, ctx: special.ellmac_P(0, 4, p["lam"], p["tau"], p["eta"], ctx=ctx),
         rhs=lambda p, ctx: special.ellmac_val_rhs(p["tau"], p["eta"], ctx=ctx),
         sampler=_sample_ellmac_val,
-        poles=lambda p: special.htf_poles(4, p["tau"], p["eta"]),
-        contour=_straight,
         default_samples=10,
     )
 )
@@ -442,8 +414,6 @@ _register(
         ),
         rhs=lambda p, ctx: special.ellmac_eval_rhs(p["mu"], p["kappa"], p["eta"], ctx=ctx),
         sampler=_sample_ellmac_eval,
-        poles=lambda p: special.htf_poles(p["kappa"], -8 * p["eta"], p["eta"]),
-        contour=_straight,
         default_samples=len(ELLMAC_EVAL_COMBOS),
     )
 )
@@ -460,8 +430,6 @@ _register(
             p["mu"], p["kappa"], p["lam"], p["tau"], p["eta"], ctx=ctx
         ),
         sampler=_sample_htf_series,
-        poles=lambda p: special.htf_poles(p["kappa"], p["tau"], p["eta"]),
-        contour=_straight,
         tolerance=COMPOUND_TOLERANCE,
         default_samples=5,
     )
@@ -565,8 +533,6 @@ _register(
         lhs=lambda p, ctx: lemmas.int_rearrange_lhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
         rhs=lambda p, ctx: lemmas.int_rearrange_rhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
         sampler=_sample_int_rearrange,
-        poles=lambda p: special.asym_poles(p["tau"], p["eta"]),
-        contour=_straight,
     )
 )
 
@@ -633,8 +599,6 @@ _register(
         lhs=lambda p, ctx: lemmas.int_eval1_lhs(p["tau"], p["eta"], ctx=ctx),
         rhs=lambda p, ctx: lemmas.int_eval1_rhs(p["tau"], p["eta"], ctx=ctx),
         sampler=_sample_int_lemma,
-        poles=lambda p: special.asym_poles(p["tau"], p["eta"]),
-        contour=_straight,
     )
 )
 
@@ -646,8 +610,6 @@ _register(
         lhs=lambda p, ctx: lemmas.int_eval2_lhs(p["tau"], p["eta"], ctx=ctx),
         rhs=lambda p, ctx: lemmas.int_eval2_rhs(p["tau"], p["eta"], ctx=ctx),
         sampler=_sample_int_lemma,
-        poles=lambda p: special.asym_poles(p["tau"], p["eta"]),
-        contour=_straight,
     )
 )
 
@@ -735,24 +697,15 @@ def run_check(
     tolerance: Optional[float] = None,
     ctx=STANDARD,
 ) -> IdentityResult:
-    """Draw (or accept) a parameter point, audit the path, compare both sides."""
+    """Draw (or accept) a parameter point and compare both sides."""
     entry = get_entry(identity_id)
     if params is None:
         params = sample_params(identity_id, seed, sample_index)
     tol = entry.tolerance if tolerance is None else float(tolerance)
 
-    quad_estimate = None
-    if entry.poles is not None:
-        contour = (entry.contour or _straight)(params)
-        report = pole_audit(contour, entry.poles(params))
-        if not report.ok:
-            bad = [e for e in report.entries if not e.ok]
-            raise PoleOnPath(f"{identity_id}: audit rejected {len(bad)} pole(s): {bad[:3]}")
-    if entry.contour is not None:
-        quad_estimate = special.DEFAULT_TOL
-
-    lhs = entry.lhs(params, ctx)
-    rhs = entry.rhs(params, ctx)
+    with achieved_errors() as errors:
+        lhs = entry.lhs(params, ctx)
+        rhs = entry.rhs(params, ctx)
     abs_error = abs(complex(lhs) - complex(rhs))
     scale = max(1.0, abs(complex(rhs)))
     rel_error = abs_error / max(abs(complex(rhs)), 1e-300)
@@ -764,7 +717,7 @@ def run_check(
         rhs_value=complex(rhs),
         abs_error=abs_error,
         rel_error=rel_error,
-        quadrature_error_estimate=quad_estimate,
+        quadrature_error_estimate=max(errors) if errors else None,
         tolerance=tol,
         decision=DECISION_RULE,
         passed=abs_error <= tol * scale,

@@ -1,50 +1,45 @@
-"""Adaptive contour quadrature for periodic integrands.
+"""Periodic trapezoid quadrature on one smooth path, and the pole audit.
 
-All integrals in this package run over one real period, from -1/2 to +1/2,
-optionally detouring around marked points on semicircular arcs.  A contour is
-described by a list of :class:`Deformation` records; :func:`build_contour`
-validates them (radius bounds, centers inside the period, no overlap) and
-assembles an explicitly parametrized path.  :func:`integrate` then applies a
-globally adaptive Gauss(7)/Kronrod(15) scheme: the parameter interval with
-the largest error estimate anywhere on the path is bisected until the summed
-estimate meets the tolerance or the evaluation budget runs out.
+Every integral in this package runs over one period of a 1-periodic
+integrand that is analytic in a strip around its path.  On such integrands
+the trapezoid rule converges geometrically (Trefethen & Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 56, 2014), so one
+rule and one family of paths cover them all.
 
-:func:`pole_audit` checks a proposed contour against known pole locations of
-an integrand: every pole (reduced modulo the period) must keep a minimum
-distance from the path, and poles that carry a required passing side are
-checked against the side the path actually takes.
+A :class:`Path` is ``z(t) = t + i c cos 2 pi (t - x0)``.  :func:`integrate`
+applies the trapezoid rule on ``N`` equispaced nodes and doubles ``N`` from
+16, reusing the old nodes, until two successive sums agree to the tolerance.
+
+:func:`pole_audit` checks a path against the known poles of an integrand:
+every pole (reduced modulo the period) must keep a minimum distance from the
+path, and poles that carry a required passing side must see the path pass on
+that side.  The evaluators that integrate pick their own path and pole
+inventory and run the audit before every quadrature.
 """
 
 from __future__ import annotations
 
-import heapq
+import contextlib
+import contextvars
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .numerics import STANDARD
 
 __all__ = [
-    "Deformation",
-    "Contour",
+    "Path",
     "QuadratureResult",
     "ToleranceNotReached",
-    "OverlappingDeformations",
-    "CenterOutOfRange",
+    "PoleOnPath",
     "PoleSpec",
     "PoleAuditEntry",
     "PoleAuditReport",
-    "build_contour",
     "integrate",
+    "achieved_errors",
     "pole_audit",
 ]
-
-
-class OverlappingDeformations(ValueError):
-    """Two requested arcs intersect; the path would not be a graph over x."""
-
-
-class CenterOutOfRange(ValueError):
-    """A deformation does not fit inside the integration period."""
 
 
 class ToleranceNotReached(ArithmeticError):
@@ -59,280 +54,94 @@ class ToleranceNotReached(ArithmeticError):
         self.result = result
 
 
-@dataclass(frozen=True)
-class Deformation:
-    """A semicircular detour around ``center`` on the given side.
+class PoleOnPath(RuntimeError):
+    """The pole audit rejected the integration path for a parameter point."""
 
-    ``side`` is the side of ``center`` the path passes on: ``"above"`` bulges
-    into the upper half-plane, ``"below"`` into the lower.
+
+@dataclass(frozen=True)
+class Path:
+    """The period path ``z(t) = t + i c cos 2 pi (t - x0)``.
+
+    Straight when ``c = 0``; otherwise it passes at height ``c`` above
+    ``x0`` and at height ``-c`` below ``x0 + 1/2``.
     """
 
-    center: float
-    side: str
-    radius: float = 0.1
-
-    def __post_init__(self):
-        if self.side not in ("above", "below"):
-            raise ValueError(f"side must be 'above' or 'below', got {self.side!r}")
-        if not 0 < self.radius < 0.25:
-            raise ValueError(f"radius must lie in (0, 1/4), got {self.radius}")
-
-    def height(self, x):
-        """Signed height of the arc over ``x`` (0 outside its span)."""
-        dx = x - self.center
-        if abs(dx) > self.radius:
-            return 0.0
-        bump = math.sqrt(max(self.radius**2 - dx**2, 0.0))
-        return bump if self.side == "above" else -bump
-
-
-@dataclass(frozen=True)
-class _Segment:
-    x0: float
-    x1: float
-
-    def point(self, u):
-        return complex(self.x0 + (self.x1 - self.x0) * u)
-
-    def velocity(self, u):
-        return complex(self.x1 - self.x0)
-
-
-@dataclass(frozen=True)
-class _Arc:
-    deformation: Deformation
-
-    def _angle(self, u):
-        if self.deformation.side == "above":
-            return math.pi * (1.0 - u)
-        return math.pi * (1.0 + u)
-
-    def point(self, u):
-        d = self.deformation
-        return d.center + d.radius * complex(math.cos(self._angle(u)), math.sin(self._angle(u)))
-
-    def velocity(self, u):
-        d = self.deformation
-        e = complex(math.cos(self._angle(u)), math.sin(self._angle(u)))
-        sign = -1.0 if d.side == "above" else 1.0
-        return sign * 1j * math.pi * d.radius * e
-
-
-@dataclass(frozen=True)
-class Contour:
-    """A validated left-to-right path from -1/2 to +1/2.
-
-    ``orientation`` is +1 for the forward direction and -1 for the reversed
-    path; integration negates accordingly.
-    """
-
-    deformations: tuple
-    pieces: tuple = field(repr=False)
-    orientation: int = 1
+    c: float = 0.0
+    x0: float = 0.0
 
     def height(self, x):
         """Imaginary part of the path over the real coordinate ``x``."""
-        for d in self.deformations:
-            h = d.height(x)
-            if h != 0.0:
-                return h
-        return 0.0
+        return self.c * np.cos(2 * math.pi * (x - self.x0))
 
-    def reversed(self) -> "Contour":
-        """The same path traversed right-to-left (integrals negate)."""
-        return Contour(
-            deformations=self.deformations,
-            pieces=self.pieces,
-            orientation=-self.orientation,
-        )
+    def point(self, t):
+        return complex(t, self.c * math.cos(2 * math.pi * (t - self.x0)))
 
-
-def build_contour(deformations=()) -> Contour:
-    """Assemble and validate a contour over [-1/2, 1/2].
-
-    Raises :class:`CenterOutOfRange` if an arc does not fit inside the
-    period and :class:`OverlappingDeformations` if two arcs meet.
-    """
-    defs = tuple(sorted(deformations, key=lambda d: d.center))
-    for d in defs:
-        if not -0.5 < d.center < 0.5:
-            raise CenterOutOfRange(f"center {d.center} outside (-1/2, 1/2)")
-        if d.center - d.radius < -0.5 or d.center + d.radius > 0.5:
-            raise CenterOutOfRange(
-                f"arc around {d.center} with radius {d.radius} leaves the period"
-            )
-    for a, b in zip(defs, defs[1:]):
-        if b.center - a.center < a.radius + b.radius:
-            raise OverlappingDeformations(
-                f"arcs at {a.center} and {b.center} intersect"
-            )
-
-    pieces = []
-    cursor = -0.5
-    for d in defs:
-        if d.center - d.radius > cursor:
-            pieces.append(_Segment(cursor, d.center - d.radius))
-        pieces.append(_Arc(d))
-        cursor = d.center + d.radius
-    if cursor < 0.5:
-        pieces.append(_Segment(cursor, 0.5))
-    return Contour(deformations=defs, pieces=tuple(pieces))
+    def velocity(self, t):
+        return complex(1.0, -2 * math.pi * self.c * math.sin(2 * math.pi * (t - self.x0)))
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     value: complex
+    #: ``|T_2N - T_N|`` of the last doubling
     error: float
     evaluations: int
-    subdivisions: int
 
 
-# Gauss(7)/Kronrod(15) nodes and weights on [-1, 1] (positive half; the rule
-# is symmetric).  Node 0 is listed last.
-_KRONROD_NODES = (
-    0.99145537112081263921,
-    0.94910791234275852453,
-    0.86486442335976907279,
-    0.74153118559939443986,
-    0.58608723546769113029,
-    0.40584515137739716691,
-    0.20778495500789846760,
-    0.0,
-)
-_KRONROD_WEIGHTS = (
-    0.02293532201052922496,
-    0.06309209262997855329,
-    0.10479001032225018384,
-    0.14065325971552591875,
-    0.16900472663926790283,
-    0.19035057806478540991,
-    0.20443294007529889241,
-    0.20948214108472782801,
-)
-# Gauss weights attach to Kronrod nodes with odd index (1, 3, 5, 7 above).
-_GAUSS_WEIGHTS = (
-    0.12948496616886969327,
-    0.27970539148927666790,
-    0.38183005050511894495,
-    0.41795918367346938776,
-)
-
-#: intervals narrower than this are not bisected further
-_MIN_WIDTH = 1e-13
-
-#: The raw ``|K15 - G7|`` difference tracks the error of the *Gauss* value
-#: and can come in far below the true Kronrod error when both rules
-#: under-resolve the same sharp feature (nearby pole).  Every panel estimate
-#: is inflated by this factor before it enters the stopping rule, so the
-#: driver keeps refining well past the point of accidental agreement.
-_ESTIMATE_SAFETY = 1000.0
+#: relative errors of the quadratures run inside :func:`achieved_errors`
+_ACHIEVED = contextvars.ContextVar("achieved_errors", default=None)
 
 
-def _gk15(g, a, b):
-    """One Gauss-Kronrod pass of ``g`` over [a, b].
+@contextlib.contextmanager
+def achieved_errors():
+    """Collect ``error / max(1, |value|)`` of every quadrature run in the block."""
+    errors = []
+    token = _ACHIEVED.set(errors)
+    try:
+        yield errors
+    finally:
+        _ACHIEVED.reset(token)
 
-    Returns (kronrod value, |kronrod - gauss| error estimate, evaluations).
+
+def integrate(f, path, tol=1e-10, budget=200_000, ctx=STANDARD):
+    """Integrate ``f`` over one period along ``path`` to relative tolerance ``tol``.
+
+    The trapezoid sum on ``N`` nodes is refined to ``2 N`` by adding the
+    midpoints.  The estimate ``|T_2N - T_N|`` must meet
+    ``tol * max(1, |T_2N|)`` after at least one doubling.  Raises
+    :class:`ToleranceNotReached` (carrying the partial result) when the next
+    doubling would take more than ``budget`` evaluations.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    kronrod = 0j
-    gauss = 0j
-    for i, x in enumerate(_KRONROD_NODES):
-        if x == 0.0:
-            values = g(mid)
-        else:
-            values = g(mid - half * x) + g(mid + half * x)
-        kronrod += _KRONROD_WEIGHTS[i] * values
-        if i % 2 == 1:
-            gauss += _GAUSS_WEIGHTS[i // 2] * values
-    kronrod *= half
-    gauss *= half
-    return kronrod, abs(kronrod - gauss), 15
 
+    def g(t):
+        return ctx.number(f(path.point(t))) * ctx.number(path.velocity(t))
 
-def integrate(f, contour, tol=1e-10, budget=200_000, ctx=STANDARD):
-    """Integrate ``f`` along ``contour`` to relative tolerance ``tol``.
-
-    The stopping rule is ``sum(errors) <= tol * max(1, |value|)``.  Raises
-    :class:`ToleranceNotReached` (carrying the partial result) if ``budget``
-    integrand evaluations are exhausted first.
-    """
-    if isinstance(contour, Deformation):
-        raise TypeError("pass a Contour from build_contour(), not a Deformation")
-
-    maps = []
-    for piece in contour.pieces:
-        point, velocity = piece.point, piece.velocity
-
-        def g(u, point=point, velocity=velocity):
-            return ctx.number(f(point(u))) * ctx.number(velocity(u))
-
-        maps.append(g)
-
-    heap = []  # (-error, counter, piece_index, a, b, value)
-    counter = 0
-    evaluations = 0
-    subdivisions = 0
-    frozen_value = ctx.number(0)  # contributions of intervals too small to split
-    frozen_error = 0.0
-    running_value = frozen_value
-    running_error = 0.0
-
-    for index, g in enumerate(maps):
-        value, err, n = _gk15(g, 0.0, 1.0)
-        err *= _ESTIMATE_SAFETY
-        evaluations += n
-        heapq.heappush(heap, (-err, counter, index, 0.0, 1.0, value))
-        counter += 1
-        running_value = running_value + value
-        running_error += err
-
-    def exact_totals():
-        # recompute from scratch to shed incremental rounding drift
-        value = frozen_value
-        error = frozen_error
-        for neg_err, _, _, _, _, v in heap:
-            value = value + v
-            error += -neg_err
-        return value, error
-
+    n = 16
+    total = ctx.number(0)
+    for k in range(n):
+        total = total + g(k / n)
+    value = total / n
+    evaluations = n
+    error = math.inf
     while True:
-        if running_error <= tol * max(1.0, abs(running_value)):
-            value, error = exact_totals()
-            return QuadratureResult(
-                contour.orientation * value, error, evaluations, subdivisions
-            )
-        if not heap or evaluations >= budget:
-            value, error = exact_totals()
-            partial = QuadratureResult(
-                contour.orientation * value, error, evaluations, subdivisions
-            )
+        if evaluations + n > budget:
+            partial = QuadratureResult(value, error, evaluations)
             raise ToleranceNotReached(
-                f"achieved error {error:.3g} > target after {evaluations} "
-                f"evaluations",
+                f"achieved error {partial.error:.3g} > target after {evaluations} evaluations",
                 partial,
             )
-        neg_err, _, index, a, b, old_value = heapq.heappop(heap)
-        running_value = running_value - old_value
-        running_error -= -neg_err
-        if b - a < _MIN_WIDTH:
-            # cannot refine further; bank this interval's contribution
-            frozen_value = frozen_value + old_value
-            frozen_error += -neg_err
-            running_value = running_value + old_value
-            running_error += -neg_err
-            continue
-        mid = 0.5 * (a + b)
-        g = maps[index]
-        for lo, hi in ((a, mid), (mid, b)):
-            v, err, n = _gk15(g, lo, hi)
-            err *= _ESTIMATE_SAFETY
-            evaluations += n
-            heapq.heappush(heap, (-err, counter, index, lo, hi, v))
-            counter += 1
-            running_value = running_value + v
-            running_error += err
-        subdivisions += 1
+        for k in range(n):
+            total = total + g((k + 0.5) / n)
+        evaluations += n
+        n *= 2
+        previous, value = value, total / n
+        error = float(abs(value - previous))
+        scale = max(1.0, float(abs(value)))
+        if error <= tol * scale:
+            errors = _ACHIEVED.get()
+            if errors is not None:
+                errors.append(error / scale)
+            return QuadratureResult(value, error, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -372,76 +181,39 @@ class PoleAuditReport:
     entries: tuple
 
 
-def _reduce_period(z):
-    """Shift the real part by an integer into [-1/2, 1/2)."""
-    x = z.real - math.floor(z.real + 0.5)
-    return complex(x, z.imag)
+def _distance(p, path):
+    """Euclidean distance from ``p`` to the path.
 
-
-def _segment_distance(p, x0, x1):
-    if x0 <= p.real <= x1:
+    The path is 1-periodic, so its nearest point lies within half a period
+    of ``Re p``; a grid over that window is narrowed around its best node.
+    """
+    if path.c == 0:
         return abs(p.imag)
-    return min(abs(p - x0), abs(p - x1))
+    lo, hi = p.real - 0.5, p.real + 0.5
+    for _ in range(4):
+        x = np.linspace(lo, hi, 257)
+        d = np.abs(x + 1j * path.height(x) - p)
+        k = int(np.argmin(d))
+        lo, hi = x[max(k - 1, 0)], x[min(k + 1, 256)]
+    return float(d[k])
 
 
-def _arc_distance(p, d: Deformation):
-    v = p - d.center
-    r = abs(v)
-    if r == 0.0:
-        return d.radius
-    angle = math.atan2(v.imag, v.real)
-    in_sector = angle >= 0.0 if d.side == "above" else angle <= 0.0
-    if in_sector:
-        return abs(r - d.radius)
-    return min(abs(p - (d.center - d.radius)), abs(p - (d.center + d.radius)))
+def pole_audit(path, poles, margin=1 / 64) -> PoleAuditReport:
+    """Check known poles (reduced modulo the period) against ``path``.
 
-
-def pole_audit(contour, poles, margin=1 / 64) -> PoleAuditReport:
-    """Check known poles (reduced modulo the period) against the path.
-
-    A pole fails its entry when the exact Euclidean distance to the path is
-    below ``margin``, or when it carries a required side and the path passes
-    on the other one.
+    A pole fails its entry when its distance to the path is below
+    ``margin``, when the path runs through it, or when it carries a
+    required side and the path passes on the other one.
     """
     entries = []
     for spec in poles:
         if not isinstance(spec, PoleSpec):
             spec = PoleSpec(complex(spec))
-        p = _reduce_period(complex(spec.location))
-        distance = math.inf
-        for piece in contour.pieces:
-            if isinstance(piece, _Segment):
-                d = _segment_distance(p, piece.x0, piece.x1)
-            else:
-                d = _arc_distance(p, piece.deformation)
-            # the path is periodic: also measure against the shifted copies
-            for shift in (-1.0, 0.0, 1.0):
-                q = p + shift
-                if isinstance(piece, _Segment):
-                    d = min(d, _segment_distance(q, piece.x0, piece.x1))
-                else:
-                    d = min(d, _arc_distance(q, piece.deformation))
-            distance = min(distance, d)
-        height = contour.height(p.real)
-        if height > p.imag:
-            path_side = "above"
-        elif height < p.imag:
-            path_side = "below"
-        else:
-            path_side = "on"
-        ok = distance >= margin and (
-            spec.side is None or path_side == spec.side
-        ) and path_side != "on"
-        entries.append(
-            PoleAuditEntry(
-                pole=complex(spec.location),
-                reduced=p,
-                distance=distance,
-                path_side=path_side,
-                required_side=spec.side,
-                ok=ok,
-            )
-        )
-    return PoleAuditReport(
-        ok=all(e.ok for e in entries), margin=margin, entries=tuple(entries)
-    )
+        location = complex(spec.location)
+        p = complex(location.real - math.floor(location.real + 0.5), location.imag)
+        height = float(path.height(p.real))
+        path_side = "above" if height > p.imag else "below" if height < p.imag else "on"
+        distance = _distance(p, path)
+        ok = distance >= margin and path_side != "on" and spec.side in (None, path_side)
+        entries.append(PoleAuditEntry(location, p, distance, path_side, spec.side, ok))
+    return PoleAuditReport(all(e.ok for e in entries), margin, tuple(entries))

@@ -40,7 +40,6 @@ __all__ = [
     "qpoch1",
     "qpoch2",
     "qpoch1_add",
-    "qpoch2_add",
     "theta0",
     "theta0_mult",
     "jacobi_theta",
@@ -173,11 +172,6 @@ def qpoch2(u, q, r, policy=None, ctx=STANDARD, pole_epsilon=None):
 def qpoch1_add(z, tau, policy=None, ctx=STANDARD, pole_epsilon=None):
     """Additive single product ``(z; tau) = prod_{n>=0} (1 - e^{2 pi i (z + n tau)})``."""
     return qpoch1(ctx.e2pi(z), ctx.e2pi(tau), policy, ctx, pole_epsilon)
-
-
-def qpoch2_add(z, tau, sigma, policy=None, ctx=STANDARD, pole_epsilon=None):
-    """Additive double product over the lattice ``z + n tau + m sigma``."""
-    return qpoch2(ctx.e2pi(z), ctx.e2pi(tau), ctx.e2pi(sigma), policy, ctx, pole_epsilon)
 
 
 def theta0(z, tau, policy=None, ctx=STANDARD):

@@ -2,8 +2,8 @@
 
 Each lemma is exposed as an ``<name>_lhs`` / ``<name>_rhs`` pair.  Pointwise
 identities take the free variable (``t`` or ``z``) explicitly so callers can
-sample it; the three integral lemmas perform their own quadrature over the
-tower-separating cycle (straight path plus residue corrections).
+sample it; the three integral lemmas audit and integrate over the
+tower-separating cycle themselves (straight path plus residue corrections).
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
@@ -12,10 +12,17 @@ function with periods ``2 tau`` and ``8 eta``.
 
 from __future__ import annotations
 
-from .contour import build_contour, integrate
+from .contour import Path
 from .kernel import ell_gamma, qpoch1_add, theta0
 from .numerics import STANDARD
-from .special import DEFAULT_BUDGET, DEFAULT_TOL, I_tilde, gamma_pair_tower_correction
+from .special import (
+    DEFAULT_BUDGET,
+    DEFAULT_TOL,
+    I_tilde,
+    asym_poles,
+    audited_integral,
+    gamma_pair_tower_correction,
+)
 
 __all__ = [
     "j1_factor",
@@ -247,7 +254,7 @@ def _int_eval_lhs(tau, eta, shift, tol, budget, ctx):
             * entire(t)
         )
 
-    value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
     return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx)
 
 
@@ -292,13 +299,15 @@ def int_rearrange_rhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx
     lam = ctx.number(lam)
     tau = ctx.number(tau)
     eta = ctx.number(eta)
+    # the phase reaches e^{12 pi Im eta} ~ 1e7; inside the integrand it puts
+    # the quadrature tolerance, relative to max(1, |value|), on the result
+    phase = ctx.epi(-12 * eta)
 
     def entire(t):
-        return theta0(t + 4 * eta, 8 * eta, ctx=ctx) * j2_factor(t, lam, tau, ctx)
+        return phase * theta0(t + 4 * eta, 8 * eta, ctx=ctx) * j2_factor(t, lam, tau, ctx)
 
     def f(t):
-        return j1_factor(t, tau, eta, ctx) * j2_factor(t, lam, tau, ctx)
+        return phase * j1_factor(t, tau, eta, ctx) * j2_factor(t, lam, tau, ctx)
 
-    value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
-    value = value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx)
-    return ctx.epi(-12 * eta) * value
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
+    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx)

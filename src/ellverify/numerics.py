@@ -47,9 +47,6 @@ class StandardContext:
         """``exp(pi i z)`` (half-period phases)."""
         return cmath.exp(1j * math.pi * complex(z))
 
-    def isfinite(self, z):
-        return cmath.isfinite(complex(z))
-
 
 class ExtendedContext:
     """mpmath arithmetic with a configurable decimal precision.
@@ -90,9 +87,6 @@ class ExtendedContext:
     def epi(self, z):
         """``exp(pi i z)`` (half-period phases)."""
         return self._mp.exp(1j * self._mp.pi * self._mp.mpc(z))
-
-    def isfinite(self, z):
-        return self._mp.isfinite(self._mp.mpc(z))
 
 
 #: module-wide default: double precision

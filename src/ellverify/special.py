@@ -10,16 +10,18 @@ identities.  Each LHS/RHS pair is kept verbatim in its own function so a
 formula transcription error stays local and visible.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
-return backend-typed complex numbers.  Integral evaluators accept quadrature
-controls (``tol``, ``budget``) and forward everything to
-:func:`ellverify.contour.integrate`.
+return backend-typed complex numbers.  Each integral evaluator picks its own
+:class:`~ellverify.contour.Path` and pole inventory and hands both to
+:func:`audited_integral`, which audits the path and then runs the periodic
+trapezoid rule; it accepts the quadrature controls (``tol``, ``budget``).
+A path the audit rejects raises :class:`~ellverify.contour.PoleOnPath`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .contour import Deformation, PoleSpec, build_contour, integrate
+from .contour import Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
     ell_gamma,
     ell_gamma_modular_Q,
@@ -34,6 +36,7 @@ from .numerics import STANDARD
 __all__ = [
     "BalanceViolation",
     "DomainViolation",
+    "audited_integral",
     "spiridonov_lhs",
     "spiridonov_rhs",
     "spiridonov_poles",
@@ -41,15 +44,12 @@ __all__ = [
     "eval1_rhs",
     "eval2_lhs",
     "eval2_rhs",
-    "EVAL1_DEFORMATIONS",
-    "EVAL2_DEFORMATIONS",
     "quarter_shift_poles",
     "I_tilde",
     "I_sym",
     "eval3_rhs",
     "asym_poles",
     "fv_u",
-    "fv_contour_deformations",
     "fv_u_poles",
     "fv_val1_rhs",
     "fv_val2_rhs",
@@ -85,6 +85,25 @@ def _require(condition, message):
         raise DomainViolation(message)
 
 
+def audited_integral(f, path, poles, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+    """Audit ``path`` against ``poles``, then integrate ``f`` along it.
+
+    Raises :class:`PoleOnPath` when a pole is too close to the path or on
+    the wrong side of it.
+    """
+    report = pole_audit(path, poles)
+    if not report.ok:
+        bad = [e for e in report.entries if not e.ok]
+        raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
+    return integrate(f, path, tol=tol, budget=budget, ctx=ctx).value
+
+
+def _quarter_path(x0, tau, sigma):
+    """Path above ``x0`` and below ``x0 + 1/2``, at most half as high as the
+    shallower modulus so that the lattice shells keep their sides."""
+    return Path(min(0.1, 0.5 * min(complex(tau).imag, complex(sigma).imag)), x0)
+
+
 # ---------------------------------------------------------------------------
 # balanced elliptic beta integral
 
@@ -116,7 +135,7 @@ def spiridonov_lhs(s, tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=ST
             ts + 2 * t, tau, sigma, ctx=ctx
         )
 
-    return integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
+    return audited_integral(f, Path(), spiridonov_poles(s), tol, budget, ctx)
 
 
 def spiridonov_rhs(s, tau, sigma, ctx=STANDARD):
@@ -140,18 +159,6 @@ def spiridonov_poles(s):
 
 # ---------------------------------------------------------------------------
 # quarter-shift evaluations
-
-#: path passes above the pole at -1/4 and below the pole at +1/4
-EVAL1_DEFORMATIONS = (
-    Deformation(-0.25, "above", 0.1),
-    Deformation(0.25, "below", 0.1),
-)
-#: path passes below the pole at -1/4 and above the pole at +1/4
-EVAL2_DEFORMATIONS = (
-    Deformation(-0.25, "below", 0.1),
-    Deformation(0.25, "above", 0.1),
-)
-
 
 def _quarter_shift_integrand(tau, sigma, sign, ctx):
     # sign=+1: gamma(t+1/4)/gamma(t-1/4) with theta0 denominators at t-1/4;
@@ -177,9 +184,10 @@ def _quarter_shift_rhs_tail(tau, sigma, ctx):
 
 
 def eval1_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+    """Path above -1/4 and below +1/4."""
     f = _quarter_shift_integrand(tau, sigma, +1, ctx)
-    contour = build_contour(EVAL1_DEFORMATIONS)
-    return integrate(f, contour, tol=tol, budget=budget, ctx=ctx).value
+    path = _quarter_path(-0.25, tau, sigma)
+    return audited_integral(f, path, quarter_shift_poles(tau, sigma, +1), tol, budget, ctx)
 
 
 def eval1_rhs(tau, sigma, ctx=STANDARD):
@@ -188,9 +196,10 @@ def eval1_rhs(tau, sigma, ctx=STANDARD):
 
 
 def eval2_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+    """Path below -1/4 and above +1/4."""
     f = _quarter_shift_integrand(tau, sigma, -1, ctx)
-    contour = build_contour(EVAL2_DEFORMATIONS)
-    return integrate(f, contour, tol=tol, budget=budget, ctx=ctx).value
+    path = _quarter_path(0.25, tau, sigma)
+    return audited_integral(f, path, quarter_shift_poles(tau, sigma, -1), tol, budget, ctx)
 
 
 def eval2_rhs(tau, sigma, ctx=STANDARD):
@@ -202,18 +211,15 @@ def quarter_shift_poles(tau, sigma, sign):
     """Poles near the path for the quarter-shift integrands.
 
     ``sign=+1`` (gamma argument ``t + 1/4``): real poles at -1/4 (gamma) and
-    +1/4 (theta0 denominators); the lattice shells sit at depth Im(tau),
-    Im(sigma) and need clearance only.
+    +1/4 (theta0 denominators).  The lattice shells sit at depth Im(tau),
+    Im(sigma): the path passes below the upper shells and above the lower.
     """
     a = 0.25 * sign
-    specs = [
-        PoleSpec(-a, "above"),
-        PoleSpec(a, "below"),
-    ]
-    for modulus in (tau, sigma):
-        specs.append(PoleSpec(-a - complex(modulus)))
-        specs.append(PoleSpec(a + complex(modulus)))
-        specs.append(PoleSpec(a - complex(modulus)))
+    specs = [PoleSpec(-a, "above"), PoleSpec(a, "below")]
+    for modulus in (complex(tau), complex(sigma)):
+        specs.append(PoleSpec(-a - modulus, "above"))
+        specs.append(PoleSpec(a + modulus, "below"))
+        specs.append(PoleSpec(a - modulus, "above"))
     return specs
 
 
@@ -298,7 +304,7 @@ def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD)
     integral of the gamma-ratio / theta-ratio / level-theta integrand.
 
     The cycle passes above the descending pole tower hanging from ``2 eta``
-    and below the ascending tower rising from ``-2 eta`` (the orientation
+    and below the ascending tower rising from ``-2 eta`` (the separation
     that makes the beta-integral evaluations of the symmetrized integrand
     valid).  It is realized as straight-path quadrature plus explicit
     residue corrections for the tower members beyond the axis.
@@ -308,7 +314,7 @@ def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD)
     eta = ctx.number(eta)
     _require(tau.imag > 0 and eta.imag > 0, "requires Im(tau) > 0 and Im(eta) > 0")
     f = _asym_integrand(lam, tau, eta, ctx)
-    value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
     value = value + asym_tower_correction(lam, tau, eta, ctx)
     return ctx.epi(-3 * lam) * value
 
@@ -355,37 +361,6 @@ def asym_poles(tau, eta):
 
 # ---------------------------------------------------------------------------
 # hypergeometric function of the three-dimensional representation
-
-
-def fv_contour_deformations(eta, radius=0.1):
-    """Deformations keeping the pole at 2 eta above the path and the pole at
-    -2 eta below it, matching the straight path when Im(eta) > 0.
-
-    For Im(eta) > 0 no detour is needed.  Otherwise the path dips under
-    2 eta and rises over -2 eta; this needs |Im(2 eta)| comfortably inside
-    ``radius`` and the two detours disjoint on the circle.
-    """
-    eta = complex(eta)
-    if eta.imag > 0:
-        return ()
-    depth = abs(2 * eta.imag)
-    if depth >= radius - 1 / 64:
-        raise DomainViolation(
-            f"pole depth {depth:.3g} does not fit under a radius-{radius} detour"
-        )
-    x = 2 * eta.real - math.floor(2 * eta.real + 0.5)
-    mirrored = -x
-    for center in (x, mirrored):
-        if not -0.5 + radius <= center <= 0.5 - radius:
-            raise DomainViolation(
-                f"detour at {center:.3g} does not fit inside the period"
-            )
-    if abs(x - mirrored) < 2 * radius:
-        raise DomainViolation("the two detours at +-Re(2 eta) would overlap")
-    return (
-        Deformation(x, "below", radius),
-        Deformation(mirrored, "above", radius),
-    )
 
 
 def _fv_integrand(lam, mu, tau, sigma, eta, ctx):
@@ -454,7 +429,6 @@ def fv_u(
     tau,
     sigma,
     eta,
-    deformations=None,
     tol=DEFAULT_TOL,
     budget=DEFAULT_BUDGET,
     ctx=STANDARD,
@@ -465,8 +439,9 @@ def fv_u(
     phase factor against the two first-theta-function ratios.  The cycle
     always passes above the pole at ``-2 eta`` and below the one at
     ``2 eta``: the straight period for Im(eta) > 0, straight quadrature plus
-    a residue pair for Im(eta) < 0, and a caller-supplied detour
-    (``deformations``) when eta is real and the poles sit on the axis.
+    a residue pair for Im(eta) < 0.  For real eta the poles sit on the axis
+    and must lie half a period apart, ``4 eta = 1/2 (mod 1)``; the path then
+    passes above ``-2 eta`` and below ``2 eta``.
     """
     lam = ctx.number(lam)
     mu = ctx.number(mu)
@@ -475,18 +450,16 @@ def fv_u(
     eta = ctx.number(eta)
     _require(tau.imag > 0 and sigma.imag > 0, "requires Im(tau) > 0 and Im(sigma) > 0")
     f = _fv_integrand(lam, mu, tau, sigma, eta, ctx)
-    if deformations is not None:
-        contour = build_contour(deformations)
-        value = integrate(f, contour, tol=tol, budget=budget, ctx=ctx).value
-    elif eta.imag > 0:
-        value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
-    elif eta.imag < 0:
-        value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
-        value = value + fv_pair_correction(lam, mu, tau, sigma, eta, ctx=ctx)
+    poles = fv_u_poles(tau, sigma, eta)
+    if eta.imag == 0:
+        quarter = 4 * float(eta.real) - 0.5
+        _require(abs(quarter - round(quarter)) < 1e-12, "real eta needs 4 eta = 1/2 (mod 1)")
+        path = _quarter_path(-2 * float(eta.real), tau, sigma)
+        value = audited_integral(f, path, poles, tol, budget, ctx)
     else:
-        raise DomainViolation(
-            "poles at +-2 eta lie on the real axis; pass explicit deformations"
-        )
+        value = audited_integral(f, Path(), poles, tol, budget, ctx)
+    if eta.imag < 0:
+        value = value + fv_pair_correction(lam, mu, tau, sigma, eta, ctx=ctx)
     return ctx.epi(-lam * mu / (2 * eta)) * value
 
 
@@ -494,8 +467,10 @@ def fv_u_poles(tau, sigma, eta):
     """Poles of the ``fv_u`` integrand near the axis.
 
     When the quadrature path itself must separate the defining pair (real or
-    positive-imaginary eta) the entries carry required sides; in the
-    residue-corrected regime Im(eta) < 0 they are clearance-only.
+    positive-imaginary eta) the pair carries required sides; in the
+    residue-corrected regime Im(eta) < 0 it is clearance-only.  For real eta
+    the path passes below the upper lattice shells and above the lower ones;
+    otherwise the shells are clearance-only.
     """
     tau = complex(tau)
     sigma = complex(sigma)
@@ -504,10 +479,11 @@ def fv_u_poles(tau, sigma, eta):
         specs = [PoleSpec(-2 * eta), PoleSpec(2 * eta)]
     else:
         specs = [PoleSpec(-2 * eta, "above"), PoleSpec(2 * eta, "below")]
+    up, down = ("below", "above") if eta.imag == 0 else (None, None)
     for modulus in (tau, sigma):
-        specs.append(PoleSpec(-2 * eta - modulus))
-        specs.append(PoleSpec(2 * eta + modulus))
-        specs.append(PoleSpec(2 * eta - modulus))
+        specs.append(PoleSpec(-2 * eta - modulus, down))
+        specs.append(PoleSpec(2 * eta + modulus, up))
+        specs.append(PoleSpec(2 * eta - modulus, down))
     return [p for p in specs if abs(p.location.imag) < 1.0]
 
 
@@ -588,7 +564,7 @@ def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET
     def f(t):
         return base(t) * level(t)
 
-    value = integrate(f, build_contour(), tol=tol, budget=budget, ctx=ctx).value
+    value = audited_integral(f, Path(), htf_poles(kappa, tau, eta), tol, budget, ctx)
     value = value + fv_pair_correction(lam, 2 * eta * mu, tau, sigma, eta, level, ctx)
     prefactor = ctx.epi(tau * mu**2 / (2 * kappa) - lam * mu)
     return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau, ctx=ctx) * value
@@ -627,7 +603,6 @@ def delta_tilde_series(
     tau,
     eta,
     tail=1e-13,
-    deformations=None,
     tol=DEFAULT_TOL,
     budget=DEFAULT_BUDGET,
     ctx=STANDARD,
@@ -656,7 +631,7 @@ def delta_tilde_series(
                 converged = True
                 continue
             term = (
-                fv_u(lam, 2 * eta * j, tau, sigma, eta, deformations, tol, budget, ctx)
+                fv_u(lam, 2 * eta * j, tau, sigma, eta, tol, budget, ctx)
                 * Q_factor(2 * eta * j, sigma, eta, ctx=ctx)
                 * gauss
             )
@@ -740,7 +715,7 @@ def s_minus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
         * jacobi_theta_prime0(m, ctx=ctx)
         / (jacobi_theta(0.75, m, ctx=ctx) * jacobi_theta(0.25, m, ctx=ctx))
     )
-    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125, EVAL2_DEFORMATIONS, tol, budget, ctx)
+    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125, tol, budget, ctx)
     return -2 * block * u
 
 
@@ -753,7 +728,7 @@ def s_plus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
         * jacobi_theta_prime0(m, ctx=ctx)
         / (jacobi_theta(0.25, m, ctx=ctx) * jacobi_theta(0.75, m, ctx=ctx))
     )
-    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125, EVAL1_DEFORMATIONS, tol, budget, ctx)
+    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125, tol, budget, ctx)
     return 2 * block * u
 
 

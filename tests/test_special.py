@@ -49,15 +49,19 @@ def test_quarter_shift_rhs_modulus_swap():
 
 
 def test_quarter_shift_pole_inventory_orientation():
-    specs = special.quarter_shift_poles(0.1 + 0.8j, 0.2 + 0.7j, +1)
-    sided = {spec.location: spec.side for spec in specs if spec.side}
-    # the two real poles carry mandatory sides; lattice shells are
-    # clearance-only
-    assert sided == {-0.25: "above", 0.25: "below"}
-    assert any(spec.side is None for spec in specs)
-    mirrored = {s.location: s.side for s in special.quarter_shift_poles(
-        0.1 + 0.8j, 0.2 + 0.7j, -1) if s.side}
-    assert mirrored == {0.25: "above", -0.25: "below"}
+    tau, sigma = 0.1 + 0.8j, 0.2 + 0.7j
+    # every pole carries a mandatory side: the path passes above -1/4 and
+    # below +1/4, below the upper lattice shells and above the lower ones
+    sides = {s.location: s.side for s in special.quarter_shift_poles(tau, sigma, +1)}
+    expected = {-0.25: "above", 0.25: "below"}
+    for m in (tau, sigma):
+        expected.update({-0.25 - m: "above", 0.25 + m: "below", 0.25 - m: "above"})
+    assert sides == expected
+    mirrored = {s.location: s.side for s in special.quarter_shift_poles(tau, sigma, -1)}
+    expected = {0.25: "above", -0.25: "below"}
+    for m in (tau, sigma):
+        expected.update({0.25 - m: "above", -0.25 + m: "below", -0.25 - m: "above"})
+    assert mirrored == expected
 
 
 # ---------------------------------------------------------------------------
@@ -149,3 +153,23 @@ def test_asym_poles_near_axis_only():
 def test_fv_u_poles_structure():
     specs = special.fv_u_poles(0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j)
     assert specs
+
+
+def test_fv_u_real_eta_shells_carry_sides():
+    tau, sigma = 0.1 + 0.7j, 0.2 + 0.08j
+    sides = {s.location: s.side for s in special.fv_u_poles(tau, sigma, 0.125)}
+    # above -2 eta and below 2 eta, below the upper shells, above the lower
+    expected = {-0.25: "above", 0.25: "below"}
+    for m in (tau, sigma):
+        expected.update({-0.25 - m: "above", 0.25 + m: "below", 0.25 - m: "above"})
+    assert sides == expected
+    with pytest.raises(special.DomainViolation):
+        special.fv_u(0.5, 0.5, tau, sigma, 0.1)
+
+
+def test_spiridonov_lhs_reaches_tight_tolerance():
+    # a target near the roundoff floor converges within the default budget
+    params = catalog.sample_params("spiridonov", 0, 0)
+    s, tau, sigma = params["s"], params["tau"], params["sigma"]
+    lhs = special.spiridonov_lhs(s, tau, sigma, tol=1e-13)
+    assert close(lhs, special.spiridonov_rhs(s, tau, sigma), 1e-12)
