@@ -30,7 +30,6 @@ __all__ = [
     "chi_002",
     "J_mu_k2",
     "eval_conj_rhs",
-    "eval_conj_check",
 ]
 
 
@@ -172,10 +171,3 @@ def eval_conj_rhs(mu, k, q, ctx=STANDARD):
             * qpoch1(q**-2, q**-8, ctx=ctx)
         )
     )
-
-
-def eval_conj_check(mu, k, q, tol=special.DEFAULT_TOL, ctx=STANDARD):
-    """(pipeline value, closed-form value) at the distinguished point."""
-    lhs = J_mu_k2(mu, k, q, 2.0, 4.0, tol=tol, ctx=ctx)
-    rhs = eval_conj_rhs(mu, k, q, ctx=ctx)
-    return lhs, rhs

@@ -1,11 +1,13 @@
-"""Registry of verifiable identities.
+"""Registry of every check, numeric and exact.
 
-Each entry pairs an LHS and RHS evaluator with a seeded domain sampler and a
-declared tolerance.  Identity IDs are stable strings; ``identity_ids()`` is
-the machine-readable manifest.  The integral evaluators in :mod:`.special`
-and :mod:`.lemmas` audit their own paths before every quadrature and raise
-:class:`PoleOnPath` on a rejected path; :func:`run_check` reports the
-largest error those quadratures achieved.
+Each entry has a stable string ID and a kind.  A ``numeric`` entry pairs an
+LHS and RHS evaluator with a seeded domain sampler and a declared tolerance;
+a ``series`` entry names a runner from :mod:`.conjectures` and its default
+expansion order.  ``identity_ids()`` is the machine-readable manifest.  The
+integral evaluators in :mod:`.special` and :mod:`.lemmas` audit their own
+paths before every quadrature and raise :class:`PoleOnPath` on a rejected
+path; :func:`run_check` reports the largest error those quadratures
+achieved.
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
@@ -15,11 +17,12 @@ reordering catalog entries never shifts another identity's draws.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import lemmas, special
+from . import conjectures, lemmas, special
 from .contour import PoleOnPath, achieved_errors
 from .kernel import ell_gamma, ell_gamma_modular_Q, jacobi_theta
 from .numerics import STANDARD
@@ -31,7 +34,7 @@ __all__ = [
     "PoleOnPath",
     "identity_ids",
     "get_entry",
-    "describe",
+    "entry_of_kind",
     "sample_params",
     "run_check",
     "DEFAULT_TOLERANCE",
@@ -53,17 +56,29 @@ class UnknownIdentity(KeyError):
 
 @dataclasses.dataclass(frozen=True)
 class IdentityEntry:
+    """One registered check.
+
+    A ``numeric`` entry compares ``lhs`` and ``rhs`` at points drawn by
+    ``sampler``.  A ``series`` entry has ``runner``, which maps an order to a
+    list of case dicts with an ``exact`` flag, and ``default_order``; its
+    ``tolerance`` and ``default_samples`` are ``None``.
+    """
+
     id: str
     #: behavioral description, shown by the manifest
     ref: str
     #: human-readable validity-domain summary
     domain: str
-    lhs: Callable
-    rhs: Callable
-    sampler: Callable
-    tolerance: float = DEFAULT_TOLERANCE
+    #: "numeric" or "series"
+    kind: str = "numeric"
+    lhs: Optional[Callable] = None
+    rhs: Optional[Callable] = None
+    sampler: Optional[Callable] = None
+    tolerance: Optional[float] = DEFAULT_TOLERANCE
     #: draws used by a default full-suite run
-    default_samples: int = 20
+    default_samples: Optional[int] = 20
+    runner: Optional[Callable[[int], list]] = None
+    default_order: Optional[int] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -660,13 +675,66 @@ _register(
     )
 )
 
+# ---- exact series checks (runners provided by the conjectures module) ----
+
+
+def _register_series(check_id, ref, runner, default_order):
+    _register(
+        IdentityEntry(
+            id=check_id,
+            ref=ref,
+            domain="exact rational coefficients through the configured order",
+            kind="series",
+            tolerance=None,
+            default_samples=None,
+            runner=runner,
+            default_order=default_order,
+        )
+    )
+
+
+_register_series(
+    "series.triple-product",
+    "level theta as lattice sum vs triple product, exact coefficients",
+    conjectures.triple_product_cases,
+    12,
+)
+_register_series(
+    "series.denominator",
+    "conjectured graded normalizing product vs rank-one closed form",
+    conjectures.denominator_cases,
+    6,
+)
+_register_series(
+    "series.aff-eval",
+    "conjectured character-ratio product vs rank-one theorem, 16 weights",
+    conjectures.aff_eval_cases,
+    40,
+)
+_register_series(
+    "series.hall-limit",
+    "elliptic weight degenerations: nome substitution and zero-base limit",
+    conjectures.hall_limit_cases,
+    8,
+)
+for _name in ("sym-rearrange", "theta-simp2", "theta-simp3", "theta-simp4"):
+    _register_series(
+        f"series.{_name}",
+        f"exact series form of the {_name} rearrangement",
+        functools.partial(conjectures.theta_lemma_cases, _name),
+        8,
+    )
+
 
 # --------------------------------------------------------------------------
 # execution
 
 
-def identity_ids():
-    return tuple(sorted(_REGISTRY))
+def identity_ids(kind: Optional[str] = None):
+    """Sorted ids of every registered check, or of those of one kind."""
+    return tuple(
+        sorted(cid for cid, entry in _REGISTRY.items() if kind is None or entry.kind == kind)
+    )
 
 
 def get_entry(identity_id: str) -> IdentityEntry:
@@ -676,16 +744,16 @@ def get_entry(identity_id: str) -> IdentityEntry:
         raise UnknownIdentity(identity_id) from None
 
 
-def describe():
-    """Manifest rows: (id, description, domain, tolerance, default samples)."""
-    return tuple(
-        (e.id, e.ref, e.domain, e.tolerance, e.default_samples)
-        for e in (_REGISTRY[i] for i in identity_ids())
-    )
+def entry_of_kind(identity_id: str, kind: str) -> IdentityEntry:
+    """The entry of ``identity_id``; :class:`UnknownIdentity` unless it is ``kind``."""
+    entry = get_entry(identity_id)
+    if entry.kind != kind:
+        raise UnknownIdentity(f"{identity_id} is not a {kind} check")
+    return entry
 
 
 def sample_params(identity_id: str, seed: int, sample_index: int) -> dict:
-    entry = get_entry(identity_id)
+    entry = entry_of_kind(identity_id, "numeric")
     return entry.sampler(rng_for(seed, identity_id, sample_index), sample_index)
 
 
@@ -698,7 +766,7 @@ def run_check(
     ctx=STANDARD,
 ) -> IdentityResult:
     """Draw (or accept) a parameter point and compare both sides."""
-    entry = get_entry(identity_id)
+    entry = entry_of_kind(identity_id, "numeric")
     if params is None:
         params = sample_params(identity_id, seed, sample_index)
     tol = entry.tolerance if tolerance is None else float(tolerance)

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import catalog, conjectures, report
+from . import catalog, report
 
 
 def _build_parser():
@@ -98,14 +98,15 @@ def _resolve_verify_config(args):
     elif args.ids:
         ids = _split_ids(args.ids)
     else:
-        ids = tuple(settings.get("identity_ids") or ())
+        ids = settings.get("identity_ids") or ()
     if not ids:
         raise report.ConfigInvalid("select checks with --ids or --all")
 
-    overrides = dict(settings.get("tolerance_overrides") or {})
-    if args.tol is not None:
-        numeric = set(catalog.identity_ids())
-        overrides.update({cid: args.tol for cid in ids if cid in numeric})
+    overrides = settings.get("tolerance_overrides") or {}
+    # a malformed file value is passed on for RunConfig to reject
+    if args.tol is not None and isinstance(overrides, dict):
+        numeric = catalog.identity_ids("numeric")
+        overrides = {**overrides, **{cid: args.tol for cid in ids if cid in numeric}}
 
     def pick(flag_value, key, default):
         return flag_value if flag_value is not None else settings.get(key, default)
@@ -185,8 +186,9 @@ def _cmd_list(args):
 
 
 def _cmd_series(args):
-    ids = _split_ids(args.ids) if args.ids else conjectures.series_check_ids()
-    numeric = sorted(set(ids) & set(catalog.identity_ids()))
+    ids = _split_ids(args.ids) if args.ids else catalog.identity_ids("series")
+    numeric_ids = catalog.identity_ids("numeric")
+    numeric = [cid for cid in ids if cid in numeric_ids]
     if numeric:
         raise report.ConfigInvalid(
             f"not exact series checks: {', '.join(numeric)}"

@@ -10,15 +10,16 @@ closed form, the conjectured evaluation of the normalized character ratio
 against its rank-one theorem, the degenerate-nome limit that recovers the
 symmetric-function weight, and series forms of the four pointwise theta
 rearrangements from :mod:`.lemmas`.
+
+The ``*_cases`` runners are registered as exact series checks in
+:mod:`.catalog`; :func:`run_series_check` runs one of them by check id.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
 
-from .catalog import UnknownIdentity
 from .series import (
     SeriesRing,
     pochhammer_factors,
@@ -39,11 +40,11 @@ __all__ = [
     "denominator_closed_form_series",
     "aff_eval_conjecture_series",
     "aff_eval_closed_form_series",
-    "hall_limit_check",
-    "theta_lemma_series_check",
-    "SeriesCheck",
-    "series_check_ids",
-    "get_series_check",
+    "triple_product_cases",
+    "denominator_cases",
+    "aff_eval_cases",
+    "hall_limit_cases",
+    "theta_lemma_cases",
     "run_series_check",
 ]
 
@@ -328,7 +329,12 @@ def aff_eval_closed_form_series(mu, k, order):
 
 
 def _hall_limit_parts(n, k_mac, order):
-    """(limit agrees, substitution agrees) for the elliptic weight factor."""
+    """(limit agrees, substitution agrees) for the elliptic weight factor.
+
+    The first checks that the weight's zero-base limit is the classical
+    two-parameter symmetric-function weight; the second, that the graded
+    normalizing ratio equals the elliptic weight under the nome substitution.
+    """
     caps = {"p": order + 1, "q": order + 1}
     ring = SeriesRing(("p", "q", "t"), caps)
     p2 = ring.mono(1, p=2)
@@ -368,18 +374,6 @@ def _hall_limit_parts(n, k_mac, order):
         * series_pochhammer2(ring2, Q2 * qq2n, Q2, qq2n).invert()
     )
     return limit_ok, direct == substituted
-
-
-def hall_limit_check(n, k_mac, order):
-    """True when the elliptic weight matches its two degenerations.
-
-    Checks that the graded normalizing ratio equals the elliptic weight
-    under the nome substitution, and that the weight's zero-base limit is
-    the classical two-parameter symmetric-function weight.
-    """
-    if n < 2 or k_mac < 1:
-        raise ValueError("need n >= 2 and k_mac >= 1")
-    return all(_hall_limit_parts(n, k_mac, order))
 
 
 # ---------------------------------------------------------------------------
@@ -526,41 +520,11 @@ _LEMMA_SERIES = {
 }
 
 
-def theta_lemma_series_check(identity_id, order):
-    """Exact series form of a pointwise theta rearrangement.
-
-    Accepts the bare lemma name or its ``lemma.``/``series.`` prefixed id;
-    raises :class:`UnknownIdentity` for anything else.  The identity is
-    cross-multiplied so both sides are finite products — no inversions —
-    and compared coefficient-by-coefficient through the requested order in
-    every period variable.
-    """
-    name = identity_id
-    for prefix in ("series.", "lemma."):
-        if name.startswith(prefix):
-            name = name[len(prefix) :]
-    try:
-        sides = _LEMMA_SERIES[name]
-    except KeyError:
-        raise UnknownIdentity(identity_id) from None
-    side1, side2 = sides(order)
-    return side1 == side2
-
-
 # ---------------------------------------------------------------------------
-# registry
+# runners of the registered series checks (see :mod:`.catalog`)
 
 
-@dataclasses.dataclass(frozen=True)
-class SeriesCheck:
-    id: str
-    #: behavioral description, shown by the manifest
-    ref: str
-    default_order: int
-    runner: Callable[[int], list]
-
-
-def _run_triple_product(order):
+def triple_product_cases(order):
     cases = []
     for mu, kappa in ((0, 1), (1, 3), (2, 4)):
         cases.append(
@@ -573,7 +537,7 @@ def _run_triple_product(order):
     return cases
 
 
-def _run_denominator(order):
+def denominator_cases(order):
     trivial = denominator_conjecture_series(2, 1, order)
     one = SeriesRing(("p", "q", "z1"), {"p": order + 1}).one()
     cases = [{"n": 2, "k_mac": 1, "exact": trivial == one}]
@@ -588,7 +552,7 @@ def _run_denominator(order):
     return cases
 
 
-def _run_aff_eval(order):
+def aff_eval_cases(order):
     cases = []
     for mu in range(4):
         for k in range(4):
@@ -598,7 +562,7 @@ def _run_aff_eval(order):
     return cases
 
 
-def _run_hall_limit(order):
+def hall_limit_cases(order):
     cases = []
     for n, k_mac in ((2, 1), (2, 2), (3, 2), (3, 3)):
         limit_ok, subst_ok = _hall_limit_parts(n, k_mac, order)
@@ -614,83 +578,28 @@ def _run_hall_limit(order):
     return cases
 
 
-def _lemma_runner(name):
-    def run(order):
-        return [{"lemma": name, "exact": theta_lemma_series_check(name, order)}]
+def theta_lemma_cases(name, order):
+    """Exact series form of the pointwise theta rearrangement ``name``.
 
-    return run
-
-
-_SERIES_CHECKS = {}
-
-
-def _register(check: SeriesCheck):
-    _SERIES_CHECKS[check.id] = check
-
-
-_register(
-    SeriesCheck(
-        id="series.triple-product",
-        ref="level theta as lattice sum vs triple product, exact coefficients",
-        default_order=12,
-        runner=_run_triple_product,
-    )
-)
-_register(
-    SeriesCheck(
-        id="series.denominator",
-        ref="conjectured graded normalizing product vs rank-one closed form",
-        default_order=6,
-        runner=_run_denominator,
-    )
-)
-_register(
-    SeriesCheck(
-        id="series.aff-eval",
-        ref="conjectured character-ratio product vs rank-one theorem, 16 weights",
-        default_order=40,
-        runner=_run_aff_eval,
-    )
-)
-_register(
-    SeriesCheck(
-        id="series.hall-limit",
-        ref="elliptic weight degenerations: nome substitution and zero-base limit",
-        default_order=8,
-        runner=_run_hall_limit,
-    )
-)
-for _name in sorted(_LEMMA_SERIES):
-    _register(
-        SeriesCheck(
-            id=f"series.{_name}",
-            ref=f"exact series form of the {_name} rearrangement",
-            default_order=8,
-            runner=_lemma_runner(_name),
-        )
-    )
-
-
-def series_check_ids():
-    return tuple(sorted(_SERIES_CHECKS))
-
-
-def get_series_check(check_id: str) -> SeriesCheck:
-    try:
-        return _SERIES_CHECKS[check_id]
-    except KeyError:
-        raise UnknownIdentity(check_id) from None
+    The identity is cross-multiplied so both sides are finite products — no
+    inversions — and compared coefficient-by-coefficient through the
+    requested order in every period variable.
+    """
+    side1, side2 = _LEMMA_SERIES[name](order)
+    return [{"lemma": name, "exact": side1 == side2}]
 
 
 def run_series_check(check_id: str, order=None) -> dict:
     """Run one registered exact check; the outcome is JSON-ready."""
-    check = get_series_check(check_id)
-    order = check.default_order if order is None else int(order)
+    from . import catalog  # catalog imports this module for the runners
+
+    entry = catalog.entry_of_kind(check_id, "series")
+    order = entry.default_order if order is None else int(order)
     if order < 0:
         raise ValueError("order must be >= 0")
-    cases = check.runner(order)
+    cases = entry.runner(order)
     return {
-        "id": check.id,
+        "id": entry.id,
         "order": order,
         "exact": all(case["exact"] for case in cases),
         "cases": cases,

@@ -1,8 +1,8 @@
 """Elliptic special-function kernel.
 
-Infinite q-Pochhammer products (single and double), theta functions,
-the elliptic gamma function and theta functions of given level, in both
-multiplicative (nome) and additive (half-period ratio) conventions.
+Infinite q-Pochhammer products (single and double), theta functions and
+the elliptic gamma function, in both multiplicative (nome) and additive
+(half-period ratio) conventions.
 
 Conventions
 -----------
@@ -33,7 +33,6 @@ from .numerics import STANDARD
 
 __all__ = [
     "TruncationPolicy",
-    "ModularParam",
     "NonConvergent",
     "PoleHit",
     "DEFAULT_POLICY",
@@ -46,7 +45,6 @@ __all__ = [
     "jacobi_theta_prime0",
     "ell_gamma",
     "ell_gamma_modular_Q",
-    "theta_level",
 ]
 
 
@@ -85,36 +83,6 @@ DEFAULT_POLICY = TruncationPolicy()
 
 #: a denominator factor smaller than this is treated as an exact pole
 POLE_EPSILON = 1e-13
-
-
-@dataclass(frozen=True)
-class ModularParam:
-    """A modular parameter carried in both conventions.
-
-    ``tau`` is the additive parameter (upper half-plane), ``nome`` the
-    multiplicative one (punctured unit disk); they are linked by
-    ``nome = exp(2 pi i tau)``.  Construct through :meth:`from_tau` or
-    :meth:`from_nome`; both validate their domain.
-    """
-
-    tau: complex
-    nome: complex
-
-    @classmethod
-    def from_tau(cls, tau, ctx=STANDARD) -> "ModularParam":
-        tau = ctx.number(tau)
-        if not tau.imag > 0:
-            raise ValueError(f"additive modular parameter needs Im > 0, got {tau!r}")
-        return cls(tau=tau, nome=ctx.e2pi(tau))
-
-    @classmethod
-    def from_nome(cls, nome, ctx=STANDARD) -> "ModularParam":
-        nome = ctx.number(nome)
-        if not 0 < abs(nome) < 1:
-            raise ValueError(f"nome must lie in the punctured unit disk, got {nome!r}")
-        # principal branch: Im tau = -log|nome| / 2pi > 0
-        tau = ctx.log(nome) / (2j * ctx.pi)
-        return cls(tau=tau, nome=nome)
 
 
 def qpoch1(u, q, policy=None, ctx=STANDARD, pole_epsilon=None):
@@ -270,59 +238,3 @@ def ell_gamma_modular_Q(z, tau, sigma, ctx=STANDARD):
     linear = (tau**2 + sigma**2 + 3 * ts - 3 * tau - 3 * sigma + 1) / (6 * ts) * z
     constant = (tau + sigma - 1) * (1 / tau + 1 / sigma - 1) / 12
     return cubic + quadratic + linear + constant
-
-
-def theta_level(mu, kappa, lam, tau, mode="product", policy=None, ctx=STANDARD):
-    """Theta function of level ``kappa`` and characteristic ``mu``.
-
-    Defined by the lattice sum over ``n`` in ``Z + mu/(2 kappa)`` of
-    ``e^{2 pi i kappa (n^2 tau + n lam)}``; transforms under
-    ``lam -> lam + 2 r + 2 s tau`` by ``e^{-2 pi i kappa (s^2 tau + s lam)}``.
-
-    ``mode="product"`` uses the triple-product form
-
-    ``e^{pi i tau mu^2 / (2 kappa) + pi i lam mu} (2 kappa tau; 2 kappa tau)
-    * theta0(1/2 + mu tau + kappa tau + kappa lam; 2 kappa tau)``
-
-    while ``mode="series"`` sums the definition directly with a symmetric
-    window widened until the trailing terms fall below the truncation
-    threshold.
-    """
-    if kappa != int(kappa) or kappa < 1:
-        raise ValueError(f"level must be a positive integer, got {kappa!r}")
-    kappa = int(kappa)
-    pol = policy or DEFAULT_POLICY
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    if not tau.imag > 0:
-        raise NonConvergent(f"theta_level requires Im tau > 0, got {tau!r}")
-
-    if mode == "product":
-        prefactor = ctx.epi(tau * mu**2 / (2 * kappa) + lam * mu)
-        scale = qpoch1_add(2 * kappa * tau, 2 * kappa * tau, pol, ctx)
-        shifted = theta0(
-            0.5 + mu * tau + kappa * tau + kappa * lam, 2 * kappa * tau, pol, ctx
-        )
-        return prefactor * scale * shifted
-    if mode != "series":
-        raise ValueError(f"mode must be 'product' or 'series', got {mode!r}")
-
-    def term(j):
-        n = j + mu / (2 * kappa)
-        return ctx.e2pi(kappa * (n**2 * tau + n * lam))
-
-    total = term(0)
-    quiet = 0
-    for j in range(1, pol.max_terms):
-        step = term(j) + term(-j)
-        total = total + step
-        if abs(step) < pol.term_epsilon * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-    raise NonConvergent(
-        f"level-{kappa} theta series did not settle within {pol.max_terms} terms "
-        f"(Im tau = {tau.imag:.3g} may be too small)"
-    )

@@ -13,8 +13,10 @@ reports for reproducibility.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import numbers
 import time
 from typing import Mapping, Optional, Sequence
 
@@ -41,8 +43,13 @@ class ConfigInvalid(ValueError):
 
 
 def all_check_ids():
-    """Every registered check id: numeric catalog plus exact series checks."""
-    return tuple(sorted(catalog.identity_ids() + conjectures.series_check_ids()))
+    """Every registered check id, numeric and exact series."""
+    return catalog.identity_ids()
+
+
+def _is(value, kind):
+    """``value`` is an instance of ``kind``, a :mod:`numbers` class, and no bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,30 +65,43 @@ class RunConfig:
     precision_mode: str = "standard"
 
     def __post_init__(self):
-        ids = tuple(self.identity_ids)
+        ids = self.identity_ids
+        if not isinstance(ids, (list, tuple)) or not all(
+            isinstance(cid, str) for cid in ids
+        ):
+            raise ConfigInvalid("identity_ids must be a list of check id strings")
+        ids = tuple(ids)
         if not ids:
             raise ConfigInvalid("no checks selected")
         known = set(all_check_ids())
-        unknown = sorted(set(ids) - known)
+        unknown = sorted({cid for cid in ids if cid not in known})
         if unknown:
             raise ConfigInvalid(f"unknown check ids: {', '.join(unknown)}")
+        repeated = sorted(cid for cid, n in collections.Counter(ids).items() if n > 1)
+        if repeated:
+            raise ConfigInvalid(f"duplicate check ids: {', '.join(repeated)}")
         object.__setattr__(self, "identity_ids", ids)
-        if self.samples_per_identity is not None and self.samples_per_identity < 1:
-            raise ConfigInvalid("samples_per_identity must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigInvalid("seed must fit in 64 bits")
-        numeric = set(catalog.identity_ids())
-        for cid, tol in dict(self.tolerance_overrides).items():
+        samples = self.samples_per_identity
+        if samples is not None and not (_is(samples, numbers.Integral) and samples >= 1):
+            raise ConfigInvalid("samples_per_identity must be an integer >= 1")
+        if not (_is(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ConfigInvalid("seed must be an integer in [0, 2**64)")
+        if not isinstance(self.tolerance_overrides, Mapping):
+            raise ConfigInvalid("tolerance_overrides must map check ids to tolerances")
+        for cid, tol in self.tolerance_overrides.items():
             if cid not in known:
                 raise ConfigInvalid(f"tolerance override for unknown check {cid!r}")
-            if cid not in numeric:
+            if catalog.get_entry(cid).kind != "numeric":
                 raise ConfigInvalid(
                     f"{cid!r} is an exact series check and takes no tolerance"
                 )
-            if not tol > 0:
-                raise ConfigInvalid("tolerance overrides must be positive")
-        if self.series_order is not None and self.series_order < 0:
-            raise ConfigInvalid("series_order must be >= 0")
+            if not (_is(tol, numbers.Real) and tol > 0):
+                raise ConfigInvalid("tolerance overrides must be positive numbers")
+        order = self.series_order
+        if order is not None and not (_is(order, numbers.Integral) and order >= 0):
+            raise ConfigInvalid("series_order must be an integer >= 0")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigInvalid("output_path must be a string")
         if self.precision_mode not in _PRECISION_MODES:
             raise ConfigInvalid(
                 f"precision_mode must be one of {_PRECISION_MODES}"
@@ -216,12 +236,11 @@ def run_suite(config: RunConfig) -> VerificationReport:
     reproducible regardless of selection order.
     """
     ctx = STANDARD if config.precision_mode == "standard" else ExtendedContext(30)
-    numeric_ids = set(catalog.identity_ids())
     started = time.perf_counter()
     results = []
     for check_id in sorted(config.identity_ids):
-        if check_id in numeric_ids:
-            entry = catalog.get_entry(check_id)
+        entry = catalog.get_entry(check_id)
+        if entry.kind == "numeric":
             count = config.samples_per_identity or entry.default_samples
             for index in range(count):
                 results.append(_numeric_result(entry, config, index, ctx))
@@ -245,27 +264,18 @@ def run_suite(config: RunConfig) -> VerificationReport:
 def list_identities():
     """Manifest of every registered check, numeric and exact."""
     rows = []
-    for cid, ref, domain, tolerance, default_samples in catalog.describe():
-        rows.append(
-            {
-                "id": cid,
-                "kind": "numeric",
-                "description": ref,
-                "domain": domain,
-                "tolerance": tolerance,
-                "default_samples": default_samples,
-            }
-        )
-    for cid in conjectures.series_check_ids():
-        check = conjectures.get_series_check(cid)
-        rows.append(
-            {
-                "id": cid,
-                "kind": "series",
-                "description": check.ref,
-                "domain": "exact rational coefficients through the configured order",
-                "default_order": check.default_order,
-            }
-        )
-    rows.sort(key=lambda row: row["id"])
+    for cid in catalog.identity_ids():
+        entry = catalog.get_entry(cid)
+        row = {
+            "id": cid,
+            "kind": entry.kind,
+            "description": entry.ref,
+            "domain": entry.domain,
+        }
+        if entry.kind == "numeric":
+            row["tolerance"] = entry.tolerance
+            row["default_samples"] = entry.default_samples
+        else:
+            row["default_order"] = entry.default_order
+        rows.append(row)
     return tuple(rows)

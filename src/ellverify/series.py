@@ -31,7 +31,6 @@ __all__ = [
     "pochhammer_factors",
     "pochhammer2_factors",
     "theta0_factors",
-    "gamma_factors",
     "series_pochhammer",
     "series_pochhammer2",
     "series_theta0",
@@ -449,20 +448,6 @@ def theta0_factors(ring, argument, modulus):
     """Factors of ``(arg; mod)(mod/arg; mod)`` — the product-form theta."""
     return pochhammer_factors(ring, argument, modulus) + pochhammer_factors(
         ring, modulus / argument, modulus
-    )
-
-
-def gamma_factors(ring, argument, modulus1, modulus2):
-    """(numerator, denominator) factor lists of the double-ratio gamma.
-
-    The function is ``(m1*m2/arg; m1, m2) / (arg; m1, m2)``; callers fold the
-    two lists into opposite sides of a cross-multiplied identity instead of
-    inverting anything.
-    """
-    reflected = modulus1 * modulus2 / argument
-    return (
-        pochhammer2_factors(ring, reflected, modulus1, modulus2),
-        pochhammer2_factors(ring, argument, modulus1, modulus2),
     )
 
 

@@ -10,11 +10,11 @@ from ellverify.bridge import (
     AffineParams,
     chi_002,
     convert_conventions,
-    eval_conj_check,
     eval_conj_rhs,
     f22,
     J_mu_k2,
 )
+from ellverify.catalog import run_check
 from ellverify.conjectures import denominator_closed_form_series
 from ellverify.special import DomainViolation
 
@@ -113,14 +113,14 @@ def test_trivial_weight_normalizes_to_one():
 
 
 def test_pipeline_matches_closed_form():
-    lhs, rhs = eval_conj_check(1, 1, 1.25)
-    assert close(lhs, rhs, 1e-6)
+    res = run_check("aff-eval", params={"mu": 1, "k": 1, "q": 1.25})
+    assert close(res.lhs_value, res.rhs_value, 1e-6)
 
 
 def test_pipeline_degenerate_weight_vanishes():
-    lhs, rhs = eval_conj_check(2, 0, 1.25)
-    assert rhs == 0
-    assert abs(lhs) <= 1e-6
+    res = run_check("aff-eval", params={"mu": 2, "k": 0, "q": 1.25})
+    assert res.rhs_value == 0
+    assert abs(res.lhs_value) <= 1e-6
 
 
 def test_closed_form_trivial_weight():

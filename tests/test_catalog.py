@@ -15,7 +15,6 @@ from ellverify.catalog import (
     IdentityResult,
     PoleOnPath,
     UnknownIdentity,
-    describe,
     fnv1a64,
     get_entry,
     identity_ids,
@@ -32,13 +31,14 @@ from ellverify.catalog import (
 def test_manifest_is_sorted_and_complete():
     ids = identity_ids()
     assert list(ids) == sorted(ids)
-    assert len(ids) == 24
+    assert len(ids) == 32
+    assert len(identity_ids("numeric")) == 24
     for required in ("spiridonov", "eval3", "ellmac-eval", "bridge-unity"):
         assert required in ids
 
 
 def test_entries_are_well_formed():
-    for identity_id in identity_ids():
+    for identity_id in identity_ids("numeric"):
         entry = get_entry(identity_id)
         assert entry.id == identity_id
         assert entry.ref and entry.domain
@@ -46,27 +46,37 @@ def test_entries_are_well_formed():
         assert entry.default_samples >= 1
 
 
-def test_describe_matches_entries():
-    rows = describe()
-    assert len(rows) == len(identity_ids())
-    for row, identity_id in zip(rows, identity_ids()):
+def test_every_entry_has_one_known_kind():
+    numeric, series = identity_ids("numeric"), identity_ids("series")
+    assert sorted(numeric + series) == list(identity_ids())
+    assert len(series) == 8 and all(cid.startswith("series.") for cid in series)
+    for identity_id in numeric:
         entry = get_entry(identity_id)
-        assert row == (
-            entry.id,
-            entry.ref,
-            entry.domain,
-            entry.tolerance,
-            entry.default_samples,
-        )
+        assert entry.kind == "numeric"
+        assert None not in (entry.lhs, entry.rhs, entry.sampler, entry.tolerance)
+        assert entry.runner is None and entry.default_order is None
+    for identity_id in series:
+        entry = get_entry(identity_id)
+        assert entry.kind == "series"
+        assert entry.runner is not None and entry.default_order >= 0
+        assert {entry.lhs, entry.rhs, entry.sampler, entry.tolerance} == {None}
+
+
+def test_register_rejects_duplicate_id():
+    for identity_id in ("eval1", "series.aff-eval"):
+        with pytest.raises(ValueError, match="duplicate"):
+            catalog._register(get_entry(identity_id))
+    assert len(identity_ids()) == 32
 
 
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         get_entry("nope")
-    with pytest.raises(UnknownIdentity):
-        run_check("nope")
-    with pytest.raises(UnknownIdentity):
-        sample_params("nope", 0, 0)
+    for identity_id in ("nope", "series.triple-product"):
+        with pytest.raises(UnknownIdentity):
+            run_check(identity_id)
+        with pytest.raises(UnknownIdentity):
+            sample_params(identity_id, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +158,7 @@ def test_pole_audit_rejects_bad_path():
         run_check("eval1", params={"tau": -0.25 + 0.01j, "sigma": 0.5j})
 
 
-@pytest.mark.parametrize("identity_id", sorted(catalog.identity_ids()))
+@pytest.mark.parametrize("identity_id", catalog.identity_ids("numeric"))
 def test_every_identity_passes_one_draw(identity_id):
     res = run_check(identity_id, seed=2026, sample_index=0)
     assert res.passed, f"{identity_id}: abs_error={res.abs_error:.3e}"

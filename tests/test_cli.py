@@ -205,6 +205,47 @@ def test_cli_rejects_malformed_config(tmp_path, capsys):
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "settings,flags,message",
+    [
+        ({"identity_ids": ["theta-mod"], "samples_per_identity": 2.5}, [], "samples"),
+        ({"identity_ids": ["theta-mod"], "samples_per_identity": True}, [], "samples"),
+        (
+            {"identity_ids": ["theta-mod"], "tolerance_overrides": {"theta-mod": "1e-8"}},
+            [],
+            "tolerance",
+        ),
+        (
+            {"identity_ids": ["theta-mod"], "tolerance_overrides": {"theta-mod": True}},
+            [],
+            "tolerance",
+        ),
+        (
+            {"identity_ids": ["theta-mod"], "tolerance_overrides": ["theta-mod"]},
+            ["--tol", "1e-8"],
+            "tolerance",
+        ),
+        ({"identity_ids": ["series.triple-product"], "series_order": 2.7}, [], "series_order"),
+        ({"identity_ids": ["theta-mod"], "seed": 1.5}, [], "seed"),
+        ({"identity_ids": ["theta-mod"], "seed": True}, [], "seed"),
+        ({"identity_ids": ["theta-mod"], "seed": "7"}, [], "seed"),
+        ({"identity_ids": "theta-mod"}, [], "identity_ids"),
+        ({"identity_ids": [1]}, [], "identity_ids"),
+        ({"identity_ids": ["theta-mod", "theta-mod"]}, [], "duplicate check ids: theta-mod"),
+        ({}, ["--ids", "theta-mod,theta-mod"], "duplicate check ids: theta-mod"),
+        ({"identity_ids": ["theta-mod"], "output_path": 5}, [], "output_path"),
+    ],
+)
+def test_cli_rejects_ill_typed_config(tmp_path, capsys, settings, flags, message):
+    # each must stop before any check runs, with exit code 2 and no traceback
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(settings))
+    assert main(["verify", "--config", str(config_path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_list_json(capsys):
     assert main(["list", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
@@ -213,6 +254,26 @@ def test_cli_list_json(capsys):
     assert by_id["eval1"]["kind"] == "numeric"
     assert by_id["series.aff-eval"]["kind"] == "series"
     assert "tolerance" not in by_id["series.aff-eval"]
+
+
+def test_cli_list_json_matches_registry(capsys):
+    assert main(["list", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["id"] for row in rows] == list(catalog.identity_ids())
+    for row in rows:
+        entry = catalog.get_entry(row["id"])
+        expected = {
+            "id": entry.id,
+            "kind": entry.kind,
+            "description": entry.ref,
+            "domain": entry.domain,
+        }
+        if entry.kind == "numeric":
+            expected["tolerance"] = entry.tolerance
+            expected["default_samples"] = entry.default_samples
+        else:
+            expected["default_order"] = entry.default_order
+        assert row == expected
 
 
 def test_cli_list_plain(capsys):

@@ -7,6 +7,7 @@ main builders cannot hide."""
 
 import pytest
 
+from ellverify import catalog
 from ellverify.catalog import UnknownIdentity
 from ellverify.conjectures import (
     AffineRootLayer,
@@ -14,13 +15,10 @@ from ellverify.conjectures import (
     aff_eval_conjecture_series,
     denominator_closed_form_series,
     denominator_conjecture_series,
-    get_series_check,
-    hall_limit_check,
+    hall_limit_cases,
     positive_finite_roots,
     run_series_check,
-    series_check_ids,
     series_triple_product_check,
-    theta_lemma_series_check,
 )
 from ellverify.series import SeriesRing
 
@@ -166,14 +164,15 @@ def test_aff_eval_weight_normalization():
 # degenerate-nome limit
 
 
+@pytest.fixture(scope="module")
+def hall_limit_at_order_6():
+    return {(case["n"], case["k_mac"]): case for case in hall_limit_cases(6)}
+
+
 @pytest.mark.parametrize("n,k_mac", [(2, 1), (2, 2), (3, 2), (3, 3)])
-def test_hall_limit(n, k_mac):
-    assert hall_limit_check(n, k_mac, 6)
-
-
-def test_hall_limit_validation():
-    with pytest.raises(ValueError):
-        hall_limit_check(1, 2, 4)
+def test_hall_limit(n, k_mac, hall_limit_at_order_6):
+    case = hall_limit_at_order_6[n, k_mac]
+    assert case["limit_exact"] and case["substitution_exact"] and case["exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +183,12 @@ def test_hall_limit_validation():
     "name", ["theta-simp2", "theta-simp3", "theta-simp4", "sym-rearrange"]
 )
 def test_theta_lemma_series(name):
-    assert theta_lemma_series_check(name, 6)
-
-
-def test_theta_lemma_accepts_prefixed_ids():
-    assert theta_lemma_series_check("series.theta-simp2", 4)
-    assert theta_lemma_series_check("lemma.theta-simp2", 4)
+    assert run_series_check(f"series.{name}", order=6)["exact"]
 
 
 def test_theta_lemma_unknown_identity():
     with pytest.raises(UnknownIdentity):
-        theta_lemma_series_check("theta-simp9", 4)
+        run_series_check("series.theta-simp9", order=4)
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +196,18 @@ def test_theta_lemma_unknown_identity():
 
 
 def test_registry_manifest():
-    ids = series_check_ids()
+    ids = catalog.identity_ids("series")
     assert len(ids) == 8
     assert all(cid.startswith("series.") for cid in ids)
-    check = get_series_check("series.aff-eval")
-    assert check.default_order == 40
+    assert catalog.get_entry("series.aff-eval").default_order == 40
+    assert run_series_check("series.triple-product")["order"] == 12
 
 
 def test_registry_unknown_id():
-    with pytest.raises(UnknownIdentity):
-        get_series_check("series.bogus")
+    # a numeric check is registered, but not as a series check
+    for check_id in ("series.bogus", "eval1"):
+        with pytest.raises(UnknownIdentity):
+            run_series_check(check_id)
 
 
 def test_run_series_check_shape():

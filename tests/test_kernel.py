@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ellverify.kernel import (
-    ModularParam,
     NonConvergent,
     PoleHit,
     TruncationPolicy,
@@ -26,13 +25,28 @@ from ellverify.kernel import (
     qpoch2,
     theta0,
     theta0_mult,
-    theta_level,
 )
 from ellverify.numerics import ExtendedContext
 
 
 def close(a, b, tol=1e-12):
     return abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(b)))
+
+
+def level_theta(mu, kappa, lam, tau):
+    """Level-kappa theta of characteristic mu from theta0, by the triple product."""
+    modulus = 2 * kappa * tau
+    prefactor = cmath.exp(1j * cmath.pi * (tau * mu**2 / (2 * kappa) + lam * mu))
+    shifted = theta0(0.5 + mu * tau + kappa * tau + kappa * lam, modulus)
+    return prefactor * qpoch1_add(modulus, modulus) * shifted
+
+
+def level_theta_sum(mu, kappa, lam, tau, width=30):
+    """The defining lattice sum over n in Z + mu/(2 kappa), |n| <= width."""
+    return sum(
+        cmath.exp(2j * cmath.pi * kappa * (n * n * tau + n * lam))
+        for n in (j + mu / (2 * kappa) for j in range(-width, width + 1))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +95,9 @@ def test_theta_level_values():
     lam, tau = 0.31 + 0.11j, 0.07 + 0.83j
     ref34 = -0.019685785012094930292 + 0.00088556493793267298693j
     ref01 = 0.99869643094999763746 - 0.0089616110032282384733j
-    for mode in ("product", "series"):
-        assert close(theta_level(3, 4, lam, tau, mode=mode), ref34, 1e-12)
-        assert close(theta_level(0, 1, lam, tau, mode=mode), ref01, 1e-12)
+    for level in (level_theta, level_theta_sum):
+        assert close(level(3, 4, lam, tau), ref34, 1e-12)
+        assert close(level(0, 1, lam, tau), ref01, 1e-12)
 
 
 def test_extended_context_matches_reference_beyond_double():
@@ -169,8 +183,8 @@ def test_ell_gamma_shift(z, tau, sigma):
 @settings(max_examples=25)
 @given(lam=small_z, tau=taus, mu=st.integers(-3, 6), kappa=st.integers(1, 5))
 def test_theta_level_product_matches_series(lam, tau, mu, kappa):
-    a = theta_level(mu, kappa, lam, tau, mode="product")
-    b = theta_level(mu, kappa, lam, tau, mode="series")
+    a = level_theta(mu, kappa, lam, tau)
+    b = level_theta_sum(mu, kappa, lam, tau)
     assert close(a, b, 1e-10)
 
 
@@ -178,19 +192,10 @@ def test_theta_level_product_matches_series(lam, tau, mu, kappa):
 @given(lam=small_z, tau=taus, mu=st.integers(-2, 4), kappa=st.integers(1, 4),
        r=st.integers(-1, 1), s=st.integers(-1, 1))
 def test_theta_level_lattice_transform(lam, tau, mu, kappa, r, s):
-    base = theta_level(mu, kappa, lam, tau)
-    moved = theta_level(mu, kappa, lam + 2 * r + 2 * s * tau, tau)
+    base = level_theta(mu, kappa, lam, tau)
+    moved = level_theta(mu, kappa, lam + 2 * r + 2 * s * tau, tau)
     factor = cmath.exp(-2j * cmath.pi * kappa * (s * s * tau + s * lam))
     assert close(moved, factor * base, 1e-9)
-
-
-@given(tau=taus)
-def test_modular_param_roundtrip(tau):
-    p = ModularParam.from_tau(tau)
-    q = ModularParam.from_nome(p.nome)
-    # from_nome recovers tau modulo the real period
-    assert abs((q.tau - p.tau).imag) < 1e-12
-    assert abs((q.tau - p.tau).real - round((q.tau - p.tau).real)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,24 +231,6 @@ def test_theta0_mult_matches_additive():
     u = cmath.exp(2j * cmath.pi * z)
     q = cmath.exp(2j * cmath.pi * tau)
     assert close(theta0_mult(u, q), theta0(z, tau), 1e-12)
-
-
-def test_modular_param_validation():
-    with pytest.raises(ValueError):
-        ModularParam.from_tau(0.3 - 0.1j)
-    with pytest.raises(ValueError):
-        ModularParam.from_nome(1.5)
-    with pytest.raises(ValueError):
-        ModularParam.from_nome(0.0)
-
-
-def test_theta_level_validation():
-    with pytest.raises(ValueError):
-        theta_level(1, 0, 0.1, 0.5j)
-    with pytest.raises(ValueError):
-        theta_level(1, 2, 0.1, 0.5j, mode="nope")
-    with pytest.raises(NonConvergent):
-        theta_level(1, 2, 0.1, 0.5 - 0.2j)
 
 
 def test_qpoch1_add_wraps_exponentials():
