@@ -3,7 +3,6 @@ hypergeometric integral identities.
 
 Layers
 ------
-``numerics``     pluggable complex backends (double precision / mpmath)
 ``kernel``       q-Pochhammer products, theta functions, elliptic gamma
 ``contour``      periodic trapezoid quadrature on one smooth path, pole audit
 ``special``      the integrands and closed forms under verification

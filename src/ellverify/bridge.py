@@ -8,19 +8,20 @@ the upper/lower half planes.  This module converts between the two and
 assembles the closed product relating them, so the character-side statements
 can be tested against certified quadrature of the elliptic side.
 
-All evaluators accept a numerics context; with the default double-precision
-context the conversion itself contributes error at machine scale, so the
-overall accuracy is set by the quadrature target of the elliptic factor.
+The evaluators work in double precision; the conversion itself contributes
+error at machine scale, so the overall accuracy is set by the quadrature
+target of the elliptic factor.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 from typing import NamedTuple
 
 from . import special
 from .kernel import qpoch1, qpoch2, theta0_mult
-from .numerics import STANDARD
 
 __all__ = [
     "AffineParams",
@@ -73,44 +74,44 @@ class AdditiveCoords(NamedTuple):
     lam: complex
 
 
-def convert_conventions(q, lam, omega, ctx=STANDARD):
+def convert_conventions(q, lam, omega):
     """Additive parameters matching a multiplicative ``(q, lam, omega)`` point.
 
     The base is ``q = e2pi(eta)`` with the principal branch, so ``|q| > 1``
     lands in the lower half plane ``Im(eta) < 0``; the elliptic modulus is
     ``tau = -2*eta*omega`` and the additive weight argument ``2*eta*lam``.
     """
-    eta = ctx.log(ctx.number(q)) / (2j * ctx.pi)
+    eta = cmath.log(complex(q)) / (2j * math.pi)
     return AdditiveCoords(eta=eta, tau=-2 * eta * omega, lam=2 * eta * lam)
 
 
-def _qpow(q, exponent, ctx):
-    return ctx.exp(ctx.number(exponent) * ctx.log(q))
+def _qpow(q, exponent):
+    return cmath.exp(complex(exponent) * cmath.log(q))
 
 
-def f22(q, omega, ctx=STANDARD):
+def f22(q, omega):
     """Unit-constant-term normalizing function of the rank-one graded trace."""
-    q = ctx.number(q)
-    p = _qpow(q, -2 * ctx.number(omega), ctx)
-    return qpoch1(p * q**2, p, ctx=ctx) / qpoch1(p * q**4, p, ctx=ctx)
+    q = complex(q)
+    p = _qpow(q, -2 * complex(omega))
+    return qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
 
 
-def chi_002(q, lam, omega, ctx=STANDARD):
+def chi_002(q, lam, omega):
     """Closed form of the graded trace at the zero weight (rank one)."""
     AffineParams(0, 0, complex(q), complex(lam), complex(omega))
-    q = ctx.number(q)
-    p = _qpow(q, -2 * ctx.number(omega), ctx)
-    qlam = _qpow(q, ctx.number(lam), ctx)
+    q = complex(q)
+    p = _qpow(q, -2 * complex(omega))
+    qlam = _qpow(q, complex(lam))
     return (
         qlam
-        * f22(q, omega, ctx=ctx)
-        * qpoch1(qlam**-2 * q**2, p, ctx=ctx)
-        * qpoch1(qlam**2 * q**2 * p, p, ctx=ctx)
-        * qpoch1(p * q**2, p, ctx=ctx)
+        * f22(q, omega)
+        * qpoch1(qlam**-2 * q**2, p)
+        * qpoch1(qlam**2 * q**2 * p, p)
+        * qpoch1(p * q**2, p)
     )
 
 
-def J_mu_k2(mu, k, q, lam, omega, tol=special.DEFAULT_TOL, ctx=STANDARD):
+def J_mu_k2(mu, k, q, lam, omega, tol=special.DEFAULT_TOL):
     """Normalized character ratio via the symmetrized elliptic polynomial.
 
     Assembles the elliptic factor (a certified contour integral evaluated in
@@ -119,34 +120,34 @@ def J_mu_k2(mu, k, q, lam, omega, tol=special.DEFAULT_TOL, ctx=STANDARD):
     """
     params = AffineParams(mu, k, complex(q), complex(lam), complex(omega))
     kappa = params.kappa
-    coords = convert_conventions(q, lam, omega, ctx=ctx)
-    q = ctx.number(q)
-    omega = ctx.number(omega)
-    p = _qpow(q, -2 * omega, ctx)
+    coords = convert_conventions(q, lam, omega)
+    q = complex(q)
+    omega = complex(omega)
+    p = _qpow(q, -2 * omega)
     Q = q ** (-2 * kappa)
 
     polynomial = special.ellmac_P(
-        mu, kappa, coords.lam, coords.tau, coords.eta, tol=tol, ctx=ctx
+        mu, kappa, coords.lam, coords.tau, coords.eta, tol=tol
     )
-    front = polynomial / (2 * ctx.pi * f22(q, omega, ctx=ctx))
+    front = polynomial / (2 * math.pi * f22(q, omega))
     grading_block = (
-        qpoch1(q**-4, p, ctx=ctx)
-        * qpoch1(p, p, ctx=ctx) ** 3
-        / qpoch1(p * q**2, p, ctx=ctx)
+        qpoch1(q**-4, p)
+        * qpoch1(p, p) ** 3
+        / qpoch1(p * q**2, p)
     )
     mixed_block = (
-        qpoch2(p * q**2, p, Q, ctx=ctx) / qpoch2(p * q**-2, p, Q, ctx=ctx)
+        qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)
     ) ** 2
     weight_block = (
         q ** (mu + 4)
-        * qpoch1(q ** (-2 * mu - 6), Q, ctx=ctx)
-        * qpoch1(q ** (2 * mu + 2) * Q, Q, ctx=ctx)
-        / (qpoch1(q**-4, Q, ctx=ctx) * qpoch1(Q, Q, ctx=ctx))
+        * qpoch1(q ** (-2 * mu - 6), Q)
+        * qpoch1(q ** (2 * mu + 2) * Q, Q)
+        / (qpoch1(q**-4, Q) * qpoch1(Q, Q))
     )
     return front * grading_block * mixed_block * weight_block
 
 
-def eval_conj_rhs(mu, k, q, ctx=STANDARD):
+def eval_conj_rhs(mu, k, q):
     """Closed-form value of the character ratio at the distinguished point.
 
     This is the theorem side compared against the full integral pipeline at
@@ -154,20 +155,20 @@ def eval_conj_rhs(mu, k, q, ctx=STANDARD):
     """
     params = AffineParams(mu, k, complex(q), 2.0, 4.0)
     kappa = params.kappa
-    q = ctx.number(q)
+    q = complex(q)
     Q = q ** (-2 * kappa)
     return (
         q ** (2 * mu)
-        * qpoch1(q**-2, Q, ctx=ctx)
-        / qpoch1(q**-4, Q, ctx=ctx)
-        * theta0_mult(q ** (-2 * mu - 4), Q, ctx=ctx)
-        * qpoch1(q ** (-2 * mu - 6), Q, ctx=ctx)
-        * qpoch1(q ** (2 * mu + 2) * Q, Q, ctx=ctx)
-        * qpoch1(Q, Q, ctx=ctx)
-        * qpoch1(Q * q**-2, Q, ctx=ctx)
+        * qpoch1(q**-2, Q)
+        / qpoch1(q**-4, Q)
+        * theta0_mult(q ** (-2 * mu - 4), Q)
+        * qpoch1(q ** (-2 * mu - 6), Q)
+        * qpoch1(q ** (2 * mu + 2) * Q, Q)
+        * qpoch1(Q, Q)
+        * qpoch1(Q * q**-2, Q)
         / (
-            qpoch1(q**-4, q**-2, ctx=ctx)
-            * qpoch1(q**-6, q**-8, ctx=ctx)
-            * qpoch1(q**-2, q**-8, ctx=ctx)
+            qpoch1(q**-4, q**-2)
+            * qpoch1(q**-6, q**-8)
+            * qpoch1(q**-2, q**-8)
         )
     )

@@ -16,16 +16,16 @@ reordering catalog entries never shifts another identity's draws.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import conjectures, lemmas, special
+from . import bridge, conjectures, lemmas, special
 from .contour import PoleOnPath, achieved_errors
-from .kernel import ell_gamma, ell_gamma_modular_Q, jacobi_theta
-from .numerics import STANDARD
+from .kernel import ell_gamma, ell_gamma_modular_Q, epi, jacobi_theta
 
 __all__ = [
     "IdentityEntry",
@@ -345,8 +345,8 @@ _register(
         id="spiridonov",
         ref="six-parameter balanced elliptic beta integral vs gamma-product value",
         domain="Im tau, Im sigma in [0.5, 1.2]; Im s_i > 0; sum s = tau + sigma",
-        lhs=lambda p, ctx: special.spiridonov_lhs(p["s"], p["tau"], p["sigma"], ctx=ctx),
-        rhs=lambda p, ctx: special.spiridonov_rhs(p["s"], p["tau"], p["sigma"], ctx=ctx),
+        lhs=lambda p: special.spiridonov_lhs(p["s"], p["tau"], p["sigma"]),
+        rhs=lambda p: special.spiridonov_rhs(p["s"], p["tau"], p["sigma"]),
         sampler=_sample_spiridonov,
     )
 )
@@ -356,8 +356,8 @@ _register(
         id="eval1",
         ref="quarter-shift integral vs (1+i) gamma-ratio value",
         domain="Im tau, Im sigma in [0.5, 1.2]; path above -1/4, below +1/4",
-        lhs=lambda p, ctx: special.eval1_lhs(p["tau"], p["sigma"], ctx=ctx),
-        rhs=lambda p, ctx: special.eval1_rhs(p["tau"], p["sigma"], ctx=ctx),
+        lhs=lambda p: special.eval1_lhs(p["tau"], p["sigma"]),
+        rhs=lambda p: special.eval1_rhs(p["tau"], p["sigma"]),
         sampler=_sample_two_moduli,
     )
 )
@@ -367,8 +367,8 @@ _register(
         id="eval2",
         ref="mirrored quarter-shift integral vs (1-i) gamma-ratio value",
         domain="Im tau, Im sigma in [0.5, 1.2]; path above +1/4, below -1/4",
-        lhs=lambda p, ctx: special.eval2_lhs(p["tau"], p["sigma"], ctx=ctx),
-        rhs=lambda p, ctx: special.eval2_rhs(p["tau"], p["sigma"], ctx=ctx),
+        lhs=lambda p: special.eval2_lhs(p["tau"], p["sigma"]),
+        rhs=lambda p: special.eval2_rhs(p["tau"], p["sigma"]),
         sampler=_sample_two_moduli,
     )
 )
@@ -378,8 +378,8 @@ _register(
         id="eval3",
         ref="antisymmetrized one-sided integral vs triple-theta closed form",
         domain="Im tau, Im eta in [0.2, 0.8]; gamma towers clear of the path",
-        lhs=lambda p, ctx: special.I_sym(p["lam"], p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: special.eval3_rhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: special.I_sym(p["lam"], p["tau"], p["eta"]),
+        rhs=lambda p: special.eval3_rhs(p["lam"], p["tau"], p["eta"]),
         sampler=_sample_eval3,
         default_samples=30,
     )
@@ -390,8 +390,8 @@ _register(
         id="fv-val1",
         ref="half-integral weight value of u at the lower quarter point",
         domain="Im tau, Im sigma in [0.5, 1.2]; eta = -1/8, path above +1/4, below -1/4",
-        lhs=lambda p, ctx: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], -0.125, ctx=ctx),
-        rhs=lambda p, ctx: special.fv_val1_rhs(p["tau"], p["sigma"], ctx=ctx),
+        lhs=lambda p: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], -0.125),
+        rhs=lambda p: special.fv_val1_rhs(p["tau"], p["sigma"]),
         sampler=_sample_two_moduli,
     )
 )
@@ -401,8 +401,8 @@ _register(
         id="fv-val2",
         ref="half-integral weight value of u at the upper quarter point",
         domain="Im tau, Im sigma in [0.5, 1.2]; eta = +1/8, path above -1/4, below +1/4",
-        lhs=lambda p, ctx: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], 0.125, ctx=ctx),
-        rhs=lambda p, ctx: special.fv_val2_rhs(p["tau"], p["sigma"], ctx=ctx),
+        lhs=lambda p: special.fv_u(0.5, 0.5, p["tau"], p["sigma"], 0.125),
+        rhs=lambda p: special.fv_val2_rhs(p["tau"], p["sigma"]),
         sampler=_sample_two_moduli,
     )
 )
@@ -412,8 +412,8 @@ _register(
         id="ellmac-val",
         ref="constant-term normalization: kappa=4 polynomial vs closed form",
         domain="Im eta in [-0.5, -0.1]; Im tau > 2|Im eta|; lam off theta zeros",
-        lhs=lambda p, ctx: special.ellmac_P(0, 4, p["lam"], p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: special.ellmac_val_rhs(p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: special.ellmac_P(0, 4, p["lam"], p["tau"], p["eta"]),
+        rhs=lambda p: special.ellmac_val_rhs(p["tau"], p["eta"]),
         sampler=_sample_ellmac_val,
         default_samples=10,
     )
@@ -424,10 +424,10 @@ _register(
         id="ellmac-eval",
         ref="principal evaluation of the polynomial at the distinguished point",
         domain="kappa in {4,5,6,8}, mu in {0,1,2} with mu+2 != +-1 mod kappa; Im eta < 0",
-        lhs=lambda p, ctx: special.ellmac_P(
-            p["mu"], p["kappa"], 4 * p["eta"], -8 * p["eta"], p["eta"], ctx=ctx
+        lhs=lambda p: special.ellmac_P(
+            p["mu"], p["kappa"], 4 * p["eta"], -8 * p["eta"], p["eta"]
         ),
-        rhs=lambda p, ctx: special.ellmac_eval_rhs(p["mu"], p["kappa"], p["eta"], ctx=ctx),
+        rhs=lambda p: special.ellmac_eval_rhs(p["mu"], p["kappa"], p["eta"]),
         sampler=_sample_ellmac_eval,
         default_samples=len(ELLMAC_EVAL_COMBOS),
     )
@@ -438,11 +438,11 @@ _register(
         id="htf-series",
         ref="hypergeometric theta integral vs its defining weighted series",
         domain="mu=2, kappa=4; Im eta < 0; Im(tau + 4 eta) > 0",
-        lhs=lambda p, ctx: special.delta_tilde(
-            p["mu"], p["kappa"], p["lam"], p["tau"], p["eta"], ctx=ctx
+        lhs=lambda p: special.delta_tilde(
+            p["mu"], p["kappa"], p["lam"], p["tau"], p["eta"]
         ),
-        rhs=lambda p, ctx: special.delta_tilde_series(
-            p["mu"], p["kappa"], p["lam"], p["tau"], p["eta"], ctx=ctx
+        rhs=lambda p: special.delta_tilde_series(
+            p["mu"], p["kappa"], p["lam"], p["tau"], p["eta"]
         ),
         sampler=_sample_htf_series,
         tolerance=COMPOUND_TOLERANCE,
@@ -452,15 +452,15 @@ _register(
 
 
 def _mod_lhs(branch):
-    def lhs(p, ctx):
+    def lhs(p):
         lam, tau, eta = p["lam"], p["tau"], p["eta"]
-        first = special.ellmac_P(0, 4, lam, tau, eta, ctx=ctx)
+        first = special.ellmac_P(0, 4, lam, tau, eta)
         if branch == "minus":
-            scale = special.s_minus(tau, eta, ctx=ctx)
-            second = special.ellmac_P(0, 4, lam, -1 / tau, eta / tau, ctx=ctx)
+            scale = special.s_minus(tau, eta)
+            second = special.ellmac_P(0, 4, lam, -1 / tau, eta / tau)
         else:
-            scale = special.s_plus(tau, eta, ctx=ctx)
-            second = special.ellmac_P(0, 4, lam, -1 / tau, -eta / tau, ctx=ctx)
+            scale = special.s_plus(tau, eta)
+            second = special.ellmac_P(0, 4, lam, -1 / tau, -eta / tau)
         return first * scale / second
 
     return lhs
@@ -472,7 +472,7 @@ _register(
         ref="three-term modular relation, first branch, vs exponential constant",
         domain="eta = -i h e^{i a}, tau = i T e^{i b} with b < a",
         lhs=_mod_lhs("minus"),
-        rhs=lambda p, ctx: special.mod_minus_rhs(p["tau"], p["eta"], ctx=ctx),
+        rhs=lambda p: special.mod_minus_rhs(p["tau"], p["eta"]),
         sampler=lambda rng, index: _sample_modular(rng, index, "minus"),
         tolerance=COMPOUND_TOLERANCE,
         default_samples=5,
@@ -485,7 +485,7 @@ _register(
         ref="three-term modular relation, second branch, vs exponential constant",
         domain="eta = -i h e^{i a}, tau = i T e^{i b} with b > a",
         lhs=_mod_lhs("plus"),
-        rhs=lambda p, ctx: special.mod_plus_rhs(p["tau"], p["eta"], ctx=ctx),
+        rhs=lambda p: special.mod_plus_rhs(p["tau"], p["eta"]),
         sampler=lambda rng, index: _sample_modular(rng, index, "plus"),
         tolerance=COMPOUND_TOLERANCE,
         default_samples=5,
@@ -497,12 +497,12 @@ _register(
         id="theta-mod",
         ref="half-period theta under the inversion of its modulus",
         domain="tau = r e^{i theta}, theta in [0.3, 2.6]; z generic",
-        lhs=lambda p, ctx: jacobi_theta(p["z"] / p["tau"], -1 / p["tau"], ctx=ctx),
-        rhs=lambda p, ctx: (
+        lhs=lambda p: jacobi_theta(p["z"] / p["tau"], -1 / p["tau"]),
+        rhs=lambda p: (
             -1j
-            * ctx.sqrt(-1j * p["tau"])
-            * ctx.epi(p["z"] ** 2 / p["tau"])
-            * jacobi_theta(p["z"], p["tau"], ctx=ctx)
+            * cmath.sqrt(-1j * p["tau"])
+            * epi(p["z"] ** 2 / p["tau"])
+            * jacobi_theta(p["z"], p["tau"])
         ),
         sampler=_sample_theta_mod,
     )
@@ -513,15 +513,15 @@ _register(
         id="ellgam-mod",
         ref="three-term modular relation of the double-periodic gamma",
         domain="arg sigma in [0.2, 1.2]; arg tau exceeds it by [0.3, 1.3]",
-        lhs=lambda p, ctx: ell_gamma(
-            p["z"] / p["sigma"], p["tau"] / p["sigma"], -1 / p["sigma"], ctx=ctx
+        lhs=lambda p: ell_gamma(
+            p["z"] / p["sigma"], p["tau"] / p["sigma"], -1 / p["sigma"]
         ),
-        rhs=lambda p, ctx: (
-            ctx.epi(ell_gamma_modular_Q(p["z"], p["tau"], p["sigma"], ctx=ctx))
+        rhs=lambda p: (
+            epi(ell_gamma_modular_Q(p["z"], p["tau"], p["sigma"]))
             * ell_gamma(
-                (p["z"] - p["sigma"]) / p["tau"], -1 / p["tau"], -p["sigma"] / p["tau"], ctx=ctx
+                (p["z"] - p["sigma"]) / p["tau"], -1 / p["tau"], -p["sigma"] / p["tau"]
             )
-            * ell_gamma(p["z"], p["tau"], p["sigma"], ctx=ctx)
+            * ell_gamma(p["z"], p["tau"], p["sigma"])
         ),
         sampler=_sample_ellgam_mod,
     )
@@ -534,8 +534,8 @@ _register(
         id="lemma.sym-rearrange",
         ref="pointwise gamma-ratio rearrangement into the two-gamma form",
         domain="generic t; Im tau in [0.4, 0.9]; Im eta in [0.15, 0.45]",
-        lhs=lambda p, ctx: lemmas.sym_rearrange_lhs(p["t"], p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.sym_rearrange_rhs(p["t"], p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: lemmas.sym_rearrange_lhs(p["t"], p["tau"], p["eta"]),
+        rhs=lambda p: lemmas.sym_rearrange_rhs(p["t"], p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
     )
 )
@@ -545,8 +545,8 @@ _register(
         id="lemma.int-rearrange",
         ref="one-sided integral equals the rearranged two-gamma integral",
         domain="Im tau in [0.35, 0.8]; Im eta in [0.2, 0.45]; towers clear",
-        lhs=lambda p, ctx: lemmas.int_rearrange_lhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.int_rearrange_rhs(p["lam"], p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: lemmas.int_rearrange_lhs(p["lam"], p["tau"], p["eta"]),
+        rhs=lambda p: lemmas.int_rearrange_rhs(p["lam"], p["tau"], p["eta"]),
         sampler=_sample_int_rearrange,
     )
 )
@@ -556,8 +556,8 @@ _register(
         id="lemma.theta-simp",
         ref="three-theta product collapse at doubled modulus",
         domain="generic t, lam; Im tau in [0.4, 0.9]",
-        lhs=lambda p, ctx: lemmas.theta_simp_lhs(p["t"], p["lam"], p["tau"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.theta_simp_rhs(p["t"], p["lam"], p["tau"], ctx=ctx),
+        lhs=lambda p: lemmas.theta_simp_lhs(p["t"], p["lam"], p["tau"]),
+        rhs=lambda p: lemmas.theta_simp_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
     )
 )
@@ -567,8 +567,8 @@ _register(
         id="lemma.full-sym",
         ref="symmetrized integrand combination in fully expanded form",
         domain="generic t, lam; Im tau in [0.4, 0.9]",
-        lhs=lambda p, ctx: lemmas.full_sym_lhs(p["t"], p["lam"], p["tau"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.full_sym_rhs(p["t"], p["lam"], p["tau"], ctx=ctx),
+        lhs=lambda p: lemmas.full_sym_lhs(p["t"], p["lam"], p["tau"]),
+        rhs=lambda p: lemmas.full_sym_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
     )
 )
@@ -578,8 +578,8 @@ _register(
         id="lemma.theta-simp2",
         ref="quadratic theta relation at quadrupled modulus",
         domain="generic z; Im sigma in [0.4, 1.0]",
-        lhs=lambda p, ctx: lemmas.theta_simp2_lhs(p["z"], p["sigma"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.theta_simp2_rhs(p["z"], p["sigma"], ctx=ctx),
+        lhs=lambda p: lemmas.theta_simp2_lhs(p["z"], p["sigma"]),
+        rhs=lambda p: lemmas.theta_simp2_rhs(p["z"], p["sigma"]),
         sampler=_sample_theta_simp2,
     )
 )
@@ -589,8 +589,8 @@ _register(
         id="lemma.theta-simp3",
         ref="level-eight theta splitting into doubled-modulus factors",
         domain="generic t, lam; Im tau in [0.4, 0.9]",
-        lhs=lambda p, ctx: lemmas.theta_simp3_lhs(p["t"], p["lam"], p["tau"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.theta_simp3_rhs(p["t"], p["lam"], p["tau"], ctx=ctx),
+        lhs=lambda p: lemmas.theta_simp3_lhs(p["t"], p["lam"], p["tau"]),
+        rhs=lambda p: lemmas.theta_simp3_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
     )
 )
@@ -600,8 +600,8 @@ _register(
         id="lemma.theta-simp4",
         ref="gamma-product value rewritten through shifted Pochhammer blocks",
         domain="Im tau in [0.4, 0.9]; Im eta in [0.15, 0.45]",
-        lhs=lambda p, ctx: lemmas.theta_simp4_lhs(p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.theta_simp4_rhs(p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: lemmas.theta_simp4_lhs(p["tau"], p["eta"]),
+        rhs=lambda p: lemmas.theta_simp4_rhs(p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
     )
 )
@@ -611,8 +611,8 @@ _register(
         id="lemma.int-eval1",
         ref="first beta-frame integral vs its fourteen-gamma product",
         domain="Im tau in [0.35, 0.8]; Im eta in [0.2, 0.45]; towers clear",
-        lhs=lambda p, ctx: lemmas.int_eval1_lhs(p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.int_eval1_rhs(p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: lemmas.int_eval1_lhs(p["tau"], p["eta"]),
+        rhs=lambda p: lemmas.int_eval1_rhs(p["tau"], p["eta"]),
         sampler=_sample_int_lemma,
     )
 )
@@ -622,40 +622,21 @@ _register(
         id="lemma.int-eval2",
         ref="second beta-frame integral vs its twelve-gamma product",
         domain="Im tau in [0.35, 0.8]; Im eta in [0.2, 0.45]; towers clear",
-        lhs=lambda p, ctx: lemmas.int_eval2_lhs(p["tau"], p["eta"], ctx=ctx),
-        rhs=lambda p, ctx: lemmas.int_eval2_rhs(p["tau"], p["eta"], ctx=ctx),
+        lhs=lambda p: lemmas.int_eval2_lhs(p["tau"], p["eta"]),
+        rhs=lambda p: lemmas.int_eval2_rhs(p["tau"], p["eta"]),
         sampler=_sample_int_lemma,
     )
 )
 
 # ---- bridge identities (evaluators provided by the bridge module) ----
 
-
-def _bridge_unity_lhs(p, ctx):
-    from . import bridge
-
-    return bridge.J_mu_k2(0, 0, p["q"], p["lam"], p["omega"], ctx=ctx)
-
-
-def _aff_eval_lhs(p, ctx):
-    from . import bridge
-
-    return bridge.J_mu_k2(p["mu"], p["k"], p["q"], 2.0, 4.0, ctx=ctx)
-
-
-def _aff_eval_rhs(p, ctx):
-    from . import bridge
-
-    return bridge.eval_conj_rhs(p["mu"], p["k"], p["q"], ctx=ctx)
-
-
 _register(
     IdentityEntry(
         id="bridge-unity",
         ref="normalized character ratio at the trivial weight equals one",
         domain="q in [1.15, 1.45]; omega in [3.3, 5.5]; lam in [0.25, 1.75]",
-        lhs=_bridge_unity_lhs,
-        rhs=lambda p, ctx: 1.0 + 0j,
+        lhs=lambda p: bridge.J_mu_k2(0, 0, p["q"], p["lam"], p["omega"]),
+        rhs=lambda p: 1.0 + 0j,
         sampler=_sample_bridge_unity,
         tolerance=COMPOUND_TOLERANCE,
         default_samples=10,
@@ -667,8 +648,8 @@ _register(
         id="aff-eval",
         ref="full-pipeline evaluation identity at the distinguished point (2, 4)",
         domain="(mu, k) in {(1,1), (2,0), (0,2)}; q in [1.25, 1.5]",
-        lhs=_aff_eval_lhs,
-        rhs=_aff_eval_rhs,
+        lhs=lambda p: bridge.J_mu_k2(p["mu"], p["k"], p["q"], 2.0, 4.0),
+        rhs=lambda p: bridge.eval_conj_rhs(p["mu"], p["k"], p["q"]),
         sampler=_sample_aff_eval,
         tolerance=COMPOUND_TOLERANCE,
         default_samples=3,
@@ -763,7 +744,6 @@ def run_check(
     sample_index: int = 0,
     params: Optional[dict] = None,
     tolerance: Optional[float] = None,
-    ctx=STANDARD,
 ) -> IdentityResult:
     """Draw (or accept) a parameter point and compare both sides."""
     entry = entry_of_kind(identity_id, "numeric")
@@ -772,17 +752,17 @@ def run_check(
     tol = entry.tolerance if tolerance is None else float(tolerance)
 
     with achieved_errors() as errors:
-        lhs = entry.lhs(params, ctx)
-        rhs = entry.rhs(params, ctx)
-    abs_error = abs(complex(lhs) - complex(rhs))
-    scale = max(1.0, abs(complex(rhs)))
-    rel_error = abs_error / max(abs(complex(rhs)), 1e-300)
+        lhs = complex(entry.lhs(params))
+        rhs = complex(entry.rhs(params))
+    abs_error = abs(lhs - rhs)
+    scale = max(1.0, abs(rhs))
+    rel_error = abs_error / max(abs(rhs), 1e-300)
     return IdentityResult(
         identity_id=identity_id,
         sample_index=sample_index,
         parameters=params,
-        lhs_value=complex(lhs),
-        rhs_value=complex(rhs),
+        lhs_value=lhs,
+        rhs_value=rhs,
         abs_error=abs_error,
         rel_error=rel_error,
         quadrature_error_estimate=max(errors) if errors else None,

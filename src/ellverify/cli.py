@@ -40,11 +40,6 @@ def _build_parser():
     verify.add_argument(
         "--config", help="JSON file with run settings; explicit flags win"
     )
-    verify.add_argument(
-        "--precision",
-        choices=("standard", "extended"),
-        help="arithmetic backend (extended = 30-digit mpmath)",
-    )
 
     lister = sub.add_parser("list", help="print the check manifest")
     lister.add_argument(
@@ -66,7 +61,6 @@ _CONFIG_KEYS = {
     "tolerance_overrides",
     "series_order",
     "output_path",
-    "precision_mode",
 }
 
 
@@ -118,7 +112,6 @@ def _resolve_verify_config(args):
         tolerance_overrides=overrides,
         series_order=pick(args.order, "series_order", None),
         output_path=pick(args.out, "output_path", None),
-        precision_mode=pick(args.precision, "precision_mode", "standard"),
     )
 
 

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import STANDARD
-
 __all__ = [
     "Path",
     "QuadratureResult",
@@ -103,7 +101,7 @@ def achieved_errors():
         _ACHIEVED.reset(token)
 
 
-def integrate(f, path, tol=1e-10, budget=200_000, ctx=STANDARD):
+def integrate(f, path, tol=1e-10, budget=200_000):
     """Integrate ``f`` over one period along ``path`` to relative tolerance ``tol``.
 
     The trapezoid sum on ``N`` nodes is refined to ``2 N`` by adding the
@@ -114,10 +112,10 @@ def integrate(f, path, tol=1e-10, budget=200_000, ctx=STANDARD):
     """
 
     def g(t):
-        return ctx.number(f(path.point(t))) * ctx.number(path.velocity(t))
+        return complex(f(path.point(t))) * path.velocity(t)
 
     n = 16
-    total = ctx.number(0)
+    total = complex(0)
     for k in range(n):
         total = total + g(k / n)
     value = total / n

@@ -13,8 +13,7 @@ function with periods ``2 tau`` and ``8 eta``.
 from __future__ import annotations
 
 from .contour import Path
-from .kernel import ell_gamma, qpoch1_add, theta0
-from .numerics import STANDARD
+from .kernel import e2pi, ell_gamma, epi, qpoch1_add, theta0
 from .special import (
     DEFAULT_BUDGET,
     DEFAULT_TOL,
@@ -48,21 +47,21 @@ __all__ = [
 ]
 
 
-def j1_factor(t, tau, eta, ctx=STANDARD):
+def j1_factor(t, tau, eta):
     """Symmetric factor: ``gamma(+-t - 2 eta; tau, 8 eta) theta0(t + 4 eta; 8 eta)``."""
     return (
-        ell_gamma(t - 2 * eta, tau, 8 * eta, ctx=ctx)
-        * ell_gamma(-t - 2 * eta, tau, 8 * eta, ctx=ctx)
-        * theta0(t + 4 * eta, 8 * eta, ctx=ctx)
+        ell_gamma(t - 2 * eta, tau, 8 * eta)
+        * ell_gamma(-t - 2 * eta, tau, 8 * eta)
+        * theta0(t + 4 * eta, 8 * eta)
     )
 
 
-def j2_factor(t, lam, tau, ctx=STANDARD):
+def j2_factor(t, lam, tau):
     """Non-symmetric factor carrying the lambda dependence and the level theta."""
     return (
-        ctx.epi(-3 * lam)
-        * theta0(t + lam, tau, ctx=ctx)
-        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau, ctx=ctx)
+        epi(-3 * lam)
+        * theta0(t + lam, tau)
+        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
     )
 
 
@@ -70,110 +69,110 @@ def j2_factor(t, lam, tau, ctx=STANDARD):
 # pointwise rearrangements
 
 
-def sym_rearrange_lhs(t, tau, eta, ctx=STANDARD):
-    g = ell_gamma(t - 2 * eta, tau, 8 * eta, ctx=ctx) / ell_gamma(
-        t + 2 * eta, tau, 8 * eta, ctx=ctx
+def sym_rearrange_lhs(t, tau, eta):
+    g = ell_gamma(t - 2 * eta, tau, 8 * eta) / ell_gamma(
+        t + 2 * eta, tau, 8 * eta
     )
-    return g / (theta0(t + 2 * eta, tau, ctx=ctx) * theta0(t + 2 * eta, 8 * eta, ctx=ctx))
+    return g / (theta0(t + 2 * eta, tau) * theta0(t + 2 * eta, 8 * eta))
 
 
-def sym_rearrange_rhs(t, tau, eta, ctx=STANDARD):
+def sym_rearrange_rhs(t, tau, eta):
     return (
-        -ctx.e2pi(-t - 2 * eta)
-        * ell_gamma(t - 2 * eta, tau, 8 * eta, ctx=ctx)
-        * ell_gamma(-t - 2 * eta, tau, 8 * eta, ctx=ctx)
+        -e2pi(-t - 2 * eta)
+        * ell_gamma(t - 2 * eta, tau, 8 * eta)
+        * ell_gamma(-t - 2 * eta, tau, 8 * eta)
     )
 
 
-def theta_simp_lhs(t, lam, tau, ctx=STANDARD):
-    return j2_factor(t, lam, tau, ctx) - j2_factor(-t, -lam, tau, ctx)
+def theta_simp_lhs(t, lam, tau):
+    return j2_factor(t, lam, tau) - j2_factor(-t, -lam, tau)
 
 
-def theta_simp_rhs(t, lam, tau, ctx=STANDARD):
+def theta_simp_rhs(t, lam, tau):
     return (
         2
-        * theta0(6 * tau + 0.5, 8 * tau, ctx=ctx)
-        * ctx.epi(lam - 2 * t)
-        * theta0(t + lam, tau, ctx=ctx)
-        * theta0(t - 2 * lam + 0.5, 2 * tau, ctx=ctx)
-        / theta0(0.5, 2 * tau, ctx=ctx)
+        * theta0(6 * tau + 0.5, 8 * tau)
+        * epi(lam - 2 * t)
+        * theta0(t + lam, tau)
+        * theta0(t - 2 * lam + 0.5, 2 * tau)
+        / theta0(0.5, 2 * tau)
     )
 
 
-def full_sym_lhs(t, lam, tau, ctx=STANDARD):
+def full_sym_lhs(t, lam, tau):
     return (
-        j2_factor(t, lam, tau, ctx)
-        - j2_factor(t, -lam, tau, ctx)
-        + j2_factor(-t, lam, tau, ctx)
-        - j2_factor(-t, -lam, tau, ctx)
+        j2_factor(t, lam, tau)
+        - j2_factor(t, -lam, tau)
+        + j2_factor(-t, lam, tau)
+        - j2_factor(-t, -lam, tau)
     )
 
 
-def full_sym_rhs(t, lam, tau, ctx=STANDARD):
+def full_sym_rhs(t, lam, tau):
     front = (
         4
-        * theta0(6 * tau + 0.5, 8 * tau, ctx=ctx)
-        * theta0(lam, tau, ctx=ctx)
-        / theta0(0.5, 2 * tau, ctx=ctx) ** 3
-        * ctx.epi(-3 * lam)
+        * theta0(6 * tau + 0.5, 8 * tau)
+        * theta0(lam, tau)
+        / theta0(0.5, 2 * tau) ** 3
+        * epi(-3 * lam)
     )
-    common = ctx.e2pi(-t) * theta0(t + tau + 0.5, 2 * tau, ctx=ctx)
+    common = e2pi(-t) * theta0(t + tau + 0.5, 2 * tau)
     first = (
-        theta0(2 * lam + 0.5, 2 * tau, ctx=ctx)
-        / theta0(tau + 0.5, 2 * tau, ctx=ctx)
+        theta0(2 * lam + 0.5, 2 * tau)
+        / theta0(tau + 0.5, 2 * tau)
         * common
-        * theta0(t + 0.5, 2 * tau, ctx=ctx) ** 2
+        * theta0(t + 0.5, 2 * tau) ** 2
     )
     second = (
-        theta0(lam + 0.5, tau, ctx=ctx) ** 2
-        / theta0(tau, 2 * tau, ctx=ctx)
+        theta0(lam + 0.5, tau) ** 2
+        / theta0(tau, 2 * tau)
         * common
-        * theta0(t, 2 * tau, ctx=ctx) ** 2
+        * theta0(t, 2 * tau) ** 2
     )
     return front * (first - second)
 
 
-def theta_simp2_lhs(z, sigma, ctx=STANDARD):
-    return theta0(2 * z + 3 * sigma + 0.5, 4 * sigma, ctx=ctx) + ctx.e2pi(-z) * theta0(
-        2 * z + sigma + 0.5, 4 * sigma, ctx=ctx
+def theta_simp2_lhs(z, sigma):
+    return theta0(2 * z + 3 * sigma + 0.5, 4 * sigma) + e2pi(-z) * theta0(
+        2 * z + sigma + 0.5, 4 * sigma
     )
 
 
-def theta_simp2_rhs(z, sigma, ctx=STANDARD):
+def theta_simp2_rhs(z, sigma):
     return (
         2
-        * theta0(3 * sigma + 0.5, 4 * sigma, ctx=ctx)
-        * ctx.e2pi(-z)
-        * theta0(z + 0.5, sigma, ctx=ctx)
-        / theta0(0.5, sigma, ctx=ctx)
+        * theta0(3 * sigma + 0.5, 4 * sigma)
+        * e2pi(-z)
+        * theta0(z + 0.5, sigma)
+        / theta0(0.5, sigma)
     )
 
 
-def theta_simp3_lhs(t, lam, tau, ctx=STANDARD):
-    return ctx.epi(lam) * theta0(t + lam, tau, ctx=ctx) * theta0(
-        t - 2 * lam + 0.5, 2 * tau, ctx=ctx
-    ) - ctx.epi(-lam) * theta0(t - lam, tau, ctx=ctx) * theta0(
-        t + 2 * lam + 0.5, 2 * tau, ctx=ctx
+def theta_simp3_lhs(t, lam, tau):
+    return epi(lam) * theta0(t + lam, tau) * theta0(
+        t - 2 * lam + 0.5, 2 * tau
+    ) - epi(-lam) * theta0(t - lam, tau) * theta0(
+        t + 2 * lam + 0.5, 2 * tau
     )
 
 
-def theta_simp3_rhs(t, lam, tau, ctx=STANDARD):
+def theta_simp3_rhs(t, lam, tau):
     front = (
         2
-        * ctx.epi(-3 * lam)
-        * theta0(t + tau + 0.5, 2 * tau, ctx=ctx)
-        * theta0(lam, tau, ctx=ctx)
-        / theta0(0.5, 2 * tau, ctx=ctx) ** 2
+        * epi(-3 * lam)
+        * theta0(t + tau + 0.5, 2 * tau)
+        * theta0(lam, tau)
+        / theta0(0.5, 2 * tau) ** 2
     )
     first = (
-        theta0(2 * lam + 0.5, 2 * tau, ctx=ctx)
-        / theta0(tau + 0.5, 2 * tau, ctx=ctx)
-        * theta0(t + 0.5, 2 * tau, ctx=ctx) ** 2
+        theta0(2 * lam + 0.5, 2 * tau)
+        / theta0(tau + 0.5, 2 * tau)
+        * theta0(t + 0.5, 2 * tau) ** 2
     )
     second = (
-        theta0(lam + 0.5, tau, ctx=ctx) ** 2
-        / theta0(tau, 2 * tau, ctx=ctx)
-        * theta0(t, 2 * tau, ctx=ctx) ** 2
+        theta0(lam + 0.5, tau) ** 2
+        / theta0(tau, 2 * tau)
+        * theta0(t, 2 * tau) ** 2
     )
     return front * (first - second)
 
@@ -182,22 +181,22 @@ def theta_simp3_rhs(t, lam, tau, ctx=STANDARD):
 # gamma-product identities (shorthand gamma has periods 2 tau, 8 eta)
 
 
-def _gamma_product(arguments, tau, eta, ctx):
-    total = ctx.number(1)
+def _gamma_product(arguments, tau, eta):
+    total = complex(1)
     for z in arguments:
-        total = total * ell_gamma(z, 2 * tau, 8 * eta, ctx=ctx)
+        total = total * ell_gamma(z, 2 * tau, 8 * eta)
     return total
 
 
-def _eta_tau_front(tau, eta, ctx):
+def _eta_tau_front(tau, eta):
     return 2 / (
-        qpoch1_add(2 * tau, 2 * tau, ctx=ctx) * qpoch1_add(8 * eta, 8 * eta, ctx=ctx)
+        qpoch1_add(2 * tau, 2 * tau) * qpoch1_add(8 * eta, 8 * eta)
     )
 
 
-def int_eval1_rhs(tau, eta, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def int_eval1_rhs(tau, eta):
+    tau = complex(tau)
+    eta = complex(eta)
     arguments = [
         -4 * eta + tau,
         6 * eta,
@@ -214,12 +213,12 @@ def int_eval1_rhs(tau, eta, ctx=STANDARD):
         4 * eta,
         tau + 0.5,
     ]
-    return -_eta_tau_front(tau, eta, ctx) * _gamma_product(arguments, tau, eta, ctx)
+    return -_eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
 
 
-def int_eval2_rhs(tau, eta, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def int_eval2_rhs(tau, eta):
+    tau = complex(tau)
+    eta = complex(eta)
     arguments = [
         -4 * eta + tau,
         6 * eta + 0.5,
@@ -234,55 +233,55 @@ def int_eval2_rhs(tau, eta, ctx=STANDARD):
         4 * eta + 0.5,
         tau,
     ]
-    return _eta_tau_front(tau, eta, ctx) * _gamma_product(arguments, tau, eta, ctx)
+    return _eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
 
 
-def _int_eval_lhs(tau, eta, shift, tol, budget, ctx):
+def _int_eval_lhs(tau, eta, shift, tol, budget):
     # shift=0: squared theta0 at t; shift=1/2: squared theta0 at t + 1/2
     def entire(t):
         return (
-            theta0(t + 4 * eta, 8 * eta, ctx=ctx)
-            * ctx.e2pi(-t)
-            * theta0(t + shift, 2 * tau, ctx=ctx) ** 2
-            * theta0(t + tau + 0.5, 2 * tau, ctx=ctx)
+            theta0(t + 4 * eta, 8 * eta)
+            * e2pi(-t)
+            * theta0(t + shift, 2 * tau) ** 2
+            * theta0(t + tau + 0.5, 2 * tau)
         )
 
     def f(t):
         return (
-            ell_gamma(t - 2 * eta, tau, 8 * eta, ctx=ctx)
-            * ell_gamma(-t - 2 * eta, tau, 8 * eta, ctx=ctx)
+            ell_gamma(t - 2 * eta, tau, 8 * eta)
+            * ell_gamma(-t - 2 * eta, tau, 8 * eta)
             * entire(t)
         )
 
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
-    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx)
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
+    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
 
 
-def int_eval1_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    return _int_eval_lhs(ctx.number(tau), ctx.number(eta), 0.0, tol, budget, ctx)
+def int_eval1_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    return _int_eval_lhs(complex(tau), complex(eta), 0.0, tol, budget)
 
 
-def int_eval2_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    return _int_eval_lhs(ctx.number(tau), ctx.number(eta), 0.5, tol, budget, ctx)
+def int_eval2_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    return _int_eval_lhs(complex(tau), complex(eta), 0.5, tol, budget)
 
 
-def theta_simp4_lhs(tau, eta, ctx=STANDARD):
+def theta_simp4_lhs(tau, eta):
     """The gamma-product value (identical to the second integral evaluation)."""
-    return int_eval2_rhs(tau, eta, ctx=ctx)
+    return int_eval2_rhs(tau, eta)
 
 
-def theta_simp4_rhs(tau, eta, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
-    ratio = ell_gamma(6 * eta, tau, 8 * eta, ctx=ctx) / ell_gamma(2 * eta, tau, 8 * eta, ctx=ctx)
+def theta_simp4_rhs(tau, eta):
+    tau = complex(tau)
+    eta = complex(eta)
+    ratio = ell_gamma(6 * eta, tau, 8 * eta) / ell_gamma(2 * eta, tau, 8 * eta)
     block = (
-        qpoch1_add(tau + 0.5, tau, ctx=ctx)
-        * theta0(2 * eta + 0.5, tau, ctx=ctx)
-        * theta0(tau + 2 * eta + 0.5, tau, ctx=ctx)
-        / (qpoch1_add(tau, tau, ctx=ctx) * theta0(tau + 4 * eta, tau, ctx=ctx))
+        qpoch1_add(tau + 0.5, tau)
+        * theta0(2 * eta + 0.5, tau)
+        * theta0(tau + 2 * eta + 0.5, tau)
+        / (qpoch1_add(tau, tau) * theta0(tau + 4 * eta, tau))
     )
     tail = 1 / (
-        qpoch1_add(4 * eta, 4 * eta, ctx=ctx) * qpoch1_add(2 * eta + 0.5, 2 * eta, ctx=ctx)
+        qpoch1_add(4 * eta, 4 * eta) * qpoch1_add(2 * eta + 0.5, 2 * eta)
     )
     return 2 * ratio * block * tail
 
@@ -291,23 +290,23 @@ def theta_simp4_rhs(tau, eta, ctx=STANDARD):
 # integral rearrangement
 
 
-def int_rearrange_lhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    return I_tilde(lam, tau, eta, tol, budget, ctx)
+def int_rearrange_lhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    return I_tilde(lam, tau, eta, tol, budget)
 
 
-def int_rearrange_rhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def int_rearrange_rhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
     # the phase reaches e^{12 pi Im eta} ~ 1e7; inside the integrand it puts
     # the quadrature tolerance, relative to max(1, |value|), on the result
-    phase = ctx.epi(-12 * eta)
+    phase = epi(-12 * eta)
 
     def entire(t):
-        return phase * theta0(t + 4 * eta, 8 * eta, ctx=ctx) * j2_factor(t, lam, tau, ctx)
+        return phase * theta0(t + 4 * eta, 8 * eta) * j2_factor(t, lam, tau)
 
     def f(t):
-        return phase * j1_factor(t, tau, eta, ctx) * j2_factor(t, lam, tau, ctx)
+        return phase * j1_factor(t, tau, eta) * j2_factor(t, lam, tau)
 
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
-    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx)
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
+    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta)

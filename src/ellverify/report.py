@@ -1,7 +1,7 @@
 """Batch execution of registered checks with a reproducible JSON report.
 
 A :class:`RunConfig` fully determines a run: the checks, the sample counts,
-the seed, tolerance overrides, the series order, and the arithmetic backend.
+the seed, tolerance overrides and the series order.
 ``run_suite`` never aborts mid-run — a check that raises is recorded as an
 ``error`` result and the suite continues — and its report embeds the
 resolved configuration, so a report can be re-derived from itself.
@@ -21,7 +21,6 @@ import time
 from typing import Mapping, Optional, Sequence
 
 from . import catalog, conjectures
-from .numerics import STANDARD, ExtendedContext
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -34,8 +33,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-
-_PRECISION_MODES = ("standard", "extended")
 
 
 class ConfigInvalid(ValueError):
@@ -62,7 +59,6 @@ class RunConfig:
     tolerance_overrides: Mapping[str, float] = dataclasses.field(default_factory=dict)
     series_order: Optional[int] = None
     output_path: Optional[str] = None
-    precision_mode: str = "standard"
 
     def __post_init__(self):
         ids = self.identity_ids
@@ -102,10 +98,6 @@ class RunConfig:
             raise ConfigInvalid("series_order must be an integer >= 0")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigInvalid("output_path must be a string")
-        if self.precision_mode not in _PRECISION_MODES:
-            raise ConfigInvalid(
-                f"precision_mode must be one of {_PRECISION_MODES}"
-            )
 
     def as_dict(self):
         return {
@@ -115,7 +107,6 @@ class RunConfig:
             "tolerance_overrides": dict(self.tolerance_overrides),
             "series_order": self.series_order,
             "output_path": self.output_path,
-            "precision_mode": self.precision_mode,
         }
 
 
@@ -142,7 +133,7 @@ def _encode_params(params):
     return {key: _encode_value(value) for key, value in params.items()}
 
 
-def _numeric_result(entry, config, sample_index, ctx):
+def _numeric_result(entry, config, sample_index):
     tol = config.tolerance_overrides.get(entry.id)
     start = time.perf_counter()
     try:
@@ -151,7 +142,6 @@ def _numeric_result(entry, config, sample_index, ctx):
             seed=config.seed,
             sample_index=sample_index,
             tolerance=tol,
-            ctx=ctx,
         )
     except Exception as exc:  # isolated: one bad draw must not sink the run
         return {
@@ -235,7 +225,6 @@ def run_suite(config: RunConfig) -> VerificationReport:
     sample's random stream is keyed by (seed, id, index), so reports are
     reproducible regardless of selection order.
     """
-    ctx = STANDARD if config.precision_mode == "standard" else ExtendedContext(30)
     started = time.perf_counter()
     results = []
     for check_id in sorted(config.identity_ids):
@@ -243,7 +232,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
         if entry.kind == "numeric":
             count = config.samples_per_identity or entry.default_samples
             for index in range(count):
-                results.append(_numeric_result(entry, config, index, ctx))
+                results.append(_numeric_result(entry, config, index))
         else:
             results.append(_series_result(check_id, config))
     statuses = [r["status"] for r in results]

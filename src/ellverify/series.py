@@ -317,9 +317,6 @@ class LaurentSeries:
             and self.terms == other.terms
         )
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient_of(self, variable, exponent):
         """Sub-series of terms with the given exponent, that exponent zeroed.
 

@@ -10,7 +10,7 @@ identities.  Each LHS/RHS pair is kept verbatim in its own function so a
 formula transcription error stays local and visible.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
-return backend-typed complex numbers.  Each integral evaluator picks its own
+return builtin complex numbers.  Each integral evaluator picks its own
 :class:`~ellverify.contour.Path` and pole inventory and hands both to
 :func:`audited_integral`, which audits the path and then runs the periodic
 trapezoid rule; it accepts the quadrature controls (``tol``, ``budget``).
@@ -23,15 +23,16 @@ import math
 
 from .contour import Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
+    PoleHit,
+    e2pi,
     ell_gamma,
-    ell_gamma_modular_Q,
     ell_gamma_residue,
+    epi,
     jacobi_theta,
     jacobi_theta_prime0,
     qpoch1_add,
     theta0,
 )
-from .numerics import STANDARD
 
 __all__ = [
     "BalanceViolation",
@@ -70,6 +71,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
+#: a denominator of :func:`Q_factor` below this (relative to theta'(0)) is a pole
+Q_POLE_EPSILON = 1e-12
 
 
 class BalanceViolation(ValueError):
@@ -85,7 +88,7 @@ def _require(condition, message):
         raise DomainViolation(message)
 
 
-def audited_integral(f, path, poles, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def audited_integral(f, path, poles, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Audit ``path`` against ``poles``, then integrate ``f`` along it.
 
     Raises :class:`PoleOnPath` when a pole is too close to the path or on
@@ -95,7 +98,7 @@ def audited_integral(f, path, poles, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
         raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    return integrate(f, path, tol=tol, budget=budget, ctx=ctx).value
+    return integrate(f, path, tol=tol, budget=budget).value
 
 
 def _quarter_path(x0, tau, sigma):
@@ -108,44 +111,44 @@ def _quarter_path(x0, tau, sigma):
 # balanced elliptic beta integral
 
 
-def spiridonov_lhs(s, tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def spiridonov_lhs(s, tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Contour side of the balanced six-parameter beta integral.
 
     ``s`` holds six parameters with positive imaginary part summing to
     ``tau + sigma`` (checked to 1e-12); the integrand
     ``prod_i gamma(+-t + s_i) / gamma(+-2t)`` runs over the straight period.
     """
-    s = [ctx.number(v) for v in s]
+    s = [complex(v) for v in s]
     if len(s) != 6:
         raise BalanceViolation(f"need exactly 6 parameters, got {len(s)}")
-    balance = sum(s) - ctx.number(tau) - ctx.number(sigma)
+    balance = sum(s) - complex(tau) - complex(sigma)
     if abs(balance) > 1e-12:
         raise BalanceViolation(f"sum(s) - tau - sigma = {complex(balance):.3e}")
 
-    ts = ctx.number(tau) + ctx.number(sigma)
+    ts = complex(tau) + complex(sigma)
 
     def f(t):
-        num = ctx.number(1)
+        num = complex(1)
         for si in s:
-            num = num * ell_gamma(t + si, tau, sigma, ctx=ctx)
-            num = num * ell_gamma(-t + si, tau, sigma, ctx=ctx)
+            num = num * ell_gamma(t + si, tau, sigma)
+            num = num * ell_gamma(-t + si, tau, sigma)
         # reciprocal gammas via reflection: stays finite at the half-integer
         # lattice zeros the path runs through
-        return num * ell_gamma(ts - 2 * t, tau, sigma, ctx=ctx) * ell_gamma(
-            ts + 2 * t, tau, sigma, ctx=ctx
+        return num * ell_gamma(ts - 2 * t, tau, sigma) * ell_gamma(
+            ts + 2 * t, tau, sigma
         )
 
-    return audited_integral(f, Path(), spiridonov_poles(s), tol, budget, ctx)
+    return audited_integral(f, Path(), spiridonov_poles(s), tol, budget)
 
 
-def spiridonov_rhs(s, tau, sigma, ctx=STANDARD):
+def spiridonov_rhs(s, tau, sigma):
     """Product side: ``2 prod_{i<j} gamma(s_i + s_j) / ((tau;tau)(sigma;sigma))``."""
-    s = [ctx.number(v) for v in s]
-    total = ctx.number(2)
+    s = [complex(v) for v in s]
+    total = complex(2)
     for i in range(6):
         for j in range(i + 1, 6):
-            total = total * ell_gamma(s[i] + s[j], tau, sigma, ctx=ctx)
-    return total / (qpoch1_add(tau, tau, ctx=ctx) * qpoch1_add(sigma, sigma, ctx=ctx))
+            total = total * ell_gamma(s[i] + s[j], tau, sigma)
+    return total / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma))
 
 
 def spiridonov_poles(s):
@@ -160,51 +163,51 @@ def spiridonov_poles(s):
 # ---------------------------------------------------------------------------
 # quarter-shift evaluations
 
-def _quarter_shift_integrand(tau, sigma, sign, ctx):
+def _quarter_shift_integrand(tau, sigma, sign):
     # sign=+1: gamma(t+1/4)/gamma(t-1/4) with theta0 denominators at t-1/4;
     # sign=-1: the mirrored variant with denominators at t+1/4
     a = sign * 0.25
 
     def f(t):
-        g = ell_gamma(t + a, tau, sigma, ctx=ctx) / ell_gamma(t - a, tau, sigma, ctx=ctx)
-        th = theta0(t + 0.5, tau, ctx=ctx) / theta0(t - a, tau, ctx=ctx)
-        sh = theta0(t + 0.5, sigma, ctx=ctx) / theta0(t - a, sigma, ctx=ctx)
+        g = ell_gamma(t + a, tau, sigma) / ell_gamma(t - a, tau, sigma)
+        th = theta0(t + 0.5, tau) / theta0(t - a, tau)
+        sh = theta0(t + 0.5, sigma) / theta0(t - a, sigma)
         return g * th * sh
 
     return f
 
 
-def _quarter_shift_rhs_tail(tau, sigma, ctx):
+def _quarter_shift_rhs_tail(tau, sigma):
     return 1 / (
-        qpoch1_add(tau, tau, ctx=ctx)
-        * qpoch1_add(tau + 0.5, 2 * tau, ctx=ctx)
-        * qpoch1_add(sigma, sigma, ctx=ctx)
-        * qpoch1_add(sigma + 0.5, 2 * sigma, ctx=ctx)
+        qpoch1_add(tau, tau)
+        * qpoch1_add(tau + 0.5, 2 * tau)
+        * qpoch1_add(sigma, sigma)
+        * qpoch1_add(sigma + 0.5, 2 * sigma)
     )
 
 
-def eval1_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def eval1_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Path above -1/4 and below +1/4."""
-    f = _quarter_shift_integrand(tau, sigma, +1, ctx)
+    f = _quarter_shift_integrand(tau, sigma, +1)
     path = _quarter_path(-0.25, tau, sigma)
-    return audited_integral(f, path, quarter_shift_poles(tau, sigma, +1), tol, budget, ctx)
+    return audited_integral(f, path, quarter_shift_poles(tau, sigma, +1), tol, budget)
 
 
-def eval1_rhs(tau, sigma, ctx=STANDARD):
-    ratio = ell_gamma(0.25, tau, sigma, ctx=ctx) / ell_gamma(0.75, tau, sigma, ctx=ctx)
-    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma, ctx)
+def eval1_rhs(tau, sigma):
+    ratio = ell_gamma(0.25, tau, sigma) / ell_gamma(0.75, tau, sigma)
+    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
-def eval2_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def eval2_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Path below -1/4 and above +1/4."""
-    f = _quarter_shift_integrand(tau, sigma, -1, ctx)
+    f = _quarter_shift_integrand(tau, sigma, -1)
     path = _quarter_path(0.25, tau, sigma)
-    return audited_integral(f, path, quarter_shift_poles(tau, sigma, -1), tol, budget, ctx)
+    return audited_integral(f, path, quarter_shift_poles(tau, sigma, -1), tol, budget)
 
 
-def eval2_rhs(tau, sigma, ctx=STANDARD):
-    ratio = ell_gamma(0.75, tau, sigma, ctx=ctx) / ell_gamma(0.25, tau, sigma, ctx=ctx)
-    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma, ctx)
+def eval2_rhs(tau, sigma):
+    ratio = ell_gamma(0.75, tau, sigma) / ell_gamma(0.25, tau, sigma)
+    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
 def quarter_shift_poles(tau, sigma, sign):
@@ -227,31 +230,31 @@ def quarter_shift_poles(tau, sigma, sign):
 # antisymmetrized theta hypergeometric integral
 
 
-def _asym_integrand(lam, tau, eta, ctx):
+def _asym_integrand(lam, tau, eta):
     def f(t):
-        g = ell_gamma(t - 2 * eta, tau, 8 * eta, ctx=ctx) / ell_gamma(
-            t + 2 * eta, tau, 8 * eta, ctx=ctx
+        g = ell_gamma(t - 2 * eta, tau, 8 * eta) / ell_gamma(
+            t + 2 * eta, tau, 8 * eta
         )
-        th = theta0(t + lam, tau, ctx=ctx) / theta0(t + 2 * eta, tau, ctx=ctx)
-        te = theta0(t - 4 * eta, 8 * eta, ctx=ctx) / theta0(t + 2 * eta, 8 * eta, ctx=ctx)
-        level = theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau, ctx=ctx)
+        th = theta0(t + lam, tau) / theta0(t + 2 * eta, tau)
+        te = theta0(t - 4 * eta, 8 * eta) / theta0(t + 2 * eta, 8 * eta)
+        level = theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
         return g * th * te * level
 
     return f
 
 
-def _asym_entire_part(t, lam, tau, eta, ctx):
+def _asym_entire_part(t, lam, tau, eta):
     # rearranged integrand without either gamma factor: the cycle-crossing
     # residues are gamma residues times this
     return (
-        -ctx.e2pi(-t - 2 * eta)
-        * theta0(t + lam, tau, ctx=ctx)
-        * theta0(t - 4 * eta, 8 * eta, ctx=ctx)
-        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau, ctx=ctx)
+        -e2pi(-t - 2 * eta)
+        * theta0(t + lam, tau)
+        * theta0(t - 4 * eta, 8 * eta)
+        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
     )
 
 
-def gamma_pair_tower_correction(entire, tau, sigma, eta, ctx=STANDARD, margin=1 / 64):
+def gamma_pair_tower_correction(entire, tau, sigma, eta, margin=1 / 64):
     """Residue sum moving a straight-path integral onto the separating cycle.
 
     Applies to integrands of the shape
@@ -264,10 +267,10 @@ def gamma_pair_tower_correction(entire, tau, sigma, eta, ctx=STANDARD, margin=1 
     matching sign).  Raises :class:`DomainViolation` when a member is within
     ``margin`` of the axis.
     """
-    tau = ctx.number(tau)
-    sigma = ctx.number(sigma)
-    eta = ctx.number(eta)
-    total = ctx.number(0)
+    tau = complex(tau)
+    sigma = complex(sigma)
+    eta = complex(eta)
+    total = complex(0)
     k = 0
     while True:
         depth = (2 * eta - k * tau).imag
@@ -277,29 +280,29 @@ def gamma_pair_tower_correction(entire, tau, sigma, eta, ctx=STANDARD, margin=1 
             )
         if depth < 0:
             break
-        residue = ell_gamma_residue(tau, sigma, k, ctx=ctx)
+        residue = ell_gamma_residue(tau, sigma, k)
         upper = 2 * eta - k * tau
-        cof_up = ell_gamma(-upper - 2 * eta, tau, sigma, ctx=ctx) * entire(upper)
+        cof_up = ell_gamma(-upper - 2 * eta, tau, sigma) * entire(upper)
         lower = -2 * eta + k * tau
-        cof_dn = ell_gamma(lower - 2 * eta, tau, sigma, ctx=ctx) * entire(lower)
+        cof_dn = ell_gamma(lower - 2 * eta, tau, sigma) * entire(lower)
         total = total + residue * (cof_up + cof_dn)
         k += 1
-    return -2j * ctx.pi * total
+    return -2j * math.pi * total
 
 
-def asym_tower_correction(lam, tau, eta, ctx=STANDARD, margin=1 / 64):
+def asym_tower_correction(lam, tau, eta, margin=1 / 64):
     """Separating-cycle correction for the one-sided integral's integrand."""
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
 
     def entire(t):
-        return _asym_entire_part(t, lam, tau, eta, ctx)
+        return _asym_entire_part(t, lam, tau, eta)
 
-    return gamma_pair_tower_correction(entire, tau, 8 * eta, eta, ctx, margin)
+    return gamma_pair_tower_correction(entire, tau, 8 * eta, eta, margin)
 
 
-def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """One-sided integral: phase ``e^{-3 pi i lam}`` times the separating-cycle
     integral of the gamma-ratio / theta-ratio / level-theta integrand.
 
@@ -309,36 +312,36 @@ def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD)
     valid).  It is realized as straight-path quadrature plus explicit
     residue corrections for the tower members beyond the axis.
     """
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
     _require(tau.imag > 0 and eta.imag > 0, "requires Im(tau) > 0 and Im(eta) > 0")
-    f = _asym_integrand(lam, tau, eta, ctx)
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget, ctx)
-    value = value + asym_tower_correction(lam, tau, eta, ctx)
-    return ctx.epi(-3 * lam) * value
+    f = _asym_integrand(lam, tau, eta)
+    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
+    value = value + asym_tower_correction(lam, tau, eta)
+    return epi(-3 * lam) * value
 
 
-def I_sym(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def I_sym(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Antisymmetrization ``I_tilde(lam) - I_tilde(-lam)``."""
-    return I_tilde(lam, tau, eta, tol, budget, ctx) - I_tilde(-lam, tau, eta, tol, budget, ctx)
+    return I_tilde(lam, tau, eta, tol, budget) - I_tilde(-lam, tau, eta, tol, budget)
 
 
-def eval3_rhs(lam, tau, eta, ctx=STANDARD):
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
-    ratio = ell_gamma(6 * eta, tau, 8 * eta, ctx=ctx) / ell_gamma(2 * eta, tau, 8 * eta, ctx=ctx)
-    block1 = 1 / (qpoch1_add(8 * tau, 8 * tau, ctx=ctx) * theta0(-4 * eta, tau, ctx=ctx))
+def eval3_rhs(lam, tau, eta):
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
+    ratio = ell_gamma(6 * eta, tau, 8 * eta) / ell_gamma(2 * eta, tau, 8 * eta)
+    block1 = 1 / (qpoch1_add(8 * tau, 8 * tau) * theta0(-4 * eta, tau))
     block2 = 1 / (
-        qpoch1_add(4 * eta, 4 * eta, ctx=ctx) * qpoch1_add(2 * eta + 0.5, 2 * eta, ctx=ctx)
+        qpoch1_add(4 * eta, 4 * eta) * qpoch1_add(2 * eta + 0.5, 2 * eta)
     )
     thetas = (
-        theta0(lam, tau, ctx=ctx)
-        * theta0(lam - 2 * eta, tau, ctx=ctx)
-        * theta0(lam + 2 * eta, tau, ctx=ctx)
+        theta0(lam, tau)
+        * theta0(lam - 2 * eta, tau)
+        * theta0(lam + 2 * eta, tau)
     )
-    return ctx.epi(-12 * eta) * ratio * block1 * block2 * ctx.epi(-3 * lam) * thetas
+    return epi(-12 * eta) * ratio * block1 * block2 * epi(-3 * lam) * thetas
 
 
 def asym_poles(tau, eta):
@@ -363,19 +366,19 @@ def asym_poles(tau, eta):
 # hypergeometric function of the three-dimensional representation
 
 
-def _fv_integrand(lam, mu, tau, sigma, eta, ctx):
+def _fv_integrand(lam, mu, tau, sigma, eta):
     def f(t):
-        omega = ell_gamma(t + 2 * eta, tau, sigma, ctx=ctx) / ell_gamma(
-            t - 2 * eta, tau, sigma, ctx=ctx
+        omega = ell_gamma(t + 2 * eta, tau, sigma) / ell_gamma(
+            t - 2 * eta, tau, sigma
         )
-        th = jacobi_theta(t + lam, tau, ctx=ctx) / jacobi_theta(t - 2 * eta, tau, ctx=ctx)
-        sh = jacobi_theta(t + mu, sigma, ctx=ctx) / jacobi_theta(t - 2 * eta, sigma, ctx=ctx)
+        th = jacobi_theta(t + lam, tau) / jacobi_theta(t - 2 * eta, tau)
+        sh = jacobi_theta(t + mu, sigma) / jacobi_theta(t - 2 * eta, sigma)
         return omega * th * sh
 
     return f
 
 
-def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, ctx=STANDARD, margin=1 / 64):
+def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, margin=1 / 64):
     """Residue pair converting straight quadrature to the continuation cycle.
 
     For Im(eta) < 0 the defining cycle still passes above the pole at
@@ -385,11 +388,11 @@ def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, ctx=STANDARD, margi
     multiplies an extra entire factor into the integrand (used by the
     level-kappa variant).
     """
-    lam = ctx.number(lam)
-    mu = ctx.number(mu)
-    tau = ctx.number(tau)
-    sigma = ctx.number(sigma)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    mu = complex(mu)
+    tau = complex(tau)
+    sigma = complex(sigma)
+    eta = complex(eta)
     depth = abs((2 * eta).imag)
     if depth < margin:
         raise DomainViolation(f"poles at +-2 eta are within {margin} of the path")
@@ -399,28 +402,28 @@ def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, ctx=STANDARD, margi
         )
     if level is None:
         def level(t):
-            return ctx.number(1)
+            return complex(1)
 
-    residue0 = ell_gamma_residue(tau, sigma, 0, ctx=ctx)
+    residue0 = ell_gamma_residue(tau, sigma, 0)
     upper = residue0 * (
-        1 / ell_gamma(-4 * eta, tau, sigma, ctx=ctx)
-        * jacobi_theta(lam - 2 * eta, tau, ctx=ctx)
-        / jacobi_theta(-4 * eta, tau, ctx=ctx)
-        * jacobi_theta(mu - 2 * eta, sigma, ctx=ctx)
-        / jacobi_theta(-4 * eta, sigma, ctx=ctx)
+        1 / ell_gamma(-4 * eta, tau, sigma)
+        * jacobi_theta(lam - 2 * eta, tau)
+        / jacobi_theta(-4 * eta, tau)
+        * jacobi_theta(mu - 2 * eta, sigma)
+        / jacobi_theta(-4 * eta, sigma)
         * level(-2 * eta)
     )
     # the crossed pole at +2 eta via the rearranged symmetric form
-    front = ctx.epi(-(tau + sigma) / 4) / (
-        qpoch1_add(tau, tau, ctx=ctx) * qpoch1_add(sigma, sigma, ctx=ctx)
+    front = epi(-(tau + sigma) / 4) / (
+        qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)
     )
     lower = residue0 * front * (
-        ell_gamma(4 * eta, tau, sigma, ctx=ctx)
-        * jacobi_theta(2 * eta + lam, tau, ctx=ctx)
-        * jacobi_theta(2 * eta + mu, sigma, ctx=ctx)
+        ell_gamma(4 * eta, tau, sigma)
+        * jacobi_theta(2 * eta + lam, tau)
+        * jacobi_theta(2 * eta + mu, sigma)
         * level(2 * eta)
     )
-    return -2j * ctx.pi * (upper + lower)
+    return -2j * math.pi * (upper + lower)
 
 
 def fv_u(
@@ -431,7 +434,6 @@ def fv_u(
     eta,
     tol=DEFAULT_TOL,
     budget=DEFAULT_BUDGET,
-    ctx=STANDARD,
 ):
     """Hypergeometric integral ``u`` for the three-dimensional representation.
 
@@ -443,24 +445,24 @@ def fv_u(
     and must lie half a period apart, ``4 eta = 1/2 (mod 1)``; the path then
     passes above ``-2 eta`` and below ``2 eta``.
     """
-    lam = ctx.number(lam)
-    mu = ctx.number(mu)
-    tau = ctx.number(tau)
-    sigma = ctx.number(sigma)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    mu = complex(mu)
+    tau = complex(tau)
+    sigma = complex(sigma)
+    eta = complex(eta)
     _require(tau.imag > 0 and sigma.imag > 0, "requires Im(tau) > 0 and Im(sigma) > 0")
-    f = _fv_integrand(lam, mu, tau, sigma, eta, ctx)
+    f = _fv_integrand(lam, mu, tau, sigma, eta)
     poles = fv_u_poles(tau, sigma, eta)
     if eta.imag == 0:
         quarter = 4 * float(eta.real) - 0.5
         _require(abs(quarter - round(quarter)) < 1e-12, "real eta needs 4 eta = 1/2 (mod 1)")
         path = _quarter_path(-2 * float(eta.real), tau, sigma)
-        value = audited_integral(f, path, poles, tol, budget, ctx)
+        value = audited_integral(f, path, poles, tol, budget)
     else:
-        value = audited_integral(f, Path(), poles, tol, budget, ctx)
+        value = audited_integral(f, Path(), poles, tol, budget)
     if eta.imag < 0:
-        value = value + fv_pair_correction(lam, mu, tau, sigma, eta, ctx=ctx)
-    return ctx.epi(-lam * mu / (2 * eta)) * value
+        value = value + fv_pair_correction(lam, mu, tau, sigma, eta)
+    return epi(-lam * mu / (2 * eta)) * value
 
 
 def fv_u_poles(tau, sigma, eta):
@@ -487,37 +489,35 @@ def fv_u_poles(tau, sigma, eta):
     return [p for p in specs if abs(p.location.imag) < 1.0]
 
 
-def fv_val1_rhs(tau, sigma, ctx=STANDARD):
+def fv_val1_rhs(tau, sigma):
     """Closed form of ``u(1/2, 1/2, tau, sigma, -1/8)``."""
-    ratio = ell_gamma(0.75, tau, sigma, ctx=ctx) / ell_gamma(0.25, tau, sigma, ctx=ctx)
-    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma, ctx)
+    ratio = ell_gamma(0.75, tau, sigma) / ell_gamma(0.25, tau, sigma)
+    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
-def fv_val2_rhs(tau, sigma, ctx=STANDARD):
+def fv_val2_rhs(tau, sigma):
     """Closed form of ``u(1/2, 1/2, tau, sigma, 1/8)``.
 
     The gamma ratio here follows the phase chain through the quarter-shift
     evaluation (see the package notes on the adjudicated variant).
     """
-    ratio = ell_gamma(0.25, tau, sigma, ctx=ctx) / ell_gamma(0.75, tau, sigma, ctx=ctx)
-    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma, ctx)
+    ratio = ell_gamma(0.25, tau, sigma) / ell_gamma(0.75, tau, sigma)
+    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
-def Q_factor(mu, sigma, eta, ctx=STANDARD, pole_epsilon=1e-12):
+def Q_factor(mu, sigma, eta):
     """Weight ``theta(4 eta) theta'(0) / (theta(mu - 2 eta) theta(mu + 2 eta))``."""
-    from .kernel import PoleHit
-
-    mu = ctx.number(mu)
-    sigma = ctx.number(sigma)
-    eta = ctx.number(eta)
-    d1 = jacobi_theta(mu - 2 * eta, sigma, ctx=ctx)
-    d2 = jacobi_theta(mu + 2 * eta, sigma, ctx=ctx)
-    scale = max(1.0, abs(jacobi_theta_prime0(sigma, ctx=ctx)))
-    if abs(d1) < pole_epsilon * scale or abs(d2) < pole_epsilon * scale:
+    mu = complex(mu)
+    sigma = complex(sigma)
+    eta = complex(eta)
+    d1 = jacobi_theta(mu - 2 * eta, sigma)
+    d2 = jacobi_theta(mu + 2 * eta, sigma)
+    scale = max(1.0, abs(jacobi_theta_prime0(sigma)))
+    if abs(d1) < Q_POLE_EPSILON * scale or abs(d2) < Q_POLE_EPSILON * scale:
         raise PoleHit(f"Q has a pole at mu = {complex(mu)!r}")
     return (
-        jacobi_theta(4 * eta, sigma, ctx=ctx)
-        * jacobi_theta_prime0(sigma, ctx=ctx)
+        jacobi_theta(4 * eta, sigma)
+        * jacobi_theta_prime0(sigma)
         / (d1 * d2)
     )
 
@@ -536,7 +536,7 @@ def _check_htf_domain(mu, kappa, tau, eta):
             raise DomainViolation(f"j tau + 4 eta is an integer at j = {j}")
 
 
-def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Integral form of the level-kappa hypergeometric theta function.
 
     Second modulus is ``-2 eta kappa`` and the integrand carries the
@@ -549,25 +549,25 @@ def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET
     """
     _check_htf_domain(mu, kappa, tau, eta)
     kappa = int(kappa)
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
     sigma = -2 * eta * kappa
 
     def level(t):
         return theta0(
-            0.5 + mu * tau + kappa * tau - kappa * lam + 2 * t, 2 * kappa * tau, ctx=ctx
+            0.5 + mu * tau + kappa * tau - kappa * lam + 2 * t, 2 * kappa * tau
         )
 
-    base = _fv_integrand(lam, 2 * eta * mu, tau, sigma, eta, ctx)
+    base = _fv_integrand(lam, 2 * eta * mu, tau, sigma, eta)
 
     def f(t):
         return base(t) * level(t)
 
-    value = audited_integral(f, Path(), htf_poles(kappa, tau, eta), tol, budget, ctx)
-    value = value + fv_pair_correction(lam, 2 * eta * mu, tau, sigma, eta, level, ctx)
-    prefactor = ctx.epi(tau * mu**2 / (2 * kappa) - lam * mu)
-    return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau, ctx=ctx) * value
+    value = audited_integral(f, Path(), htf_poles(kappa, tau, eta), tol, budget)
+    value = value + fv_pair_correction(lam, 2 * eta * mu, tau, sigma, eta, level)
+    prefactor = epi(tau * mu**2 / (2 * kappa) - lam * mu)
+    return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau) * value
 
 
 def htf_poles(kappa, tau, eta):
@@ -588,12 +588,12 @@ def htf_poles(kappa, tau, eta):
     return [p for p in specs if abs(p.location.imag) < 1.0]
 
 
-def delta_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def delta_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Non-symmetric hypergeometric theta function (integral route)."""
-    eta = ctx.number(eta)
-    weight = Q_factor(2 * eta * mu, -2 * eta * kappa, eta, ctx=ctx)
-    phase = ctx.e2pi(eta * mu**2 / kappa)
-    return phase * weight * htf_I_tilde(mu, kappa, lam, tau, eta, tol, budget, ctx)
+    eta = complex(eta)
+    weight = Q_factor(2 * eta * mu, -2 * eta * kappa, eta)
+    phase = e2pi(eta * mu**2 / kappa)
+    return phase * weight * htf_I_tilde(mu, kappa, lam, tau, eta, tol, budget)
 
 
 def delta_tilde_series(
@@ -605,7 +605,6 @@ def delta_tilde_series(
     tail=1e-13,
     tol=DEFAULT_TOL,
     budget=DEFAULT_BUDGET,
-    ctx=STANDARD,
 ):
     """Defining series over ``j in 2 kappa Z + mu``: each term is ``fv_u``
     weighted by ``Q`` and a Gaussian factor in j.
@@ -615,24 +614,24 @@ def delta_tilde_series(
     """
     _check_htf_domain(mu, kappa, tau, eta)
     kappa = int(kappa)
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
     decay = (tau + 4 * eta).imag
     _require(decay > 0, "series needs Im(tau + 4 eta) > 0")
     sigma = -2 * eta * kappa
 
-    total = ctx.number(0)
+    total = complex(0)
     for step in range(0, 64):
         converged = False
         for j in ((mu + 2 * kappa * step,) if step == 0 else (mu + 2 * kappa * step, mu - 2 * kappa * step)):
-            gauss = ctx.epi((tau + 4 * eta) * j**2 / (2 * kappa))
+            gauss = epi((tau + 4 * eta) * j**2 / (2 * kappa))
             if abs(gauss) < tail:
                 converged = True
                 continue
             term = (
-                fv_u(lam, 2 * eta * j, tau, sigma, eta, tol, budget, ctx)
-                * Q_factor(2 * eta * j, sigma, eta, ctx=ctx)
+                fv_u(lam, 2 * eta * j, tau, sigma, eta, tol, budget)
+                * Q_factor(2 * eta * j, sigma, eta)
                 * gauss
             )
             total = total + term
@@ -641,14 +640,14 @@ def delta_tilde_series(
     raise DomainViolation("series window exceeded 64 steps without tail cutoff")
 
 
-def delta_sym(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def delta_sym(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Symmetrized hypergeometric theta function (integral route)."""
-    return delta_tilde(mu, kappa, lam, tau, eta, tol, budget, ctx) - delta_tilde(
-        mu, kappa, -lam, tau, eta, tol, budget, ctx
+    return delta_tilde(mu, kappa, lam, tau, eta, tol, budget) - delta_tilde(
+        mu, kappa, -lam, tau, eta, tol, budget
     )
 
 
-def ellmac_P(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
+def ellmac_P(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Normalized symmetrized function at shifted index mu + 2.
 
     Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.
@@ -656,90 +655,90 @@ def ellmac_P(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, c
     kappa = int(kappa)
     if (mu + 2) % kappa in (1 % kappa, (-1) % kappa):
         raise DomainViolation(f"mu + 2 = {mu + 2} is +-1 mod {kappa}")
-    lam = ctx.number(lam)
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
-    numerator = delta_sym(mu + 2, kappa, lam, tau, eta, tol, budget, ctx)
+    lam = complex(lam)
+    tau = complex(tau)
+    eta = complex(eta)
+    numerator = delta_sym(mu + 2, kappa, lam, tau, eta, tol, budget)
     denominator = (
-        jacobi_theta(lam - 2 * eta, tau, ctx=ctx)
-        * jacobi_theta(lam, tau, ctx=ctx)
-        * jacobi_theta(lam + 2 * eta, tau, ctx=ctx)
+        jacobi_theta(lam - 2 * eta, tau)
+        * jacobi_theta(lam, tau)
+        * jacobi_theta(lam + 2 * eta, tau)
     )
-    prefactor = ctx.epi(-(4 * eta + tau) * (mu + 2) ** 2 / (2 * kappa) + 0.75 * tau)
+    prefactor = epi(-(4 * eta + tau) * (mu + 2) ** 2 / (2 * kappa) + 0.75 * tau)
     return prefactor * numerator / denominator
 
 
-def ellmac_val_rhs(tau, eta, ctx=STANDARD):
+def ellmac_val_rhs(tau, eta):
     """Lambda-independent closed form of the (0, 4) normalized function."""
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
-    ratio = ell_gamma(-6 * eta, tau, -8 * eta, ctx=ctx) / ell_gamma(
-        -2 * eta, tau, -8 * eta, ctx=ctx
+    tau = complex(tau)
+    eta = complex(eta)
+    ratio = ell_gamma(-6 * eta, tau, -8 * eta) / ell_gamma(
+        -2 * eta, tau, -8 * eta
     )
-    eta_term = qpoch1_add(-4 * eta, -4 * eta, ctx=ctx) / qpoch1_add(-2 * eta, -4 * eta, ctx=ctx)
-    block = theta0(4 * eta, tau, ctx=ctx) * qpoch1_add(tau, tau, ctx=ctx) ** 3
-    return -2 * ctx.pi * ratio * eta_term / block
+    eta_term = qpoch1_add(-4 * eta, -4 * eta) / qpoch1_add(-2 * eta, -4 * eta)
+    block = theta0(4 * eta, tau) * qpoch1_add(tau, tau) ** 3
+    return -2 * math.pi * ratio * eta_term / block
 
 
-def ellmac_eval_rhs(mu, kappa, eta, ctx=STANDARD):
+def ellmac_eval_rhs(mu, kappa, eta):
     """Closed form of the normalized function at the evaluation point
     ``lam = 4 eta``, ``tau = -8 eta``."""
-    eta = ctx.number(eta)
+    eta = complex(eta)
     kappa = int(kappa)
-    ratio = ell_gamma(-6 * eta, -2 * kappa * eta, -8 * eta, ctx=ctx) / ell_gamma(
-        -2 * eta, -2 * kappa * eta, -8 * eta, ctx=ctx
+    ratio = ell_gamma(-6 * eta, -2 * kappa * eta, -8 * eta) / ell_gamma(
+        -2 * eta, -2 * kappa * eta, -8 * eta
     )
     numerator = (
-        theta0(2 * (mu + 2) * eta, -2 * kappa * eta, ctx=ctx)
-        * qpoch1_add(-2 * kappa * eta, -2 * kappa * eta, ctx=ctx) ** 2
+        theta0(2 * (mu + 2) * eta, -2 * kappa * eta)
+        * qpoch1_add(-2 * kappa * eta, -2 * kappa * eta) ** 2
     )
     denominator = (
-        qpoch1_add(-8 * eta, -8 * eta, ctx=ctx)
-        * qpoch1_add(-4 * eta, -4 * eta, ctx=ctx) ** 2
-        * qpoch1_add(-2 * eta, -2 * eta, ctx=ctx)
+        qpoch1_add(-8 * eta, -8 * eta)
+        * qpoch1_add(-4 * eta, -4 * eta) ** 2
+        * qpoch1_add(-2 * eta, -2 * eta)
     )
-    phase = ctx.epi(-12 * eta - 2 * (mu + 2) * eta)
-    return -2 * ctx.pi * phase * ratio * numerator / denominator
+    phase = epi(-12 * eta - 2 * (mu + 2) * eta)
+    return -2 * math.pi * phase * ratio * numerator / denominator
 
 
 # ---------------------------------------------------------------------------
 # three-term modular relations
 
 
-def s_minus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def s_minus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    tau = complex(tau)
+    eta = complex(eta)
     m = tau / (8 * eta)
     block = (
-        jacobi_theta(0.5, m, ctx=ctx)
-        * jacobi_theta_prime0(m, ctx=ctx)
-        / (jacobi_theta(0.75, m, ctx=ctx) * jacobi_theta(0.25, m, ctx=ctx))
+        jacobi_theta(0.5, m)
+        * jacobi_theta_prime0(m)
+        / (jacobi_theta(0.75, m) * jacobi_theta(0.25, m))
     )
-    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125, tol, budget, ctx)
+    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125, tol, budget)
     return -2 * block * u
 
 
-def s_plus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def s_plus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+    tau = complex(tau)
+    eta = complex(eta)
     m = -tau / (8 * eta)
     block = (
-        jacobi_theta(0.5, m, ctx=ctx)
-        * jacobi_theta_prime0(m, ctx=ctx)
-        / (jacobi_theta(0.25, m, ctx=ctx) * jacobi_theta(0.75, m, ctx=ctx))
+        jacobi_theta(0.5, m)
+        * jacobi_theta_prime0(m)
+        / (jacobi_theta(0.25, m) * jacobi_theta(0.75, m))
     )
-    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125, tol, budget, ctx)
+    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125, tol, budget)
     return 2 * block * u
 
 
-def mod_minus_rhs(tau, eta, ctx=STANDARD):
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+def mod_minus_rhs(tau, eta):
+    tau = complex(tau)
+    eta = complex(eta)
     exponent = (4 + 216 * eta**2 - 42 * eta * (tau - 1) + 3 * tau + 4 * tau**2) / (12 * tau)
-    return 4 * math.sqrt(2) * ctx.pi * 1j * tau * ctx.epi(exponent)
+    return 4 * math.sqrt(2) * math.pi * 1j * tau * epi(exponent)
 
 
-def mod_plus_rhs(tau, eta, ctx=STANDARD):
+def mod_plus_rhs(tau, eta):
     """Constant for the second modular relation.
 
     The leading sign is fixed by cross-checking against the independently
@@ -747,7 +746,7 @@ def mod_plus_rhs(tau, eta, ctx=STANDARD):
     variant); both sign readings differ by the odd half-period shift in the
     ``u(1/2, -1/2, ...)`` weight.
     """
-    tau = ctx.number(tau)
-    eta = ctx.number(eta)
+    tau = complex(tau)
+    eta = complex(eta)
     exponent = (4 + 216 * eta**2 - 42 * eta * (1 + tau) - 3 * tau + 4 * tau**2) / (12 * tau)
-    return 4 * math.sqrt(2) * ctx.pi * 1j * tau * ctx.epi(exponent)
+    return 4 * math.sqrt(2) * math.pi * 1j * tau * epi(exponent)

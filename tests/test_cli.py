@@ -2,6 +2,10 @@
 error isolation, and the exit-code contract (0 pass, 1 fail, 2 bad config)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +47,6 @@ def test_config_rejects_bad_settings():
         RunConfig(identity_ids=FAST_IDS, seed=-1)
     with pytest.raises(ConfigInvalid):
         RunConfig(identity_ids=FAST_IDS, series_order=-1)
-    with pytest.raises(ConfigInvalid):
-        RunConfig(identity_ids=FAST_IDS, precision_mode="quad")
 
 
 def test_config_rejects_series_tolerance_override():
@@ -115,7 +117,7 @@ def test_report_round_trips_through_json(tmp_path):
 def test_errors_are_isolated(monkeypatch):
     import dataclasses
 
-    def lhs(params, ctx):
+    def lhs(params):
         raise RuntimeError("synthetic failure")
 
     boom = dataclasses.replace(catalog.get_entry("lemma.theta-simp"), lhs=lhs)
@@ -173,6 +175,34 @@ def test_cli_exit_code_on_bad_id(capsys):
     code = main(["verify", "--ids", "not-a-check"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_has_no_precision_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--ids", "theta-mod", "--precision", "extended"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
+
+
+def test_cli_verifies_without_mpmath():
+    # mpmath is a test-only dependency: a pointwise, an integral and a series
+    # check must run with every import of it blocked
+    script = (
+        "import sys; sys.modules['mpmath'] = None; from ellverify.cli import main; "
+        "sys.exit(main(['verify', '--ids', 'theta-mod,eval1,series.triple-product', "
+        "'--samples', '1', '--order', '4']))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "total: 3/3 passed" in run.stdout
 
 
 def test_cli_config_file_and_override(tmp_path):
@@ -234,6 +264,7 @@ def test_cli_rejects_malformed_config(tmp_path, capsys):
         ({"identity_ids": ["theta-mod", "theta-mod"]}, [], "duplicate check ids: theta-mod"),
         ({}, ["--ids", "theta-mod,theta-mod"], "duplicate check ids: theta-mod"),
         ({"identity_ids": ["theta-mod"], "output_path": 5}, [], "output_path"),
+        ({"identity_ids": ["theta-mod"], "precision_mode": "extended"}, [], "precision_mode"),
     ],
 )
 def test_cli_rejects_ill_typed_config(tmp_path, capsys, settings, flags, message):

@@ -51,8 +51,8 @@ def test_render_zero_and_fractions():
 
 
 def test_term_beyond_cap_prunes_to_zero():
-    assert RING.term(1, y=7).is_zero()
-    assert not RING.term(1, y=-7).is_zero()
+    assert not RING.term(1, y=7).terms
+    assert RING.term(1, y=-7).terms
 
 
 def test_ring_validation():
