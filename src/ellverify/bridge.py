@@ -111,7 +111,7 @@ def chi_002(q, lam, omega):
     )
 
 
-def J_mu_k2(mu, k, q, lam, omega, tol=special.DEFAULT_TOL):
+def J_mu_k2(mu, k, q, lam, omega):
     """Normalized character ratio via the symmetrized elliptic polynomial.
 
     Assembles the elliptic factor (a certified contour integral evaluated in
@@ -126,9 +126,7 @@ def J_mu_k2(mu, k, q, lam, omega, tol=special.DEFAULT_TOL):
     p = _qpow(q, -2 * omega)
     Q = q ** (-2 * kappa)
 
-    polynomial = special.ellmac_P(
-        mu, kappa, coords.lam, coords.tau, coords.eta, tol=tol
-    )
+    polynomial = special.ellmac_P(mu, kappa, coords.lam, coords.tau, coords.eta)
     front = polynomial / (2 * math.pi * f22(q, omega))
     grading_block = (
         qpoch1(q**-4, p)

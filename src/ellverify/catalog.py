@@ -5,9 +5,9 @@ LHS and RHS evaluator with a seeded domain sampler and a declared tolerance;
 a ``series`` entry names a runner from :mod:`.conjectures` and its default
 expansion order.  ``identity_ids()`` is the machine-readable manifest.  The
 integral evaluators in :mod:`.special` and :mod:`.lemmas` audit their own
-paths before every quadrature and raise :class:`PoleOnPath` on a rejected
-path; :func:`run_check` reports the largest error those quadratures
-achieved.
+paths, against the pole inventories derived from their declared factors,
+before every quadrature and raise :class:`PoleOnPath` on a rejected path;
+:func:`run_check` reports the largest error those quadratures achieved.
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or

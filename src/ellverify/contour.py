@@ -13,8 +13,9 @@ applies the trapezoid rule on ``N`` equispaced nodes and doubles ``N`` from
 :func:`pole_audit` checks a path against the known poles of an integrand:
 every pole (reduced modulo the period) must keep a minimum distance from the
 path, and poles that carry a required passing side must see the path pass on
-that side.  The evaluators that integrate pick their own path and pole
-inventory and run the audit before every quadrature.
+that side.  The evaluators that integrate pick their own path, derive the
+pole inventory from their integrand's factors and run the audit before
+every quadrature.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "QuadratureResult",
     "ToleranceNotReached",
     "PoleOnPath",
+    "CLEARANCE",
     "PoleSpec",
     "PoleAuditEntry",
     "PoleAuditReport",
@@ -145,6 +147,10 @@ def integrate(f, path, tol=1e-10, budget=200_000):
 # ---------------------------------------------------------------------------
 # pole auditing
 
+#: least distance a pole may keep from a path, or a residue-corrected pole
+#: from the real axis
+CLEARANCE = 1 / 64
+
 
 @dataclass(frozen=True)
 class PoleSpec:
@@ -175,7 +181,6 @@ class PoleAuditEntry:
 @dataclass(frozen=True)
 class PoleAuditReport:
     ok: bool
-    margin: float
     entries: tuple
 
 
@@ -196,11 +201,11 @@ def _distance(p, path):
     return float(d[k])
 
 
-def pole_audit(path, poles, margin=1 / 64) -> PoleAuditReport:
+def pole_audit(path, poles) -> PoleAuditReport:
     """Check known poles (reduced modulo the period) against ``path``.
 
     A pole fails its entry when its distance to the path is below
-    ``margin``, when the path runs through it, or when it carries a
+    :data:`CLEARANCE`, when the path runs through it, or when it carries a
     required side and the path passes on the other one.
     """
     entries = []
@@ -212,6 +217,6 @@ def pole_audit(path, poles, margin=1 / 64) -> PoleAuditReport:
         height = float(path.height(p.real))
         path_side = "above" if height > p.imag else "below" if height < p.imag else "on"
         distance = _distance(p, path)
-        ok = distance >= margin and path_side != "on" and spec.side in (None, path_side)
+        ok = distance >= CLEARANCE and path_side != "on" and spec.side in (None, path_side)
         entries.append(PoleAuditEntry(location, p, distance, path_side, spec.side, ok))
-    return PoleAuditReport(all(e.ok for e in entries), margin, tuple(entries))
+    return PoleAuditReport(all(e.ok for e in entries), tuple(entries))

@@ -2,8 +2,9 @@
 
 Each lemma is exposed as an ``<name>_lhs`` / ``<name>_rhs`` pair.  Pointwise
 identities take the free variable (``t`` or ``z``) explicitly so callers can
-sample it; the three integral lemmas audit and integrate over the
-tower-separating cycle themselves (straight path plus residue corrections).
+sample it; the three integral lemmas declare their integrands as factor lists
+and integrate over the tower-separating cycle themselves (straight path plus
+residue corrections, whose entire part is the declaration less its gamma pair).
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
@@ -12,19 +13,20 @@ function with periods ``2 tau`` and ``8 eta``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .contour import Path
 from .kernel import e2pi, ell_gamma, epi, qpoch1_add, theta0
 from .special import (
-    DEFAULT_BUDGET,
-    DEFAULT_TOL,
+    Factor,
     I_tilde,
-    asym_poles,
+    Integrand,
     audited_integral,
     gamma_pair_tower_correction,
 )
 
 __all__ = [
-    "j1_factor",
+    "j1_factors",
     "j2_factor",
     "sym_rearrange_lhs",
     "sym_rearrange_rhs",
@@ -47,12 +49,13 @@ __all__ = [
 ]
 
 
-def j1_factor(t, tau, eta):
-    """Symmetric factor: ``gamma(+-t - 2 eta; tau, 8 eta) theta0(t + 4 eta; 8 eta)``."""
+def j1_factors(tau, eta):
+    """Symmetric factor ``gamma(+-t - 2 eta; tau, 8 eta) theta0(t + 4 eta; 8 eta)``,
+    as a factor list that starts with the gamma pair."""
     return (
-        ell_gamma(t - 2 * eta, tau, 8 * eta)
-        * ell_gamma(-t - 2 * eta, tau, 8 * eta)
-        * theta0(t + 4 * eta, 8 * eta)
+        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
+        Factor("gamma", -2 * eta, -1, (tau, 8 * eta)),
+        Factor("theta0", 4 * eta, 1, (8 * eta,)),
     )
 
 
@@ -236,33 +239,32 @@ def int_eval2_rhs(tau, eta):
     return _eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
 
 
-def _int_eval_lhs(tau, eta, shift, tol, budget):
-    # shift=0: squared theta0 at t; shift=1/2: squared theta0 at t + 1/2
-    def entire(t):
-        return (
-            theta0(t + 4 * eta, 8 * eta)
-            * e2pi(-t)
-            * theta0(t + shift, 2 * tau) ** 2
-            * theta0(t + tau + 0.5, 2 * tau)
-        )
-
-    def f(t):
-        return (
-            ell_gamma(t - 2 * eta, tau, 8 * eta)
-            * ell_gamma(-t - 2 * eta, tau, 8 * eta)
-            * entire(t)
-        )
-
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
+def _tower_corrected_integral(f, tau, eta):
+    """Separating-cycle integral of ``f``, whose factors start with the gamma
+    pair of :func:`j1_factors`: straight quadrature plus the tower correction."""
+    entire = replace(f, factors=f.factors[2:])
+    value = audited_integral(f, Path())
     return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
 
 
-def int_eval1_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    return _int_eval_lhs(complex(tau), complex(eta), 0.0, tol, budget)
+def _int_eval_lhs(tau, eta, shift):
+    # shift=0: squared theta0 at t; shift=1/2: squared theta0 at t + 1/2
+    f = Integrand(
+        j1_factors(tau, eta) + (
+            Factor("theta0", shift, 1, (2 * tau,), 2),
+            Factor("theta0", tau + 0.5, 1, (2 * tau,)),
+        ),
+        wind=-1,
+    )
+    return _tower_corrected_integral(f, tau, eta)
 
 
-def int_eval2_lhs(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    return _int_eval_lhs(complex(tau), complex(eta), 0.5, tol, budget)
+def int_eval1_lhs(tau, eta):
+    return _int_eval_lhs(complex(tau), complex(eta), 0.0)
+
+
+def int_eval2_lhs(tau, eta):
+    return _int_eval_lhs(complex(tau), complex(eta), 0.5)
 
 
 def theta_simp4_lhs(tau, eta):
@@ -290,23 +292,22 @@ def theta_simp4_rhs(tau, eta):
 # integral rearrangement
 
 
-def int_rearrange_lhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    return I_tilde(lam, tau, eta, tol, budget)
+def int_rearrange_lhs(lam, tau, eta):
+    return I_tilde(lam, tau, eta)
 
 
-def int_rearrange_rhs(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def int_rearrange_rhs(lam, tau, eta):
     lam = complex(lam)
     tau = complex(tau)
     eta = complex(eta)
-    # the phase reaches e^{12 pi Im eta} ~ 1e7; inside the integrand it puts
-    # the quadrature tolerance, relative to max(1, |value|), on the result
-    phase = epi(-12 * eta)
-
-    def entire(t):
-        return phase * theta0(t + 4 * eta, 8 * eta) * j2_factor(t, lam, tau)
-
-    def f(t):
-        return phase * j1_factor(t, tau, eta) * j2_factor(t, lam, tau)
-
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
-    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
+    # j1_factors times j2_factor.  The phase e^{-12 pi i eta} reaches
+    # e^{12 pi Im eta} ~ 1e7; inside the integrand it puts the quadrature
+    # tolerance, relative to max(1, |value|), on the result
+    f = Integrand(
+        j1_factors(tau, eta) + (
+            Factor("theta0", lam, 1, (tau,)),
+            Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
+        ),
+        scale=epi(-12 * eta) * epi(-3 * lam),
+    )
+    return _tower_corrected_integral(f, tau, eta)

@@ -14,8 +14,7 @@ per-step elevated caps sized from the remaining factors' negative budget, so
 its output is exact up to the ring caps regardless of sign patterns.
 
 Coefficients are :class:`fractions.Fraction` throughout; nothing here is
-floating point.  ``evaluate`` exists only to cross-check series against the
-numeric kernel in tests.
+floating point.
 """
 
 from __future__ import annotations
@@ -343,21 +342,6 @@ class LaurentSeries:
             if cap > self.ring.caps.get(v, cap):
                 raise ValueError(f"cannot raise the cap on {v!r} after the fact")
         return LaurentSeries._prune(ring, dict(self.terms))
-
-    def evaluate(self, **values):
-        """Numeric value of the truncated series; test oracle only."""
-        missing = [v for v in self.ring.variables if v not in values]
-        if missing:
-            raise ValueError(f"no value for {missing}")
-        total = 0j
-        order = [values[v] for v in self.ring.variables]
-        for key, coeff in self.terms.items():
-            term = complex(coeff)
-            for value, exp in zip(order, key):
-                if exp:
-                    term *= value**exp
-            total += term
-        return total
 
     # -- rendering ------------------------------------------------------------
 

@@ -10,18 +10,22 @@ identities.  Each LHS/RHS pair is kept verbatim in its own function so a
 formula transcription error stays local and visible.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
-return builtin complex numbers.  Each integral evaluator picks its own
-:class:`~ellverify.contour.Path` and pole inventory and hands both to
-:func:`audited_integral`, which audits the path and then runs the periodic
-trapezoid rule; it accepts the quadrature controls (``tol``, ``budget``).
-A path the audit rejects raises :class:`~ellverify.contour.PoleOnPath`.
+return builtin complex numbers.  Each integral evaluator declares its
+integrand once, as an :class:`Integrand`: kernel factors
+``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  It
+hands the declaration and its :class:`~ellverify.contour.Path` to
+:func:`audited_integral`, which derives the pole inventory from the factors
+(:func:`pole_inventory`), audits the path against it and then runs the
+periodic trapezoid rule.  A path the audit rejects raises
+:class:`~ellverify.contour.PoleOnPath`.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from .contour import Path, PoleOnPath, PoleSpec, integrate, pole_audit
+from .contour import CLEARANCE, Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
     PoleHit,
     e2pi,
@@ -37,21 +41,20 @@ from .kernel import (
 __all__ = [
     "BalanceViolation",
     "DomainViolation",
+    "Factor",
+    "Integrand",
+    "pole_inventory",
     "audited_integral",
     "spiridonov_lhs",
     "spiridonov_rhs",
-    "spiridonov_poles",
     "eval1_lhs",
     "eval1_rhs",
     "eval2_lhs",
     "eval2_rhs",
-    "quarter_shift_poles",
     "I_tilde",
     "I_sym",
     "eval3_rhs",
-    "asym_poles",
     "fv_u",
-    "fv_u_poles",
     "fv_val1_rhs",
     "fv_val2_rhs",
     "Q_factor",
@@ -60,7 +63,6 @@ __all__ = [
     "delta_tilde_series",
     "delta_sym",
     "ellmac_P",
-    "htf_poles",
     "ellmac_val_rhs",
     "ellmac_eval_rhs",
     "s_minus",
@@ -69,10 +71,10 @@ __all__ = [
     "mod_plus_rhs",
 ]
 
-DEFAULT_TOL = 1e-10
-DEFAULT_BUDGET = 200_000
 #: a denominator of :func:`Q_factor` below this (relative to theta'(0)) is a pole
 Q_POLE_EPSILON = 1e-12
+#: :func:`delta_tilde_series` stops once the Gaussian weight of a term is below this
+SERIES_TAIL = 1e-13
 
 
 class BalanceViolation(ValueError):
@@ -88,17 +90,127 @@ def _require(condition, message):
         raise DomainViolation(message)
 
 
-def audited_integral(f, path, poles, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    """Audit ``path`` against ``poles``, then integrate ``f`` along it.
+# ---------------------------------------------------------------------------
+# integrands declared as factor lists
+
+
+@dataclass(frozen=True)
+class Factor:
+    """``f(shift + slope t; *moduli) ** power`` for one kernel function ``f``.
+
+    ``kind`` names ``f``: ``"gamma"`` is :func:`ell_gamma` (two moduli),
+    ``"theta0"`` and ``"jacobi"`` are :func:`theta0` and :func:`jacobi_theta`
+    (one modulus).  ``slope`` and ``power`` are nonzero integers; only the
+    sign of ``power`` matters to the poles.
+    """
+
+    kind: str
+    shift: complex
+    slope: int
+    moduli: tuple
+    power: int = 1
+
+    def __call__(self, t):
+        # the kernel functions are looked up by name at call time, so a
+        # wrapper bound to that name in this module sees every call
+        z = self.shift + self.slope * t
+        if self.kind == "gamma":
+            value = ell_gamma(z, *self.moduli)
+        elif self.kind == "theta0":
+            value = theta0(z, *self.moduli)
+        else:
+            value = jacobi_theta(z, *self.moduli)
+        return value if self.power == 1 else value**self.power
+
+
+@dataclass(frozen=True)
+class Integrand:
+    """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``.
+
+    The scale and the phase have no poles, so every pole is a factor's.
+    """
+
+    factors: tuple
+    scale: complex = 1
+    wind: int = 0
+
+    def __call__(self, t):
+        value = self.scale * e2pi(self.wind * t) if self.wind else complex(self.scale)
+        for factor in self.factors:
+            value = value * factor(t)
+        return value
+
+
+def _cone(start, steps, lo, hi):
+    """Points ``start + sum_i n_i steps[i]`` (``n_i >= 0``) with ``lo < Im < hi``."""
+    points = [complex(start)]
+    for step in steps:
+        edge = lo if step.imag < 0 else hi
+        points = [
+            p + n * step
+            for p in points
+            for n in range(max(0, math.ceil((edge - p.imag) / step.imag)))
+        ]
+    return [p for p in points if lo < p.imag < hi]
+
+
+def pole_inventory(integrand):
+    """Poles of ``integrand`` within 1 of the real axis, reduced modulo 1,
+    each with the side the path must pass on.
+
+    A factor's argument ``z`` is singular on the lattice points below, each
+    plus any integer: ``-j tau - k sigma`` for a gamma, the gamma zeros
+    ``(j + 1) tau + (k + 1) sigma`` for a reciprocal gamma (``j, k >= 0``),
+    and ``j tau`` for every integer ``j`` for a reciprocal theta; a theta in
+    the numerator has none.  A pole stays listed when a zero of another
+    factor cancels it.  A pole off the axis must stay on its side of the
+    axis, as the straight period keeps it.  A pole on the axis takes its
+    tower's side: the path passes above a member of a descending gamma tower,
+    and below a member of an ascending one or a reciprocal-theta zero.
+    """
+    specs = []
+    for factor in integrand.factors:
+        if factor.kind != "gamma" and factor.power > 0:
+            continue
+        moduli = [complex(m) for m in factor.moduli]
+        _require(all(m.imag > 0 for m in moduli), "moduli must lie in the upper half-plane")
+        shift = complex(factor.shift)
+        reach = abs(factor.slope)
+        lo, hi = shift.imag - reach, shift.imag + reach
+        if factor.kind != "gamma":
+            (tau,) = moduli
+            arguments = _cone(0, (tau,), lo, hi) + _cone(-tau, (-tau,), lo, hi)
+            descending = False
+        elif factor.power > 0:
+            arguments = _cone(0, [-m for m in moduli], lo, hi)
+            descending = factor.slope > 0
+        else:
+            arguments = _cone(sum(moduli), moduli, lo, hi)
+            descending = factor.slope < 0
+        for z in arguments:
+            # a slope of 2 puts two classes of poles in each period
+            for m in range(reach):
+                t = (z + m - shift) / factor.slope
+                t = complex(t.real - math.floor(t.real + 0.5), t.imag)
+                if t.imag:
+                    side = "below" if t.imag > 0 else "above"
+                else:
+                    side = "above" if descending else "below"
+                specs.append(PoleSpec(t, side))
+    return list(dict.fromkeys(specs))
+
+
+def audited_integral(integrand, path):
+    """Audit ``path`` against the poles of ``integrand``, then integrate it.
 
     Raises :class:`PoleOnPath` when a pole is too close to the path or on
     the wrong side of it.
     """
-    report = pole_audit(path, poles)
+    report = pole_audit(path, pole_inventory(integrand))
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
         raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    return integrate(f, path, tol=tol, budget=budget).value
+    return integrate(integrand, path).value
 
 
 def _quarter_path(x0, tau, sigma):
@@ -111,7 +223,7 @@ def _quarter_path(x0, tau, sigma):
 # balanced elliptic beta integral
 
 
-def spiridonov_lhs(s, tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def spiridonov_lhs(s, tau, sigma):
     """Contour side of the balanced six-parameter beta integral.
 
     ``s`` holds six parameters with positive imaginary part summing to
@@ -125,20 +237,12 @@ def spiridonov_lhs(s, tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     if abs(balance) > 1e-12:
         raise BalanceViolation(f"sum(s) - tau - sigma = {complex(balance):.3e}")
 
-    ts = complex(tau) + complex(sigma)
-
-    def f(t):
-        num = complex(1)
-        for si in s:
-            num = num * ell_gamma(t + si, tau, sigma)
-            num = num * ell_gamma(-t + si, tau, sigma)
-        # reciprocal gammas via reflection: stays finite at the half-integer
-        # lattice zeros the path runs through
-        return num * ell_gamma(ts - 2 * t, tau, sigma) * ell_gamma(
-            ts + 2 * t, tau, sigma
-        )
-
-    return audited_integral(f, Path(), spiridonov_poles(s), tol, budget)
+    moduli = (complex(tau), complex(sigma))
+    factors = [Factor("gamma", si, e, moduli) for si in s for e in (1, -1)]
+    # reciprocal gammas via reflection, gamma(tau + sigma -+ 2t): finite at
+    # the half-integer lattice zeros the path runs through
+    factors += [Factor("gamma", sum(moduli), e, moduli) for e in (-2, 2)]
+    return audited_integral(Integrand(tuple(factors)), Path())
 
 
 def spiridonov_rhs(s, tau, sigma):
@@ -151,30 +255,18 @@ def spiridonov_rhs(s, tau, sigma):
     return total / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma))
 
 
-def spiridonov_poles(s):
-    """Near-axis poles: each +s_i above the path, each -s_i below it."""
-    specs = []
-    for si in s:
-        specs.append(PoleSpec(complex(si), "below"))
-        specs.append(PoleSpec(-complex(si), "above"))
-    return specs
-
-
 # ---------------------------------------------------------------------------
 # quarter-shift evaluations
 
-def _quarter_shift_integrand(tau, sigma, sign):
+
+def _quarter_shift_factors(tau, sigma, sign):
     # sign=+1: gamma(t+1/4)/gamma(t-1/4) with theta0 denominators at t-1/4;
     # sign=-1: the mirrored variant with denominators at t+1/4
     a = sign * 0.25
-
-    def f(t):
-        g = ell_gamma(t + a, tau, sigma) / ell_gamma(t - a, tau, sigma)
-        th = theta0(t + 0.5, tau) / theta0(t - a, tau)
-        sh = theta0(t + 0.5, sigma) / theta0(t - a, sigma)
-        return g * th * sh
-
-    return f
+    factors = [Factor("gamma", a, 1, (tau, sigma)), Factor("gamma", -a, 1, (tau, sigma), -1)]
+    for modulus in (tau, sigma):
+        factors += [Factor("theta0", 0.5, 1, (modulus,)), Factor("theta0", -a, 1, (modulus,), -1)]
+    return tuple(factors)
 
 
 def _quarter_shift_rhs_tail(tau, sigma):
@@ -186,11 +278,10 @@ def _quarter_shift_rhs_tail(tau, sigma):
     )
 
 
-def eval1_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def eval1_lhs(tau, sigma):
     """Path above -1/4 and below +1/4."""
-    f = _quarter_shift_integrand(tau, sigma, +1)
-    path = _quarter_path(-0.25, tau, sigma)
-    return audited_integral(f, path, quarter_shift_poles(tau, sigma, +1), tol, budget)
+    f = Integrand(_quarter_shift_factors(tau, sigma, +1))
+    return audited_integral(f, _quarter_path(-0.25, tau, sigma))
 
 
 def eval1_rhs(tau, sigma):
@@ -198,11 +289,10 @@ def eval1_rhs(tau, sigma):
     return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
-def eval2_lhs(tau, sigma, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def eval2_lhs(tau, sigma):
     """Path below -1/4 and above +1/4."""
-    f = _quarter_shift_integrand(tau, sigma, -1)
-    path = _quarter_path(0.25, tau, sigma)
-    return audited_integral(f, path, quarter_shift_poles(tau, sigma, -1), tol, budget)
+    f = Integrand(_quarter_shift_factors(tau, sigma, -1))
+    return audited_integral(f, _quarter_path(0.25, tau, sigma))
 
 
 def eval2_rhs(tau, sigma):
@@ -210,37 +300,8 @@ def eval2_rhs(tau, sigma):
     return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
 
 
-def quarter_shift_poles(tau, sigma, sign):
-    """Poles near the path for the quarter-shift integrands.
-
-    ``sign=+1`` (gamma argument ``t + 1/4``): real poles at -1/4 (gamma) and
-    +1/4 (theta0 denominators).  The lattice shells sit at depth Im(tau),
-    Im(sigma): the path passes below the upper shells and above the lower.
-    """
-    a = 0.25 * sign
-    specs = [PoleSpec(-a, "above"), PoleSpec(a, "below")]
-    for modulus in (complex(tau), complex(sigma)):
-        specs.append(PoleSpec(-a - modulus, "above"))
-        specs.append(PoleSpec(a + modulus, "below"))
-        specs.append(PoleSpec(a - modulus, "above"))
-    return specs
-
-
 # ---------------------------------------------------------------------------
 # antisymmetrized theta hypergeometric integral
-
-
-def _asym_integrand(lam, tau, eta):
-    def f(t):
-        g = ell_gamma(t - 2 * eta, tau, 8 * eta) / ell_gamma(
-            t + 2 * eta, tau, 8 * eta
-        )
-        th = theta0(t + lam, tau) / theta0(t + 2 * eta, tau)
-        te = theta0(t - 4 * eta, 8 * eta) / theta0(t + 2 * eta, 8 * eta)
-        level = theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
-        return g * th * te * level
-
-    return f
 
 
 def _asym_entire_part(t, lam, tau, eta):
@@ -254,7 +315,7 @@ def _asym_entire_part(t, lam, tau, eta):
     )
 
 
-def gamma_pair_tower_correction(entire, tau, sigma, eta, margin=1 / 64):
+def gamma_pair_tower_correction(entire, tau, sigma, eta):
     """Residue sum moving a straight-path integral onto the separating cycle.
 
     Applies to integrands of the shape
@@ -265,7 +326,7 @@ def gamma_pair_tower_correction(entire, tau, sigma, eta, margin=1 / 64):
     each contributes ``-2 pi i`` times its residue (an upper pole is entered
     from below, and the lower pole's reversed local variable supplies the
     matching sign).  Raises :class:`DomainViolation` when a member is within
-    ``margin`` of the axis.
+    :data:`~ellverify.contour.CLEARANCE` of the axis.
     """
     tau = complex(tau)
     sigma = complex(sigma)
@@ -274,9 +335,9 @@ def gamma_pair_tower_correction(entire, tau, sigma, eta, margin=1 / 64):
     k = 0
     while True:
         depth = (2 * eta - k * tau).imag
-        if abs(depth) < margin:
+        if abs(depth) < CLEARANCE:
             raise DomainViolation(
-                f"tower pole 2 eta - {k} tau is within {margin} of the path"
+                f"tower pole 2 eta - {k} tau is within {CLEARANCE} of the path"
             )
         if depth < 0:
             break
@@ -290,7 +351,7 @@ def gamma_pair_tower_correction(entire, tau, sigma, eta, margin=1 / 64):
     return -2j * math.pi * total
 
 
-def asym_tower_correction(lam, tau, eta, margin=1 / 64):
+def asym_tower_correction(lam, tau, eta):
     """Separating-cycle correction for the one-sided integral's integrand."""
     lam = complex(lam)
     tau = complex(tau)
@@ -299,10 +360,10 @@ def asym_tower_correction(lam, tau, eta, margin=1 / 64):
     def entire(t):
         return _asym_entire_part(t, lam, tau, eta)
 
-    return gamma_pair_tower_correction(entire, tau, 8 * eta, eta, margin)
+    return gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
 
 
-def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def I_tilde(lam, tau, eta):
     """One-sided integral: phase ``e^{-3 pi i lam}`` times the separating-cycle
     integral of the gamma-ratio / theta-ratio / level-theta integrand.
 
@@ -316,15 +377,23 @@ def I_tilde(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     tau = complex(tau)
     eta = complex(eta)
     _require(tau.imag > 0 and eta.imag > 0, "requires Im(tau) > 0 and Im(eta) > 0")
-    f = _asym_integrand(lam, tau, eta)
-    value = audited_integral(f, Path(), asym_poles(tau, eta), tol, budget)
+    f = Integrand((
+        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
+        Factor("gamma", 2 * eta, 1, (tau, 8 * eta), -1),
+        Factor("theta0", lam, 1, (tau,)),
+        Factor("theta0", 2 * eta, 1, (tau,), -1),
+        Factor("theta0", -4 * eta, 1, (8 * eta,)),
+        Factor("theta0", 2 * eta, 1, (8 * eta,), -1),
+        Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
+    ))
+    value = audited_integral(f, Path())
     value = value + asym_tower_correction(lam, tau, eta)
     return epi(-3 * lam) * value
 
 
-def I_sym(lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def I_sym(lam, tau, eta):
     """Antisymmetrization ``I_tilde(lam) - I_tilde(-lam)``."""
-    return I_tilde(lam, tau, eta, tol, budget) - I_tilde(-lam, tau, eta, tol, budget)
+    return I_tilde(lam, tau, eta) - I_tilde(-lam, tau, eta)
 
 
 def eval3_rhs(lam, tau, eta):
@@ -344,41 +413,22 @@ def eval3_rhs(lam, tau, eta):
     return epi(-12 * eta) * ratio * block1 * block2 * epi(-3 * lam) * thetas
 
 
-def asym_poles(tau, eta):
-    """Near-axis poles of the one-sided integrand, clearance-only.
-
-    The separating cycle is realized as straight quadrature plus residues,
-    so the audit just needs every tower member ``+-(2 eta - k tau - 8 m eta)``
-    to keep clear of the axis.
-    """
-    eta = complex(eta)
-    tau = complex(tau)
-    locations = []
-    for k in range(0, 12):
-        for m in (0, 1):
-            p = 2 * eta - k * tau - 8 * m * eta
-            if abs(p.imag) < 1.0:
-                locations.extend((p, -p))
-    return [PoleSpec(p) for p in locations]
-
-
 # ---------------------------------------------------------------------------
 # hypergeometric function of the three-dimensional representation
 
 
-def _fv_integrand(lam, mu, tau, sigma, eta):
-    def f(t):
-        omega = ell_gamma(t + 2 * eta, tau, sigma) / ell_gamma(
-            t - 2 * eta, tau, sigma
-        )
-        th = jacobi_theta(t + lam, tau) / jacobi_theta(t - 2 * eta, tau)
-        sh = jacobi_theta(t + mu, sigma) / jacobi_theta(t - 2 * eta, sigma)
-        return omega * th * sh
+def _fv_factors(lam, mu, tau, sigma, eta):
+    return (
+        Factor("gamma", 2 * eta, 1, (tau, sigma)),
+        Factor("gamma", -2 * eta, 1, (tau, sigma), -1),
+        Factor("jacobi", lam, 1, (tau,)),
+        Factor("jacobi", -2 * eta, 1, (tau,), -1),
+        Factor("jacobi", mu, 1, (sigma,)),
+        Factor("jacobi", -2 * eta, 1, (sigma,), -1),
+    )
 
-    return f
 
-
-def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, margin=1 / 64):
+def fv_pair_correction(lam, mu, tau, sigma, eta, level=Integrand(())):
     """Residue pair converting straight quadrature to the continuation cycle.
 
     For Im(eta) < 0 the defining cycle still passes above the pole at
@@ -394,16 +444,12 @@ def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, margin=1 / 64):
     sigma = complex(sigma)
     eta = complex(eta)
     depth = abs((2 * eta).imag)
-    if depth < margin:
-        raise DomainViolation(f"poles at +-2 eta are within {margin} of the path")
-    if tau.imag - depth < margin or sigma.imag - depth < margin:
+    if depth < CLEARANCE:
+        raise DomainViolation(f"poles at +-2 eta are within {CLEARANCE} of the path")
+    if tau.imag - depth < CLEARANCE or sigma.imag - depth < CLEARANCE:
         raise DomainViolation(
             "moduli too shallow: tower members beyond +-2 eta reach the axis"
         )
-    if level is None:
-        def level(t):
-            return complex(1)
-
     residue0 = ell_gamma_residue(tau, sigma, 0)
     upper = residue0 * (
         1 / ell_gamma(-4 * eta, tau, sigma)
@@ -426,15 +472,7 @@ def fv_pair_correction(lam, mu, tau, sigma, eta, level=None, margin=1 / 64):
     return -2j * math.pi * (upper + lower)
 
 
-def fv_u(
-    lam,
-    mu,
-    tau,
-    sigma,
-    eta,
-    tol=DEFAULT_TOL,
-    budget=DEFAULT_BUDGET,
-):
+def fv_u(lam, mu, tau, sigma, eta):
     """Hypergeometric integral ``u`` for the three-dimensional representation.
 
     ``e^{-pi i lam mu / 2 eta}`` times the cycle integral of the gamma-ratio
@@ -451,42 +489,16 @@ def fv_u(
     sigma = complex(sigma)
     eta = complex(eta)
     _require(tau.imag > 0 and sigma.imag > 0, "requires Im(tau) > 0 and Im(sigma) > 0")
-    f = _fv_integrand(lam, mu, tau, sigma, eta)
-    poles = fv_u_poles(tau, sigma, eta)
+    f = Integrand(_fv_factors(lam, mu, tau, sigma, eta))
+    path = Path()
     if eta.imag == 0:
         quarter = 4 * float(eta.real) - 0.5
         _require(abs(quarter - round(quarter)) < 1e-12, "real eta needs 4 eta = 1/2 (mod 1)")
         path = _quarter_path(-2 * float(eta.real), tau, sigma)
-        value = audited_integral(f, path, poles, tol, budget)
-    else:
-        value = audited_integral(f, Path(), poles, tol, budget)
+    value = audited_integral(f, path)
     if eta.imag < 0:
         value = value + fv_pair_correction(lam, mu, tau, sigma, eta)
     return epi(-lam * mu / (2 * eta)) * value
-
-
-def fv_u_poles(tau, sigma, eta):
-    """Poles of the ``fv_u`` integrand near the axis.
-
-    When the quadrature path itself must separate the defining pair (real or
-    positive-imaginary eta) the pair carries required sides; in the
-    residue-corrected regime Im(eta) < 0 it is clearance-only.  For real eta
-    the path passes below the upper lattice shells and above the lower ones;
-    otherwise the shells are clearance-only.
-    """
-    tau = complex(tau)
-    sigma = complex(sigma)
-    eta = complex(eta)
-    if eta.imag < 0:
-        specs = [PoleSpec(-2 * eta), PoleSpec(2 * eta)]
-    else:
-        specs = [PoleSpec(-2 * eta, "above"), PoleSpec(2 * eta, "below")]
-    up, down = ("below", "above") if eta.imag == 0 else (None, None)
-    for modulus in (tau, sigma):
-        specs.append(PoleSpec(-2 * eta - modulus, down))
-        specs.append(PoleSpec(2 * eta + modulus, up))
-        specs.append(PoleSpec(2 * eta - modulus, down))
-    return [p for p in specs if abs(p.location.imag) < 1.0]
 
 
 def fv_val1_rhs(tau, sigma):
@@ -536,7 +548,7 @@ def _check_htf_domain(mu, kappa, tau, eta):
             raise DomainViolation(f"j tau + 4 eta is an integer at j = {j}")
 
 
-def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def htf_I_tilde(mu, kappa, lam, tau, eta):
     """Integral form of the level-kappa hypergeometric theta function.
 
     Second modulus is ``-2 eta kappa`` and the integrand carries the
@@ -553,64 +565,28 @@ def htf_I_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET
     tau = complex(tau)
     eta = complex(eta)
     sigma = -2 * eta * kappa
-
-    def level(t):
-        return theta0(
-            0.5 + mu * tau + kappa * tau - kappa * lam + 2 * t, 2 * kappa * tau
-        )
-
-    base = _fv_integrand(lam, 2 * eta * mu, tau, sigma, eta)
-
-    def f(t):
-        return base(t) * level(t)
-
-    value = audited_integral(f, Path(), htf_poles(kappa, tau, eta), tol, budget)
+    level = Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * lam, 2, (2 * kappa * tau,))
+    f = Integrand(_fv_factors(lam, 2 * eta * mu, tau, sigma, eta) + (level,))
+    value = audited_integral(f, Path())
     value = value + fv_pair_correction(lam, 2 * eta * mu, tau, sigma, eta, level)
     prefactor = epi(tau * mu**2 / (2 * kappa) - lam * mu)
     return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau) * value
 
 
-def htf_poles(kappa, tau, eta):
-    """Near-axis poles of the integral form (straight path, clearance only
-    except for the defining pair at +-2 eta)."""
-    tau = complex(tau)
-    eta = complex(eta)
-    sigma = -2 * eta * kappa
-    specs = [
-        PoleSpec(-2 * eta),
-        PoleSpec(2 * eta),
-        PoleSpec(-2 * eta - tau),
-        PoleSpec(-2 * eta - sigma),
-        PoleSpec(2 * eta + tau),
-        PoleSpec(2 * eta + sigma),
-        PoleSpec(2 * eta - tau),
-    ]
-    return [p for p in specs if abs(p.location.imag) < 1.0]
-
-
-def delta_tilde(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def delta_tilde(mu, kappa, lam, tau, eta):
     """Non-symmetric hypergeometric theta function (integral route)."""
     eta = complex(eta)
     weight = Q_factor(2 * eta * mu, -2 * eta * kappa, eta)
     phase = e2pi(eta * mu**2 / kappa)
-    return phase * weight * htf_I_tilde(mu, kappa, lam, tau, eta, tol, budget)
+    return phase * weight * htf_I_tilde(mu, kappa, lam, tau, eta)
 
 
-def delta_tilde_series(
-    mu,
-    kappa,
-    lam,
-    tau,
-    eta,
-    tail=1e-13,
-    tol=DEFAULT_TOL,
-    budget=DEFAULT_BUDGET,
-):
+def delta_tilde_series(mu, kappa, lam, tau, eta):
     """Defining series over ``j in 2 kappa Z + mu``: each term is ``fv_u``
     weighted by ``Q`` and a Gaussian factor in j.
 
     Requires Im(tau + 4 eta) > 0 for convergence; the window grows until the
-    Gaussian bound on the next term drops below ``tail``.
+    Gaussian bound on the next term drops below :data:`SERIES_TAIL`.
     """
     _check_htf_domain(mu, kappa, tau, eta)
     kappa = int(kappa)
@@ -626,11 +602,11 @@ def delta_tilde_series(
         converged = False
         for j in ((mu + 2 * kappa * step,) if step == 0 else (mu + 2 * kappa * step, mu - 2 * kappa * step)):
             gauss = epi((tau + 4 * eta) * j**2 / (2 * kappa))
-            if abs(gauss) < tail:
+            if abs(gauss) < SERIES_TAIL:
                 converged = True
                 continue
             term = (
-                fv_u(lam, 2 * eta * j, tau, sigma, eta, tol, budget)
+                fv_u(lam, 2 * eta * j, tau, sigma, eta)
                 * Q_factor(2 * eta * j, sigma, eta)
                 * gauss
             )
@@ -640,14 +616,12 @@ def delta_tilde_series(
     raise DomainViolation("series window exceeded 64 steps without tail cutoff")
 
 
-def delta_sym(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def delta_sym(mu, kappa, lam, tau, eta):
     """Symmetrized hypergeometric theta function (integral route)."""
-    return delta_tilde(mu, kappa, lam, tau, eta, tol, budget) - delta_tilde(
-        mu, kappa, -lam, tau, eta, tol, budget
-    )
+    return delta_tilde(mu, kappa, lam, tau, eta) - delta_tilde(mu, kappa, -lam, tau, eta)
 
 
-def ellmac_P(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def ellmac_P(mu, kappa, lam, tau, eta):
     """Normalized symmetrized function at shifted index mu + 2.
 
     Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.
@@ -658,7 +632,7 @@ def ellmac_P(mu, kappa, lam, tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     lam = complex(lam)
     tau = complex(tau)
     eta = complex(eta)
-    numerator = delta_sym(mu + 2, kappa, lam, tau, eta, tol, budget)
+    numerator = delta_sym(mu + 2, kappa, lam, tau, eta)
     denominator = (
         jacobi_theta(lam - 2 * eta, tau)
         * jacobi_theta(lam, tau)
@@ -705,7 +679,7 @@ def ellmac_eval_rhs(mu, kappa, eta):
 # three-term modular relations
 
 
-def s_minus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def s_minus(tau, eta):
     tau = complex(tau)
     eta = complex(eta)
     m = tau / (8 * eta)
@@ -714,11 +688,11 @@ def s_minus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         * jacobi_theta_prime0(m)
         / (jacobi_theta(0.75, m) * jacobi_theta(0.25, m))
     )
-    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125, tol, budget)
+    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125)
     return -2 * block * u
 
 
-def s_plus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def s_plus(tau, eta):
     tau = complex(tau)
     eta = complex(eta)
     m = -tau / (8 * eta)
@@ -727,7 +701,7 @@ def s_plus(tau, eta, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         * jacobi_theta_prime0(m)
         / (jacobi_theta(0.25, m) * jacobi_theta(0.75, m))
     )
-    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125, tol, budget)
+    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125)
     return 2 * block * u
 
 

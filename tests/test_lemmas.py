@@ -2,9 +2,12 @@
 exact symmetry structure of the building-block factors (which pins down sign
 and phase conventions independently of the full identities)."""
 
+import dataclasses
+
 import pytest
 
-from ellverify import catalog, lemmas
+from ellverify import catalog, contour, lemmas, special
+from helpers import record_quadratures
 
 
 def close(a, b, tol=1e-12):
@@ -31,8 +34,9 @@ def test_lemma_draws(identity_id, index):
 
 def test_j1_factor_is_even():
     tau, eta = -0.1 + 0.5j, 0.06 + 0.31j
+    j1 = special.Integrand(lemmas.j1_factors(tau, eta))
     for t in (0.17 + 0.02j, -0.3 + 0.11j):
-        assert close(lemmas.j1_factor(-t, tau, eta), lemmas.j1_factor(t, tau, eta))
+        assert close(j1(-t), j1(t))
 
 
 def test_theta_simp_sides_flip_together():
@@ -73,8 +77,15 @@ def test_theta_simp2_special_points():
 # integral lemmas keep their closed forms under a tighter quadrature target
 
 
-def test_int_eval_consistency_tight():
+def test_int_eval_consistency_tight(monkeypatch):
     params = catalog.sample_params("lemma.int-eval1", 41, 0)
     tau, eta = params["tau"], params["eta"]
-    lhs = lemmas.int_eval1_lhs(tau, eta, tol=1e-12)
+    runs = record_quadratures(monkeypatch)
+    lemmas.int_eval1_lhs(tau, eta)
+    ((f, path, _),) = runs
+    # the declared integrand at a tighter target, plus its tower correction,
+    # whose entire part is the integrand without its gamma pair
+    entire = dataclasses.replace(f, factors=f.factors[2:])
+    lhs = contour.integrate(f, path, tol=1e-12).value
+    lhs += special.gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
     assert close(lhs, lemmas.int_eval1_rhs(tau, eta), 1e-10)

@@ -5,12 +5,36 @@ identity through the catalog tests."""
 
 import pytest
 
-from ellverify import catalog, special
+from ellverify import catalog, contour, special
+from ellverify.contour import CLEARANCE, PoleOnPath
 from ellverify.kernel import PoleHit
+from helpers import record_quadratures
 
 
 def close(a, b, tol=1e-12):
     return abs(complex(a) - complex(b)) <= tol * max(1.0, abs(complex(b)))
+
+
+def declared(monkeypatch, evaluator, *args):
+    """The integrand and path of the one quadrature ``evaluator(*args)`` runs."""
+    runs = record_quadratures(monkeypatch)
+    evaluator(*args)
+    ((integrand, path, _),) = runs
+    return integrand, path
+
+
+def assert_pinned(inventory, pinned):
+    """Each pinned pole is in the inventory, modulo 1, with the pinned side;
+    a side of ``None`` pins the side of the real axis the pole is on."""
+    for location, side in pinned.items():
+        if side is None:
+            side = "below" if location.imag > 0 else "above"
+        matches = [
+            spec.side
+            for spec in inventory
+            if abs((d := spec.location - location) - round(d.real)) < 1e-12
+        ]
+        assert matches == [side], (location, side, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -48,20 +72,34 @@ def test_quarter_shift_rhs_modulus_swap():
     assert close(special.eval2_rhs(tau, sigma), special.eval2_rhs(sigma, tau), 1e-13)
 
 
-def test_quarter_shift_pole_inventory_orientation():
+def test_quarter_shift_pole_inventory_orientation(monkeypatch):
     tau, sigma = 0.1 + 0.8j, 0.2 + 0.7j
-    # every pole carries a mandatory side: the path passes above -1/4 and
-    # below +1/4, below the upper lattice shells and above the lower ones
-    sides = {s.location: s.side for s in special.quarter_shift_poles(tau, sigma, +1)}
+    # the path passes above -1/4 and below +1/4, below the upper lattice
+    # shells and above the lower ones
+    f, _ = declared(monkeypatch, special.eval1_lhs, tau, sigma)
     expected = {-0.25: "above", 0.25: "below"}
     for m in (tau, sigma):
         expected.update({-0.25 - m: "above", 0.25 + m: "below", 0.25 - m: "above"})
-    assert sides == expected
-    mirrored = {s.location: s.side for s in special.quarter_shift_poles(tau, sigma, -1)}
+    assert_pinned(special.pole_inventory(f), expected)
+    f, _ = declared(monkeypatch, special.eval2_lhs, tau, sigma)
     expected = {0.25: "above", -0.25: "below"}
     for m in (tau, sigma):
         expected.update({0.25 - m: "above", -0.25 + m: "below", -0.25 - m: "above"})
-    assert mirrored == expected
+    assert_pinned(special.pole_inventory(f), expected)
+
+
+def test_quarter_shift_sides_are_derived_not_assumed(monkeypatch):
+    # eval1's integrand on eval2's path: the poles at -+1/4 keep their
+    # clearance but see the path pass on the wrong side
+    tau, sigma = 0.1 + 0.8j, 0.2 + 0.7j
+    eval1, _ = declared(monkeypatch, special.eval1_lhs, tau, sigma)
+    _, eval2_path = declared(monkeypatch, special.eval2_lhs, tau, sigma)
+    report = contour.pole_audit(eval2_path, special.pole_inventory(eval1))
+    bad = [e for e in report.entries if not e.ok]
+    assert {round(e.reduced.real, 12) for e in bad} == {-0.25, 0.25}
+    assert all(e.distance >= CLEARANCE and e.path_side != e.required_side for e in bad)
+    with pytest.raises(PoleOnPath):
+        special.audited_integral(eval1, eval2_path)
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +178,80 @@ def test_ellmac_runs_on_valid_point():
 
 
 # ---------------------------------------------------------------------------
-# pole inventories
+# pole inventories derived from the factor lists
 
 
-def test_asym_poles_near_axis_only():
-    specs = special.asym_poles(-0.24 + 0.4j, 0.05 + 0.29j)
-    assert specs
-    for spec in specs:
-        assert abs(complex(spec.location).imag) < 1.0
+def test_slope_two_gamma_yields_both_half_period_classes():
+    # gamma(tau + sigma - 2t) has poles at 2t = tau + sigma + m: t and t + 1/2
+    tau, sigma = 0.1 + 0.8j, 0.2 + 0.7j
+    f = special.Integrand((special.Factor("gamma", tau + sigma, -2, (tau, sigma)),))
+    inventory = special.pole_inventory(f)
+    top = (tau + sigma) / 2
+    assert len(inventory) == 2
+    assert_pinned(inventory, {top: "below", top + 0.5: "below"})
 
 
-def test_fv_u_poles_structure():
-    specs = special.fv_u_poles(0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j)
-    assert specs
+def test_asym_poles_near_axis_only(monkeypatch):
+    tau, eta = -0.24 + 0.4j, 0.05 + 0.29j
+    f, _ = declared(monkeypatch, special.I_tilde, 0.1, tau, eta)
+    inventory = special.pole_inventory(f)
+    assert all(abs(spec.location.imag) < 1.0 for spec in inventory)
+    # the tower members +-(2 eta - k tau - 8 m eta), each on its side of the
+    # straight path
+    pinned = {}
+    for k in range(12):
+        for m in (0, 1):
+            p = 2 * eta - k * tau - 8 * m * eta
+            if abs(p.imag) < 1.0:
+                pinned.update({p: None, -p: None})
+    assert_pinned(inventory, pinned)
 
 
-def test_fv_u_real_eta_shells_carry_sides():
+def test_fv_u_poles_structure(monkeypatch):
+    tau, sigma, eta = 0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j
+    f, _ = declared(monkeypatch, special.fv_u, 0.3, 0.2, tau, sigma, eta)
+    pinned = {-2 * eta: None, 2 * eta: None}
+    for m in (tau, sigma):
+        pinned.update({-2 * eta - m: None, 2 * eta + m: None, 2 * eta - m: None})
+    pinned = {p: side for p, side in pinned.items() if abs(p.imag) < 1.0}
+    assert_pinned(special.pole_inventory(f), pinned)
+
+
+def test_fv_u_real_eta_shells_carry_sides(monkeypatch):
     tau, sigma = 0.1 + 0.7j, 0.2 + 0.08j
-    sides = {s.location: s.side for s in special.fv_u_poles(tau, sigma, 0.125)}
+    f, _ = declared(monkeypatch, special.fv_u, 0.5, 0.5, tau, sigma, 0.125)
     # above -2 eta and below 2 eta, below the upper shells, above the lower
     expected = {-0.25: "above", 0.25: "below"}
     for m in (tau, sigma):
         expected.update({-0.25 - m: "above", 0.25 + m: "below", 0.25 - m: "above"})
-    assert sides == expected
+    assert_pinned(special.pole_inventory(f), expected)
     with pytest.raises(special.DomainViolation):
         special.fv_u(0.5, 0.5, tau, sigma, 0.1)
 
 
-def test_spiridonov_lhs_reaches_tight_tolerance():
+def test_spiridonov_lhs_reaches_tight_tolerance(monkeypatch):
     # a target near the roundoff floor converges within the default budget
     params = catalog.sample_params("spiridonov", 0, 0)
     s, tau, sigma = params["s"], params["tau"], params["sigma"]
-    lhs = special.spiridonov_lhs(s, tau, sigma, tol=1e-13)
+    f, path = declared(monkeypatch, special.spiridonov_lhs, s, tau, sigma)
+    lhs = contour.integrate(f, path, tol=1e-13).value
     assert close(lhs, special.spiridonov_rhs(s, tau, sigma), 1e-12)
+
+
+def test_factors_call_the_kernel_through_the_module_names(monkeypatch):
+    # a tracer wraps the kernel by rebinding the names special imported; the
+    # spiridonov integrand has 14 gamma factors, all of which it must see
+    params = catalog.sample_params("spiridonov", 0, 0)
+    calls = []
+    ell_gamma = special.ell_gamma
+
+    def counting(*args):
+        calls.append(args)
+        return ell_gamma(*args)
+
+    monkeypatch.setattr(special, "ell_gamma", counting)
+    runs = record_quadratures(monkeypatch)
+    special.spiridonov_lhs(params["s"], params["tau"], params["sigma"])
+    ((_, _, result),) = runs
+    assert result.evaluations > 0
+    assert len(calls) == 14 * result.evaluations
