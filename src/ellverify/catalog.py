@@ -136,14 +136,18 @@ def _reject(draw, accept, tries=500):
     raise RuntimeError("sampler failed to find an admissible point")
 
 
-def _tower_clear(tau, eta, margin=1 / 48) -> bool:
-    """No member of +-(2 eta - k tau) within ``margin`` of the real axis."""
+# wider than contour.CLEARANCE (1/64), so no accepted draw meets the evaluators' refusal
+_TOWER_MARGIN = 1 / 48
+
+
+def _tower_clear(tau, eta) -> bool:
+    """No member of +-(2 eta - k tau) within :data:`_TOWER_MARGIN` of the real axis."""
     tau = complex(tau)
     eta = complex(eta)
     k = 0
     while True:
         depth = (2 * eta - k * tau).imag
-        if abs(depth) < margin:
+        if abs(depth) < _TOWER_MARGIN:
             return False
         if depth < -0.5:
             return True

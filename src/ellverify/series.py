@@ -13,13 +13,17 @@ back under the cap.  :func:`truncated_product` multiplies a factor list with
 per-step elevated caps sized from the remaining factors' negative budget, so
 its output is exact up to the ring caps regardless of sign patterns.
 
-Coefficients are :class:`fractions.Fraction` throughout; nothing here is
-floating point.
+A series is stored densely over the bounding box of its terms, as an
+object-dtype ``numpy`` array.  Coefficients are exact: ``int``, and
+:class:`fractions.Fraction` only where a coefficient is not integral.  Nothing
+here is floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "NonTerminating",
@@ -46,12 +50,16 @@ class NotInvertible(ValueError):
     """Series inversion needs a unit constant term and nilpotent remainder."""
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
+def _exact(value):
+    """``value`` as an ``int`` when integral, else as a ``Fraction``."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+
+
+_EXACT = np.frompyfunc(_exact, 1, 1)
 
 
 class Mono:
@@ -65,7 +73,7 @@ class Mono:
     __slots__ = ("coeff", "exps")
 
     def __init__(self, coeff, exps=None):
-        self.coeff = _as_fraction(coeff)
+        self.coeff = _exact(coeff)
         self.exps = {v: e for v, e in (exps or {}).items() if e != 0}
 
     def __mul__(self, other):
@@ -80,17 +88,14 @@ class Mono:
     def __pow__(self, power):
         if not isinstance(power, int):
             raise TypeError("integer power expected")
-        if power < 0:
-            return self.reciprocal() ** (-power)
-        out = Mono(1)
-        for _ in range(power):
-            out = out * self
-        return out
+        base = self if power >= 0 else self.reciprocal()
+        n = abs(power)
+        return Mono(base.coeff**n, {v: e * n for v, e in base.exps.items()})
 
     def reciprocal(self):
         if self.coeff == 0:
             raise ZeroDivisionError("reciprocal of the zero monomial")
-        return Mono(1 / self.coeff, {v: -e for v, e in self.exps.items()})
+        return Mono(Fraction(1) / self.coeff, {v: -e for v, e in self.exps.items()})
 
     def __repr__(self):
         parts = [str(self.coeff)]
@@ -112,16 +117,11 @@ class SeriesRing:
                 raise ValueError("caps must be >= 1")
         self.caps = dict(caps)
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self._cap_slots = tuple(
-            (self._index[v], cap) for v, cap in sorted(self.caps.items())
-        )
+        self._cap_slots = tuple((self._index[v], cap) for v, cap in sorted(self.caps.items()))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SeriesRing)
-            and self.variables == other.variables
-            and self.caps == other.caps
-        )
+        same = isinstance(other, SeriesRing) and self.variables == other.variables
+        return same and self.caps == other.caps
 
     def __repr__(self):
         return f"SeriesRing({self.variables!r}, caps={self.caps!r})"
@@ -136,20 +136,15 @@ class SeriesRing:
         """True when the monomial is discarded by this ring's caps."""
         return any(mono.exps.get(v, 0) >= cap for v, cap in self.caps.items())
 
-    def _key(self, exps):
-        return tuple(exps.get(v, 0) for v in self.variables)
-
     def zero(self):
-        return LaurentSeries(self, {})
+        empty = np.zeros((0,) * len(self.variables), dtype=object)
+        return LaurentSeries(self, (0,) * len(self.variables), empty, True)
 
     def one(self):
         return self.constant(1)
 
     def constant(self, value):
-        value = _as_fraction(value)
-        if value == 0:
-            return self.zero()
-        return LaurentSeries(self, {(0,) * len(self.variables): value})
+        return self.from_mono(Mono(value))
 
     def term(self, coeff, **exps):
         """Single-term series; silently zero if the exponents exceed a cap."""
@@ -158,7 +153,9 @@ class SeriesRing:
     def from_mono(self, mono):
         if mono.coeff == 0 or self.negligible(mono):
             return self.zero()
-        return LaurentSeries(self, {self._key(mono.exps): mono.coeff})
+        lo = tuple(mono.exps.get(v, 0) for v in self.variables)
+        cell = np.full((1,) * len(lo), mono.coeff, dtype=object)
+        return LaurentSeries(self, lo, cell, isinstance(mono.coeff, int))
 
     def with_caps(self, **caps):
         merged = dict(self.caps)
@@ -167,34 +164,34 @@ class SeriesRing:
 
 
 class LaurentSeries:
-    """Immutable sparse series over a :class:`SeriesRing`.
+    """Immutable series over a :class:`SeriesRing`, dense over its terms' box.
 
-    ``terms`` maps exponent tuples (aligned with the ring's variable order) to
-    nonzero Fractions; no stored exponent reaches its variable's cap.
+    ``coeffs`` is an object-dtype array whose cell ``k`` holds the coefficient
+    of the exponent tuple ``lo + k`` (aligned with the ring's variable order).
+    The box is trimmed, so each of its faces holds a nonzero cell; the zero
+    series has shape ``(0, ..., 0)`` at ``lo = (0, ..., 0)``.  No stored
+    exponent reaches its variable's cap.  ``_integral`` is true when every
+    coefficient is an ``int``.  :func:`_trimmed` builds a series from any box.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "lo", "coeffs", "_integral")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, lo, coeffs, integral):
         self.ring = ring
-        self.terms = terms
-
-    # -- construction helpers -------------------------------------------------
+        self.lo = lo
+        self.coeffs = coeffs
+        self._integral = integral
 
     def _compatible(self, other):
         if self.ring != other.ring:
             raise ValueError("series belong to different rings")
 
-    @staticmethod
-    def _prune(ring, terms):
-        dead = [
-            key
-            for key in terms
-            if terms[key] == 0 or any(key[i] >= cap for i, cap in ring._cap_slots)
-        ]
-        for key in dead:
-            del terms[key]
-        return LaurentSeries(ring, terms)
+    @property
+    def terms(self):
+        """``{exponent tuple: coefficient}`` of the nonzero terms (a new dict)."""
+        cells = np.nonzero(self.coeffs)
+        keys = (np.transpose(cells) + self.lo).tolist()
+        return dict(zip(map(tuple, keys), self.coeffs[cells].tolist()))
 
     # -- ring operations ------------------------------------------------------
 
@@ -202,23 +199,24 @@ class LaurentSeries:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._compatible(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = terms.get(key, 0) + coeff
-            if total == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-        return LaurentSeries(self.ring, terms)
+        if not other.coeffs.size:
+            return self
+        if not self.coeffs.size:
+            return other
+        lo = tuple(map(min, self.lo, other.lo))
+        ends = [np.add(part.lo, part.coeffs.shape) for part in (self, other)]
+        out = np.zeros(np.maximum(*ends) - lo, dtype=object)
+        for part in (self, other):
+            start = np.subtract(part.lo, lo)
+            out[tuple(map(slice, start, start + part.coeffs.shape))] += part.coeffs
+        return _trimmed(self.ring, lo, out, self._integral and other._integral)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.ring, {k: -c for k, c in self.terms.items()})
+        return LaurentSeries(self.ring, self.lo, -self.coeffs, self._integral)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -226,32 +224,34 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            if other == 0:
-                return self.ring.zero()
-            return LaurentSeries(self.ring, {k: c * other for k, c in self.terms.items()})
+            other = _exact(other)
+            integral = self._integral and isinstance(other, int)
+            return _trimmed(self.ring, self.lo, self.coeffs * other, integral)
         self._compatible(other)
         return self._mul_bounded(other, self.ring._cap_slots)
 
     __rmul__ = __mul__
 
     def _mul_bounded(self, other, cap_slots):
-        """Multiply, pruning at the supplied (index, bound) pairs."""
-        out = {}
-        small, large = self.terms, other.terms
-        if len(small) > len(large):
+        """Multiply, dropping exponents at or past the (index, bound) pairs.
+
+        Each nonzero cell ``c`` of the operand with fewer of them adds ``c`` times
+        the shifted other operand, so a binomial costs two shifted updates.
+        """
+        small, large = self.coeffs, other.coeffs
+        if np.count_nonzero(small) > np.count_nonzero(large):
             small, large = large, small
-        for k1, c1 in small.items():
-            for k2, c2 in large.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if any(key[i] >= cap for i, cap in cap_slots):
-                    continue
-                total = out.get(key, 0) + c1 * c2
-                if total == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        return LaurentSeries(self.ring, out)
+        lo = tuple(a + b for a, b in zip(self.lo, other.lo))
+        shape = [m + n - 1 for m, n in zip(small.shape, large.shape)]
+        for i, bound in cap_slots:
+            shape[i] = min(shape[i], bound - lo[i])
+        out = np.zeros([max(0, n) for n in shape], dtype=object)
+        for cell in zip(*np.nonzero(small)):
+            span = [min(n, s - k) for n, s, k in zip(large.shape, out.shape, cell)]
+            if min(span) > 0:
+                target = tuple(slice(k, k + m) for k, m in zip(cell, span))
+                out[target] += small[cell] * large[tuple(slice(0, m) for m in span)]
+        return _trimmed(self.ring, lo, out, self._integral and other._integral)
 
     def __pow__(self, power):
         if not isinstance(power, int):
@@ -274,26 +274,22 @@ class LaurentSeries:
         capped variable (so the remainder is nilpotent under truncation) and no
         negative capped exponents anywhere (pruned inversion would be unsound).
         """
-        zero_key = (0,) * len(self.ring.variables)
-        constant = self.terms.get(zero_key)
+        constant = self.terms.get((0,) * len(self.lo))
         if not constant:
             raise NotInvertible("no unit constant term")
         capped = [self.ring._index[v] for v in self.ring.caps]
-        for key in self.terms:
-            if key == zero_key:
-                continue
-            if any(key[i] < 0 for i in capped):
-                raise NotInvertible("negative exponent in a truncated variable")
-            if not any(key[i] > 0 for i in capped):
-                raise NotInvertible(
-                    "non-constant term free of every truncated variable"
-                )
+        if any(self.lo[i] < 0 for i in capped):
+            raise NotInvertible("negative exponent in a truncated variable")
+        # the terms of capped degree zero: only the constant may be among them
+        free = tuple(0 if i in capped else slice(None) for i in range(len(self.lo)))
+        if np.count_nonzero(self.coeffs[free]) > 1:
+            raise NotInvertible("non-constant term free of every truncated variable")
         remainder = self.ring.one() - self * Fraction(1, 1) / constant
         out = self.ring.one()
         power = remainder
         rounds = sum(self.ring.caps.values()) + 1
         for _ in range(rounds):
-            if not power.terms:
+            if not power.coeffs.size:
                 break
             out = out + power
             power = power * remainder
@@ -303,18 +299,15 @@ class LaurentSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _as_fraction(other))
+            return self * (Fraction(1) / _exact(other))
         self._compatible(other)
         return self * other.invert()
 
     # -- predicates and views -------------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentSeries)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        same = isinstance(other, LaurentSeries) and self.ring == other.ring
+        return same and self.lo == other.lo and np.array_equal(self.coeffs, other.coeffs)
 
     def coefficient_of(self, variable, exponent):
         """Sub-series of terms with the given exponent, that exponent zeroed.
@@ -322,18 +315,17 @@ class LaurentSeries:
         ``coefficient_of("q", 0)`` is the coefficient-wise ``q -> 0`` limit.
         """
         idx = self.ring._index[variable]
-        out = {}
-        for key, coeff in self.terms.items():
-            if key[idx] == exponent:
-                out[key[:idx] + (0,) + key[idx + 1 :]] = coeff
-        return LaurentSeries(self.ring, out)
+        k = exponent - self.lo[idx]
+        if not 0 <= k < self.coeffs.shape[idx]:
+            return self.ring.zero()
+        box = [slice(None)] * len(self.lo)
+        box[idx] = slice(k, k + 1)
+        lo = self.lo[:idx] + (0,) + self.lo[idx + 1 :]
+        return _trimmed(self.ring, lo, self.coeffs[tuple(box)], self._integral)
 
     def min_exponent(self, variable):
         """Smallest stored exponent of ``variable`` (0 for the zero series)."""
-        idx = self.ring._index[variable]
-        if not self.terms:
-            return 0
-        return min(key[idx] for key in self.terms)
+        return self.lo[self.ring._index[variable]]
 
     def truncate(self, **caps):
         """Re-truncate into the ring with the tightened caps."""
@@ -341,22 +333,23 @@ class LaurentSeries:
         for v, cap in caps.items():
             if cap > self.ring.caps.get(v, cap):
                 raise ValueError(f"cannot raise the cap on {v!r} after the fact")
-        return LaurentSeries._prune(ring, dict(self.terms))
+        box = [slice(None)] * len(self.lo)
+        for i, cap in ring._cap_slots:
+            box[i] = slice(0, max(0, cap - self.lo[i]))
+        return _trimmed(ring, self.lo, self.coeffs[tuple(box)], self._integral)
 
     # -- rendering ------------------------------------------------------------
 
     def render(self):
         """Canonical text form (exponent-lex term order) for golden files."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         pieces = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            body = "*".join(
-                f"{v}^{e}" if e != 1 else v
-                for v, e in zip(self.ring.variables, key)
-                if e != 0
-            )
+        for key in sorted(terms):
+            coeff = terms[key]
+            pairs = zip(self.ring.variables, key)
+            body = "*".join(f"{v}^{e}" if e != 1 else v for v, e in pairs if e != 0)
             magnitude = abs(coeff)
             if not body:
                 text = str(magnitude)
@@ -377,17 +370,35 @@ class LaurentSeries:
         return f"<LaurentSeries {text}>"
 
 
+def _trimmed(ring, lo, coeffs, integral):
+    """The series of ``coeffs`` at ``lo``, trimmed to its nonzero cells, and
+    unless ``integral``, with integral ``Fraction`` values stored as ``int``."""
+    mask = coeffs != 0
+    box = []
+    for axis in range(coeffs.ndim):
+        others = tuple(a for a in range(coeffs.ndim) if a != axis)
+        hit = mask.any(axis=others).nonzero()[0]
+        if not hit.size:
+            return ring.zero()
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    coeffs = coeffs[tuple(box)]
+    if not integral:
+        coeffs = _EXACT(coeffs)
+        integral = not any(isinstance(c, Fraction) for c in coeffs.flat)
+    return LaurentSeries(ring, tuple(e + b.start for e, b in zip(lo, box)), coeffs, integral)
+
+
 # ---------------------------------------------------------------------------
 # product builders
 
 
 def _check_modulus(ring, modulus, argument):
+    if argument.coeff == 0:
+        return False
     for v in ring.caps:
         if modulus.exps.get(v, 0) < 0:
             raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
-    if ring.negligible(argument):
-        return False
-    if modulus.coeff == 0:
+    if ring.negligible(argument) or modulus.coeff == 0:
         return False
     if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
         raise NonTerminating(
@@ -399,8 +410,6 @@ def _check_modulus(ring, modulus, argument):
 
 def pochhammer_factors(ring, argument, modulus):
     """Binomial factors ``1 - argument*modulus**n`` kept below the caps."""
-    if argument.coeff == 0:
-        return []
     if not _check_modulus(ring, modulus, argument):
         return []
     factors = []
@@ -413,8 +422,6 @@ def pochhammer_factors(ring, argument, modulus):
 
 def pochhammer2_factors(ring, argument, modulus1, modulus2):
     """Factors of the double product iterating ``modulus1`` then ``modulus2``."""
-    if argument.coeff == 0:
-        return []
     if not _check_modulus(ring, modulus1, argument):
         return []
     factors = []
@@ -427,9 +434,8 @@ def pochhammer2_factors(ring, argument, modulus1, modulus2):
 
 def theta0_factors(ring, argument, modulus):
     """Factors of ``(arg; mod)(mod/arg; mod)`` — the product-form theta."""
-    return pochhammer_factors(ring, argument, modulus) + pochhammer_factors(
-        ring, modulus / argument, modulus
-    )
+    forward = pochhammer_factors(ring, argument, modulus)
+    return forward + pochhammer_factors(ring, modulus / argument, modulus)
 
 
 def truncated_product(ring, factors):
@@ -440,10 +446,7 @@ def truncated_product(ring, factors):
     plus the remaining factors' total negative budget, so later downward
     shifts cannot reach below the caps from discarded territory.
     """
-    factors = sorted(
-        factors,
-        key=lambda f: 0 if any(f.min_exponent(v) < 0 for v in ring.caps) else 1,
-    )
+    factors = sorted(factors, key=lambda f: all(f.min_exponent(v) >= 0 for v in ring.caps))
     budgets = []
     running = {v: 0 for v in ring.caps}
     for factor in reversed(factors):
@@ -453,11 +456,9 @@ def truncated_product(ring, factors):
     budgets.reverse()
     out = ring.one()
     for factor, slack in zip(factors, budgets):
-        bounds = tuple(
-            (ring._index[v], ring.caps[v] + slack[v]) for v in sorted(ring.caps)
-        )
+        bounds = tuple((ring._index[v], ring.caps[v] + slack[v]) for v in sorted(ring.caps))
         out = out._mul_bounded(factor, bounds)
-    return LaurentSeries._prune(ring, dict(out.terms))
+    return out.truncate(**ring.caps)
 
 
 def stabilized_product(variables, caps, build):
@@ -492,9 +493,7 @@ def series_pochhammer(ring, argument, modulus):
 
 def series_pochhammer2(ring, argument, modulus1, modulus2):
     """Exact expansion of the two-modulus product."""
-    return truncated_product(
-        ring, pochhammer2_factors(ring, argument, modulus1, modulus2)
-    )
+    return truncated_product(ring, pochhammer2_factors(ring, argument, modulus1, modulus2))
 
 
 def series_theta0(ring, argument, modulus):

@@ -5,11 +5,14 @@ The oracles here are deliberately naive re-derivations (explicit loops over
 small root sets, hand-expanded leading terms) so a bookkeeping slip in the
 main builders cannot hide."""
 
+import hashlib
+
 import pytest
 
 from ellverify import catalog
 from ellverify.catalog import UnknownIdentity
 from ellverify.conjectures import (
+    _LEMMA_SERIES,
     AffineRootLayer,
     aff_eval_closed_form_series,
     aff_eval_conjecture_series,
@@ -189,6 +192,33 @@ def test_theta_lemma_series(name):
 def test_theta_lemma_unknown_identity():
     with pytest.raises(UnknownIdentity):
         run_series_check("series.theta-simp9", order=4)
+
+
+# SHA-256 of render() of both sides at the benchmark orders.  They were
+# recorded with a sparse dict-of-Fraction storage, so they pin the output
+# independently of how series are stored.
+GOLDEN_DIGESTS = {
+    "theta-simp3": "428f5c6bab7ccbecf790b893a27e19d8656b196bf3f050b5d9b0876651c44eb4",
+    "theta-simp4": "c890ba676b1861d9f067e4cbc084fd306dfc0db1cdac57831f42ddeb399ae3ac",
+    "sym-rearrange": "d0051ce0bca41e32bd485547782934faa1e9e47fbe87be01f734497decb1b00a",
+    "aff-eval": "0ee552b474db9163fd24b51b794afdd1d13c4097cfe6a6a11f6794d86e0f98b9",
+}
+
+
+def _sides(name):
+    if name == "aff-eval":
+        return (
+            aff_eval_conjecture_series(2, 2, 1, 2, 40),
+            aff_eval_closed_form_series(1, 2, 40),
+        )
+    return _LEMMA_SERIES[name](8)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_series_render_golden_digest(name):
+    for side in _sides(name):
+        digest = hashlib.sha256(side.render().encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

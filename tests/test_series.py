@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from ellverify.kernel import qpoch1, qpoch2, theta0_mult
 from helpers import series_value
 from ellverify.series import (
-    LaurentSeries,
     Mono,
     NonTerminating,
     NotInvertible,
@@ -49,6 +48,15 @@ def test_render_zero_and_fractions():
     assert RING.zero().render() == "0"
     s = RING.term(Fraction(1, 2), x=-1) - RING.term(3, y=2) + RING.one()
     assert s.render() == "1/2*x^-1 + 1 - 3*y^2"
+
+
+def test_integral_fraction_is_stored_as_int():
+    s = RING.constant(Fraction(4, 2))
+    (coeff,) = s.terms.values()
+    assert type(coeff) is int and coeff == 2
+    assert s.render() == "2"
+    half = RING.term(Fraction(1, 2), x=1)
+    assert all(type(c) is int for c in (half * 2 + half * half * 4).terms.values())
 
 
 def test_term_beyond_cap_prunes_to_zero():
@@ -236,10 +244,11 @@ def shifted_reference(shift, cap):
     """x**-shift * (x^2; x) computed in an amply elevated ring by hand."""
     wide = SeriesRing(("x",), {"x": cap + shift})
     full = series_pochhammer(wide, wide.mono(1, x=2), wide.mono(1, x=1))
-    terms = {
-        (e - shift,): c for (e,), c in full.terms.items() if e - shift < cap
-    }
-    return LaurentSeries(SeriesRing(("x",), {"x": cap}), terms)
+    ring = SeriesRing(("x",), {"x": cap})
+    out = ring.zero()
+    for (e,), c in full.terms.items():
+        out = out + ring.term(c, x=e - shift)
+    return out
 
 
 def test_truncated_product_handles_negative_factor():
@@ -279,6 +288,159 @@ def test_stabilized_product_crossed_budgets():
         ref = ref * (wide.one() - wide.term(1, w=n))
         ref = ref * (wide.one() - wide.term(1, u=n))
     assert got == ref.truncate(u=5, w=5)
+
+
+# ---------------------------------------------------------------------------
+# cross-check against a naive dict-of-terms reference
+#
+# The reference keeps a series as ``{exponent tuple: coefficient}`` and does
+# every operation term by term.
+
+
+def ref_clean(ring, terms, caps=None):
+    """Drop zero coefficients and exponents at or past ``caps`` (the ring's)."""
+    caps = ring.caps if caps is None else caps
+    slots = [(i, caps[v]) for i, v in enumerate(ring.variables) if v in caps]
+    return {
+        k: c for k, c in terms.items() if c != 0 and all(k[i] < cap for i, cap in slots)
+    }
+
+
+def ref_add(ring, a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return ref_clean(ring, out)
+
+
+def ref_mul(ring, a, b, caps=None):
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(e1 + e2 for e1, e2 in zip(k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
+    return ref_clean(ring, out, caps)
+
+
+def ref_invert(ring, a):
+    """Geometric-series inverse, or None where the engine must refuse."""
+    zero = (0,) * len(ring.variables)
+    capped = [i for i, v in enumerate(ring.variables) if v in ring.caps]
+    constant = a.get(zero)
+    if not constant:
+        return None
+    for k in a:
+        if k != zero and (
+            any(k[i] < 0 for i in capped) or not any(k[i] > 0 for i in capped)
+        ):
+            return None
+    remainder = ref_clean(ring, {k: -Fraction(c) / constant for k, c in a.items() if k != zero})
+    out, power = {zero: 1}, remainder
+    while power:
+        out = ref_add(ring, out, power)
+        power = ref_mul(ring, power, remainder)
+    return {k: Fraction(c) / constant for k, c in out.items()}
+
+
+def from_terms(ring, terms):
+    out = ring.zero()
+    for k, c in terms.items():
+        out = out + ring.term(c, **dict(zip(ring.variables, k)))
+    return out
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.integers(1, 4).map(lambda k: Fraction(1, k))
+)
+
+
+@st.composite
+def rings(draw):
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    caps = {v: draw(st.integers(1, 5)) for v in names if draw(st.booleans())}
+    return SeriesRing(names, caps)
+
+
+@st.composite
+def term_dicts(draw, ring, capped_low=-2, size=4):
+    """Terms with exponents from -2 up, and from ``capped_low`` in capped variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, size))):
+        key = tuple(
+            draw(st.integers(capped_low if v in ring.caps else -2, ring.caps.get(v, 3)))
+            for v in ring.variables
+        )
+        terms[key] = terms.get(key, 0) + draw(coefficients)
+    return ref_clean(ring, terms)
+
+
+def assert_matches(series, terms):
+    assert series.terms == terms
+    # the stored box is the bounding box of the terms
+    lows = [min((k[i] for k in terms), default=0) for i in range(len(series.lo))]
+    highs = [max((k[i] + 1 for k in terms), default=0) for i in range(len(series.lo))]
+    assert series.lo == tuple(lows)
+    assert series.coeffs.shape == tuple(h - l for h, l in zip(highs, lows))
+    # integral values are stored as int, whatever arithmetic produced them
+    assert not any(
+        isinstance(c, Fraction) and c.denominator == 1 for c in series.terms.values()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dense_storage_matches_dict_reference(data):
+    ring = data.draw(rings())
+    a_terms = data.draw(term_dicts(ring))
+    b_terms = data.draw(term_dicts(ring))
+    a, b = from_terms(ring, a_terms), from_terms(ring, b_terms)
+    assert_matches(a, a_terms)
+    assert_matches(a + b, ref_add(ring, a_terms, b_terms))
+    assert_matches(a - b, ref_add(ring, a_terms, {k: -c for k, c in b_terms.items()}))
+    assert_matches(a * b, ref_mul(ring, a_terms, b_terms))
+    power = data.draw(st.integers(0, 3))
+    want = {(0,) * len(ring.variables): 1}
+    for _ in range(power):
+        want = ref_mul(ring, want, a_terms)
+    assert_matches(a**power, want)
+
+    # a unit plus terms of positive capped degree, which is mostly invertible
+    unit = {(0,) * len(ring.variables): data.draw(coefficients.filter(bool))}
+    u_terms = ref_add(ring, unit, data.draw(term_dicts(ring, capped_low=1)))
+    for terms in (a_terms, u_terms):
+        inverse = ref_invert(ring, terms)
+        if inverse is None:
+            with pytest.raises(NotInvertible):
+                from_terms(ring, terms).invert()
+        else:
+            assert_matches(from_terms(ring, terms).invert(), inverse)
+
+    v = data.draw(st.sampled_from(ring.variables))
+    i = ring.variables.index(v)
+    exponent = data.draw(st.integers(-2, 4))
+    assert_matches(
+        a.coefficient_of(v, exponent),
+        {k[:i] + (0,) + k[i + 1 :]: c for k, c in a_terms.items() if k[i] == exponent},
+    )
+    assert a.min_exponent(v) == min((k[i] for k in a_terms), default=0)
+    cap = data.draw(st.integers(1, ring.caps.get(v, 5)))
+    narrow = a.truncate(**{v: cap})
+    assert narrow.ring == ring.with_caps(**{v: cap})
+    assert_matches(narrow, ref_clean(narrow.ring, a_terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_truncated_product_matches_dict_reference(data):
+    ring = data.draw(rings())
+    factors = data.draw(
+        st.lists(term_dicts(ring, size=3), min_size=1, max_size=4)
+    )
+    full = {(0,) * len(ring.variables): 1}
+    for terms in factors:
+        full = ref_mul(ring, full, terms, caps={})
+    got = truncated_product(ring, [from_terms(ring, terms) for terms in factors])
+    assert_matches(got, ref_clean(ring, full))
 
 
 # ---------------------------------------------------------------------------
