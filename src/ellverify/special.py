@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .contour import CLEARANCE, Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
     PoleHit,
@@ -101,7 +103,7 @@ class Factor:
     ``kind`` names ``f``: ``"gamma"`` is :func:`ell_gamma` (two moduli),
     ``"theta0"`` and ``"jacobi"`` are :func:`theta0` and :func:`jacobi_theta`
     (one modulus).  ``slope`` and ``power`` are nonzero integers; only the
-    sign of ``power`` matters to the poles.
+    sign of ``power`` matters to the poles.  ``t`` may be a numpy array.
     """
 
     kind: str
@@ -135,7 +137,8 @@ class Integrand:
     wind: int = 0
 
     def __call__(self, t):
-        value = self.scale * e2pi(self.wind * t) if self.wind else complex(self.scale)
+        phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
+        value = complex(self.scale) * phase
         for factor in self.factors:
             value = value * factor(t)
         return value

@@ -26,7 +26,7 @@ STRAIGHT = Path()
 
 
 def _pole_at(a):
-    return lambda t: 1.0 / (cmath.exp(2j * cmath.pi * t) - cmath.exp(2j * cmath.pi * a))
+    return lambda t: 1.0 / (np.exp(2j * np.pi * t) - cmath.exp(2j * cmath.pi * a))
 
 
 def test_path_shape():
@@ -49,7 +49,7 @@ def test_doubling_reuses_every_node():
     nodes = []
 
     def f(t):
-        nodes.append(t)
+        nodes.extend(t.tolist())
         return 1.0
 
     res = integrate(f, STRAIGHT, tol=1e-12)
@@ -58,13 +58,13 @@ def test_doubling_reuses_every_node():
 
 def test_polynomial_value():
     # trigonometric polynomial: the mean of cos^2 over a period is 1/2
-    res = integrate(lambda t: cmath.cos(2 * cmath.pi * t) ** 2, STRAIGHT, tol=1e-12)
+    res = integrate(lambda t: np.cos(2 * np.pi * t) ** 2, STRAIGHT, tol=1e-12)
     assert abs(res.value - 0.5) < 1e-13
 
 
 def test_entire_function_is_path_independent():
     def f(t):
-        return cmath.exp(2j * cmath.pi * t) + cmath.cos(2 * cmath.pi * t) ** 2
+        return np.exp(2j * np.pi * t) + np.cos(2 * np.pi * t) ** 2
 
     a = integrate(f, STRAIGHT, tol=1e-12)
     for path in (Path(0.12, -0.3), Path(0.2, 0.2)):
@@ -90,7 +90,7 @@ def test_residue_difference_complex_pole():
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(-4, 4))
 def test_fourier_orthogonality(n):
-    res = integrate(lambda t: cmath.exp(2j * cmath.pi * n * t), Path(0.15, 0.1), tol=1e-11)
+    res = integrate(lambda t: np.exp(2j * np.pi * n * t), Path(0.15, 0.1), tol=1e-11)
     expected = 1.0 if n == 0 else 0.0
     assert abs(res.value - expected) < 1e-10
 
@@ -100,15 +100,15 @@ def test_error_estimates_are_honest():
     # estimate (plus a double-precision floor) in at least 95% of cases
     cases = []
     for n in range(1, 7):
-        cases.append((lambda t, n=n: cmath.exp(2j * cmath.pi * n * t), 0.0))
+        cases.append((lambda t, n=n: np.exp(2j * np.pi * n * t), 0.0))
     for k in (1.0, 3.0, 8.0):
         cases.append(
-            (lambda t, k=k: cmath.exp(k * cmath.cos(2 * cmath.pi * t)), float(mpmath.besseli(0, k)))
+            (lambda t, k=k: np.exp(k * np.cos(2 * np.pi * t)), float(mpmath.besseli(0, k)))
         )
     for b in (1.1, 1.5, 3.0):
         # poles at Im t = +-arccosh(b) / 2 pi, as close as 0.07 for b = 1.1
         cases.append(
-            (lambda t, b=b: 1.0 / (b - cmath.cos(2 * cmath.pi * t)), 1.0 / math.sqrt(b * b - 1))
+            (lambda t, b=b: 1.0 / (b - np.cos(2 * np.pi * t)), 1.0 / math.sqrt(b * b - 1))
         )
     for a in (0.31j, 0.11 + 0.23j, -0.29 + 0.4j):
         # pole above the axis: the geometric expansion in e^{2 pi i a} has no

@@ -8,6 +8,8 @@ for the level theta)."""
 
 import cmath
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -259,3 +261,111 @@ def test_ell_gamma_residue_matches_circle_average(k):
 def test_ell_gamma_residue_tower_index_guard():
     with pytest.raises(ValueError):
         ell_gamma_residue(0.5j, 0.6j, k=-1)
+
+
+# ---------------------------------------------------------------------------
+# array path: log series after reduction, against the scalar loops and mpmath
+
+#: (tau, sigma) pairs: moderate moduli, and deep ones with |p|, |q| ~ 0.01
+ARRAY_MODULI = [(0.1 + 0.3j, -0.2 + 0.45j), (0.23 + 0.7j, -0.11 + 0.9j)]
+
+
+def _mp_gamma(z, tau, sigma):
+    """30-digit ``prod_{j,k} (1 - y p^j q^k) / (1 - x p^j q^k)``, ``y = pq/x``."""
+    with mpmath.workdps(30):
+        e = lambda v: mpmath.exp(2j * mpmath.pi * mpmath.mpc(v))  # noqa: E731
+        x, p, q = e(z), e(tau), e(sigma)
+        total, layer = mpmath.mpc(1), mpmath.mpc(1)
+        while abs(layer) > mpmath.mpf(10) ** -34:
+            total *= mpmath.qp(p * q / x * layer, q) / mpmath.qp(x * layer, q)
+            layer *= p
+        return complex(total)
+
+
+def _mp_theta0(z, tau):
+    with mpmath.workdps(30):
+        x = mpmath.exp(2j * mpmath.pi * mpmath.mpc(z))
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau))
+        return complex(mpmath.qp(x, q) * mpmath.qp(q / x, q))
+
+
+def _assert_array_matches(array_values, scalar, reference, tol=1e-13):
+    for got, want_scalar, want_mp in zip(array_values, scalar, reference):
+        assert abs(got - want_mp) <= tol * abs(want_mp), (got, want_mp)
+        assert abs(got - want_scalar) <= tol * abs(want_mp), (got, want_scalar)
+
+
+@pytest.mark.parametrize("tau,sigma", ARRAY_MODULI)
+def test_ell_gamma_array_matches_scalar_and_mpmath(tau, sigma):
+    low = min(tau.imag, sigma.imag)
+    top = (tau + sigma).imag
+    heights = [
+        -0.99 * low,  # the lower edge of the series strip, |x| = e^{2 pi 0.99 low}
+        -0.9 * low,  # |x| > 1: a_n - 1 taken as a difference loses digits here
+        0.0,  # the lower edge of the window, where x runs round the unit circle
+        0.37 * top,
+        top,  # the upper edge of the window, where y runs round the unit circle
+        top + 0.99 * low,  # the upper edge of the series strip
+        -low - 0.3,  # below the strip: shifted up
+        -2.6 * max(tau.imag, sigma.imag),  # three shifts up
+        top + 1.7,  # above the strip: shifted down
+    ]
+    z = np.array([complex(0.31 - 0.17 * k, h) for k, h in enumerate(heights)])
+    got = ell_gamma(z, tau, sigma)
+    scalar = [ell_gamma(v, tau, sigma) for v in z]
+    _assert_array_matches(got, scalar, [_mp_gamma(v, tau, sigma) for v in z])
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.23 + 0.7j])
+def test_theta_array_matches_scalar_and_mpmath(tau):
+    # three periods out on either side, on period multiples and between them
+    heights = [k * tau.imag for k in (-3, -2.5, -1, -0.4, 0, 0.5, 1, 1.6, 3)]
+    z = np.array([complex(0.27 + 0.11 * k, h) for k, h in enumerate(heights)])
+    reference = [_mp_theta0(v, tau) for v in z]
+    _assert_array_matches(theta0(z, tau), [theta0(v, tau) for v in z], reference)
+    jacobi = jacobi_theta(z, tau)
+    for v, got in zip(z, jacobi):
+        assert abs(got - jacobi_theta(v, tau)) <= 1e-13 * abs(got)
+
+
+def test_array_blocks_agree_with_one_block():
+    # a batch longer than one block of work cells is cut; the cut changes
+    # nothing beyond the order of the roundoff in a product
+    tau, sigma = 0.1 + 0.3j, -0.2 + 0.45j
+    z = np.linspace(0, 1, 2048, endpoint=False) + 0.05j
+    gamma, theta = ell_gamma(z, tau, sigma), theta0(z, tau)
+    for k in (0, 777, 2047):
+        assert close(gamma[k], ell_gamma(z[k : k + 1], tau, sigma)[0], 1e-15)
+        assert close(theta[k], theta0(z[k : k + 1], tau)[0], 1e-15)
+
+
+def test_ell_gamma_array_zero_is_exact():
+    # gamma(tau + sigma) = 0, as on the scalar path: the zero y = 1 is an
+    # explicit factor (spiridonov's reciprocal gammas sit on it at t = 0)
+    tau, sigma = 0.1 + 0.6j, -0.2 + 0.8j
+    assert ell_gamma(np.array([tau + sigma]), tau, sigma)[0] == 0
+    assert ell_gamma(tau + sigma, tau, sigma) == 0
+
+
+def test_ell_gamma_array_pole_is_flagged():
+    tau, sigma = 0.1 + 0.6j, -0.2 + 0.8j
+    # on the pole x = 1 of the reduced argument, among regular nodes
+    with pytest.raises(PoleHit):
+        ell_gamma(np.array([0.3 + 0.1j, 2.0 + 0j]), tau, sigma)
+    # -tau (Im tau < Im sigma) is shifted up by sigma: there the shift factor
+    # theta0(-tau; tau) in the denominator vanishes
+    with pytest.raises(PoleHit):
+        ell_gamma(np.array([0.3 + 0.1j, -tau]), tau, sigma)
+    with pytest.raises(PoleHit):
+        ell_gamma(np.array([-tau - 2 * sigma]), tau, sigma)
+
+
+def test_array_term_count_beyond_cap_is_nonconvergent():
+    # |p| = e^{-2 pi 1e-7} needs ~6e7 terms to fall below TERM_EPSILON
+    z = np.array([0.1 + 0.05j])
+    with pytest.raises(NonConvergent, match="100000 terms"):
+        ell_gamma(z, 0.2 + 1e-7j, 0.3 + 0.5j)
+    with pytest.raises(NonConvergent, match="100000 terms"):
+        theta0(z, 0.2 + 1e-7j)
+    with pytest.raises(NonConvergent):
+        theta0(z, 0.2 - 0.1j)

@@ -431,6 +431,29 @@ def test_dense_storage_matches_dict_reference(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+def test_pochhammer_binomials_match_one_minus_mono(data):
+    # each factor 1 - c m is written as its two cells; it must be the series
+    # the general subtraction builds, storage and integrality flag included
+    ring = data.draw(rings())
+    exps = lambda: {  # noqa: E731
+        v: data.draw(st.integers(-2, ring.caps.get(v, 3))) for v in ring.variables
+    }
+    argument = Mono(data.draw(coefficients), exps())
+    modulus = Mono(data.draw(coefficients), exps())
+    try:
+        factors = pochhammer_factors(ring, argument, modulus)
+    except NonTerminating:
+        return
+    current = argument
+    for factor in factors:
+        want = ring.one() - ring.from_mono(current)
+        assert factor == want and factor._integral == want._integral
+        assert_matches(factor, want.terms)
+        current = current * modulus
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
 def test_truncated_product_matches_dict_reference(data):
     ring = data.draw(rings())
     factors = data.draw(

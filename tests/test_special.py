@@ -3,6 +3,7 @@ antisymmetry laws, balance/domain guards, and exact zeros of the closed
 forms.  Agreement of each integral with its closed form is exercised per
 identity through the catalog tests."""
 
+import numpy as np
 import pytest
 
 from ellverify import catalog, contour, special
@@ -240,18 +241,19 @@ def test_spiridonov_lhs_reaches_tight_tolerance(monkeypatch):
 
 def test_factors_call_the_kernel_through_the_module_names(monkeypatch):
     # a tracer wraps the kernel by rebinding the names special imported; the
-    # spiridonov integrand has 14 gamma factors, all of which it must see
+    # spiridonov integrand has 14 gamma factors, all of which it must see at
+    # every node (one call per factor and batch of nodes)
     params = catalog.sample_params("spiridonov", 0, 0)
-    calls = []
+    nodes = []
     ell_gamma = special.ell_gamma
 
-    def counting(*args):
-        calls.append(args)
-        return ell_gamma(*args)
+    def counting(z, *moduli):
+        nodes.extend(np.ravel(z))
+        return ell_gamma(z, *moduli)
 
     monkeypatch.setattr(special, "ell_gamma", counting)
     runs = record_quadratures(monkeypatch)
     special.spiridonov_lhs(params["s"], params["tau"], params["sigma"])
     ((_, _, result),) = runs
     assert result.evaluations > 0
-    assert len(calls) == 14 * result.evaluations
+    assert len(nodes) == 14 * result.evaluations
