@@ -1,4 +1,4 @@
-"""ellverify: certified numerical and exact-series verification of elliptic
+"""ellverify: audited numerical and exact-series verification of elliptic
 hypergeometric integral identities.
 
 Layers

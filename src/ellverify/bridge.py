@@ -6,7 +6,7 @@ The character-side quantities live in a multiplicative picture with a base
 integral-side machinery (:mod:`.special`) works with additive parameters in
 the upper/lower half planes.  This module converts between the two and
 assembles the closed product relating them, so the character-side statements
-can be tested against certified quadrature of the elliptic side.
+can be tested against audited quadrature of the elliptic side.
 
 The evaluators work in double precision; the conversion itself contributes
 error at machine scale, so the overall accuracy is set by the quadrature
@@ -114,7 +114,7 @@ def chi_002(q, lam, omega):
 def J_mu_k2(mu, k, q, lam, omega):
     """Normalized character ratio via the symmetrized elliptic polynomial.
 
-    Assembles the elliptic factor (a certified contour integral evaluated in
+    Assembles the elliptic factor (an audited contour integral evaluated in
     additive coordinates) with the explicit Pochhammer blocks; the result is
     the character-side quantity, normalized so the zero weight gives 1.
     """

@@ -10,6 +10,7 @@ a configuration problem (unknown ids, bad config file, bad flags).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,7 +20,7 @@ from . import catalog, report
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="ellverify",
-        description="certified numeric and exact-series identity verification",
+        description="audited numeric and exact-series identity verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -54,14 +55,7 @@ def _build_parser():
     return parser
 
 
-_CONFIG_KEYS = {
-    "identity_ids",
-    "samples_per_identity",
-    "seed",
-    "tolerance_overrides",
-    "series_order",
-    "output_path",
-}
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(report.RunConfig)}
 
 
 def _load_config_file(path):

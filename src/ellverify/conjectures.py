@@ -1,7 +1,7 @@
 """Order-by-order verification of the product-form conjectures.
 
 Everything here runs in exact rational arithmetic on truncated Laurent
-series (:mod:`.series`), so a passing check certifies that two expansions
+series (:mod:`.series`), so a passing check shows that two expansions
 agree identically through the stated order — no tolerances involved.
 
 Covered material: the classical triple-product expansion of the level-kappa

@@ -201,7 +201,8 @@ def _distance(p, path):
 
 
 def pole_audit(path, poles) -> PoleAuditReport:
-    """Check known poles (reduced modulo the period) against ``path``.
+    """Check ``poles``, :class:`PoleSpec` entries reduced modulo the period,
+    against ``path``.
 
     A pole fails its entry when its distance to the path is below
     :data:`CLEARANCE`, when the path runs through it, or when it carries a
@@ -209,8 +210,6 @@ def pole_audit(path, poles) -> PoleAuditReport:
     """
     entries = []
     for spec in poles:
-        if not isinstance(spec, PoleSpec):
-            spec = PoleSpec(complex(spec))
         location = complex(spec.location)
         p = complex(location.real - math.floor(location.real + 0.5), location.imag)
         height = float(path.height(p.real))

@@ -2,9 +2,9 @@
 
 Each lemma is exposed as an ``<name>_lhs`` / ``<name>_rhs`` pair.  Pointwise
 identities take the free variable (``t`` or ``z``) explicitly so callers can
-sample it; the three integral lemmas declare their integrands as factor lists
-and integrate over the tower-separating cycle themselves (straight path plus
-residue corrections, whose entire part is the declaration less its gamma pair).
+sample it; the three integral lemmas declare their integrands in gamma-pair
+form and integrate over the tower-separating cycle (straight path plus the
+tower correction that :mod:`.special` derives from the same declaration).
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
@@ -21,12 +21,13 @@ from .special import (
     Factor,
     I_tilde,
     Integrand,
+    asym_pair_form,
     audited_integral,
     gamma_pair_tower_correction,
+    j1_factors,
 )
 
 __all__ = [
-    "j1_factors",
     "j2_factor",
     "sym_rearrange_lhs",
     "sym_rearrange_rhs",
@@ -47,16 +48,6 @@ __all__ = [
     "int_eval2_lhs",
     "int_eval2_rhs",
 ]
-
-
-def j1_factors(tau, eta):
-    """Symmetric factor ``gamma(+-t - 2 eta; tau, 8 eta) theta0(t + 4 eta; 8 eta)``,
-    as a factor list that starts with the gamma pair."""
-    return (
-        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
-        Factor("gamma", -2 * eta, -1, (tau, 8 * eta)),
-        Factor("theta0", 4 * eta, 1, (8 * eta,)),
-    )
 
 
 def j2_factor(t, lam, tau):
@@ -239,14 +230,6 @@ def int_eval2_rhs(tau, eta):
     return _eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
 
 
-def _tower_corrected_integral(f, tau, eta):
-    """Separating-cycle integral of ``f``, whose factors start with the gamma
-    pair of :func:`j1_factors`: straight quadrature plus the tower correction."""
-    entire = replace(f, factors=f.factors[2:])
-    value = audited_integral(f, Path())
-    return value + gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
-
-
 def _int_eval_lhs(tau, eta, shift):
     # shift=0: squared theta0 at t; shift=1/2: squared theta0 at t + 1/2
     f = Integrand(
@@ -256,7 +239,7 @@ def _int_eval_lhs(tau, eta, shift):
         ),
         wind=-1,
     )
-    return _tower_corrected_integral(f, tau, eta)
+    return audited_integral(f, Path()) + gamma_pair_tower_correction(f)
 
 
 def int_eval1_lhs(tau, eta):
@@ -303,11 +286,6 @@ def int_rearrange_rhs(lam, tau, eta):
     # j1_factors times j2_factor.  The phase e^{-12 pi i eta} reaches
     # e^{12 pi Im eta} ~ 1e7; inside the integrand it puts the quadrature
     # tolerance, relative to max(1, |value|), on the result
-    f = Integrand(
-        j1_factors(tau, eta) + (
-            Factor("theta0", lam, 1, (tau,)),
-            Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
-        ),
-        scale=epi(-12 * eta) * epi(-3 * lam),
-    )
-    return _tower_corrected_integral(f, tau, eta)
+    pair = asym_pair_form(lam, tau, eta)
+    f = replace(pair, scale=pair.scale * epi(-3 * lam))
+    return audited_integral(f, Path()) + gamma_pair_tower_correction(f)

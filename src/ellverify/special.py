@@ -5,8 +5,8 @@ evaluations, an antisymmetrized theta hypergeometric integral with its
 product evaluation, the three-dimensional-representation hypergeometric
 function ``fv_u``, the level-kappa hypergeometric theta functions, the
 normalized symmetrized ratio ``ellmac_P`` with its two special-value closed
-forms, the three-term modular relations, and the nine supporting lemma
-identities.  Each LHS/RHS pair is kept verbatim in its own function so a
+forms, and the three-term modular relations (the supporting lemmas are in
+:mod:`.lemmas`).  Each LHS/RHS pair is kept verbatim in its own function so a
 formula transcription error stays local and visible.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
@@ -18,12 +18,18 @@ hands the declaration and its :class:`~ellverify.contour.Path` to
 (:func:`pole_inventory`), audits the path against it and then runs the
 periodic trapezoid rule.  A path the audit rejects raises
 :class:`~ellverify.contour.PoleOnPath`.
+
+An integral over a cycle that separates two gamma towers is the straight
+period plus one tower correction, :func:`gamma_pair_tower_correction`.  It is
+derived from the integrand's gamma-pair form, a declaration whose first two
+factors are ``gamma(a + t)`` and ``gamma(a - t)``: every crossed pole is then a
+simple pole of one of them, and the rest of the declaration is the entire part.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +59,9 @@ __all__ = [
     "eval1_rhs",
     "eval2_lhs",
     "eval2_rhs",
+    "gamma_pair_tower_correction",
+    "j1_factors",
+    "asym_pair_form",
     "I_tilde",
     "I_sym",
     "eval3_rhs",
@@ -307,63 +316,65 @@ def eval2_rhs(tau, sigma):
 # antisymmetrized theta hypergeometric integral
 
 
-def _asym_entire_part(t, lam, tau, eta):
-    # rearranged integrand without either gamma factor: the cycle-crossing
-    # residues are gamma residues times this
-    return (
-        -e2pi(-t - 2 * eta)
-        * theta0(t + lam, tau)
-        * theta0(t - 4 * eta, 8 * eta)
-        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
-    )
+def gamma_pair_tower_correction(f):
+    """Residue sum moving the straight-period integral of ``f`` onto its
+    separating cycle.
 
-
-def gamma_pair_tower_correction(entire, tau, sigma, eta):
-    """Residue sum moving a straight-path integral onto the separating cycle.
-
-    Applies to integrands of the shape
-    ``Gamma(t - 2 eta; tau, sigma) Gamma(-t - 2 eta; tau, sigma) entire(t)``
-    whose cycle keeps the descending gamma tower hanging from ``2 eta`` below
-    the path and the ascending tower from ``-2 eta`` above it.  Tower members
-    ``+-(2 eta - k tau)`` that sit on the wrong side of the axis are crossed;
-    each contributes ``-2 pi i`` times its residue (an upper pole is entered
-    from below, and the lower pole's reversed local variable supplies the
-    matching sign).  Raises :class:`DomainViolation` when a member is within
+    ``f`` is a gamma-pair form: its first two factors are
+    ``gamma(a + t; tau, sigma)`` and ``gamma(a - t; tau, sigma)``, and the rest
+    of the declaration is the entire part.  The cycle keeps the descending
+    tower ``-a - k tau`` of the first factor below the path and the ascending
+    tower ``a + k tau`` of the second above it.  Tower members on the wrong
+    side of the axis are crossed; each contributes ``-2 pi i`` times its
+    residue (an upper pole is entered from below, and the lower pole's
+    reversed local variable supplies the matching sign).  Raises
+    :class:`DomainViolation` when a member is within
     :data:`~ellverify.contour.CLEARANCE` of the axis.
     """
-    tau = complex(tau)
-    sigma = complex(sigma)
-    eta = complex(eta)
+    up, down = f.factors[:2]
+    entire = replace(f, factors=f.factors[2:])
+    a = complex(up.shift)
+    tau, sigma = (complex(m) for m in up.moduli)
     total = complex(0)
     k = 0
     while True:
-        depth = (2 * eta - k * tau).imag
-        if abs(depth) < CLEARANCE:
+        upper = -a - k * tau
+        if abs(upper.imag) < CLEARANCE:
             raise DomainViolation(
-                f"tower pole 2 eta - {k} tau is within {CLEARANCE} of the path"
+                f"tower pole -a - {k} tau is within {CLEARANCE} of the path"
             )
-        if depth < 0:
+        if upper.imag < 0:
             break
         residue = ell_gamma_residue(tau, sigma, k)
-        upper = 2 * eta - k * tau
-        cof_up = ell_gamma(-upper - 2 * eta, tau, sigma) * entire(upper)
-        lower = -2 * eta + k * tau
-        cof_dn = ell_gamma(lower - 2 * eta, tau, sigma) * entire(lower)
+        lower = a + k * tau
+        cof_up = down(upper) * entire(upper)
+        cof_dn = up(lower) * entire(lower)
         total = total + residue * (cof_up + cof_dn)
         k += 1
     return -2j * math.pi * total
 
 
-def asym_tower_correction(lam, tau, eta):
-    """Separating-cycle correction for the one-sided integral's integrand."""
-    lam = complex(lam)
-    tau = complex(tau)
-    eta = complex(eta)
+def j1_factors(tau, eta):
+    """Symmetric factor ``gamma(+-t - 2 eta; tau, 8 eta) theta0(t + 4 eta; 8 eta)``,
+    as a factor list that starts with the gamma pair."""
+    return (
+        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
+        Factor("gamma", -2 * eta, -1, (tau, 8 * eta)),
+        Factor("theta0", 4 * eta, 1, (8 * eta,)),
+    )
 
-    def entire(t):
-        return _asym_entire_part(t, lam, tau, eta)
 
-    return gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
+def asym_pair_form(lam, tau, eta):
+    """The integrand of :func:`I_tilde`, less its phase ``e^{-3 pi i lam}``,
+    in gamma-pair form: :func:`j1_factors` times ``theta0(t + lam; tau)
+    theta0(2t + 6 tau - 4 lam + 1/2; 8 tau)`` and ``e^{-12 pi i eta}``."""
+    return Integrand(
+        j1_factors(tau, eta) + (
+            Factor("theta0", lam, 1, (tau,)),
+            Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
+        ),
+        scale=epi(-12 * eta),
+    )
 
 
 def I_tilde(lam, tau, eta):
@@ -373,8 +384,8 @@ def I_tilde(lam, tau, eta):
     The cycle passes above the descending pole tower hanging from ``2 eta``
     and below the ascending tower rising from ``-2 eta`` (the separation
     that makes the beta-integral evaluations of the symmetrized integrand
-    valid).  It is realized as straight-path quadrature plus explicit
-    residue corrections for the tower members beyond the axis.
+    valid).  It is realized as straight-path quadrature plus the tower
+    correction of the gamma-pair form :func:`asym_pair_form`.
     """
     lam = complex(lam)
     tau = complex(tau)
@@ -390,7 +401,7 @@ def I_tilde(lam, tau, eta):
         Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
     ))
     value = audited_integral(f, Path())
-    value = value + asym_tower_correction(lam, tau, eta)
+    value = value + gamma_pair_tower_correction(asym_pair_form(lam, tau, eta))
     return epi(-3 * lam) * value
 
 
@@ -431,48 +442,29 @@ def _fv_factors(lam, mu, tau, sigma, eta):
     )
 
 
-def fv_pair_correction(lam, mu, tau, sigma, eta, level=Integrand(())):
-    """Residue pair converting straight quadrature to the continuation cycle.
+def _fv_pair_form(lam, mu, tau, sigma, eta):
+    """The integrand of :func:`_fv_factors` in gamma-pair form,
+    ``gamma(2 eta +- t) theta(lam + t; tau) theta(mu + t; sigma)`` times a
+    constant.
 
-    For Im(eta) < 0 the defining cycle still passes above the pole at
-    ``-2 eta`` (now in the upper half-plane) and below the one at ``2 eta``;
-    relative to the straight path that crosses exactly this pair when the
-    moduli satisfy ``Im(tau), Im(sigma) > |Im(2 eta)|``.  ``level`` optionally
-    multiplies an extra entire factor into the integrand (used by the
-    level-kappa variant).
+    For Im(eta) < 0 the straight path crosses the pair ``+-2 eta`` and, once
+    the moduli are shallower than ``|Im 2 eta|``, further tower members, which
+    are refused.
     """
-    lam = complex(lam)
-    mu = complex(mu)
-    tau = complex(tau)
-    sigma = complex(sigma)
-    eta = complex(eta)
     depth = abs((2 * eta).imag)
-    if depth < CLEARANCE:
-        raise DomainViolation(f"poles at +-2 eta are within {CLEARANCE} of the path")
-    if tau.imag - depth < CLEARANCE or sigma.imag - depth < CLEARANCE:
-        raise DomainViolation(
-            "moduli too shallow: tower members beyond +-2 eta reach the axis"
-        )
-    residue0 = ell_gamma_residue(tau, sigma, 0)
-    upper = residue0 * (
-        1 / ell_gamma(-4 * eta, tau, sigma)
-        * jacobi_theta(lam - 2 * eta, tau)
-        / jacobi_theta(-4 * eta, tau)
-        * jacobi_theta(mu - 2 * eta, sigma)
-        / jacobi_theta(-4 * eta, sigma)
-        * level(-2 * eta)
+    _require(
+        tau.imag - depth >= CLEARANCE and sigma.imag - depth >= CLEARANCE,
+        "moduli too shallow: tower members beyond +-2 eta reach the axis",
     )
-    # the crossed pole at +2 eta via the rearranged symmetric form
-    front = epi(-(tau + sigma) / 4) / (
-        qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)
+    return Integrand(
+        (
+            Factor("gamma", 2 * eta, 1, (tau, sigma)),
+            Factor("gamma", 2 * eta, -1, (tau, sigma)),
+            Factor("jacobi", lam, 1, (tau,)),
+            Factor("jacobi", mu, 1, (sigma,)),
+        ),
+        scale=epi(-(tau + sigma) / 4) / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)),
     )
-    lower = residue0 * front * (
-        ell_gamma(4 * eta, tau, sigma)
-        * jacobi_theta(2 * eta + lam, tau)
-        * jacobi_theta(2 * eta + mu, sigma)
-        * level(2 * eta)
-    )
-    return -2j * math.pi * (upper + lower)
 
 
 def fv_u(lam, mu, tau, sigma, eta):
@@ -482,7 +474,7 @@ def fv_u(lam, mu, tau, sigma, eta):
     phase factor against the two first-theta-function ratios.  The cycle
     always passes above the pole at ``-2 eta`` and below the one at
     ``2 eta``: the straight period for Im(eta) > 0, straight quadrature plus
-    a residue pair for Im(eta) < 0.  For real eta the poles sit on the axis
+    the tower correction of the gamma-pair form for Im(eta) < 0.  For real eta the poles sit on the axis
     and must lie half a period apart, ``4 eta = 1/2 (mod 1)``; the path then
     passes above ``-2 eta`` and below ``2 eta``.
     """
@@ -500,7 +492,7 @@ def fv_u(lam, mu, tau, sigma, eta):
         path = _quarter_path(-2 * float(eta.real), tau, sigma)
     value = audited_integral(f, path)
     if eta.imag < 0:
-        value = value + fv_pair_correction(lam, mu, tau, sigma, eta)
+        value = value + gamma_pair_tower_correction(_fv_pair_form(lam, mu, tau, sigma, eta))
     return epi(-lam * mu / (2 * eta)) * value
 
 
@@ -557,8 +549,8 @@ def htf_I_tilde(mu, kappa, lam, tau, eta):
     Second modulus is ``-2 eta kappa`` and the integrand carries the
     level-(2 kappa) theta factor.  The defining cycle keeps ``-2 eta`` below
     and ``2 eta`` above it even once Im(eta) < 0 flips those poles across the
-    real axis, so the straight-path integral is completed by the residue pair
-    from :func:`fv_pair_correction`.  The explicit
+    real axis, so the straight-path integral is completed by the tower
+    correction of its gamma-pair form.  The explicit
     ``e^{pi i tau mu^2 / 2 kappa - pi i lam mu} (2 kappa tau; 2 kappa tau)``
     prefactor is included.
     """
@@ -571,7 +563,8 @@ def htf_I_tilde(mu, kappa, lam, tau, eta):
     level = Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * lam, 2, (2 * kappa * tau,))
     f = Integrand(_fv_factors(lam, 2 * eta * mu, tau, sigma, eta) + (level,))
     value = audited_integral(f, Path())
-    value = value + fv_pair_correction(lam, 2 * eta * mu, tau, sigma, eta, level)
+    pair = _fv_pair_form(lam, 2 * eta * mu, tau, sigma, eta)
+    value = value + gamma_pair_tower_correction(replace(pair, factors=pair.factors + (level,)))
     prefactor = epi(tau * mu**2 / (2 * kappa) - lam * mu)
     return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau) * value
 

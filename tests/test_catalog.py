@@ -122,7 +122,7 @@ def test_run_check_result_shape():
     assert res.decision == DECISION_RULE
     assert res.passed
     assert res.abs_error <= res.tolerance * max(1.0, abs(res.rhs_value))
-    # pointwise identity: no quadrature, hence no certified bound
+    # pointwise identity: no quadrature, hence no audited error estimate
     assert res.quadrature_error_estimate is None
 
 

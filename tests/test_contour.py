@@ -203,7 +203,7 @@ def test_audit_curved_distance_matches_dense_search():
     pole = 0.05 + 0.13j
     x = np.linspace(-0.45, 0.55, 200_001)
     dense = float(np.min(np.abs(x + 1j * path.height(x) - pole)))
-    (entry,) = pole_audit(path, [pole]).entries
+    (entry,) = pole_audit(path, [PoleSpec(pole)]).entries
     assert abs(entry.distance - dense) < 1e-9
     assert entry.path_side == "below"
 
@@ -214,8 +214,8 @@ def test_audit_reduces_modulo_period():
     assert math.isclose(report.entries[0].reduced.real, 0.25)
 
 
-def test_audit_accepts_plain_complex():
-    report = pole_audit(STRAIGHT, [0.1 + 0.4j])
+def test_audit_accepts_spec_without_side():
+    report = pole_audit(STRAIGHT, [PoleSpec(0.1 + 0.4j)])
     assert report.ok
     assert report.entries[0].required_side is None
 

@@ -2,8 +2,6 @@
 exact symmetry structure of the building-block factors (which pins down sign
 and phase conventions independently of the full identities)."""
 
-import dataclasses
-
 import pytest
 
 from ellverify import catalog, contour, lemmas, special
@@ -34,7 +32,7 @@ def test_lemma_draws(identity_id, index):
 
 def test_j1_factor_is_even():
     tau, eta = -0.1 + 0.5j, 0.06 + 0.31j
-    j1 = special.Integrand(lemmas.j1_factors(tau, eta))
+    j1 = special.Integrand(special.j1_factors(tau, eta))
     for t in (0.17 + 0.02j, -0.3 + 0.11j):
         assert close(j1(-t), j1(t))
 
@@ -83,9 +81,8 @@ def test_int_eval_consistency_tight(monkeypatch):
     runs = record_quadratures(monkeypatch)
     lemmas.int_eval1_lhs(tau, eta)
     ((f, path, _),) = runs
-    # the declared integrand at a tighter target, plus its tower correction,
-    # whose entire part is the integrand without its gamma pair
-    entire = dataclasses.replace(f, factors=f.factors[2:])
+    # the declared integrand at a tighter target, plus the tower correction
+    # derived from the same gamma-pair declaration
     lhs = contour.integrate(f, path, tol=1e-12).value
-    lhs += special.gamma_pair_tower_correction(entire, tau, 8 * eta, eta)
+    lhs += special.gamma_pair_tower_correction(f)
     assert close(lhs, lemmas.int_eval1_rhs(tau, eta), 1e-10)

@@ -6,7 +6,7 @@ identity through the catalog tests."""
 import numpy as np
 import pytest
 
-from ellverify import catalog, contour, special
+from ellverify import catalog, contour, lemmas, special
 from ellverify.contour import CLEARANCE, PoleOnPath
 from ellverify.kernel import PoleHit
 from helpers import record_quadratures
@@ -257,3 +257,117 @@ def test_factors_call_the_kernel_through_the_module_names(monkeypatch):
     ((_, _, result),) = runs
     assert result.evaluations > 0
     assert len(nodes) == 14 * result.evaluations
+
+
+# ---------------------------------------------------------------------------
+# tower corrections derived from gamma-pair forms
+
+# values computed with the hand-derived residue corrections that the
+# gamma-pair forms replaced; they are the only record of those forms' results
+PINNED_VALUES = [
+    (special.I_tilde, (0.13 - 0.07j, 0.1 + 0.3j, 0.05 + 0.35j),
+     -0.012955599298118252 - 0.04088863053755262j),
+    (special.I_tilde, (-0.21 + 0.05j, -0.15 + 0.55j, 0.08 + 0.31j),
+     16.309065479735978 + 33.06175274075672j),
+    (special.I_tilde, (0.3 + 0.1j, 0.2 + 0.7j, -0.1 + 0.25j),
+     57.804574252574234 + 42.11048442067055j),
+    (special.fv_u, (0.3, 0.2, 0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j),
+     0.00020899615812786313 - 0.0006887630400272898j),
+    (special.fv_u, (0.2 + 0.1j, -0.3 + 0.05j, -0.2 + 0.9j, 0.15 + 0.5j, -0.04 - 0.1j),
+     0.7281777866972374 + 0.048778343047189476j),
+    (special.fv_u, (0.1 - 0.05j, 0.16 - 0.32j, 0.05 + 0.7j, -0.16 + 0.64j, 0.02 - 0.08j),
+     0.6677562300123251 - 0.17103388679719503j),
+    (special.htf_I_tilde, (2, 4, 0.1 + 0.05j, 0.05 + 0.7j, 0.02 - 0.08j),
+     0.2482260500606862 + 0.03701148487269844j),
+    (special.htf_I_tilde, (1, 5, -0.2 - 0.1j, -0.1 + 0.5j, -0.03 - 0.1j),
+     0.4863709886697126 - 0.1256466628176954j),
+    (special.htf_I_tilde, (0, 4, 0.15, 0.1 + 0.9j, 0.05 - 0.3j),
+     0.005030838345874641 + 0.0018464978025074415j),
+]
+
+
+@pytest.mark.parametrize("evaluator, args, expected", PINNED_VALUES)
+def test_tower_corrected_integrals_keep_pinned_values(evaluator, args, expected):
+    value = evaluator(*args)
+    assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def _reduced(t):
+    return complex(t.real - np.floor(t.real + 0.5), t.imag)
+
+
+def _crossed_members(a, moduli):
+    """Members of the tower of gamma(a + t) above the axis and of the tower of
+    gamma(a - t) below it, as the pole inventory of each factor lists them."""
+    members = []
+    for slope, wrong in ((1, lambda t: t.imag > 0), (-1, lambda t: t.imag < 0)):
+        factor = special.Factor("gamma", a, slope, moduli)
+        inventory = special.pole_inventory(special.Integrand((factor,)))
+        members += [spec.location for spec in inventory if wrong(spec.location)]
+    return members
+
+
+def _record_tower_walk(monkeypatch):
+    """Lists of the residues a tower correction takes and of the integrands it
+    evaluates at a single point, with that point."""
+    residues, points = [], []
+    residue = special.ell_gamma_residue
+    call = special.Integrand.__call__
+
+    def recording_residue(tau, sigma, k=0):
+        residues.append((tau, sigma, k))
+        return residue(tau, sigma, k)
+
+    def recording_call(self, t):
+        if not isinstance(t, np.ndarray):
+            points.append((self, complex(t)))
+        return call(self, t)
+
+    monkeypatch.setattr(special, "ell_gamma_residue", recording_residue)
+    monkeypatch.setattr(special.Integrand, "__call__", recording_call)
+    return residues, points
+
+
+# (evaluator, arguments, a, moduli) of the pair gamma(a +- t; *moduli); every
+# draw crosses at least one member of each tower, I_tilde's three
+TOWER_CASES = {
+    "I_tilde": (special.I_tilde, (0.13 - 0.07j, 0.1 + 0.3j, 0.05 + 0.35j),
+                -0.1 - 0.7j, (0.1 + 0.3j, 0.4 + 2.8j)),
+    "fv_u": (special.fv_u, (0.3, 0.2, 0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j),
+             0.1 - 0.6j, (0.1 + 0.7j, 0.2 + 0.8j)),
+    "htf_I_tilde": (special.htf_I_tilde, (2, 4, 0.1 + 0.05j, 0.05 + 0.7j, 0.02 - 0.08j),
+                    0.04 - 0.16j, (0.05 + 0.7j, -0.16 + 0.64j)),
+    "int_eval1_lhs": (lemmas.int_eval1_lhs, (0.1 + 0.4j, 0.03 + 0.33j),
+                      -0.06 - 0.66j, (0.1 + 0.4j, 0.24 + 2.64j)),
+    "int_eval2_lhs": (lemmas.int_eval2_lhs, (-0.12 + 0.62j, -0.05 + 0.36j),
+                      0.1 - 0.72j, (-0.12 + 0.62j, -0.4 + 2.88j)),
+    "int_rearrange_rhs": (lemmas.int_rearrange_rhs, (0.2 - 0.1j, 0.05 + 0.45j, 0.02 + 0.27j),
+                          -0.04 - 0.54j, (0.05 + 0.45j, 0.16 + 2.16j)),
+}
+
+
+@pytest.mark.parametrize("case", TOWER_CASES)
+def test_tower_correction_sums_exactly_the_crossed_members(monkeypatch, case):
+    evaluator, args, a, moduli = TOWER_CASES[case]
+    runs = record_quadratures(monkeypatch)
+    residues, points = _record_tower_walk(monkeypatch)
+    evaluator(*args)
+    ((integrated, _, _),) = runs
+
+    expected = _crossed_members(a, moduli)
+    walked = [_reduced(t) for _, t in points]
+    assert expected and len(walked) == len(expected)
+    for t in walked:
+        assert sum(abs(t - p) < 1e-12 for p in expected) == 1, (t, expected)
+    # one residue per crossed member of each tower, walked down from k = 0
+    assert [k for *_, k in residues] == list(range(len(expected) // 2))
+    for tau, sigma, _ in residues:
+        assert close(tau, moduli[0]) and close(sigma, moduli[1])
+    # the walk's entire part completes the pair to the integrand that was
+    # integrated
+    (rest,) = {id(f): f for f, _ in points}.values()
+    pair = special.Integrand(
+        (special.Factor("gamma", a, 1, moduli), special.Factor("gamma", a, -1, moduli))
+    )
+    for t in (0.13 + 0.05j, -0.31 - 0.02j):
+        assert close(pair(t) * rest(t), integrated(t), 1e-11)
