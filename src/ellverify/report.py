@@ -205,12 +205,29 @@ class VerificationReport:
             "summary": dict(self.summary),
         }
 
+    def _json_chunks(self):
+        """The pieces of :meth:`to_json`, each result a piece of its own."""
+        doc = self.as_dict()
+        encode = json.JSONEncoder(sort_keys=True).encode
+        for index, key in enumerate(sorted(doc)):
+            yield f"{',' if index else '{'}\n  {json.dumps(key)}: "
+            if key != "results":
+                # a nested value at indent=2 is its own dump, indented one level
+                yield json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+                continue
+            for row, result in enumerate(doc[key]):
+                yield f"{',' if row else '['}\n    {encode(result)}"
+            yield "\n  ]" if doc[key] else "[]"
+        yield "\n}"
+
     def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        """The report as JSON with sorted keys: ``config`` and ``summary`` at
+        ``indent=2``, and each result on one compact line of its own."""
+        return "".join(self._json_chunks())
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+            handle.writelines(self._json_chunks())
             handle.write("\n")
 
     @property

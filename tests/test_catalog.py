@@ -89,6 +89,31 @@ def test_fnv1a64_frozen_values():
     assert fnv1a64("a") == 0xAF63DC4C8601EC8C
 
 
+def test_sampling_draws_are_pinned():
+    # draws recorded before the id hash was cached: caching must not move them
+    assert sample_params("ellgam-mod", 0, 5) == {
+        "z": -0.27213111693966613 + 0.2817932493489106j,
+        "tau": 0.5397672267104792 + 0.9641282734867863j,
+        "sigma": 0.7891169370443969 + 0.6111206236403585j,
+    }
+    assert sample_params("lemma.theta-simp4", 12345, 2) == {
+        "t": 0.32516217666620195 + 0.2374742167220012j,
+        "tau": -0.11765286574965272 + 0.834726463862159j,
+        "eta": 0.021289557709679996 + 0.21213724757486074j,
+    }
+    assert sample_params("eval1", 7, 3) == {
+        "tau": -0.1764218731438647 + 0.8549764929053147j,
+        "sigma": 0.023845495705355768 + 0.7365334913870903j,
+    }
+
+
+def test_id_is_hashed_once_per_check():
+    fnv1a64.cache_clear()
+    for index in range(5):
+        sample_params("theta-mod", 3, index)
+    assert fnv1a64.cache_info().misses == 1
+
+
 def test_sampling_is_reproducible():
     for identity_id in ("eval1", "spiridonov", "theta-mod"):
         a = sample_params(identity_id, 7, 3)

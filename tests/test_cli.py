@@ -114,6 +114,38 @@ def test_report_round_trips_through_json(tmp_path):
     assert _strip_timings(on_disk) == _strip_timings(rep.as_dict())
 
 
+def _zero_timings(rep):
+    results = tuple({**row, "elapsed_seconds": 0.0} for row in rep.results)
+    summary = {**rep.summary, "elapsed_seconds": 0.0}
+    return report.VerificationReport(config=rep.config, results=results, summary=summary)
+
+
+def test_report_json_has_one_line_per_result(tmp_path):
+    out = tmp_path / "report.json"
+    config = RunConfig(
+        identity_ids=FAST_IDS, samples_per_identity=3, seed=9, series_order=4,
+        output_path=str(out),
+    )
+    rep = run_suite(config)
+    text = rep.to_json()
+    assert json.loads(text) == rep.as_dict()
+    assert out.read_text() == text + "\n"
+    rows = [line for line in text.splitlines() if line.startswith("    {")]
+    assert [json.loads(row.rstrip(",")) for row in rows] == list(rep.results)
+    # everything else keeps the indent=2 layout
+    bare = report.VerificationReport(config=rep.config, results=(), summary=rep.summary)
+    assert bare.to_json() == json.dumps(bare.as_dict(), indent=2, sort_keys=True)
+    assert len(text.splitlines()) == len(bare.to_json().splitlines()) + len(rows) + 1
+
+
+def test_report_json_is_byte_identical_timings_aside():
+    config = RunConfig(
+        identity_ids=FAST_IDS, samples_per_identity=2, seed=9, series_order=4
+    )
+    first = _zero_timings(run_suite(config)).to_json()
+    assert _zero_timings(run_suite(config)).to_json() == first
+
+
 def test_errors_are_isolated(monkeypatch):
     import dataclasses
 

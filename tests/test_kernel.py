@@ -208,14 +208,20 @@ def test_max_terms_cap_is_honest():
     # |q| = 1 - 1e-6 needs ~3.8e7 factors to reach the threshold, beyond the cap
     with pytest.raises(NonConvergent, match="did not converge within 100000 factors"):
         qpoch1(0.5, 1 - 1e-6)
+    # theta0's one loop over both products keeps the cap
+    tau = complex(0.2, -cmath.log(1 - 1e-6).real / (2 * cmath.pi))
+    with pytest.raises(NonConvergent, match="100000 terms"):
+        theta0(0.1 + 0.05j, tau)
 
 
 def test_ell_gamma_pole_is_flagged():
-    with pytest.raises(PoleHit):
-        ell_gamma(0.0, 0.1 + 0.6j, -0.2 + 0.8j)
-    with pytest.raises(PoleHit):
-        # a descending lattice point: z = -tau - 2 sigma
-        ell_gamma(-(0.1 + 0.6j) - 2 * (-0.2 + 0.8j), 0.1 + 0.6j, -0.2 + 0.8j)
+    tau, sigma = 0.1 + 0.6j, -0.2 + 0.8j
+    # x = 1 at z = 0 and 2; at -tau the shift factor theta0(-tau; tau) in the
+    # denominator vanishes (as in the array test below); a descending lattice
+    # point -tau - 2 sigma
+    for z in (0.0, 2.0, -tau, -tau - 2 * sigma):
+        with pytest.raises(PoleHit):
+            ell_gamma(z, tau, sigma)
 
 
 def test_theta0_mult_matches_additive():
@@ -295,8 +301,8 @@ def _assert_array_matches(array_values, scalar, reference, tol=1e-13):
         assert abs(got - want_scalar) <= tol * abs(want_mp), (got, want_scalar)
 
 
-@pytest.mark.parametrize("tau,sigma", ARRAY_MODULI)
-def test_ell_gamma_array_matches_scalar_and_mpmath(tau, sigma):
+def _gamma_points(tau, sigma):
+    """Arguments on the window and strip edges, and shifted in from outside."""
     low = min(tau.imag, sigma.imag)
     top = (tau + sigma).imag
     heights = [
@@ -310,10 +316,31 @@ def test_ell_gamma_array_matches_scalar_and_mpmath(tau, sigma):
         -2.6 * max(tau.imag, sigma.imag),  # three shifts up
         top + 1.7,  # above the strip: shifted down
     ]
-    z = np.array([complex(0.31 - 0.17 * k, h) for k, h in enumerate(heights)])
+    return np.array([complex(0.31 - 0.17 * k, h) for k, h in enumerate(heights)])
+
+
+@pytest.mark.parametrize("tau,sigma", ARRAY_MODULI)
+def test_ell_gamma_array_matches_scalar_and_mpmath(tau, sigma):
+    z = _gamma_points(tau, sigma)
     got = ell_gamma(z, tau, sigma)
     scalar = [ell_gamma(v, tau, sigma) for v in z]
     _assert_array_matches(got, scalar, [_mp_gamma(v, tau, sigma) for v in z])
+
+
+#: Im sigma ~ 0.1, as ellgam-mod's transformed moduli reach: |q| ~ 0.53
+SHALLOW_MODULI = (0.37 + 0.55j, -0.21 + 0.1j)
+
+
+@pytest.mark.parametrize("tau,sigma", ARRAY_MODULI + [SHALLOW_MODULI])
+def test_ell_gamma_scalar_matches_mpmath(tau, sigma):
+    # the scalar loop on the same points: window and strip edges, and up to
+    # several shifts along the larger-Im modulus from below and above
+    for v in _gamma_points(tau, sigma):
+        want = _mp_gamma(v, tau, sigma)
+        got = ell_gamma(complex(v), tau, sigma)
+        assert abs(got - want) <= 1e-13 * abs(want), (v, got, want)
+        # the moduli in either order give the same function
+        assert abs(ell_gamma(complex(v), sigma, tau) - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.23 + 0.7j])
