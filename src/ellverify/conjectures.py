@@ -22,10 +22,9 @@ import math
 
 from .series import (
     SeriesRing,
+    binomial_factors,
     pochhammer_factors,
     pochhammer2_factors,
-    series_pochhammer,
-    series_pochhammer2,
     series_theta0,
     stabilized_product,
     theta0_factors,
@@ -177,28 +176,20 @@ def denominator_conjecture_series(n, k_mac, order):
                 1, **{f"z{l}": -(k_mac - 1) * l * (n - l) for l in range(1, n)}
             )
         ]
-        ratio_den = ring.one()
         for i in range(1, k_mac):
             factors += pochhammer_factors(ring, ring.mono(1, p=1, q=2 * i), p)
-            ratio_den = ratio_den * series_pochhammer(
-                ring, ring.mono(1, p=1, q=2 * n * i), p
-            )
-        factors.append(ratio_den.invert())
+            factors += pochhammer_factors(ring, ring.mono(1, p=1, q=2 * n * i), p, -1)
         for i in range(1, k_mac):
             for root in positive:
-                factors.append(ring.one() - ring.term(1, q=2 * i, **_z_exps(root, 2)))
+                factors += binomial_factors(ring, ring.mono(1, q=2 * i, **_z_exps(root, 2)))
             m = 1
             while not ring.negligible(ring.mono(1, p=m)):
                 for root in positive:
-                    factors.append(
-                        ring.one()
-                        - ring.term(1, p=m, q=2 * i, **_z_exps(root, 2))
-                    )
-                    factors.append(
-                        ring.one()
-                        - ring.term(1, p=m, q=2 * i, **_z_exps(root, -2))
-                    )
-                factors += [ring.one() - ring.term(1, p=m, q=2 * i)] * (n - 1)
+                    for sign in (2, -2):
+                        factors += binomial_factors(
+                            ring, ring.mono(1, p=m, q=2 * i, **_z_exps(root, sign))
+                        )
+                factors += binomial_factors(ring, ring.mono(1, p=m, q=2 * i)) * (n - 1)
                 m += 1
         return factors
 
@@ -211,11 +202,10 @@ def denominator_closed_form_series(order):
 
     def build(ring):
         p = ring.mono(1, p=1)
-        num = pochhammer_factors(ring, ring.mono(1, p=1, q=2), p)
-        den = series_pochhammer(ring, ring.mono(1, p=1, q=4), p)
         return (
-            [ring.term(1, z1=-1), den.invert()]
-            + num
+            [ring.term(1, z1=-1)]
+            + pochhammer_factors(ring, ring.mono(1, p=1, q=2), p)
+            + pochhammer_factors(ring, ring.mono(1, p=1, q=4), p, -1)
             + pochhammer_factors(ring, ring.mono(1, q=2, z1=2), p)
             + pochhammer_factors(ring, ring.mono(1, p=1, q=2, z1=-2), p)
             + pochhammer_factors(ring, ring.mono(1, p=1, q=2), p)
@@ -246,24 +236,24 @@ def aff_eval_conjecture_series(n, k_mac, mu, k, order):
     def build(ring):
         cap = ring.caps["r"]
 
-        def factor(exponent):
-            return ring.one() - ring.term(1, r=2 * exponent)
+        def factor(exponent, power=1):
+            return binomial_factors(ring, ring.mono(1, r=2 * exponent), power)
 
-        numerator, denominator = [], []
+        factors = [ring.term(1, r=-lead)]
         # imaginary-root correction brackets (cancel identically when k == 0)
         step_bar = ring.mono(1, r=2 * kappa_bar)
         step_n = ring.mono(1, r=2 * k_mac * n)
         for i in range(1, k_mac):
-            numerator += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_bar)
-            denominator += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_bar)
-            numerator += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_n)
-            denominator += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_n)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_bar)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_bar, -1)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_n)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_n, -1)
         layer0 = AffineRootLayer(n, 0)
         for root in layer0.finite_roots:
             shift = _pair(root, mu) + k_mac * sum(root)
             for i in range(k_mac):
-                numerator.append(factor(shift + i))
-                denominator.append(factor(k_mac * sum(root) + i))
+                factors += factor(shift + i)
+                factors += factor(k_mac * sum(root) + i, -1)
         reach = max(
             (abs(_pair(root, mu)) + k_mac * n for root in layer0.finite_roots),
             default=0,
@@ -275,18 +265,13 @@ def aff_eval_conjecture_series(n, k_mac, mu, k, order):
             for root in layers.finite_roots:
                 shift = _pair(root, mu) + k_mac * sum(root)
                 for i in range(k_mac):
-                    numerator.append(factor(m * kappa_bar + shift + i))
-                    denominator.append(
-                        factor(m * k_mac * n + k_mac * sum(root) + i)
-                    )
+                    factors += factor(m * kappa_bar + shift + i)
+                    factors += factor(m * k_mac * n + k_mac * sum(root) + i, -1)
             for i in range(k_mac):
-                numerator += [factor(m * kappa_bar + i)] * layers.imaginary_multiplicity
-                denominator += [
-                    factor(m * k_mac * n + i)
-                ] * layers.imaginary_multiplicity
+                factors += factor(m * kappa_bar + i) * layers.imaginary_multiplicity
+                factors += factor(m * k_mac * n + i, -1) * layers.imaginary_multiplicity
             m += 1
-        inverse = truncated_product(ring, denominator).invert()
-        return [ring.term(1, r=-lead), inverse] + numerator
+        return factors
 
     return stabilized_product(("r",), {"r": order + 1}, build)
 
@@ -301,25 +286,23 @@ def aff_eval_closed_form_series(mu, k, order):
     def build(ring):
         period = ring.mono(1, r=2 * kappa)
 
-        def poch(exponent):
-            return pochhammer_factors(ring, ring.mono(1, r=exponent), period)
+        def poch(exponent, modulus=period, power=1):
+            return pochhammer_factors(ring, ring.mono(1, r=exponent), modulus, power)
 
-        numerator = (
-            poch(2)
+        return (
+            [ring.term(1, r=-2 * mu)]
+            + poch(2)
             + poch(2 * mu + 4)
             + poch(2 * kappa - 2 * mu - 4)
             + poch(2 * mu + 6)
             + poch(2 * kappa - 2 * mu - 2)
             + poch(2 * kappa)
             + poch(2 * kappa + 2)
+            + poch(4, power=-1)
+            + poch(4, ring.mono(1, r=2), -1)
+            + poch(6, ring.mono(1, r=8), -1)
+            + poch(2, ring.mono(1, r=8), -1)
         )
-        denominator = (
-            truncated_product(ring, poch(4))
-            * series_pochhammer(ring, ring.mono(1, r=4), ring.mono(1, r=2))
-            * series_pochhammer(ring, ring.mono(1, r=6), ring.mono(1, r=8))
-            * series_pochhammer(ring, ring.mono(1, r=2), ring.mono(1, r=8))
-        )
-        return [ring.term(1, r=-2 * mu), denominator.invert()] + numerator
 
     return stabilized_product(("r",), {"r": order + 1}, build)
 
@@ -342,38 +325,34 @@ def _hall_limit_parts(n, k_mac, order):
     q2n = ring.mono(1, q=2 * n)
     t2 = ring.mono(1, t=2)
     t2n = ring.mono(1, t=2 * n)
-    weight = (
-        series_pochhammer2(ring, p2 * q2, p2, q2)
-        * series_pochhammer2(ring, p2 * t2, p2, q2).invert()
-        * series_pochhammer2(ring, p2 * t2n, p2, q2n)
-        * series_pochhammer2(ring, p2 * q2n, p2, q2n).invert()
+    weight = truncated_product(
+        ring,
+        pochhammer2_factors(ring, p2 * q2, p2, q2)
+        + pochhammer2_factors(ring, p2 * t2, p2, q2, -1)
+        + pochhammer2_factors(ring, p2 * t2n, p2, q2n)
+        + pochhammer2_factors(ring, p2 * q2n, p2, q2n, -1),
     )
-    degenerate = series_pochhammer(ring, p2 * t2n, p2) * series_pochhammer(
-        ring, p2 * t2, p2
-    ).invert()
+    degenerate = truncated_product(
+        ring,
+        pochhammer_factors(ring, p2 * t2n, p2) + pochhammer_factors(ring, p2 * t2, p2, -1),
+    )
     limit_ok = weight.coefficient_of("q", 0) == degenerate
 
     ring2 = SeriesRing(("Q", "q"), {"Q": order + 1, "q": order + 1})
     Q2 = ring2.mono(1, Q=2)
-    direct = ring2.one()
-    ratio_den = ring2.one()
+    direct = []
     for i in range(1, k_mac):
-        direct = direct * series_pochhammer(ring2, Q2 * ring2.mono(1, q=2 * i), Q2)
-        ratio_den = ratio_den * series_pochhammer(
-            ring2, Q2 * ring2.mono(1, q=2 * n * i), Q2
-        )
-    direct = direct * ratio_den.invert()
+        direct += pochhammer_factors(ring2, Q2 * ring2.mono(1, q=2 * i), Q2)
+        direct += pochhammer_factors(ring2, Q2 * ring2.mono(1, q=2 * n * i), Q2, -1)
     qq2 = ring2.mono(1, q=2)
     qq2n = ring2.mono(1, q=2 * n)
     substituted = (
-        series_pochhammer2(ring2, Q2 * qq2, Q2, qq2)
-        * series_pochhammer2(ring2, Q2 * ring2.mono(1, q=2 * k_mac), Q2, qq2).invert()
-        * series_pochhammer2(
-            ring2, Q2 * ring2.mono(1, q=2 * k_mac * n), Q2, qq2n
-        )
-        * series_pochhammer2(ring2, Q2 * qq2n, Q2, qq2n).invert()
+        pochhammer2_factors(ring2, Q2 * qq2, Q2, qq2)
+        + pochhammer2_factors(ring2, Q2 * ring2.mono(1, q=2 * k_mac), Q2, qq2, -1)
+        + pochhammer2_factors(ring2, Q2 * ring2.mono(1, q=2 * k_mac * n), Q2, qq2n)
+        + pochhammer2_factors(ring2, Q2 * qq2n, Q2, qq2n, -1)
     )
-    return limit_ok, direct == substituted
+    return limit_ok, truncated_product(ring2, direct) == truncated_product(ring2, substituted)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ back under the cap.  :func:`truncated_product` multiplies a factor list with
 per-step elevated caps sized from the remaining factors' negative budget, so
 its output is exact up to the ring caps regardless of sign patterns.
 
+A divisor ``1 - x`` is declared as the factors ``1 + x**(2**j)`` up to the
+first power the caps discard (:func:`binomial_factors`, ``power=-1``), since
+``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``;
+:meth:`LaurentSeries.invert` divides by a whole series the same way.
+
 A series is stored densely over the bounding box of its terms, as an
 object-dtype ``numpy`` array.  Coefficients are exact: ``int``, and
 :class:`fractions.Fraction` only where a coefficient is not integral.  Nothing
@@ -31,11 +36,11 @@ __all__ = [
     "Mono",
     "SeriesRing",
     "LaurentSeries",
+    "binomial_factors",
     "pochhammer_factors",
     "pochhammer2_factors",
     "theta0_factors",
     "series_pochhammer",
-    "series_pochhammer2",
     "series_theta0",
     "truncated_product",
     "stabilized_product",
@@ -257,7 +262,7 @@ class LaurentSeries:
         if not isinstance(power, int):
             raise TypeError("integer power expected")
         if power < 0:
-            return self.invert() ** (-power)
+            raise ValueError("negative power: declare the divisor with binomial_factors")
         out = self.ring.one()
         base = self
         while power:
@@ -273,6 +278,8 @@ class LaurentSeries:
         Requires every non-constant term to carry a positive exponent in some
         capped variable (so the remainder is nilpotent under truncation) and no
         negative capped exponents anywhere (pruned inversion would be unsound).
+        With ``self = c (1 - r)`` the inverse is ``prod_j (1 + r**(2**j)) / c``,
+        the rule of :func:`binomial_factors`.
         """
         constant = self.terms.get((0,) * len(self.lo))
         if not constant:
@@ -284,24 +291,18 @@ class LaurentSeries:
         free = tuple(0 if i in capped else slice(None) for i in range(len(self.lo)))
         if np.count_nonzero(self.coeffs[free]) > 1:
             raise NotInvertible("non-constant term free of every truncated variable")
-        remainder = self.ring.one() - self * Fraction(1, 1) / constant
-        out = self.ring.one()
-        power = remainder
-        rounds = sum(self.ring.caps.values()) + 1
-        for _ in range(rounds):
+        one = self.ring.one()
+        power = one - self * (Fraction(1) / constant)
+        out = one
+        # r**k vanishes once k reaches the sum of the caps
+        for _ in range(sum(self.ring.caps.values()).bit_length() + 1):
             if not power.coeffs.size:
                 break
-            out = out + power
-            power = power * remainder
+            out = out * (one + power)
+            power = power * power
         else:
             raise RuntimeError("inversion failed to stabilize")
         return out * (Fraction(1) / constant)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / _exact(other))
-        self._compatible(other)
-        return self * other.invert()
 
     # -- predicates and views -------------------------------------------------
 
@@ -392,22 +393,6 @@ def _trimmed(ring, lo, coeffs, integral):
 # product builders
 
 
-def _check_modulus(ring, modulus, argument):
-    if argument.coeff == 0:
-        return False
-    for v in ring.caps:
-        if modulus.exps.get(v, 0) < 0:
-            raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
-    if ring.negligible(argument) or modulus.coeff == 0:
-        return False
-    if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
-        raise NonTerminating(
-            "neither factor advances a truncated variable; the product "
-            "never leaves the stored range"
-        )
-    return True
-
-
 def _binomial(ring, mono):
     """``1 - mono`` (below the caps) as its two cells written into a zeroed box."""
     exps = [mono.exps.get(v, 0) for v in ring.variables]
@@ -420,28 +405,60 @@ def _binomial(ring, mono):
     return LaurentSeries(ring, lo, coeffs, isinstance(mono.coeff, int))
 
 
-def pochhammer_factors(ring, argument, modulus):
-    """Binomial factors ``1 - argument*modulus**n`` kept below the caps."""
-    if not _check_modulus(ring, modulus, argument):
+def binomial_factors(ring, mono, power=1):
+    """Factors of ``(1 - mono)**power`` below the caps, for ``power`` 1 or -1.
+
+    The reciprocal is ``prod_j (1 + mono**(2**j))`` over the powers the caps
+    keep, which ``invert`` would also accept: ``mono`` must have no negative
+    capped exponent and a positive one.  A discarded ``mono`` gives no factor.
+    """
+    if mono.coeff == 0 or ring.negligible(mono):
         return []
+    if power == 1:
+        return [_binomial(ring, mono)]
+    if power != -1:
+        raise ValueError("power must be 1 or -1")
+    exps = [mono.exps.get(v, 0) for v in ring.caps]
+    if min(exps, default=0) < 0:
+        raise NotInvertible("negative exponent in a truncated variable")
+    if not any(exps):
+        raise NotInvertible("divisor free of every truncated variable")
     factors = []
-    current = argument
-    while current.coeff != 0 and not ring.negligible(current):
-        factors.append(_binomial(ring, current))
-        current = current * modulus
+    while not ring.negligible(mono):
+        factors.append(_binomial(ring, Mono(-mono.coeff, mono.exps)))
+        mono = mono * mono
     return factors
 
 
-def pochhammer2_factors(ring, argument, modulus1, modulus2):
+def _progression(ring, argument, modulus):
+    """``argument * modulus**n`` for n = 0, 1, ... while the caps keep it."""
+    if argument.coeff == 0:
+        return
+    for v in ring.caps:
+        if modulus.exps.get(v, 0) < 0:
+            raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
+    if ring.negligible(argument) or modulus.coeff == 0:
+        return
+    if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
+        raise NonTerminating(
+            "neither factor advances a truncated variable; the product "
+            "never leaves the stored range"
+        )
+    while not ring.negligible(argument):
+        yield argument
+        argument = argument * modulus
+
+
+def pochhammer_factors(ring, argument, modulus, power=1):
+    """Factors of ``prod_n (1 - argument*modulus**n)**power`` below the caps."""
+    progression = _progression(ring, argument, modulus)
+    return [f for x in progression for f in binomial_factors(ring, x, power)]
+
+
+def pochhammer2_factors(ring, argument, modulus1, modulus2, power=1):
     """Factors of the double product iterating ``modulus1`` then ``modulus2``."""
-    if not _check_modulus(ring, modulus1, argument):
-        return []
-    factors = []
-    current = argument
-    while current.coeff != 0 and not ring.negligible(current):
-        factors.extend(pochhammer_factors(ring, current, modulus2))
-        current = current * modulus1
-    return factors
+    progression = _progression(ring, argument, modulus1)
+    return [f for x in progression for f in pochhammer_factors(ring, x, modulus2, power)]
 
 
 def theta0_factors(ring, argument, modulus):
@@ -501,11 +518,6 @@ def stabilized_product(variables, caps, build):
 def series_pochhammer(ring, argument, modulus):
     """Exact expansion of ``prod_n (1 - argument*modulus**n)``."""
     return truncated_product(ring, pochhammer_factors(ring, argument, modulus))
-
-
-def series_pochhammer2(ring, argument, modulus1, modulus2):
-    """Exact expansion of the two-modulus product."""
-    return truncated_product(ring, pochhammer2_factors(ring, argument, modulus1, modulus2))
 
 
 def series_theta0(ring, argument, modulus):

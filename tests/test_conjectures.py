@@ -23,7 +23,7 @@ from ellverify.conjectures import (
     run_series_check,
     series_triple_product_check,
 )
-from ellverify.series import SeriesRing
+from ellverify.series import LaurentSeries, SeriesRing
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,16 @@ def test_registry_unknown_id():
     for check_id in ("series.bogus", "eval1"):
         with pytest.raises(UnknownIdentity):
             run_series_check(check_id)
+
+
+def test_no_series_check_inverts_a_dense_series(monkeypatch):
+    # every divisor is declared as reciprocal binomial factors instead
+    def refuse(self):
+        raise AssertionError("dense inversion on the exact series path")
+
+    monkeypatch.setattr(LaurentSeries, "invert", refuse)
+    for check_id in catalog.identity_ids("series"):
+        assert run_series_check(check_id, order=6)["exact"], check_id
 
 
 def test_run_series_check_shape():

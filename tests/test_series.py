@@ -18,9 +18,10 @@ from ellverify.series import (
     NonTerminating,
     NotInvertible,
     SeriesRing,
+    binomial_factors,
     pochhammer_factors,
+    pochhammer2_factors,
     series_pochhammer,
-    series_pochhammer2,
     series_theta0,
     stabilized_product,
     truncated_product,
@@ -130,6 +131,13 @@ def test_pow_matches_repeated_mul(a):
     assert a**0 == RING.one()
 
 
+def test_negative_power_is_refused():
+    # division is declared as reciprocal binomial factors, not as a power
+    s = RING.one() - RING.term(1, y=1)
+    with pytest.raises(ValueError):
+        s**-1
+
+
 def test_equality_requires_matching_ring():
     other = SeriesRing(("x", "y"), {"y": 9})
     assert other.one() != RING.one()
@@ -218,8 +226,9 @@ def test_pochhammer_negligible_argument_is_empty():
 
 def test_double_product_matches_explicit_grid():
     ring = SeriesRing(("u",), {"u": 8})
-    got = series_pochhammer2(
-        ring, ring.mono(1, u=1), ring.mono(1, u=1), ring.mono(1, u=1)
+    got = truncated_product(
+        ring,
+        pochhammer2_factors(ring, ring.mono(1, u=1), ring.mono(1, u=1), ring.mono(1, u=1)),
     )
     want = ring.one()
     for a in range(8):
@@ -466,6 +475,59 @@ def test_truncated_product_matches_dict_reference(data):
     assert_matches(got, ref_clean(ring, full))
 
 
+@st.composite
+def monos(draw, ring):
+    """A monomial with exponents from -1 up to each cap (3 for uncapped)."""
+    exps = {v: draw(st.integers(-1, ring.caps.get(v, 3))) for v in ring.variables}
+    return Mono(draw(coefficients.filter(bool)), exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reciprocal_binomials_divide_exactly(data):
+    ring = data.draw(rings())
+    m = data.draw(monos(ring))
+    try:
+        inverse = binomial_factors(ring, m, -1)
+    except NotInvertible:
+        if m.exps:  # a constant divisor is refused: its doubling never ends
+            with pytest.raises(NotInvertible):
+                (ring.one() - ring.from_mono(m)).invert()
+        return
+    assert truncated_product(ring, binomial_factors(ring, m) + inverse) == ring.one()
+    assert truncated_product(ring, inverse) == (ring.one() - ring.from_mono(m)).invert()
+    # the doubling stops at the first square the caps discard
+    assert ring.negligible(m ** 2 ** len(inverse))
+
+
+def test_reciprocal_binomials_refuse_what_invert_refuses():
+    ring = SeriesRing(("x", "p"), {"p": 6})
+    with pytest.raises(NotInvertible):  # negative capped exponent
+        binomial_factors(ring, ring.mono(1, p=-1, x=1), -1)
+    with pytest.raises(NotInvertible):  # free of every capped variable
+        binomial_factors(ring, ring.mono(2, x=1), -1)
+    with pytest.raises(NotInvertible):
+        pochhammer_factors(ring, ring.mono(1, x=1), ring.mono(1, p=1), -1)
+    with pytest.raises(ValueError):
+        binomial_factors(ring, ring.mono(1, p=1), 2)
+
+
+def test_negligible_divisor_gives_no_factor():
+    ring = SeriesRing(("x", "p"), {"p": 6})
+    for power in (1, -1):
+        assert binomial_factors(ring, ring.mono(1, p=6), power) == []
+        assert binomial_factors(ring, ring.mono(1, p=7, x=-2), power) == []
+        assert binomial_factors(ring, ring.mono(0, p=1), power) == []
+
+
+def test_reciprocal_pochhammer_is_the_partition_series():
+    ring, ep = euler(20)
+    p = ring.mono(1, p=1)
+    inverse = truncated_product(ring, pochhammer_factors(ring, p, p, -1))
+    assert inverse == ep.invert()
+    assert inverse.coefficient_of("p", 19) == ring.constant(490)
+
+
 # ---------------------------------------------------------------------------
 # numeric cross-checks against the floating-point kernels
 
@@ -478,8 +540,9 @@ def test_evaluate_matches_qpoch1():
 
 def test_evaluate_matches_qpoch2():
     ring = SeriesRing(("u", "w"), {"u": 26, "w": 26})
-    s = series_pochhammer2(
-        ring, ring.mono(1, u=1), ring.mono(1, u=1), ring.mono(1, w=1)
+    s = truncated_product(
+        ring,
+        pochhammer2_factors(ring, ring.mono(1, u=1), ring.mono(1, u=1), ring.mono(1, w=1)),
     )
     got = series_value(s, u=0.25, w=0.3)
     assert abs(got - qpoch2(0.25, 0.25, 0.3)) < 1e-12
