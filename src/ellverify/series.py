@@ -6,22 +6,32 @@ the cap are discarded, so arithmetic is exact modulo the discarded range.
 Uncapped variables are honest Laurent directions (negative exponents fine,
 every stored slice finite).
 
+A series is stored densely over the bounding box of its terms, as an
+object-dtype ``numpy`` array.  Coefficients are exact: ``int``, and
+:class:`fractions.Fraction` only where a coefficient is not integral.  Nothing
+here is floating point.
+
+Products are declared as factor lists.  A binomial ``1 + c * x**e`` is the
+pair ``(c, e)``, with ``e`` an exponent tuple in ring variable order
+(:func:`binomial_factors` and the Pochhammer and theta builders make them);
+a list may also hold series, monomials such as ``ring.term(...)`` or dense
+ones.  :func:`truncated_product` gathers the monomials into one coefficient
+and shift and applies every other factor in place to one object-dtype box: a
+pair is one shifted update, ``box[k + e] += c * box[k]`` over the whole box at
+once, and a dense series one such update per nonzero cell.  Every few factors
+the box is trimmed to its nonzero cells and given room for the next few.
+
 Capped variables may also carry negative exponents — several of the theta
 rearrangements expand that way — but then plain chained multiplication is no
 longer sound: a factor with a negative capped exponent pulls discarded terms
-back under the cap.  :func:`truncated_product` multiplies a factor list with
-per-step elevated caps sized from the remaining factors' negative budget, so
+back under the cap.  :func:`truncated_product` drops, after each factor, only
+the cells at or past the cap plus the remaining factors' negative budget, so
 its output is exact up to the ring caps regardless of sign patterns.
 
 A divisor ``1 - x`` is declared as the factors ``1 + x**(2**j)`` up to the
 first power the caps discard (:func:`binomial_factors`, ``power=-1``), since
 ``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``;
 :meth:`LaurentSeries.invert` divides by a whole series the same way.
-
-A series is stored densely over the bounding box of its terms, as an
-object-dtype ``numpy`` array.  Coefficients are exact: ``int``, and
-:class:`fractions.Fraction` only where a coefficient is not integral.  Nothing
-here is floating point.
 """
 
 from __future__ import annotations
@@ -139,7 +149,11 @@ class SeriesRing:
 
     def negligible(self, mono):
         """True when the monomial is discarded by this ring's caps."""
-        return any(mono.exps.get(v, 0) >= cap for v, cap in self.caps.items())
+        exps = mono.exps
+        for v, cap in self.caps.items():
+            if exps.get(v, 0) >= cap:
+                return True
+        return False
 
     def zero(self):
         empty = np.zeros((0,) * len(self.variables), dtype=object)
@@ -324,10 +338,6 @@ class LaurentSeries:
         lo = self.lo[:idx] + (0,) + self.lo[idx + 1 :]
         return _trimmed(self.ring, lo, self.coeffs[tuple(box)], self._integral)
 
-    def min_exponent(self, variable):
-        """Smallest stored exponent of ``variable`` (0 for the zero series)."""
-        return self.lo[self.ring._index[variable]]
-
     def truncate(self, **caps):
         """Re-truncate into the ring with the tightened caps."""
         ring = self.ring.with_caps(**caps)
@@ -393,29 +403,24 @@ def _trimmed(ring, lo, coeffs, integral):
 # product builders
 
 
-def _binomial(ring, mono):
-    """``1 - mono`` (below the caps) as its two cells written into a zeroed box."""
-    exps = [mono.exps.get(v, 0) for v in ring.variables]
-    if not any(exps):
-        return ring.constant(1 - mono.coeff)
-    lo = tuple(min(0, e) for e in exps)
-    coeffs = np.zeros([abs(e) + 1 for e in exps], dtype=object)
-    coeffs[tuple(-a for a in lo)] = 1
-    coeffs[tuple(e - a for e, a in zip(exps, lo))] = -mono.coeff
-    return LaurentSeries(ring, lo, coeffs, isinstance(mono.coeff, int))
+def _pair(ring, coeff, mono):
+    """The factor ``1 + coeff * x**e`` where ``x**e`` is ``mono``'s exponents."""
+    return coeff, tuple([mono.exps.get(v, 0) for v in ring.variables])
 
 
 def binomial_factors(ring, mono, power=1):
     """Factors of ``(1 - mono)**power`` below the caps, for ``power`` 1 or -1.
 
-    The reciprocal is ``prod_j (1 + mono**(2**j))`` over the powers the caps
-    keep, which ``invert`` would also accept: ``mono`` must have no negative
-    capped exponent and a positive one.  A discarded ``mono`` gives no factor.
+    Each factor is a pair ``(c, e)``, the binomial ``1 + c * x**e`` with ``e``
+    an exponent tuple in ring variable order.  The reciprocal is
+    ``prod_j (1 + mono**(2**j))`` over the powers the caps keep, which
+    ``invert`` would also accept: ``mono`` must have no negative capped
+    exponent and a positive one.  A discarded ``mono`` gives no factor.
     """
     if mono.coeff == 0 or ring.negligible(mono):
         return []
     if power == 1:
-        return [_binomial(ring, mono)]
+        return [_pair(ring, -mono.coeff, mono)]
     if power != -1:
         raise ValueError("power must be 1 or -1")
     exps = [mono.exps.get(v, 0) for v in ring.caps]
@@ -425,7 +430,7 @@ def binomial_factors(ring, mono, power=1):
         raise NotInvertible("divisor free of every truncated variable")
     factors = []
     while not ring.negligible(mono):
-        factors.append(_binomial(ring, Mono(-mono.coeff, mono.exps)))
+        factors.append(_pair(ring, mono.coeff, mono))
         mono = mono * mono
     return factors
 
@@ -434,10 +439,13 @@ def _progression(ring, argument, modulus):
     """``argument * modulus**n`` for n = 0, 1, ... while the caps keep it."""
     if argument.coeff == 0:
         return
+    if modulus.coeff == 0:  # only n = 0 survives: (argument; 0) = 1 - argument
+        yield argument
+        return
     for v in ring.caps:
         if modulus.exps.get(v, 0) < 0:
             raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
-    if ring.negligible(argument) or modulus.coeff == 0:
+    if ring.negligible(argument):
         return
     if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
         raise NonTerminating(
@@ -467,27 +475,167 @@ def theta0_factors(ring, argument, modulus):
     return forward + pochhammer_factors(ring, modulus / argument, modulus)
 
 
+def _corners(factor):
+    """Lowest and highest exponent tuples of a pair's or a series' terms."""
+    if isinstance(factor, LaurentSeries):
+        shape = factor.coeffs.shape
+        return factor.lo, tuple(a + n - 1 for a, n in zip(factor.lo, shape))
+    exps = factor[1]
+    return tuple(min(0, e) for e in exps), tuple(max(0, e) for e in exps)
+
+
+#: factors applied between two re-trims of a running product's box
+_RETRIM = 8
+
+
+class _Box:
+    """A running product, in place: ``buf[lo:hi]`` holds its terms, ``buf[k]``
+    the exponent ``base + k``.  Cells of ``buf`` outside ``lo:hi`` are ignored.
+
+    ``resize`` trims the box to its nonzero cells and gives it room for the
+    next factors; each step of ``times`` writes within that room and drops
+    the cells at or past its ``top`` (exclusive exponent per capped slot).
+    The box grows only there, so it follows the product's support.
+    """
+
+    __slots__ = ("ring", "capped", "buf", "base", "lo", "hi")
+
+    def __init__(self, ring):
+        dims = len(ring.variables)
+        self.ring, self.capped = ring, [i for i, _ in ring._cap_slots]
+        self.buf = np.ones((1,) * dims, dtype=object)
+        self.base = (0,) * dims
+        self.lo, self.hi = [0] * dims, [1] * dims
+
+    def _support(self):
+        return tuple(map(slice, self.lo, self.hi))
+
+    def _clip(self, new_lo, new_hi, top):
+        """Lower ``new_hi`` to ``top``; False when nothing is left below it."""
+        for i, t in zip(self.capped, top):
+            new_hi[i] = min(new_hi[i], t - self.base[i])
+            if new_hi[i] <= new_lo[i]:
+                return False
+        return True
+
+    def resize(self, low, high, top):
+        """Trim to the nonzero cells below ``top``, then make room for terms
+        from ``low`` below to ``high`` above them; False when none is left."""
+        part = self.trimmed(top, [0] * len(self.lo), True)
+        if not part.coeffs.size:
+            return False
+        base = [a + d for a, d in zip(part.lo, low)]
+        room = [a + n + u for a, n, u in zip(part.lo, part.coeffs.shape, high)]
+        for i, t in zip(self.capped, top):
+            room[i] = min(room[i], t)
+        self.buf = np.zeros([r - b for r, b in zip(room, base)], dtype=object)
+        self.lo = [a - b for a, b in zip(part.lo, base)]
+        self.hi = [a + n for a, n in zip(self.lo, part.coeffs.shape)]
+        self.buf[self._support()] = part.coeffs
+        self.base = tuple(base)
+        return True
+
+    def trimmed(self, top, shift, integral):
+        """The series of the cells below ``top``, its exponents moved by
+        ``shift``; see :func:`_trimmed` for ``integral``."""
+        if not self._clip(self.lo, self.hi, top):
+            return self.ring.zero()
+        lo = tuple(b + l + s for b, l, s in zip(self.base, self.lo, shift))
+        return _trimmed(self.ring, lo, self.buf[self._support()], integral)
+
+    def times(self, factor, low, high, top):
+        """Multiply by a pair or a series whose terms span ``low``..``high``.
+
+        A pair ``1 + c * x**e`` is one shifted update in place; a series is
+        one shifted update per nonzero cell, into a new buffer.
+        """
+        new_lo = [l + a for l, a in zip(self.lo, low)]
+        new_hi = [h + b for h, b in zip(self.hi, high)]
+        if not self._clip(new_lo, new_hi, top):
+            return False
+        if isinstance(factor, LaurentSeries):
+            out = np.zeros(self.buf.shape, dtype=object)
+            for cell in zip(*np.nonzero(factor.coeffs)):
+                shift = [a + k for a, k in zip(factor.lo, cell)]
+                self._add_shifted(out, factor.coeffs[cell], shift, new_hi)
+            self.buf = out
+        else:
+            self._add_shifted(self.buf, *factor, new_hi)
+        self.lo, self.hi = new_lo, new_hi
+        return True
+
+    def _add_shifted(self, out, coeff, shift, new_hi):
+        """``out += coeff * x**shift * (the terms)``, below ``new_hi``."""
+        dst, src = [], []
+        for l, h, e, n in zip(self.lo, self.hi, shift, new_hi):
+            stop = min(h + e, n)
+            if stop <= l + e:
+                return
+            dst.append(slice(l + e, stop))
+            src.append(slice(l, stop - e))
+        dst, src = tuple(dst), self.buf[tuple(src)]
+        if coeff == 1:
+            out[dst] += src
+        elif coeff == -1:
+            out[dst] -= src
+        else:
+            out[dst] += coeff * src
+
+
 def truncated_product(ring, factors):
     """Product of a factor list, exact up to the ring caps.
 
-    Factors whose terms dip to negative exponents in capped variables are
-    multiplied first, and every intermediate product is pruned at the ring cap
-    plus the remaining factors' total negative budget, so later downward
-    shifts cannot reach below the caps from discarded territory.
+    ``factors`` mixes binomial pairs (see :func:`binomial_factors`) and
+    series.  Monomials gather into one coefficient and shift.  The rest are
+    applied in place to one box (:class:`_Box`), and after each one the box
+    drops the cells at or past the cap (less the shift) plus the remaining
+    factors' total negative budget, so later downward shifts cannot reach
+    below the caps from discarded territory.  That holds in any order; the
+    factors whose terms dip to negative exponents in capped variables go
+    first, which spends the budget early and keeps the box small.
     """
-    factors = sorted(factors, key=lambda f: all(f.min_exponent(v) >= 0 for v in ring.caps))
-    budgets = []
-    running = {v: 0 for v in ring.caps}
-    for factor in reversed(factors):
-        budgets.append(dict(running))
-        for v in ring.caps:
-            running[v] += max(0, -factor.min_exponent(v))
-    budgets.reverse()
-    out = ring.one()
-    for factor, slack in zip(factors, budgets):
-        bounds = tuple((ring._index[v], ring.caps[v] + slack[v]) for v in sorted(ring.caps))
-        out = out._mul_bounded(factor, bounds)
-    return out.truncate(**ring.caps)
+    dims = len(ring.variables)
+    scale, shift, integral, steps = 1, (0,) * dims, True, []
+    for factor in factors:
+        if isinstance(factor, LaurentSeries):
+            if not factor.coeffs.size:
+                return ring.zero()
+            if factor.coeffs.size > 1:
+                steps.append(factor)
+                integral = integral and factor._integral
+                continue
+            coeff, exps = factor.coeffs.flat[0], factor.lo
+        elif any(factor[1]):
+            steps.append(factor)
+            integral = integral and isinstance(factor[0], int)
+            continue
+        else:
+            coeff, exps = 1 + factor[0], factor[1]
+        scale *= coeff
+        shift = tuple(a + b for a, b in zip(shift, exps))
+    if scale == 0:
+        return ring.zero()
+    slots = [i for i, _ in ring._cap_slots]
+    steps = [(f,) + _corners(f) for f in steps]
+    steps.sort(key=lambda step: all(step[1][i] >= 0 for i in slots))
+    # tops[k]: exclusive exponent in each capped slot before step k, the cap
+    # less the monomials' shift plus the negative budget of steps k, k+1, ...
+    tops = [tuple(cap - shift[i] for i, cap in ring._cap_slots)]
+    for _, low, _ in reversed(steps):
+        tops.append(tuple(t - min(0, low[i]) for t, i in zip(tops[-1], slots)))
+    tops.reverse()
+    box = _Box(ring)
+    for start in range(0, len(steps), _RETRIM):
+        window = steps[start : start + _RETRIM]
+        low = [sum(min(0, step[1][i]) for step in window) for i in range(dims)]
+        high = [sum(max(0, step[2][i]) for step in window) for i in range(dims)]
+        if not box.resize(low, high, tops[start]):
+            return ring.zero()
+        for k, step in enumerate(window, start + 1):
+            if not box.times(*step, tops[k]):
+                return ring.zero()
+    out = box.trimmed(tops[-1], shift, integral)
+    return out if scale == 1 else out * scale
 
 
 def stabilized_product(variables, caps, build):
@@ -497,8 +645,10 @@ def stabilized_product(variables, caps, build):
     enumerated against the target caps are too few: terms pulled down from
     above the caps still land in range.  This helper re-invokes ``build``
     under working caps elevated by the list's own negative budget until that
-    budget stabilizes, multiplies there, and truncates back.  With a clean
-    factor list the first round is already stable and there is no overhead.
+    budget stabilizes.  It then multiplies at the requested caps: a pair
+    carries no caps, and :func:`truncated_product` keeps what the remaining
+    budget can still pull down.  With a clean factor list the first round is
+    already stable and there is no overhead.
     """
     working = dict(caps)
     for _ in range(8):
@@ -506,11 +656,13 @@ def stabilized_product(variables, caps, build):
         factors = build(ring)
         budgets = {v: 0 for v in caps}
         for factor in factors:
+            # a pair's exponents dip below 0 exactly where its terms do
+            low = factor.lo if isinstance(factor, LaurentSeries) else factor[1]
             for v in budgets:
-                budgets[v] += max(0, -factor.min_exponent(v))
+                budgets[v] += max(0, -low[ring._index[v]])
         wanted = {v: caps[v] + budgets[v] for v in caps}
         if wanted == working:
-            return truncated_product(ring, factors).truncate(**caps)
+            return truncated_product(SeriesRing(variables, caps), factors)
         working = wanted
     raise RuntimeError("negative budget failed to stabilize")
 

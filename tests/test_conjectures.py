@@ -23,7 +23,7 @@ from ellverify.conjectures import (
     run_series_check,
     series_triple_product_check,
 )
-from ellverify.series import LaurentSeries, SeriesRing
+from ellverify.series import LaurentSeries, SeriesRing, truncated_product
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_aff_eval_trivial_weight_is_one():
 
 def test_aff_eval_leading_term():
     series = aff_eval_conjecture_series(2, 2, 3, 2, 20)
-    assert series.min_exponent("r") == -6
+    assert series.lo == (-6,)
     assert series.terms[(-6,)] == 1
 
 
@@ -257,3 +257,33 @@ def test_run_series_check_shape():
     assert {case["exact"] for case in out["cases"]} == {True}
     with pytest.raises(ValueError):
         run_series_check("series.triple-product", order=-1)
+
+
+def test_series_products_never_fall_back_to_dense_multiplies(monkeypatch):
+    # truncated_product applies binomial pairs and monomials to one box; a
+    # product that reached the dense multiply instead would count calls here
+    calls = []
+    records = []  # (every factor a pair or a monomial, dense multiplies)
+    mul = LaurentSeries._mul_bounded
+
+    def counted(self, other, cap_slots):
+        calls.append(1)
+        return mul(self, other, cap_slots)
+
+    def watched(ring, factors):
+        plain = all(
+            not isinstance(f, LaurentSeries) or f.coeffs.size <= 1 for f in factors
+        )
+        before = len(calls)
+        out = truncated_product(ring, factors)
+        records.append((plain, len(calls) - before))
+        return out
+
+    monkeypatch.setattr(LaurentSeries, "_mul_bounded", counted)
+    monkeypatch.setattr("ellverify.series.truncated_product", watched)
+    monkeypatch.setattr("ellverify.conjectures.truncated_product", watched)
+    for check_id in catalog.identity_ids("series"):
+        assert run_series_check(check_id, order=6)["exact"], check_id
+    plain = [n for is_plain, n in records if is_plain]
+    assert len(plain) == len(records) > 50  # every side is pairs and monomials
+    assert sum(plain) == 0

@@ -278,7 +278,7 @@ def test_stabilized_product_is_exact_to_the_cap():
 
     got = stabilized_product(("x",), {"x": 8}, build)
     assert got == shifted_reference(2, 8)
-    assert got.min_exponent("x") == -2
+    assert got.lo == (-2,)
 
 
 def test_stabilized_product_crossed_budgets():
@@ -431,7 +431,6 @@ def test_dense_storage_matches_dict_reference(data):
         a.coefficient_of(v, exponent),
         {k[:i] + (0,) + k[i + 1 :]: c for k, c in a_terms.items() if k[i] == exponent},
     )
-    assert a.min_exponent(v) == min((k[i] for k in a_terms), default=0)
     cap = data.draw(st.integers(1, ring.caps.get(v, 5)))
     narrow = a.truncate(**{v: cap})
     assert narrow.ring == ring.with_caps(**{v: cap})
@@ -441,8 +440,9 @@ def test_dense_storage_matches_dict_reference(data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_pochhammer_binomials_match_one_minus_mono(data):
-    # each factor 1 - c m is written as its two cells; it must be the series
-    # the general subtraction builds, storage and integrality flag included
+    # each factor is a pair (c, e) standing for 1 + c x^e; alone in a product
+    # it must be the series the general subtraction builds, integrality flag
+    # included, and the list must run until the first discarded term
     ring = data.draw(rings())
     exps = lambda: {  # noqa: E731
         v: data.draw(st.integers(-2, ring.caps.get(v, 3))) for v in ring.variables
@@ -453,12 +453,33 @@ def test_pochhammer_binomials_match_one_minus_mono(data):
         factors = pochhammer_factors(ring, argument, modulus)
     except NonTerminating:
         return
+    if argument.coeff != 0 and not ring.negligible(argument):
+        assert factors
     current = argument
     for factor in factors:
+        coeff, exponents = factor
+        assert exponents == tuple(current.exps.get(v, 0) for v in ring.variables)
         want = ring.one() - ring.from_mono(current)
-        assert factor == want and factor._integral == want._integral
-        assert_matches(factor, want.terms)
+        got = truncated_product(ring, [factor])
+        assert got == want and got._integral == want._integral
+        assert_matches(got, want.terms)
         current = current * modulus
+    assert current.coeff == 0 or ring.negligible(current)
+
+
+def test_zero_modulus_keeps_the_first_factor():
+    # (m; 0)_inf = 1 - m: only the n = 0 factor survives, whatever the
+    # zero modulus' exponents, for the product and for its reciprocal
+    ring = SeriesRing(("x", "p"), {"p": 5})
+    m = ring.mono(1, p=1)
+    once = ring.one() - ring.from_mono(m)
+    for modulus in (Mono(0), Mono(0, {"p": 1}), Mono(0, {"p": -1, "x": 2})):
+        assert truncated_product(ring, pochhammer_factors(ring, m, modulus)) == once
+        inverse = truncated_product(ring, pochhammer_factors(ring, m, modulus, -1))
+        assert inverse == once.invert()
+        double = pochhammer2_factors(ring, m, modulus, ring.mono(1, p=1))
+        assert double == pochhammer_factors(ring, m, ring.mono(1, p=1))
+    assert pochhammer_factors(ring, ring.mono(1, p=5), Mono(0)) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -480,6 +501,68 @@ def monos(draw, ring):
     """A monomial with exponents from -1 up to each cap (3 for uncapped)."""
     exps = {v: draw(st.integers(-1, ring.caps.get(v, 3))) for v in ring.variables}
     return Mono(draw(coefficients.filter(bool)), exps)
+
+
+def test_monomials_past_every_cap_give_zero():
+    # the monomials lift the unit term past the cap plus the whole negative
+    # budget, so nothing the binomials do can bring a term back below it
+    ring = SeriesRing(("x", "y"), {"y": 3})
+    lift = [ring.term(1, y=2), ring.term(2, x=1, y=2), ring.term(1, y=2)]
+    assert truncated_product(ring, lift + [(1, (0, -1)), (-1, (1, 1))]) == ring.zero()
+    # a deep enough dip brings y**6 back as y**2
+    got = truncated_product(ring, lift + [(1, (0, -4)), (-1, (1, 1))])
+    assert got == ring.term(2, x=1, y=2)
+
+
+@st.composite
+def mixed_factors(draw, ring):
+    """A factor list mixing binomial pairs (negative capped exponents and
+    uncapped variables included), reciprocal pairs, monomials and dense
+    series, each with its ``{exponent tuple: coefficient}`` reference."""
+    zero = (0,) * len(ring.variables)
+    factors, refs = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("pair", "pair", "pair", "reciprocal", "monomial", "dense")))
+        if kind == "dense":
+            terms = draw(term_dicts(ring, size=3))
+            factors.append(from_terms(ring, terms))
+            refs.append(terms)
+        elif kind == "monomial":
+            exps = tuple(draw(st.integers(-2, ring.caps.get(v, 4) - 1)) for v in ring.variables)
+            coeff = draw(coefficients)
+            factors.append(ring.term(coeff, **dict(zip(ring.variables, exps))))
+            refs.append({exps: coeff} if coeff else {})
+        else:
+            if kind == "pair":
+                # up to past the cap, where a later dip can bring a term back
+                exps = tuple(
+                    draw(st.integers(-2, ring.caps.get(v, 2) + 1)) for v in ring.variables
+                )
+                pairs = [(draw(coefficients.filter(bool)), exps)]
+            else:
+                try:
+                    pairs = binomial_factors(ring, draw(monos(ring)), -1)
+                except NotInvertible:
+                    continue
+            for coeff, exps in pairs:
+                factors.append((coeff, exps))
+                refs.append({zero: 1, exps: coeff} if exps != zero else {zero: 1 + coeff})
+    return factors, refs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mixed_factor_lists_match_dict_reference(data):
+    # pairs are applied in place, monomials gathered, dense series spread
+    # cell by cell; the product must be exact to the caps whatever the order.
+    # With two capped variables a pair can sit past one cap while it dips in
+    # the other, so a later dip must find the terms the budget kept.
+    ring = data.draw(rings().filter(lambda ring: len(ring.caps) >= 2))
+    factors, refs = data.draw(mixed_factors(ring))
+    full = {(0,) * len(ring.variables): 1}
+    for terms in refs:
+        full = ref_mul(ring, full, terms, caps={})
+    assert_matches(truncated_product(ring, factors), ref_clean(ring, full))
 
 
 @settings(max_examples=150, deadline=None)
