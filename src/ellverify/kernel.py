@@ -91,7 +91,7 @@ MAX_TERMS = 100_000
 #: a denominator factor smaller than this is treated as an exact pole
 POLE_EPSILON = 1e-13
 #: node x term cells in one block of the array path's work arrays
-_BLOCK_CELLS = 1 << 12
+_BLOCK_CELLS = 1 << 11
 
 
 def e2pi(z):

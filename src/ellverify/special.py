@@ -12,12 +12,16 @@ formula transcription error stays local and visible.
 Functions receive additive parameters (moduli in the upper half-plane) and
 return builtin complex numbers.  Each integral evaluator declares its
 integrand once, as an :class:`Integrand`: kernel factors
-``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  It
-hands the declaration and its :class:`~ellverify.contour.Path` to
-:func:`audited_integral`, which derives the pole inventory from the factors
-(:func:`pole_inventory`), audits the path against it and then runs the
-periodic trapezoid rule.  A path the audit rejects raises
-:class:`~ellverify.contour.PoleOnPath`.
+``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  On
+a node array the factors that share a kernel function and moduli make one
+kernel call on their stacked arguments.  The evaluator hands the declaration
+and its :class:`~ellverify.contour.Path` to :func:`audited_integral`, which
+derives the pole inventory from the factors (:func:`pole_inventory`), audits
+the path against it and then runs the periodic trapezoid rule from a first
+batch sized by the audit clearance.  A path the audit rejects raises
+:class:`~ellverify.contour.PoleOnPath`, and a quadrature that converges far
+slower than its clearance predicts raises its subclass
+:class:`~ellverify.contour.MissedPole`.
 
 An integral over a cycle that separates two gamma towers is the straight
 period plus one tower correction, :func:`gamma_pair_tower_correction`.  It is
@@ -28,6 +32,7 @@ simple pole of one of them, and the rest of the declaration is the entire part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,6 +40,7 @@ import numpy as np
 
 from .contour import CLEARANCE, Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
+    _BLOCK_CELLS,
     PoleHit,
     e2pi,
     ell_gamma,
@@ -105,6 +111,10 @@ def _require(condition, message):
 # integrands declared as factor lists
 
 
+#: the kernel function of each factor kind, by its name in this module
+_KERNELS = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
+
+
 @dataclass(frozen=True)
 class Factor:
     """``f(shift + slope t; *moduli) ** power`` for one kernel function ``f``.
@@ -122,34 +132,63 @@ class Factor:
     power: int = 1
 
     def __call__(self, t):
-        # the kernel functions are looked up by name at call time, so a
-        # wrapper bound to that name in this module sees every call
-        z = self.shift + self.slope * t
-        if self.kind == "gamma":
-            value = ell_gamma(z, *self.moduli)
-        elif self.kind == "theta0":
-            value = theta0(z, *self.moduli)
-        else:
-            value = jacobi_theta(z, *self.moduli)
+        value = _kernel(self.kind)(self.shift + self.slope * t, *self.moduli)
         return value if self.power == 1 else value**self.power
+
+
+def _kernel(kind):
+    # looked up by name at call time, so a wrapper bound to that name in this
+    # module sees every call
+    return globals()[_KERNELS[kind]]
 
 
 @dataclass(frozen=True)
 class Integrand:
     """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``.
 
-    The scale and the phase have no poles, so every pole is a factor's.
+    The scale and the phase have no poles, so every pole is a factor's.  On a
+    numpy array ``t`` the factors that share a kind and moduli are one group:
+    their arguments are stacked and the group makes one kernel call, in
+    blocks of at most ``_BLOCK_CELLS`` arguments.  A scalar ``t`` (a tower
+    correction's residue point) takes one scalar kernel call per factor.
     """
 
     factors: tuple
     scale: complex = 1
     wind: int = 0
 
+    @functools.cached_property
+    def _groups(self):
+        """``(kind, moduli, shifts, slopes, powers)`` of each group, the last
+        three as columns, ``powers`` ``None`` when every power is 1."""
+        members = {}
+        for factor in self.factors:
+            members.setdefault((factor.kind, factor.moduli), []).append(factor)
+        groups = []
+        for (kind, moduli), group in members.items():
+            shifts, slopes, powers = (
+                np.array(column)[:, None]
+                for column in zip(*((complex(f.shift), f.slope, f.power) for f in group))
+            )
+            groups.append((kind, moduli, shifts, slopes, None if np.all(powers == 1) else powers))
+        return tuple(groups)
+
     def __call__(self, t):
         phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
         value = complex(self.scale) * phase
-        for factor in self.factors:
-            value = value * factor(t)
+        if not isinstance(t, np.ndarray):
+            for factor in self.factors:
+                value = value * factor(t)
+            return value
+        value = np.broadcast_to(value, t.shape).copy()
+        width = max(1, _BLOCK_CELLS // max((len(g[2]) for g in self._groups), default=1))
+        for start in range(0, len(t), width):
+            block = slice(start, start + width)
+            for kind, moduli, shifts, slopes, powers in self._groups:
+                values = _kernel(kind)(shifts + slopes * t[block], *moduli)
+                if powers is not None:
+                    values = values**powers
+                value[block] *= values.prod(axis=0)
         return value
 
 
@@ -216,13 +255,16 @@ def audited_integral(integrand, path):
     """Audit ``path`` against the poles of ``integrand``, then integrate it.
 
     Raises :class:`PoleOnPath` when a pole is too close to the path or on
-    the wrong side of it.
+    the wrong side of it.  The least pole distance, the audit clearance, sizes
+    the quadrature's first batch, and a quadrature that converges far slower
+    than that clearance predicts raises :class:`~ellverify.contour.MissedPole`.
     """
     report = pole_audit(path, pole_inventory(integrand))
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
         raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    return integrate(integrand, path).value
+    clearance = min((e.distance for e in report.entries), default=None)
+    return integrate(integrand, path, clearance=clearance).value
 
 
 def _quarter_path(x0, tau, sigma):

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellverify.contour import (
+    CLEARANCE,
+    MISSED_POLE_FACTOR,
+    MissedPole,
     Path,
+    PoleAuditEntry,
+    PoleOnPath,
     PoleSpec,
     ToleranceNotReached,
     achieved_errors,
@@ -54,6 +59,47 @@ def test_doubling_reuses_every_node():
 
     res = integrate(f, STRAIGHT, tol=1e-12)
     assert res.evaluations == len(nodes) == len(set(nodes)) == 32
+
+
+def _batch_sizes(clearance, tol=1e-10):
+    sizes = []
+
+    def f(t):
+        sizes.append(len(t))
+        return 1.0
+
+    res = integrate(f, STRAIGHT, tol=tol, clearance=clearance)
+    assert res.evaluations == sum(sizes)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "clearance, first",
+    [
+        (0.05, 64),  # ln(1e10) / (2 pi 0.05) = 73.3 nodes: 32 would double to 64 < 73.3
+        (0.01, 256),  # 366.5 nodes
+        (0.001, 512),  # 3,665 nodes: the first batch is capped
+        (0.5, 16),  # 7.3 nodes: the first batch never falls below 16
+    ],
+)
+def test_first_batch_is_sized_by_the_clearance(clearance, first):
+    predicted = math.log(1e10) / (2 * math.pi * clearance)
+    assert first == 512 or 2 * first >= predicted
+    assert first == 16 or first < predicted
+    # the predicted batch, then the doubling that confirms it
+    assert _batch_sizes(clearance) == [first, first]
+
+
+def test_missed_pole_fails_fast():
+    # a pole 0.01 off the path needs hundreds of nodes; a claimed clearance
+    # of 0.5 predicts 32, so doubling past 10 times that is refused
+    f = _pole_at(0.2 + 0.01j)
+    assert integrate(f, STRAIGHT, tol=1e-10, clearance=0.01).evaluations > 32 * MISSED_POLE_FACTOR
+    with pytest.raises(MissedPole) as excinfo:
+        integrate(f, STRAIGHT, tol=1e-10, clearance=0.5)
+    assert isinstance(excinfo.value, PoleOnPath)
+    # the true clearance passes, and no clearance never raises it
+    integrate(f, STRAIGHT, tol=1e-10)
 
 
 def test_polynomial_value():
@@ -225,3 +271,47 @@ def test_audit_wraparound_distance():
     report = pole_audit(STRAIGHT, [PoleSpec(-0.5 + 0.2j, "below")])
     assert report.ok
     assert math.isclose(report.entries[0].distance, 0.2)
+
+
+def _reference_entry(path, spec):
+    """One pole's entry, audited on its own: the audit before it was batched."""
+    location = complex(spec.location)
+    p = complex(location.real - math.floor(location.real + 0.5), location.imag)
+    height = float(path.height(p.real))
+    path_side = "above" if height > p.imag else "below" if height < p.imag else "on"
+    if path.c == 0:
+        distance = abs(p.imag)
+    else:
+        lo, hi = p.real - 0.5, p.real + 0.5
+        for _ in range(4):
+            x = np.linspace(lo, hi, 257)
+            d = np.abs(x + 1j * path.height(x) - p)
+            k = int(np.argmin(d))
+            lo, hi = x[max(k - 1, 0)], x[min(k + 1, 256)]
+        distance = float(d[k])
+    ok = distance >= CLEARANCE and path_side != "on" and spec.side in (None, path_side)
+    return PoleAuditEntry(location, p, distance, path_side, spec.side, ok)
+
+
+@pytest.mark.parametrize("path", [STRAIGHT, Path(0.1, -0.25), Path(0.07, 0.31)])
+def test_batched_audit_matches_per_pole_reference(path):
+    rng = np.random.default_rng(5)
+    locations = list(rng.uniform(-2, 2, 30) + 1j * rng.uniform(-0.6, 0.6, 30))
+    # on the path, at the period seam, and on a crest
+    locations += [0.3 + 1j * float(path.height(0.3)), 0.5 + 0.2j, -0.5 - 0.05j, 0.5, -0.5]
+    locations += [path.x0 + 1j * path.c, 1.75 + 0.003j]
+    sides = [None, "above", "below"]
+    poles = [PoleSpec(z, sides[i % 3]) for i, z in enumerate(locations)]
+    report = pole_audit(path, poles)
+    expected = [_reference_entry(path, spec) for spec in poles]
+    assert list(report.entries) == expected
+    for got, want in zip(report.entries, expected):
+        assert got.distance.hex() == want.distance.hex()
+        assert type(got.reduced) is complex and type(got.distance) is float
+    assert report.ok == all(e.ok for e in expected)
+    assert any(e.path_side == "on" for e in report.entries)
+
+
+def test_audit_of_no_poles_is_ok():
+    for path in (STRAIGHT, Path(0.1, 0.2)):
+        assert pole_audit(path, []) == pole_audit(path, ()) and pole_audit(path, []).ok

@@ -241,8 +241,9 @@ def test_spiridonov_lhs_reaches_tight_tolerance(monkeypatch):
 
 def test_factors_call_the_kernel_through_the_module_names(monkeypatch):
     # a tracer wraps the kernel by rebinding the names special imported; the
-    # spiridonov integrand has 14 gamma factors, all of which it must see at
-    # every node (one call per factor and batch of nodes)
+    # spiridonov integrand has 14 gamma factors on one moduli pair, all of
+    # which it must see at every node (their arguments stacked into one call
+    # per batch of nodes)
     params = catalog.sample_params("spiridonov", 0, 0)
     nodes = []
     ell_gamma = special.ell_gamma
@@ -257,6 +258,92 @@ def test_factors_call_the_kernel_through_the_module_names(monkeypatch):
     ((_, _, result),) = runs
     assert result.evaluations > 0
     assert len(nodes) == 14 * result.evaluations
+
+
+@pytest.fixture(scope="module")
+def declarations():
+    """``{check id: [(integrand, path), ...]}`` of every quadrature each
+    integrating check runs at its seed-0 draw."""
+    found = {}
+    with pytest.MonkeyPatch.context() as mp:
+        runs = record_quadratures(mp)
+        for cid in catalog.identity_ids():
+            if catalog.get_entry(cid).kind == "numeric":
+                runs.clear()
+                catalog.run_check(cid, seed=0, sample_index=0)
+                if runs:
+                    found[cid] = [(f, path) for f, path, _ in runs]
+    return found
+
+
+def _nodes(path, n=64):
+    return path.point(np.arange(n) / n)
+
+
+def _per_factor(f, t):
+    value = complex(f.scale) * (np.exp(2j * np.pi * f.wind * t) if f.wind else 1)
+    for factor in f.factors:
+        value = value * factor(t)
+    return value
+
+
+def test_grouped_integrand_matches_the_per_factor_product(declarations):
+    factors = [x for runs in declarations.values() for f, _ in runs for x in f.factors]
+    # the declarations cover reciprocal and squared factors, slopes +-2 and
+    # jacobi thetas
+    assert {x.power for x in factors} >= {-1, 1, 2}
+    assert {x.slope for x in factors} >= {-2, -1, 1, 2}
+    assert {x.kind for x in factors} == {"gamma", "theta0", "jacobi"}
+    for cid, runs in declarations.items():
+        for f, path in runs:
+            t = _nodes(path)
+            got, want = f(t), _per_factor(f, t)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), cid
+
+
+def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
+    calls = []
+    for name in ("ell_gamma", "theta0", "jacobi_theta"):
+        def counting(z, *moduli, name=name, kernel=getattr(special, name)):
+            calls.append((name, moduli))
+            return kernel(z, *moduli)
+
+        monkeypatch.setattr(special, name, counting)
+    names = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
+    for cid, runs in declarations.items():
+        for f, path in runs:
+            groups = {(names[x.kind], x.moduli) for x in f.factors}
+            calls.clear()
+            f(_nodes(path))
+            assert len(calls) == len(groups) and set(calls) == groups, cid
+    # a spiridonov batch of 64 nodes stacks 14 x 64 gamma arguments in one call
+    ((spiridonov, path),) = declarations["spiridonov"]
+    calls.clear()
+    spiridonov(_nodes(path))
+    assert len(spiridonov.factors) == 14 and len(calls) == 1
+
+
+def test_deleting_the_nearest_poles_raises_missed_pole(monkeypatch):
+    # lemma.int-rearrange at seed 0, draw 13, integrates over the straight
+    # period; its nearest poles, a mirror pair 0.028 off the axis, are 12x
+    # nearer than the next.  Without them the audit predicts 32 nodes, but
+    # the integrand still needs 512
+    cid, seed, index = "lemma.int-rearrange", 0, 13
+    assert catalog.run_check(cid, seed=seed, sample_index=index).passed
+    inventory = special.pole_inventory
+    deleted = []
+
+    def without_nearest(f):
+        specs = inventory(f)
+        nearest = min(abs(spec.location.imag) for spec in specs) * (1 + 1e-9)
+        deleted.extend(spec for spec in specs if abs(spec.location.imag) <= nearest)
+        return [spec for spec in specs if abs(spec.location.imag) > nearest]
+
+    monkeypatch.setattr(special, "pole_inventory", without_nearest)
+    with pytest.raises(contour.MissedPole):
+        catalog.run_check(cid, seed=seed, sample_index=index)
+    (p, q) = deleted
+    assert abs(p.location + q.location) < 1e-12
 
 
 # ---------------------------------------------------------------------------
