@@ -18,8 +18,11 @@ a list may also hold series, monomials such as ``ring.term(...)`` or dense
 ones.  :func:`truncated_product` gathers the monomials into one coefficient
 and shift and applies every other factor in place to one object-dtype box: a
 pair is one shifted update, ``box[k + e] += c * box[k]`` over the whole box at
-once, and a dense series one such update per nonzero cell.  Every few factors
-the box is trimmed to its nonzero cells and given room for the next few.
+once, and a dense series one such update per nonzero cell.  The box starts as
+the dense series with the most nonzero cells, so the others spread fewer.
+Every few factors the box is trimmed to its nonzero cells and given room
+for the next few.  It is the one multiply: ``a * b`` and ``a ** n`` are
+the factor lists ``[a, b]`` and ``[a] * n``.
 
 Capped variables may also carry negative exponents — several of the theta
 rearrangements expand that way — but then plain chained multiplication is no
@@ -30,8 +33,9 @@ its output is exact up to the ring caps regardless of sign patterns.
 
 A divisor ``1 - x`` is declared as the factors ``1 + x**(2**j)`` up to the
 first power the caps discard (:func:`binomial_factors`, ``power=-1``), since
-``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``;
-:meth:`LaurentSeries.invert` divides by a whole series the same way.
+``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``.
+:meth:`LaurentSeries.invert` writes a whole series as ``c (1 - r)`` and
+passes ``1 / c`` and the factors ``1 + r**(2**j)`` to the same product.
 """
 
 from __future__ import annotations
@@ -99,13 +103,6 @@ class Mono:
 
     def __truediv__(self, other):
         return self * other.reciprocal()
-
-    def __pow__(self, power):
-        if not isinstance(power, int):
-            raise TypeError("integer power expected")
-        base = self if power >= 0 else self.reciprocal()
-        n = abs(power)
-        return Mono(base.coeff**n, {v: e * n for v, e in base.exps.items()})
 
     def reciprocal(self):
         if self.coeff == 0:
@@ -176,11 +173,6 @@ class SeriesRing:
         cell = np.full((1,) * len(lo), mono.coeff, dtype=object)
         return LaurentSeries(self, lo, cell, isinstance(mono.coeff, int))
 
-    def with_caps(self, **caps):
-        merged = dict(self.caps)
-        merged.update(caps)
-        return SeriesRing(self.variables, merged)
-
 
 class LaurentSeries:
     """Immutable series over a :class:`SeriesRing`, dense over its terms' box.
@@ -247,44 +239,16 @@ class LaurentSeries:
             integral = self._integral and isinstance(other, int)
             return _trimmed(self.ring, self.lo, self.coeffs * other, integral)
         self._compatible(other)
-        return self._mul_bounded(other, self.ring._cap_slots)
+        return truncated_product(self.ring, [self, other])
 
     __rmul__ = __mul__
-
-    def _mul_bounded(self, other, cap_slots):
-        """Multiply, dropping exponents at or past the (index, bound) pairs.
-
-        Each nonzero cell ``c`` of the operand with fewer of them adds ``c`` times
-        the shifted other operand, so a binomial costs two shifted updates.
-        """
-        small, large = self.coeffs, other.coeffs
-        if np.count_nonzero(small) > np.count_nonzero(large):
-            small, large = large, small
-        lo = tuple(a + b for a, b in zip(self.lo, other.lo))
-        shape = [m + n - 1 for m, n in zip(small.shape, large.shape)]
-        for i, bound in cap_slots:
-            shape[i] = min(shape[i], bound - lo[i])
-        out = np.zeros([max(0, n) for n in shape], dtype=object)
-        for cell in zip(*np.nonzero(small)):
-            span = [min(n, s - k) for n, s, k in zip(large.shape, out.shape, cell)]
-            if min(span) > 0:
-                target = tuple(slice(k, k + m) for k, m in zip(cell, span))
-                out[target] += small[cell] * large[tuple(slice(0, m) for m in span)]
-        return _trimmed(self.ring, lo, out, self._integral and other._integral)
 
     def __pow__(self, power):
         if not isinstance(power, int):
             raise TypeError("integer power expected")
         if power < 0:
             raise ValueError("negative power: declare the divisor with binomial_factors")
-        out = self.ring.one()
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            base = base * base if power > 1 else base
-            power >>= 1
-        return out
+        return truncated_product(self.ring, [self] * power)
 
     def invert(self):
         """Multiplicative inverse of a series with unit constant term.
@@ -307,16 +271,16 @@ class LaurentSeries:
             raise NotInvertible("non-constant term free of every truncated variable")
         one = self.ring.one()
         power = one - self * (Fraction(1) / constant)
-        out = one
+        factors = [self.ring.constant(Fraction(1) / constant)]
         # r**k vanishes once k reaches the sum of the caps
         for _ in range(sum(self.ring.caps.values()).bit_length() + 1):
             if not power.coeffs.size:
                 break
-            out = out * (one + power)
+            factors.append(one + power)
             power = power * power
         else:
             raise RuntimeError("inversion failed to stabilize")
-        return out * (Fraction(1) / constant)
+        return truncated_product(self.ring, factors)
 
     # -- predicates and views -------------------------------------------------
 
@@ -337,17 +301,6 @@ class LaurentSeries:
         box[idx] = slice(k, k + 1)
         lo = self.lo[:idx] + (0,) + self.lo[idx + 1 :]
         return _trimmed(self.ring, lo, self.coeffs[tuple(box)], self._integral)
-
-    def truncate(self, **caps):
-        """Re-truncate into the ring with the tightened caps."""
-        ring = self.ring.with_caps(**caps)
-        for v, cap in caps.items():
-            if cap > self.ring.caps.get(v, cap):
-                raise ValueError(f"cannot raise the cap on {v!r} after the fact")
-        box = [slice(None)] * len(self.lo)
-        for i, cap in ring._cap_slots:
-            box[i] = slice(0, max(0, cap - self.lo[i]))
-        return _trimmed(ring, self.lo, self.coeffs[tuple(box)], self._integral)
 
     # -- rendering ------------------------------------------------------------
 
@@ -496,16 +449,22 @@ class _Box:
     next factors; each step of ``times`` writes within that room and drops
     the cells at or past its ``top`` (exclusive exponent per capped slot).
     The box grows only there, so it follows the product's support.
+
+    The box starts as the constant 1 or as the terms of a ``seed`` series.
+    A seed's buffer is the series' own, so nothing writes to it in place:
+    ``resize`` copies into a new buffer before the first step.
     """
 
     __slots__ = ("ring", "capped", "buf", "base", "lo", "hi")
 
-    def __init__(self, ring):
+    def __init__(self, ring, seed=None):
         dims = len(ring.variables)
         self.ring, self.capped = ring, [i for i, _ in ring._cap_slots]
-        self.buf = np.ones((1,) * dims, dtype=object)
-        self.base = (0,) * dims
-        self.lo, self.hi = [0] * dims, [1] * dims
+        if seed is None:
+            self.buf, self.base = np.ones((1,) * dims, dtype=object), (0,) * dims
+        else:
+            self.buf, self.base = seed.coeffs, seed.lo
+        self.lo, self.hi = [0] * dims, list(self.buf.shape)
 
     def _support(self):
         return tuple(map(slice, self.lo, self.hi))
@@ -586,13 +545,17 @@ def truncated_product(ring, factors):
     """Product of a factor list, exact up to the ring caps.
 
     ``factors`` mixes binomial pairs (see :func:`binomial_factors`) and
-    series.  Monomials gather into one coefficient and shift.  The rest are
-    applied in place to one box (:class:`_Box`), and after each one the box
-    drops the cells at or past the cap (less the shift) plus the remaining
-    factors' total negative budget, so later downward shifts cannot reach
-    below the caps from discarded territory.  That holds in any order; the
-    factors whose terms dip to negative exponents in capped variables go
-    first, which spends the budget early and keeps the box small.
+    series; ``a * b``, ``a ** n`` and :meth:`LaurentSeries.invert` multiply
+    here too.  Monomials gather into one coefficient and shift.  The box
+    (:class:`_Box`) starts as the series with the most nonzero cells, so each
+    other series spreads its fewer cells over it.  The rest are applied to
+    the box in place, and after each one the box drops the cells at or past
+    the cap (less the shift) plus the remaining factors' total negative
+    budget, so later downward shifts cannot reach below the caps from
+    discarded territory.  The seed comes first, so no budget counts it.
+    That holds in any order; the factors whose terms dip to negative
+    exponents in capped variables go first, which spends the budget early
+    and keeps the box small.
     """
     dims = len(ring.variables)
     scale, shift, integral, steps = 1, (0,) * dims, True, []
@@ -615,6 +578,9 @@ def truncated_product(ring, factors):
         shift = tuple(a + b for a, b in zip(shift, exps))
     if scale == 0:
         return ring.zero()
+    dense = [k for k, f in enumerate(steps) if isinstance(f, LaurentSeries)]
+    most = max(dense, key=lambda k: np.count_nonzero(steps[k].coeffs), default=None)
+    seed = None if most is None else steps.pop(most)
     slots = [i for i, _ in ring._cap_slots]
     steps = [(f,) + _corners(f) for f in steps]
     steps.sort(key=lambda step: all(step[1][i] >= 0 for i in slots))
@@ -624,7 +590,7 @@ def truncated_product(ring, factors):
     for _, low, _ in reversed(steps):
         tops.append(tuple(t - min(0, low[i]) for t, i in zip(tops[-1], slots)))
     tops.reverse()
-    box = _Box(ring)
+    box = _Box(ring, seed)
     for start in range(0, len(steps), _RETRIM):
         window = steps[start : start + _RETRIM]
         low = [sum(min(0, step[1][i]) for step in window) for i in range(dims)]

@@ -1,7 +1,9 @@
-"""Shared test helpers: a numeric value for exact series, and a recorder for
-the quadratures the integral evaluators run."""
+"""Shared test helpers: a numeric value for exact series, a series rebuilt
+under tighter caps, and a recorder for the quadratures the integral
+evaluators run."""
 
 from ellverify import special
+from ellverify.series import SeriesRing
 
 
 def series_value(series, **values):
@@ -15,6 +17,15 @@ def series_value(series, **values):
                 term *= value**exp
         total += term
     return total
+
+
+def narrowed(series, **caps):
+    """``series`` rebuilt from its terms in the ring with ``caps`` replaced."""
+    ring = SeriesRing(series.ring.variables, {**series.ring.caps, **caps})
+    out = ring.zero()
+    for key, coeff in series.terms.items():
+        out = out + ring.term(coeff, **dict(zip(ring.variables, key)))
+    return out
 
 
 def record_quadratures(monkeypatch):

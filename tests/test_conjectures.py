@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from ellverify import catalog
+from ellverify import catalog, conjectures, series
 from ellverify.catalog import UnknownIdentity
 from ellverify.conjectures import (
     _LEMMA_SERIES,
@@ -23,7 +23,7 @@ from ellverify.conjectures import (
     run_series_check,
     series_triple_product_check,
 )
-from ellverify.series import LaurentSeries, SeriesRing, truncated_product
+from ellverify.series import LaurentSeries, SeriesRing
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +260,37 @@ def test_run_series_check_shape():
 
 
 def test_series_products_never_fall_back_to_dense_multiplies(monkeypatch):
-    # truncated_product applies binomial pairs and monomials to one box; a
-    # product that reached the dense multiply instead would count calls here
-    calls = []
-    records = []  # (every factor a pair or a monomial, dense multiplies)
-    mul = LaurentSeries._mul_bounded
+    # every factor list the checks multiply is pairs and monomials, so no
+    # product seeds its box with a dense series or steps through one; a side
+    # declared with dense factors would count its series here
+    dense = []
+    records = []  # dense series per factor-list product
+    init, times = series._Box.__init__, series._Box.times
 
-    def counted(self, other, cap_slots):
-        calls.append(1)
-        return mul(self, other, cap_slots)
+    def seeded(self, ring, seed=None):
+        if seed is not None:
+            dense.append(seed)
+        init(self, ring, seed)
 
-    def watched(ring, factors):
-        plain = all(
-            not isinstance(f, LaurentSeries) or f.coeffs.size <= 1 for f in factors
-        )
-        before = len(calls)
-        out = truncated_product(ring, factors)
-        records.append((plain, len(calls) - before))
-        return out
+    def stepped(self, factor, *args):
+        if isinstance(factor, LaurentSeries):
+            dense.append(factor)
+        return times(self, factor, *args)
 
-    monkeypatch.setattr(LaurentSeries, "_mul_bounded", counted)
-    monkeypatch.setattr("ellverify.series.truncated_product", watched)
-    monkeypatch.setattr("ellverify.conjectures.truncated_product", watched)
+    def watched(product):
+        def counted(*args):
+            before = len(dense)
+            out = product(*args)
+            records.append(len(dense) - before)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(series._Box, "__init__", seeded)
+    monkeypatch.setattr(series._Box, "times", stepped)
+    for name in ("truncated_product", "stabilized_product", "series_theta0"):
+        monkeypatch.setattr(conjectures, name, watched(getattr(conjectures, name)))
     for check_id in catalog.identity_ids("series"):
         assert run_series_check(check_id, order=6)["exact"], check_id
-    plain = [n for is_plain, n in records if is_plain]
-    assert len(plain) == len(records) > 50  # every side is pairs and monomials
-    assert sum(plain) == 0
+    assert len(records) == 78
+    assert sum(records) == 0
