@@ -8,6 +8,8 @@ integral evaluators in :mod:`.special` and :mod:`.lemmas` audit their own
 paths, against the pole inventories derived from their declared factors,
 before every quadrature and raise :class:`PoleOnPath` on a rejected path;
 :func:`run_check` reports the largest error those quadratures achieved.
+The sides of the pointwise checks take arrays (``array_sides``), and
+:func:`run_batch` evaluates many of their draws in one call.
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
@@ -19,7 +21,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "entry_of_kind",
     "sample_params",
     "run_check",
+    "run_batch",
     "DEFAULT_TOLERANCE",
     "COMPOUND_TOLERANCE",
 ]
@@ -79,6 +82,10 @@ class IdentityEntry:
     default_samples: Optional[int] = 20
     runner: Optional[Callable[[int], list]] = None
     default_order: Optional[int] = None
+    #: the sides run no quadrature and take a dict of numpy arrays, one entry
+    #: per draw, as well as a dict of numbers: a fact about the check's
+    #: formulas, which :func:`run_batch` relies on
+    array_sides: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,8 +122,23 @@ def rng_for(seed: int, identity_id: str, sample_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _cx(rng, re_lo, re_hi, im_lo, im_hi) -> complex:
-    return complex(rng.uniform(re_lo, re_hi), rng.uniform(im_lo, im_hi))
+class _Uniforms:
+    """``count`` uniforms from one ``rng.random(count)``, handed out in order.
+
+    ``lo + (hi - lo) * u`` is numpy's own ``uniform`` formula, so the doubles
+    are those of ``count`` consecutive ``rng.uniform`` calls, at a fraction
+    of their cost.  A sampler asks for exactly as many as it uses, so that
+    a later draw from the same stream starts where it did.
+    """
+
+    def __init__(self, rng, count):
+        self._next = iter(rng.random(count).tolist()).__next__
+
+    def real(self, lo, hi) -> float:
+        return lo + (hi - lo) * self._next()
+
+    def cx(self, re_lo, re_hi, im_lo, im_hi) -> complex:
+        return complex(self.real(re_lo, re_hi), self.real(im_lo, im_hi))
 
 
 def _lattice_distance(z, tau) -> float:
@@ -161,25 +183,28 @@ def _tower_clear(tau, eta) -> bool:
 
 
 def _sample_spiridonov(rng, index):
-    tau = _cx(rng, -0.3, 0.3, 0.5, 1.2)
-    sigma = _cx(rng, -0.3, 0.3, 0.5, 1.2)
-    s = [_cx(rng, -0.25, 0.25, 0.10, 0.18) for _ in range(5)]
+    u = _Uniforms(rng, 14)
+    tau = u.cx(-0.3, 0.3, 0.5, 1.2)
+    sigma = u.cx(-0.3, 0.3, 0.5, 1.2)
+    s = [u.cx(-0.25, 0.25, 0.10, 0.18) for _ in range(5)]
     s.append(tau + sigma - sum(s))  # balancing; Im >= 1.0 - 5*0.18 > 0.05
     return {"s": s, "tau": tau, "sigma": sigma}
 
 
 def _sample_two_moduli(rng, index):
+    u = _Uniforms(rng, 4)
     return {
-        "tau": _cx(rng, -0.3, 0.3, 0.5, 1.2),
-        "sigma": _cx(rng, -0.3, 0.3, 0.5, 1.2),
+        "tau": u.cx(-0.3, 0.3, 0.5, 1.2),
+        "sigma": u.cx(-0.3, 0.3, 0.5, 1.2),
     }
 
 
 def _sample_eval3(rng, index):
     def draw():
-        tau = _cx(rng, -0.25, 0.25, 0.2, 0.8)
-        eta = _cx(rng, -0.2, 0.2, 0.2, 0.8)
-        lam = _cx(rng, -0.45, 0.45, -0.25, 0.25)
+        u = _Uniforms(rng, 6)
+        tau = u.cx(-0.25, 0.25, 0.2, 0.8)
+        eta = u.cx(-0.2, 0.2, 0.2, 0.8)
+        lam = u.cx(-0.45, 0.45, -0.25, 0.25)
         return {"lam": lam, "tau": tau, "eta": eta}
 
     def accept(p):
@@ -196,11 +221,12 @@ def _sample_eval3(rng, index):
 
 def _sample_ellmac_val(rng, index):
     def draw():
-        eta = _cx(rng, -0.06, 0.06, -0.5, -0.1)
+        u = _Uniforms(rng, 8)
+        eta = u.cx(-0.06, 0.06, -0.5, -0.1)
         depth = 2 * abs(eta.imag)
-        tau = _cx(rng, -0.3, 0.3, depth + 0.15, depth + 1.0)
-        lam = _cx(rng, -0.4, 0.4, -0.2, 0.2)
-        lam_alt = _cx(rng, -0.4, 0.4, -0.2, 0.2)
+        tau = u.cx(-0.3, 0.3, depth + 0.15, depth + 1.0)
+        lam = u.cx(-0.4, 0.4, -0.2, 0.2)
+        lam_alt = u.cx(-0.4, 0.4, -0.2, 0.2)
         return {"lam": lam, "lam_alt": lam_alt, "tau": tau, "eta": eta}
 
     def accept(p):
@@ -224,28 +250,30 @@ ELLMAC_EVAL_COMBOS = tuple(
 
 def _sample_ellmac_eval(rng, index):
     kappa, mu = ELLMAC_EVAL_COMBOS[index % len(ELLMAC_EVAL_COMBOS)]
-    eta = _cx(rng, -0.05, 0.05, -0.3, -0.08)
+    eta = _Uniforms(rng, 2).cx(-0.05, 0.05, -0.3, -0.08)
     return {"mu": mu, "kappa": kappa, "eta": eta}
 
 
 def _sample_htf_series(rng, index):
-    eta = _cx(rng, -0.04, 0.04, -0.12, -0.05)
+    u = _Uniforms(rng, 6)
+    eta = u.cx(-0.04, 0.04, -0.12, -0.05)
     gap = 4 * abs(eta.imag)  # series convergence needs Im(tau + 4 eta) > 0
-    tau = _cx(rng, -0.25, 0.25, gap + 0.15, gap + 0.8)
-    lam = _cx(rng, -0.3, 0.3, -0.15, 0.15)
+    tau = u.cx(-0.25, 0.25, gap + 0.15, gap + 0.8)
+    lam = u.cx(-0.3, 0.3, -0.15, 0.15)
     return {"mu": 2, "kappa": 4, "lam": lam, "tau": tau, "eta": eta}
 
 
 def _sample_modular(rng, index, branch):
     def draw():
-        h = rng.uniform(0.10, 0.20)
-        alpha = rng.uniform(0.35, 0.60)
-        T = rng.uniform(0.80, 1.10)
-        delta = rng.uniform(0.15, 0.30)
+        u = _Uniforms(rng, 6)
+        h = u.real(0.10, 0.20)
+        alpha = u.real(0.35, 0.60)
+        T = u.real(0.80, 1.10)
+        delta = u.real(0.15, 0.30)
         beta = alpha - delta if branch == "minus" else alpha + delta
         eta = -1j * h * np.exp(1j * alpha)
         tau = 1j * T * np.exp(1j * beta)
-        lam = _cx(rng, -0.3, 0.3, -0.1, 0.1)
+        lam = u.cx(-0.3, 0.3, -0.1, 0.1)
         return {"lam": lam, "tau": complex(tau), "eta": complex(eta)}
 
     def accept(p):
@@ -262,50 +290,56 @@ def _sample_modular(rng, index, branch):
 
 
 def _sample_theta_mod(rng, index):
-    r = rng.uniform(0.6, 1.3)
-    theta = rng.uniform(0.3, 2.6)
+    u = _Uniforms(rng, 4)
+    r = u.real(0.6, 1.3)
+    theta = u.real(0.3, 2.6)
     tau = complex(r * np.exp(1j * theta))
-    z = _cx(rng, -0.4, 0.4, -0.3, 0.3)
+    z = u.cx(-0.4, 0.4, -0.3, 0.3)
     return {"z": z, "tau": tau}
 
 
 def _sample_ellgam_mod(rng, index):
-    arg_sigma = rng.uniform(0.2, 1.2)
-    arg_tau = arg_sigma + rng.uniform(0.3, 1.3)
-    sigma = complex(rng.uniform(0.5, 1.2) * np.exp(1j * arg_sigma))
-    tau = complex(rng.uniform(0.5, 1.2) * np.exp(1j * arg_tau))
-    z = _cx(rng, -0.4, 0.4, -0.4, 0.4)
+    u = _Uniforms(rng, 6)
+    arg_sigma = u.real(0.2, 1.2)
+    arg_tau = arg_sigma + u.real(0.3, 1.3)
+    sigma = complex(u.real(0.5, 1.2) * np.exp(1j * arg_sigma))
+    tau = complex(u.real(0.5, 1.2) * np.exp(1j * arg_tau))
+    z = u.cx(-0.4, 0.4, -0.4, 0.4)
     return {"z": z, "tau": tau, "sigma": sigma}
 
 
 def _sample_pointwise_eta(rng, index):
+    u = _Uniforms(rng, 6)
     return {
-        "t": _cx(rng, -0.4, 0.4, -0.25, 0.25),
-        "tau": _cx(rng, -0.2, 0.2, 0.4, 0.9),
-        "eta": _cx(rng, -0.1, 0.1, 0.15, 0.45),
+        "t": u.cx(-0.4, 0.4, -0.25, 0.25),
+        "tau": u.cx(-0.2, 0.2, 0.4, 0.9),
+        "eta": u.cx(-0.1, 0.1, 0.15, 0.45),
     }
 
 
 def _sample_pointwise_lam(rng, index):
+    u = _Uniforms(rng, 6)
     return {
-        "t": _cx(rng, -0.4, 0.4, -0.25, 0.25),
-        "lam": _cx(rng, -0.4, 0.4, -0.2, 0.2),
-        "tau": _cx(rng, -0.2, 0.2, 0.4, 0.9),
+        "t": u.cx(-0.4, 0.4, -0.25, 0.25),
+        "lam": u.cx(-0.4, 0.4, -0.2, 0.2),
+        "tau": u.cx(-0.2, 0.2, 0.4, 0.9),
     }
 
 
 def _sample_theta_simp2(rng, index):
+    u = _Uniforms(rng, 4)
     return {
-        "z": _cx(rng, -0.4, 0.4, -0.25, 0.25),
-        "sigma": _cx(rng, -0.2, 0.2, 0.4, 1.0),
+        "z": u.cx(-0.4, 0.4, -0.25, 0.25),
+        "sigma": u.cx(-0.2, 0.2, 0.4, 1.0),
     }
 
 
 def _sample_int_lemma(rng, index):
     def draw():
+        u = _Uniforms(rng, 4)
         return {
-            "tau": _cx(rng, -0.2, 0.2, 0.35, 0.8),
-            "eta": _cx(rng, -0.1, 0.1, 0.2, 0.45),
+            "tau": u.cx(-0.2, 0.2, 0.35, 0.8),
+            "eta": u.cx(-0.1, 0.1, 0.2, 0.45),
         }
 
     return _reject(draw, lambda p: _tower_clear(p["tau"], p["eta"]))
@@ -313,15 +347,16 @@ def _sample_int_lemma(rng, index):
 
 def _sample_int_rearrange(rng, index):
     params = _sample_int_lemma(rng, index)
-    params["lam"] = _cx(rng, -0.4, 0.4, -0.2, 0.2)
+    params["lam"] = _Uniforms(rng, 2).cx(-0.4, 0.4, -0.2, 0.2)
     return params
 
 
 def _sample_bridge_unity(rng, index):
+    u = _Uniforms(rng, 3)
     return {
-        "q": float(rng.uniform(1.15, 1.45)),
-        "lam": float(rng.uniform(0.25, 1.75)),
-        "omega": float(rng.uniform(3.3, 5.5)),
+        "q": u.real(1.15, 1.45),
+        "lam": u.real(0.25, 1.75),
+        "omega": u.real(3.3, 5.5),
     }
 
 
@@ -506,11 +541,12 @@ _register(
         lhs=lambda p: jacobi_theta(p["z"] / p["tau"], -1 / p["tau"]),
         rhs=lambda p: (
             -1j
-            * cmath.sqrt(-1j * p["tau"])
+            * np.sqrt(-1j * p["tau"])
             * epi(p["z"] ** 2 / p["tau"])
             * jacobi_theta(p["z"], p["tau"])
         ),
         sampler=_sample_theta_mod,
+        array_sides=True,
     )
 )
 
@@ -530,6 +566,7 @@ _register(
             * ell_gamma(p["z"], p["tau"], p["sigma"])
         ),
         sampler=_sample_ellgam_mod,
+        array_sides=True,
     )
 )
 
@@ -543,6 +580,7 @@ _register(
         lhs=lambda p: lemmas.sym_rearrange_lhs(p["t"], p["tau"], p["eta"]),
         rhs=lambda p: lemmas.sym_rearrange_rhs(p["t"], p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
+        array_sides=True,
     )
 )
 
@@ -565,6 +603,7 @@ _register(
         lhs=lambda p: lemmas.theta_simp_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.theta_simp_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
+        array_sides=True,
     )
 )
 
@@ -576,6 +615,7 @@ _register(
         lhs=lambda p: lemmas.full_sym_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.full_sym_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
+        array_sides=True,
     )
 )
 
@@ -587,6 +627,7 @@ _register(
         lhs=lambda p: lemmas.theta_simp2_lhs(p["z"], p["sigma"]),
         rhs=lambda p: lemmas.theta_simp2_rhs(p["z"], p["sigma"]),
         sampler=_sample_theta_simp2,
+        array_sides=True,
     )
 )
 
@@ -598,6 +639,7 @@ _register(
         lhs=lambda p: lemmas.theta_simp3_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.theta_simp3_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
+        array_sides=True,
     )
 )
 
@@ -609,6 +651,7 @@ _register(
         lhs=lambda p: lemmas.theta_simp4_lhs(p["tau"], p["eta"]),
         rhs=lambda p: lemmas.theta_simp4_rhs(p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
+        array_sides=True,
     )
 )
 
@@ -760,6 +803,12 @@ def run_check(
     with achieved_errors() as errors:
         lhs = complex(entry.lhs(params))
         rhs = complex(entry.rhs(params))
+    return _compared(identity_id, sample_index, params, lhs, rhs, tol, errors)
+
+
+def _compared(identity_id, sample_index, params, lhs, rhs, tol, errors) -> IdentityResult:
+    """The result of one draw whose sides came out ``lhs`` and ``rhs``."""
+    lhs, rhs = complex(lhs), complex(rhs)
     abs_error = abs(lhs - rhs)
     scale = max(1.0, abs(rhs))
     rel_error = abs_error / max(abs(rhs), 1e-300)
@@ -776,3 +825,52 @@ def run_check(
         decision=DECISION_RULE,
         passed=abs_error <= tol * scale,
     )
+
+
+def run_batch(
+    identity_id: str,
+    seed: int,
+    sample_indices: Sequence[int],
+    tolerance: Optional[float] = None,
+) -> list:
+    """:func:`run_check` for many draws of a check with ``array_sides``.
+
+    Each draw is sampled from its own stream, as :func:`run_check` samples
+    it; the draws' parameters are stacked into one array per name, and each
+    side is evaluated once on the arrays.  Returns one item per distinct
+    index, in order: the draw's :class:`IdentityResult`, or ``None`` where
+    the batch settles nothing for it, because its sampling raised, the batch
+    raised, or one of its sides is not finite; :func:`run_check` gives such
+    a draw its own result or error.  A side's last bits may differ from
+    :func:`run_check`'s (numpy rounds some complex operations differently
+    from Python), and the sum of a point's log series runs to the term count
+    of the slowest point in its batch.
+    """
+    entry = entry_of_kind(identity_id, "numeric")
+    if not entry.array_sides:
+        raise ValueError(f"{identity_id} does not declare array sides")
+    tol = entry.tolerance if tolerance is None else float(tolerance)
+    settled = dict.fromkeys(sample_indices)
+    draws = {}
+    for index in settled:
+        try:
+            draws[index] = sample_params(identity_id, seed, index)
+        except Exception:  # left unsettled: run_check raises it again and reports it
+            continue
+    if not draws:
+        return list(settled.values())
+    stacked = {
+        name: np.array([params[name] for params in draws.values()])
+        for name in next(iter(draws.values()))
+    }
+    try:
+        # a pole or an overflow shows as a non-finite side, not as a warning
+        with np.errstate(all="ignore"):
+            lhs = np.broadcast_to(entry.lhs(stacked), len(draws)).tolist()
+            rhs = np.broadcast_to(entry.rhs(stacked), len(draws)).tolist()
+    except Exception:  # every draw left unsettled: run_check isolates the culprit
+        return list(settled.values())
+    for (index, params), left, right in zip(draws.items(), lhs, rhs):
+        if cmath.isfinite(left) and cmath.isfinite(right):
+            settled[index] = _compared(identity_id, index, params, left, right, tol, ())
+    return list(settled.values())

@@ -39,15 +39,20 @@ modulus bring ``z`` into ``0 <= Im z <= Im(tau + sigma)``, where
 :class:`PoleHit`, a term count beyond ``MAX_TERMS`` :class:`NonConvergent`.
 No double product ``qpoch2`` is taken.
 
-``theta0``, ``jacobi_theta`` and ``ell_gamma`` also take a numpy array
-``z``.  A scalar runs the formulas above as one plain loop over Python
-complex numbers, and scalar ``theta0`` is the one loop over
-``(1 - x q^n)(1 - q^{n+1}/x)``; on a 2-core x86_64 host (CPython 3.11.7,
-numpy 2.4.6) a one-element array took 5-6x the scalar loop for
-``ell_gamma``, and the pointwise checks make only scalar calls.  An array
-``theta0`` reduces ``z`` into ``0 <= Im z < Im tau`` by
-``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``, then takes ``(x; q)(q/x; q)``
-as one outer product.
+``theta0``, ``jacobi_theta``, ``ell_gamma`` and ``qpoch1_add`` also take
+numpy arrays, ``z`` and the moduli alike, broadcast together.  Scalars run
+the formulas above as one plain loop over Python complex numbers, and
+scalar ``theta0`` is the one loop over ``(1 - x q^n)(1 - q^{n+1}/x)``; on a
+2-core x86_64 host (CPython 3.11.7, numpy 2.4.6) a one-element array took
+5-6x the scalar loop for ``ell_gamma``.  So a single draw of a pointwise
+check makes scalar calls, while a batch of draws (``catalog.run_batch``)
+passes one modulus per draw and each quadrature passes its node array with
+scalar moduli.  An array ``theta0`` reduces ``z`` into
+``0 <= Im z < Im tau`` by ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``,
+then takes ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep
+their cached tables (``_theta_powers``, ``_gamma_coefficient_array``); a
+modulus per point gets its powers as running products, and every point
+takes as many terms as the slowest point of its array needs.
 """
 
 from __future__ import annotations
@@ -96,12 +101,28 @@ _BLOCK_CELLS = 1 << 11
 
 def e2pi(z):
     """``exp(2 pi i z)``, the additive-to-multiplicative convention map."""
+    if isinstance(z, np.ndarray):
+        return np.exp(2j * math.pi * z)
     return cmath.exp(2j * math.pi * complex(z))
 
 
 def epi(z):
     """``exp(pi i z)`` (half-period phases)."""
+    if isinstance(z, np.ndarray):
+        return np.exp(1j * math.pi * z)
     return cmath.exp(1j * math.pi * complex(z))
+
+
+def _flat(*values):
+    """``values`` as complex arrays broadcast together and flattened, and
+    their broadcast shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
+    return arrays[0].shape, [a.ravel() for a in arrays]
+
+
+def _part(modulus, index):
+    """The entries of a per-point ``modulus`` at ``index``; a scalar as it is."""
+    return modulus[index] if isinstance(modulus, np.ndarray) else modulus
 
 
 def _term_count(ratio, start=1.0):
@@ -133,49 +154,93 @@ def _gamma_coefficients(tau, sigma):
 
 @functools.lru_cache(maxsize=32)
 def _gamma_coefficient_array(tau, sigma):
-    """:func:`_gamma_coefficients` with the list as a numpy array."""
+    """:func:`_gamma_coefficients` with the list as a one-column numpy array."""
     ratio, coeffs = _gamma_coefficients(tau, sigma)
-    return ratio, np.array(coeffs)
+    return ratio, np.array(coeffs)[:, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_power_columns(key):
+    """:func:`_theta_powers` for moduli given per point, as the bytes ``key``
+    of their complex array: one column per point, as many powers as the
+    largest ``|q|`` needs, and a middle axis of length 1."""
+    q = e2pi(np.frombuffer(key, dtype=complex))
+    count = _term_count(float(np.abs(q).max()))
+    # running products, as scalar theta0's a *= q: one exp per point, not per power
+    qn = np.cumprod(np.vstack((np.ones_like(q), np.broadcast_to(q, (count, len(q))))), axis=0)
+    qn.flags.writeable = False  # shared by every caller
+    return qn[:, None]
+
+
+def _gamma_coefficient_columns(tau, sigma):
+    """:func:`_gamma_coefficient_array` for moduli given per point: the
+    largest ratio, and one column per point, twice over (for the ``x`` and
+    then the ``y`` of every point), as long as the slowest point needs."""
+    p, q = e2pi(tau), e2pi(sigma)
+    ratio = float(np.maximum(np.abs(p), np.abs(q)).max())
+    count = _term_count(ratio)
+    # running products, as the scalar table's pn *= p
+    pn = np.cumprod(np.broadcast_to(p, (count, len(p))), axis=0)
+    qn = np.cumprod(np.broadcast_to(q, (count, len(q))), axis=0)
+    n = np.arange(1, count + 1)[:, None]
+    coeffs = (pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn))
+    return ratio, np.concatenate((coeffs, coeffs), axis=1)
 
 
 def _power_sum(w, ratio, coeffs):
     """``sum_n coeffs[n - 1] w**n`` for each entry of ``w`` (``|w| <= 1``),
-    to the first power of ``max|w| * ratio`` below ``TERM_EPSILON``."""
+    to the first power of ``max|w| * ratio`` below ``TERM_EPSILON``; ``coeffs``
+    has one column for all entries or one per entry.
+    """
     coeffs = coeffs[: _term_count(float(np.abs(w).max()) * ratio)]
     out = np.empty(len(w), dtype=complex)
     rows = max(1, _BLOCK_CELLS // len(coeffs))
     for start in range(0, len(w), rows):
-        powers = w[start : start + rows][None]
+        block = slice(start, start + rows)
+        powers = w[block][None]
         while len(powers) < len(coeffs):
             powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
         # a plain sum: a BLAS product may start threads for a few hundred cells
-        out[start : start + rows] = (powers * coeffs[:, None]).sum(axis=0)
+        out[block] = (powers * (coeffs if coeffs.shape[1] == 1 else coeffs[:, block])).sum(axis=0)
     return out
 
 
 def _theta0_array(z, tau):
-    qn = _theta_powers(tau)
+    """``theta0`` at the points ``z`` of a flat array, ``tau`` one modulus or one per point."""
+    if isinstance(tau, np.ndarray):
+        qn = _theta_power_columns(tau.tobytes())
+    else:
+        qn = _theta_powers(tau)[:, None, None]
     k = np.floor(z.imag / tau.imag)
     w = z - k * tau
     value = np.empty(len(z), dtype=complex)
     rows = max(1, _BLOCK_CELLS // (2 * len(qn)))
     for start in range(0, len(z), rows):
-        block = w[start : start + rows]
-        xv = np.exp(2j * math.pi * np.stack((block, tau - block)))
-        value[start : start + rows] = (1 - qn[:, None, None] * xv).prod(axis=(0, 1))
+        block = slice(start, start + rows)
+        xv = np.exp(2j * math.pi * np.stack((w[block], _part(tau, block) - w[block])))
+        value[block] = (1 - (qn if qn.shape[2] == 1 else qn[..., block]) * xv).prod(axis=(0, 1))
     # theta0(w + k tau) = (-1)^k e^{-2 pi i (k w + tau k (k - 1) / 2)} theta0(w)
     return value * np.exp(1j * math.pi * (k - 2 * k * w - tau * k * (k - 1))) if k.any() else value
 
 
 def _larger_im_first(tau, sigma):
-    """The moduli as complex numbers, the one of larger imaginary part first."""
+    """The moduli as complex numbers, the one of larger imaginary part first
+    (per point when they are arrays)."""
+    if isinstance(tau, np.ndarray):
+        swap = sigma.imag > tau.imag
+        return np.where(swap, sigma, tau), np.where(swap, tau, sigma)
     tau, sigma = complex(tau), complex(sigma)
     return (sigma, tau) if sigma.imag > tau.imag else (tau, sigma)
 
 
 def _ell_gamma_array(z, tau, sigma):
+    """``ell_gamma`` at the points ``z`` of a flat array, the moduli either two
+    numbers or two arrays with one entry per point."""
     tau, sigma = _larger_im_first(tau, sigma)
-    ratio, coeffs = _gamma_coefficient_array(tau, sigma)
+    if isinstance(tau, np.ndarray):
+        ratio, coeffs = _gamma_coefficient_columns(tau, sigma)
+    else:
+        ratio, coeffs = _gamma_coefficient_array(tau, sigma)
     top = (tau + sigma).imag
     k = np.ceil(np.maximum(-z.imag, 0) / tau.imag)
     k -= np.ceil(np.maximum(z.imag - top, 0) / tau.imag)
@@ -188,13 +253,15 @@ def _ell_gamma_array(z, tau, sigma):
     value = (1 - y) / (1 - x) * np.exp(logs[0] - logs[1])
     # ell_gamma(z) = ell_gamma(z + k tau) / prod_{0 <= j < k} theta0(z + j tau; sigma)
     for j in range(int(k.max(initial=0))):
-        shift = _theta0_array(z[k > j] + j * tau, sigma)
+        at = k > j
+        shift = _theta0_array(z[at] + j * _part(tau, at), _part(sigma, at))
         if np.any(np.abs(shift) < POLE_EPSILON):
             raise PoleHit("ell_gamma argument on its pole lattice")
-        value[k > j] /= shift
+        value[at] /= shift
     # and for k < 0, times prod_{1 <= j <= -k} theta0(z - j tau; sigma)
     for j in range(1, 1 - int(k.min(initial=0))):
-        value[k <= -j] *= _theta0_array(z[k <= -j] - j * tau, sigma)
+        at = k <= -j
+        value[at] *= _theta0_array(z[at] - j * _part(tau, at), _part(sigma, at))
     return value
 
 
@@ -272,8 +339,25 @@ def qpoch2(u, q, r):
 
 
 def qpoch1_add(z, tau):
-    """Additive single product ``(z; tau) = prod_{n>=0} (1 - e^{2 pi i (z + n tau)})``."""
-    return qpoch1(e2pi(z), e2pi(tau))
+    """Additive single product ``(z; tau) = prod_{n>=0} (1 - e^{2 pi i (z + n tau)})``.
+
+    ``z`` and ``tau`` may be numpy arrays that broadcast together; then every
+    point takes as many factors as the slowest point needs.
+    """
+    if not (isinstance(z, np.ndarray) or isinstance(tau, np.ndarray)):
+        return qpoch1(e2pi(z), e2pi(tau))
+    shape, (z, tau) = _flat(z, tau)
+    term, q = e2pi(z), e2pi(tau)
+    count = _term_count(float(np.abs(q).max()), float(np.abs(term).max()))
+    value = np.ones(len(z), dtype=complex)
+    rows = max(1, _BLOCK_CELLS // len(z))
+    for start in range(0, count, rows):
+        # the terms u q^n of this block as running products, as qpoch1's term *= q
+        steps = np.broadcast_to(q, (min(rows, count - start) - 1, len(q)))
+        terms = np.cumprod(np.vstack((term, steps)), axis=0)
+        value *= (1 - terms).prod(axis=0)
+        term = terms[-1] * q
+    return value.reshape(shape)
 
 
 def theta0(z, tau):
@@ -283,6 +367,9 @@ def theta0(z, tau):
     quasi-periodic: ``theta0(z + 1) = theta0(z)`` and
     ``theta0(z + tau) = theta0(-z) = -e^{-2 pi i z} theta0(z)``.
     """
+    if isinstance(tau, np.ndarray):
+        shape, (z, tau) = _flat(z, tau)
+        return _theta0_array(z, tau).reshape(shape)
     if isinstance(z, np.ndarray):
         return _theta0_array(z.ravel(), tau).reshape(z.shape)
     # one loop over (1 - x q^n)(1 - q^{n+1}/x), x = e^{2 pi i z}
@@ -310,9 +397,9 @@ def jacobi_theta(z, tau):
     ``jacobi_theta(z; tau) = i e^{pi i tau / 4 - pi i z} (tau; tau) theta0(z; tau)``,
     normalized so that it is odd in ``z`` with a simple zero at ``z = 0``.
     """
+    if isinstance(z, np.ndarray) or isinstance(tau, np.ndarray):
+        return 1j * np.exp(1j * math.pi * (tau / 4 - z)) * qpoch1_add(tau, tau) * theta0(z, tau)
     q = e2pi(tau)
-    if isinstance(z, np.ndarray):
-        return 1j * np.exp(1j * math.pi * (tau / 4 - z)) * qpoch1(q, q) * theta0(z, tau)
     prefactor = 1j * epi(tau / 4 - z)
     return prefactor * qpoch1(q, q) * theta0(z, tau)
 
@@ -339,6 +426,9 @@ def ell_gamma(z, tau, sigma):
     the pole ``x = 1``, or a shift factor in a denominator vanishes, to
     within ``POLE_EPSILON``.
     """
+    if isinstance(tau, np.ndarray) or isinstance(sigma, np.ndarray):
+        shape, (z, tau, sigma) = _flat(z, tau, sigma)
+        return _ell_gamma_array(z, tau, sigma).reshape(shape)
     if isinstance(z, np.ndarray):
         return _ell_gamma_array(z.ravel(), tau, sigma).reshape(z.shape)
     return _ell_gamma_scalar(z, tau, sigma)
@@ -371,14 +461,14 @@ def ell_gamma_modular_Q(z, tau, sigma):
 
     ``ell_gamma(z/sigma; tau/sigma, -1/sigma) =
     e^{pi i Q(z; tau, sigma)} ell_gamma((z - sigma)/tau; -1/tau, -sigma/tau)
-    * ell_gamma(z; tau, sigma)``.
+    * ell_gamma(z; tau, sigma)``.  The arguments may be numpy arrays.
     """
-    z = complex(z)
-    tau = complex(tau)
-    sigma = complex(sigma)
+    # powers as products: numpy takes a complex ** 3 through exp and log, where
+    # Python multiplies (the same products, so scalars keep every bit)
     ts = tau * sigma
-    cubic = z**3 / (3 * ts)
-    quadratic = -(tau + sigma - 1) / (2 * ts) * z**2
-    linear = (tau**2 + sigma**2 + 3 * ts - 3 * tau - 3 * sigma + 1) / (6 * ts) * z
+    zz = z * z
+    cubic = zz * z / (3 * ts)
+    quadratic = -(tau + sigma - 1) / (2 * ts) * zz
+    linear = (tau * tau + sigma * sigma + 3 * ts - 3 * tau - 3 * sigma + 1) / (6 * ts) * z
     constant = (tau + sigma - 1) * (1 / tau + 1 / sigma - 1) / 12
     return cubic + quadratic + linear + constant

@@ -6,6 +6,9 @@ sample it; the three integral lemmas declare their integrands in gamma-pair
 form and integrate over the tower-separating cycle (straight path plus the
 tower correction that :mod:`.special` derives from the same declaration).
 
+The pointwise sides take numpy arrays of parameters, one entry per draw, as
+well as numbers; on arrays the gamma products make one kernel call.
+
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
 function with periods ``2 tau`` and ``8 eta``.
@@ -14,6 +17,8 @@ function with periods ``2 tau`` and ``8 eta``.
 from __future__ import annotations
 
 from dataclasses import replace
+
+import numpy as np
 
 from .contour import Path
 from .kernel import e2pi, ell_gamma, epi, qpoch1_add, theta0
@@ -176,6 +181,10 @@ def theta_simp3_rhs(t, lam, tau):
 
 
 def _gamma_product(arguments, tau, eta):
+    if isinstance(tau, np.ndarray):
+        # a batch of draws: every factor in one kernel call, multiplied in order
+        factors = np.stack(np.broadcast_arrays(*arguments))
+        return ell_gamma(factors, 2 * tau, 8 * eta).prod(axis=0)
     total = complex(1)
     for z in arguments:
         total = total * ell_gamma(z, 2 * tau, 8 * eta)
@@ -189,8 +198,6 @@ def _eta_tau_front(tau, eta):
 
 
 def int_eval1_rhs(tau, eta):
-    tau = complex(tau)
-    eta = complex(eta)
     arguments = [
         -4 * eta + tau,
         6 * eta,
@@ -211,8 +218,6 @@ def int_eval1_rhs(tau, eta):
 
 
 def int_eval2_rhs(tau, eta):
-    tau = complex(tau)
-    eta = complex(eta)
     arguments = [
         -4 * eta + tau,
         6 * eta + 0.5,
@@ -256,8 +261,6 @@ def theta_simp4_lhs(tau, eta):
 
 
 def theta_simp4_rhs(tau, eta):
-    tau = complex(tau)
-    eta = complex(eta)
     ratio = ell_gamma(6 * eta, tau, 8 * eta) / ell_gamma(2 * eta, tau, 8 * eta)
     block = (
         qpoch1_add(tau + 0.5, tau)

@@ -3,6 +3,8 @@ rule, the achieved quadrature error, and the mandatory pre-integration pole
 audit."""
 
 import dataclasses
+import json
+import pathlib
 import sys
 
 import pytest
@@ -105,6 +107,27 @@ def test_sampling_draws_are_pinned():
         "tau": -0.1764218731438647 + 0.8549764929053147j,
         "sigma": 0.023845495705355768 + 0.7365334913870903j,
     }
+
+
+#: sample_params(id, seed, index) of every numeric check, as repr strings,
+#: recorded when each sampler still drew its uniforms one rng.uniform at a time
+PINNED_SAMPLES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "pinned_sample_params.json").read_text()
+)
+
+
+@pytest.mark.parametrize("identity_id", identity_ids("numeric"))
+def test_sample_params_are_pinned_bit_for_bit(identity_id):
+    # one rng.random(k) vector scaled as lo + (hi - lo) * u must give exactly
+    # the doubles of k rng.uniform(lo, hi) calls, types included
+    for seed in (0, 7, 2**33):
+        for index in (0, 1, 49):
+            key = f"{identity_id} {seed} {index}"
+            assert repr(sample_params(identity_id, seed, index)) == PINNED_SAMPLES[key], key
+
+
+def test_pinned_samples_cover_every_numeric_check():
+    assert {key.split()[0] for key in PINNED_SAMPLES} == set(identity_ids("numeric"))
 
 
 def test_id_is_hashed_once_per_check():

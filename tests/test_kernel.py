@@ -343,11 +343,15 @@ def test_ell_gamma_scalar_matches_mpmath(tau, sigma):
         assert abs(ell_gamma(complex(v), sigma, tau) - want) <= 1e-13 * abs(want)
 
 
+def _theta_grid(tau):
+    """Three periods out on either side, on period multiples and between them."""
+    heights = [k * tau.imag for k in (-3, -2.5, -1, -0.4, 0, 0.5, 1, 1.6, 3)]
+    return [complex(0.27 + 0.11 * k, h) for k, h in enumerate(heights)]
+
+
 @pytest.mark.parametrize("tau", [0.1 + 0.3j, 0.23 + 0.7j])
 def test_theta_array_matches_scalar_and_mpmath(tau):
-    # three periods out on either side, on period multiples and between them
-    heights = [k * tau.imag for k in (-3, -2.5, -1, -0.4, 0, 0.5, 1, 1.6, 3)]
-    z = np.array([complex(0.27 + 0.11 * k, h) for k, h in enumerate(heights)])
+    z = np.array(_theta_grid(tau))
     reference = [_mp_theta0(v, tau) for v in z]
     _assert_array_matches(theta0(z, tau), [theta0(v, tau) for v in z], reference)
     jacobi = jacobi_theta(z, tau)
@@ -396,3 +400,90 @@ def test_array_term_count_beyond_cap_is_nonconvergent():
         theta0(z, 0.2 + 1e-7j)
     with pytest.raises(NonConvergent):
         theta0(z, 0.2 - 0.1j)
+
+
+# ---------------------------------------------------------------------------
+# array path with one modulus per point, as a batch of pointwise draws passes
+
+
+def _per_point(grids):
+    """Columns of points and moduli, from (points, moduli) pairs of a grid."""
+    rows = [(z, *moduli) for points, moduli in grids for z in points]
+    return [np.array(column) for column in zip(*rows)]
+
+
+THETA_COLUMNS = _per_point([(_theta_grid(tau), (tau,)) for tau in (0.1 + 0.3j, 0.23 + 0.7j)])
+GAMMA_COLUMNS = _per_point(
+    [(_gamma_points(tau, sigma), (tau, sigma)) for tau, sigma in ARRAY_MODULI + [SHALLOW_MODULI]]
+)
+
+
+def _assert_close_per_point(got, want, tol):
+    for g, w in zip(got, want):
+        assert abs(g - w) <= tol * abs(w), (g, w)
+
+
+@pytest.mark.parametrize("fn", [theta0, jacobi_theta, qpoch1_add])
+def test_theta_per_point_moduli_match_scalar(fn):
+    z, tau = THETA_COLUMNS
+    got = fn(z, tau)
+    assert got.shape == z.shape
+    _assert_close_per_point(got, [fn(complex(a), complex(b)) for a, b in zip(z, tau)], 1e-14)
+
+
+def test_qpoch1_add_per_point_counts_factors_from_the_largest_term():
+    # |e^{2 pi i z}| ~ 1.2e4 here: stopping where |q|^n alone falls below
+    # TERM_EPSILON would drop factors of size 1 + 1e-13
+    z = np.array([0.2 - 1.5j, 0.3 + 0.1j])
+    tau = np.array([0.1 + 0.3j, 0.23 + 0.7j])
+    want = [qpoch1_add(complex(a), complex(b)) for a, b in zip(z, tau)]
+    _assert_close_per_point(qpoch1_add(z, tau), want, 1e-14)
+
+
+def test_ell_gamma_per_point_moduli_match_shared_moduli():
+    z, tau, sigma = GAMMA_COLUMNS
+    got = ell_gamma(z, tau, sigma)
+    # the per-point path is the shared-moduli array path, point by point ...
+    shared = np.concatenate(
+        [ell_gamma(z[k : k + 9], tau[k], sigma[k]) for k in range(0, len(z), 9)]
+    )
+    _assert_close_per_point(got, shared, 1e-14)
+    # ... and so meets the scalar loop as that path does (the reduction and the
+    # shifts differ from the loop's by up to 7e-14 on the shallow moduli)
+    scalar = [ell_gamma(complex(a), complex(b), complex(c)) for a, b, c in zip(z, tau, sigma)]
+    _assert_close_per_point(got, scalar, 1e-13)
+
+
+def test_per_point_moduli_broadcast_against_the_points():
+    z, tau = THETA_COLUMNS
+    grid = theta0(z[:, None], tau[None, :4])
+    assert grid.shape == (len(z), 4)
+    assert grid[5, 2] == pytest.approx(theta0(complex(z[5]), complex(tau[2])), rel=1e-14)
+    # a scalar point against per-point moduli, as theta0(1/2; 2 tau) in a lemma
+    _assert_close_per_point(theta0(0.5, tau), [theta0(0.5, complex(t)) for t in tau], 1e-14)
+
+
+#: points on which the scalar path raises: the pole x = 1, a vanishing shift
+#: factor (-tau with Im tau < Im sigma) and a modulus with |q| ~ 1
+RAISING_POINTS = [
+    ("ell_gamma", (2.0 + 0j, 0.1 + 0.6j, -0.2 + 0.8j), PoleHit),
+    ("ell_gamma", (-0.1 - 0.6j, 0.1 + 0.6j, -0.2 + 0.8j), PoleHit),
+    ("ell_gamma", (0.1 + 0.05j, 0.2 + 1e-7j, 0.3 + 0.5j), NonConvergent),
+    ("theta0", (0.1 + 0.05j, 0.2 + 1e-7j), NonConvergent),
+    ("jacobi_theta", (0.1 + 0.05j, 0.2 - 0.1j), NonConvergent),
+    ("qpoch1_add", (0.1 + 0.05j, 0.2 + 1e-7j), NonConvergent),
+]
+
+
+@pytest.mark.parametrize("name,bad,error", RAISING_POINTS)
+def test_per_point_path_raises_where_a_scalar_point_raises(name, bad, error):
+    fn = {"ell_gamma": ell_gamma, "theta0": theta0, "jacobi_theta": jacobi_theta,
+          "qpoch1_add": qpoch1_add}[name]
+    with pytest.raises(error):
+        fn(*bad)
+    columns = GAMMA_COLUMNS if name == "ell_gamma" else THETA_COLUMNS
+    # the raising point among regular ones, at the front, the middle and the end
+    for at in (0, 7, len(columns[0])):
+        mixed = [np.insert(column, at, value) for column, value in zip(columns, bad)]
+        with pytest.raises(error):
+            fn(*mixed)
