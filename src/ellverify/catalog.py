@@ -14,6 +14,8 @@ The sides of the pointwise checks take arrays (``array_sides``), and
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
 reordering catalog entries never shifts another identity's draws.
+:func:`rng_for` defines each draw's stream; a batch draws every draw's
+stream at once (:func:`uniforms_for`), bit-identical to :func:`rng_for`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ __all__ = [
     "IdentityEntry",
     "IdentityResult",
     "UnknownIdentity",
+    "NoAdmissiblePoint",
+    "UniformMap",
     "PoleOnPath",
     "identity_ids",
     "get_entry",
@@ -57,14 +61,20 @@ class UnknownIdentity(KeyError):
     """Requested identity ID is not registered."""
 
 
+class NoAdmissiblePoint(RuntimeError):
+    """A rejection sampler found no admissible point in its allowed tries."""
+
+
 @dataclasses.dataclass(frozen=True)
 class IdentityEntry:
     """One registered check.
 
     A ``numeric`` entry compares ``lhs`` and ``rhs`` at points drawn by
-    ``sampler``.  A ``series`` entry has ``runner``, which maps an order to a
-    list of case dicts with an ``exact`` flag, and ``default_order``; its
-    ``tolerance`` and ``default_samples`` are ``None``.
+    ``sampler``, a function ``(rng, index) -> params``; a check with
+    ``array_sides`` has a :class:`UniformMap` there.  A ``series`` entry has
+    ``runner``, which maps an order to a list of case dicts with an ``exact``
+    flag, and ``default_order``; its ``tolerance`` and ``default_samples``
+    are ``None``.
     """
 
     id: str
@@ -122,6 +132,96 @@ def rng_for(seed: int, identity_id: str, sample_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's Philox4x64-10 multipliers and key increments
+_MASK32 = 0xFFFFFFFF
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
+
+
+def _words(n: int) -> list:
+    """The uint32 words ``SeedSequence`` makes of the int ``n``, low word first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hasher(const, mult):
+    """``SeedSequence``'s hash of uint32 arrays: a call xors in ``const``,
+    steps it by ``mult`` and multiplies by the new ``const``."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _philox_keys(entropy) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, uint64)`` of each row of the
+    (N, L) uint32 ``entropy`` (pool size 4), as a (2, N) uint64 array."""
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        result = 0xCA01F9DD * x - 0x4973F715 * y
+        return result ^ result >> 16
+
+    length = entropy.shape[1]
+    zero = np.zeros(len(entropy), np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, length):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    state = [word.astype(np.uint64) for word in map(_hasher(0x8B51F9DD, 0x58F38DED), pool)]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
+
+
+def _philox_doubles(keys, count) -> np.ndarray:
+    """``Generator(Philox(key=k)).random(count)`` for each column k of the
+    (2, N) ``keys``: Philox4x64-10 on counters 1, 2, ..., as (N, count) doubles."""
+    blocks = -(-count // 4)
+    key = keys[:, :, None]
+    # words 0 and 2 of each counter block, the ones multiplied, then words 1 and 3
+    even = np.zeros((2, keys.shape[1], blocks), np.uint64)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)
+    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+    for round_ in range(10):
+        if round_:
+            key = key + _PHILOX_W
+        # high words of the 128-bit products, from 32-bit halves
+        x_lo, x_hi = even & _MASK32, even >> 32
+        lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+        carry = ((lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)) >> 32
+        high = m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + carry
+        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    return (words.reshape(keys.shape[1], 4 * blocks)[:, :count] >> 11) * 2.0**-53
+
+
+def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.ndarray:
+    """Row k is ``rng_for(seed, identity_id, sample_indices[k]).random(count)``,
+    bit for bit, for indices in [0, 2**64); all rows are drawn at once."""
+    prefix = _words(int(seed)) + _words(fnv1a64(identity_id))
+    index = np.asarray(sample_indices, dtype=np.uint64)
+    entropy = np.empty((len(index), len(prefix) + 2), np.uint32)
+    entropy[:, : len(prefix)] = prefix
+    entropy[:, -2], entropy[:, -1] = index & _MASK32, index >> 32
+    # an index of two words makes a longer entropy, which mixes differently
+    wide = entropy[:, -1] > 0
+    keys = np.empty((2, len(index)), np.uint64)
+    for rows, words in ((~wide, -1), (wide, None)):
+        if rows.any():
+            keys[:, rows] = _philox_keys(entropy[rows, :words])
+    return _philox_doubles(keys, count)
+
+
 class _Uniforms:
     """``count`` uniforms from one ``rng.random(count)``, handed out in order.
 
@@ -141,6 +241,34 @@ class _Uniforms:
         return complex(self.real(re_lo, re_hi), self.real(im_lo, im_hi))
 
 
+class _Columns(_Uniforms):
+    """:class:`_Uniforms` for many draws: hands out the columns of an
+    (N, count) array of uniforms, so each value has an entry per draw."""
+
+    def __init__(self, uniforms):
+        self._next = iter(uniforms.T).__next__
+
+    def cx(self, re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
+        z = self.real(re_lo, re_hi).astype(complex)
+        z.imag = self.real(im_lo, im_hi)
+        return z
+
+
+@dataclasses.dataclass(frozen=True)
+class UniformMap:
+    """A sampler that maps ``count`` uniforms per draw: ``to_params`` takes
+    an (N, count) array, row k the uniforms of draw k, to one array per
+    parameter.  Called as a sampler, it maps the one row ``rng.random(count)``.
+    """
+
+    count: int
+    to_params: Callable
+
+    def __call__(self, rng, index) -> dict:
+        params = self.to_params(rng.random(self.count)[None])
+        return {name: values.tolist()[0] for name, values in params.items()}
+
+
 def _lattice_distance(z, tau) -> float:
     """Distance from z to the lattice Z + Z*tau."""
     z = complex(z)
@@ -157,7 +285,7 @@ def _reject(draw, accept, tries=500):
         params = draw()
         if accept(params):
             return params
-    raise RuntimeError("sampler failed to find an admissible point")
+    raise NoAdmissiblePoint(f"sampler failed to find an admissible point in {tries} tries")
 
 
 # wider than contour.CLEARANCE (1/64), so no accepted draw meets the evaluators' refusal
@@ -289,27 +417,30 @@ def _sample_modular(rng, index, branch):
     return _reject(draw, accept)
 
 
-def _sample_theta_mod(rng, index):
-    u = _Uniforms(rng, 4)
+@functools.partial(UniformMap, 4)
+def _sample_theta_mod(uniforms):
+    u = _Columns(uniforms)
     r = u.real(0.6, 1.3)
     theta = u.real(0.3, 2.6)
-    tau = complex(r * np.exp(1j * theta))
+    tau = r * np.exp(1j * theta)
     z = u.cx(-0.4, 0.4, -0.3, 0.3)
     return {"z": z, "tau": tau}
 
 
-def _sample_ellgam_mod(rng, index):
-    u = _Uniforms(rng, 6)
+@functools.partial(UniformMap, 6)
+def _sample_ellgam_mod(uniforms):
+    u = _Columns(uniforms)
     arg_sigma = u.real(0.2, 1.2)
     arg_tau = arg_sigma + u.real(0.3, 1.3)
-    sigma = complex(u.real(0.5, 1.2) * np.exp(1j * arg_sigma))
-    tau = complex(u.real(0.5, 1.2) * np.exp(1j * arg_tau))
+    sigma = u.real(0.5, 1.2) * np.exp(1j * arg_sigma)
+    tau = u.real(0.5, 1.2) * np.exp(1j * arg_tau)
     z = u.cx(-0.4, 0.4, -0.4, 0.4)
     return {"z": z, "tau": tau, "sigma": sigma}
 
 
-def _sample_pointwise_eta(rng, index):
-    u = _Uniforms(rng, 6)
+@functools.partial(UniformMap, 6)
+def _sample_pointwise_eta(uniforms):
+    u = _Columns(uniforms)
     return {
         "t": u.cx(-0.4, 0.4, -0.25, 0.25),
         "tau": u.cx(-0.2, 0.2, 0.4, 0.9),
@@ -317,8 +448,9 @@ def _sample_pointwise_eta(rng, index):
     }
 
 
-def _sample_pointwise_lam(rng, index):
-    u = _Uniforms(rng, 6)
+@functools.partial(UniformMap, 6)
+def _sample_pointwise_lam(uniforms):
+    u = _Columns(uniforms)
     return {
         "t": u.cx(-0.4, 0.4, -0.25, 0.25),
         "lam": u.cx(-0.4, 0.4, -0.2, 0.2),
@@ -326,8 +458,9 @@ def _sample_pointwise_lam(rng, index):
     }
 
 
-def _sample_theta_simp2(rng, index):
-    u = _Uniforms(rng, 4)
+@functools.partial(UniformMap, 4)
+def _sample_theta_simp2(uniforms):
+    u = _Columns(uniforms)
     return {
         "z": u.cx(-0.4, 0.4, -0.25, 0.25),
         "sigma": u.cx(-0.2, 0.2, 0.4, 1.0),
@@ -835,42 +968,41 @@ def run_batch(
 ) -> list:
     """:func:`run_check` for many draws of a check with ``array_sides``.
 
-    Each draw is sampled from its own stream, as :func:`run_check` samples
-    it; the draws' parameters are stacked into one array per name, and each
-    side is evaluated once on the arrays.  Returns one item per distinct
+    Every draw's stream is drawn at once by :func:`uniforms_for`, bit for bit
+    the stream :func:`rng_for` gives the draw alone, and the check's
+    :class:`UniformMap` turns the whole batch into one array per parameter,
+    so each draw gets exactly the parameters :func:`sample_params` gives it;
+    each side is evaluated once on the arrays.  Returns one item per distinct
     index, in order: the draw's :class:`IdentityResult`, or ``None`` where
-    the batch settles nothing for it, because its sampling raised, the batch
-    raised, or one of its sides is not finite; :func:`run_check` gives such
-    a draw its own result or error.  A side's last bits may differ from
-    :func:`run_check`'s (numpy rounds some complex operations differently
-    from Python), and the sum of a point's log series runs to the term count
-    of the slowest point in its batch.
+    the batch settles nothing for it, because the sampling or a side raised
+    for the batch, or one of the draw's sides is not finite;
+    :func:`run_check` gives such a draw its own result or error.  A side's
+    last bits may differ from :func:`run_check`'s (numpy rounds some complex
+    operations differently from Python), and the sum of a point's log series
+    runs to the term count of the slowest point in its batch.
     """
     entry = entry_of_kind(identity_id, "numeric")
     if not entry.array_sides:
         raise ValueError(f"{identity_id} does not declare array sides")
     tol = entry.tolerance if tolerance is None else float(tolerance)
-    settled = dict.fromkeys(sample_indices)
-    draws = {}
-    for index in settled:
-        try:
-            draws[index] = sample_params(identity_id, seed, index)
-        except Exception:  # left unsettled: run_check raises it again and reports it
-            continue
-    if not draws:
-        return list(settled.values())
-    stacked = {
-        name: np.array([params[name] for params in draws.values()])
-        for name in next(iter(draws.values()))
-    }
+    indices = list(dict.fromkeys(sample_indices))
+    if not indices:
+        return []
     try:
+        sampler = entry.sampler
+        arrays = sampler.to_params(uniforms_for(seed, identity_id, indices, sampler.count))
+        columns = {name: values.tolist() for name, values in arrays.items()}
         # a pole or an overflow shows as a non-finite side, not as a warning
         with np.errstate(all="ignore"):
-            lhs = np.broadcast_to(entry.lhs(stacked), len(draws)).tolist()
-            rhs = np.broadcast_to(entry.rhs(stacked), len(draws)).tolist()
+            lhs = np.broadcast_to(entry.lhs(arrays), len(indices)).tolist()
+            rhs = np.broadcast_to(entry.rhs(arrays), len(indices)).tolist()
     except Exception:  # every draw left unsettled: run_check isolates the culprit
-        return list(settled.values())
-    for (index, params), left, right in zip(draws.items(), lhs, rhs):
+        return [None] * len(indices)
+    settled = []
+    for row, (index, left, right) in enumerate(zip(indices, lhs, rhs)):
         if cmath.isfinite(left) and cmath.isfinite(right):
-            settled[index] = _compared(identity_id, index, params, left, right, tol, ())
-    return list(settled.values())
+            params = {name: column[row] for name, column in columns.items()}
+            settled.append(_compared(identity_id, index, params, left, right, tol, ()))
+        else:
+            settled.append(None)
+    return settled

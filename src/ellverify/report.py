@@ -264,7 +264,9 @@ def run_suite(config: RunConfig) -> VerificationReport:
     reproducible regardless of selection order.
 
     The draws of a check whose sides take arrays (the pointwise checks) are
-    evaluated as one batch by :func:`catalog.run_batch`; a draw the batch
+    evaluated as one batch by :func:`catalog.run_batch`, which draws every
+    draw's stream at once, bit-identical to :func:`catalog.rng_for`, so a
+    batched draw has exactly the parameters it has alone; a draw the batch
     cannot settle (a raise, or a side that is not finite) runs on its own
     through :func:`catalog.run_check`, and gets the same result or error as
     it would alone.  A batched draw's last bits may depend on its batch,

@@ -1,13 +1,16 @@
-"""Batched pointwise draws: ``run_suite`` evaluates all draws of a check with
-array sides in one call of each side, and every draw must come out as
-``run_check`` gives it on its own.  A draw the batch cannot settle (a raise,
-a side that is not finite, a failed sampling) runs on its own and gets the
-per-draw result or error, while its companions are unaffected."""
+"""Batched pointwise draws: ``run_suite`` samples all draws of a check with
+array sides at once and evaluates them in one call of each side, and every
+draw must come out as ``run_check`` gives it on its own.  The batch's
+uniforms are ``rng_for``'s streams bit for bit.  A draw the batch cannot
+settle (a raise, a side that is not finite, a failed sampling) runs on its
+own and gets the per-draw result or error, while its companions are
+unaffected."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ellverify import catalog, report
 from ellverify.report import RunConfig, run_suite
@@ -61,6 +64,69 @@ def test_batched_run_suite_matches_run_check(identity_id, seed):
         assert _close(row["lhs"], single["lhs"]) and _close(row["rhs"], single["rhs"])
 
 
+#: batches of sample indices that mix one-word (< 2**32) and two-word indices
+MIXED_INDICES = st.tuples(
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    st.lists(st.integers(2**32, 2**32 + 3), min_size=1, max_size=4),
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**70),
+    identity_id=st.sampled_from(catalog.identity_ids("numeric")),
+    indices=MIXED_INDICES,
+    count=st.integers(1, 14),
+)
+def test_batch_uniforms_are_rng_for_bit_for_bit(seed, identity_id, indices, count):
+    rows = catalog.uniforms_for(seed, identity_id, indices, count)
+    assert rows.shape == (len(indices), count)
+    for row, index in zip(rows, indices):
+        want = catalog.rng_for(seed, identity_id, index).random(count)
+        assert row.tobytes() == want.tobytes(), index
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda length: st.lists(
+            st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_philox_keys_are_seed_sequence_states(rows):
+    # fewer than four words pad the pool, more than four mix in after it
+    keys = catalog._philox_keys(np.array(rows, np.uint32))
+    for key, row in zip(keys.T, rows):
+        want = np.random.SeedSequence(np.array(row, np.uint32)).generate_state(2, np.uint64)
+        assert key.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
+    with pytest.raises(Exception) as single:
+        catalog.rng_for(seed, "theta-mod", 0)
+    with pytest.raises(type(single.value)) as batch:
+        catalog.uniforms_for(seed, "theta-mod", [0, 2**32], 4)
+    assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("size", [1, 2, 20, 3000])
+@pytest.mark.parametrize("identity_id", POINTWISE)
+def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
+    indices = range(max(size, 20))
+    results = [
+        res
+        for start in range(0, len(indices), size)
+        for res in catalog.run_batch(identity_id, 0, indices[start : start + size])
+    ]
+    for index in range(20):
+        want = catalog.sample_params(identity_id, 0, index)
+        assert repr(results[index].parameters) == repr(want), index
+
+
 def test_run_batch_returns_a_result_per_index():
     results = catalog.run_batch("lemma.theta-simp2", 3, [4, 0, 9])
     assert [res.sample_index for res in results] == [4, 0, 9]
@@ -87,32 +153,45 @@ def _assert_draw_isolated(identity_id, seed, bad_index, count=10):
     return rows
 
 
-def test_a_draw_on_a_gamma_pole_gets_the_per_draw_error(monkeypatch):
-    original = catalog.get_entry("lemma.sym-rearrange").sampler
+def _patched_map(monkeypatch, identity_id, seed, index, change):
+    """Patch the check's uniform map: ``change(params, rows)`` alters the
+    parameter arrays, ``rows`` flagging the rows that are draw ``index``.
+    The batch map and the per-draw sampler both run through it."""
+    original = catalog.get_entry(identity_id).sampler
+    bad = catalog.rng_for(seed, identity_id, index).random(original.count)
 
-    def sampler(rng, index):
-        params = original(rng, index)
-        if index == 3:
-            # gamma(t - 2 eta; tau, 8 eta) at its pole t - 2 eta = 0
-            params["t"] = 2 * params["eta"]
+    def to_params(uniforms):
+        params = original.to_params(uniforms)
+        change(params, (uniforms == bad).all(axis=1))
         return params
 
-    _patched(monkeypatch, "lemma.sym-rearrange", sampler=sampler)
+    _patched(monkeypatch, identity_id, sampler=catalog.UniformMap(original.count, to_params))
+
+
+def test_a_draw_on_a_gamma_pole_gets_the_per_draw_error(monkeypatch):
+    def change(params, rows):
+        # gamma(t - 2 eta; tau, 8 eta) at its pole t - 2 eta = 0
+        params["t"] = np.where(rows, 2 * params["eta"], params["t"])
+
+    _patched_map(monkeypatch, "lemma.sym-rearrange", 0, 3, change)
     rows = _assert_draw_isolated("lemma.sym-rearrange", 0, 3)
     assert rows[3]["error"] == "PoleHit: ell_gamma argument on its pole lattice"
 
 
 def test_a_draw_whose_sampling_fails_gets_the_per_draw_error(monkeypatch):
-    original = catalog.get_entry("lemma.theta-simp").sampler
+    def change(params, rows):
+        if rows.any():
+            raise catalog.NoAdmissiblePoint(
+                "sampler failed to find an admissible point in 500 tries"
+            )
 
-    def sampler(rng, index):
-        if index == 6:
-            raise RuntimeError("sampler failed to find an admissible point")
-        return original(rng, index)
-
-    _patched(monkeypatch, "lemma.theta-simp", sampler=sampler)
+    _patched_map(monkeypatch, "lemma.theta-simp", 5, 6, change)
+    # the map raises for the whole batch, so the batch settles nothing
+    assert catalog.run_batch("lemma.theta-simp", 5, range(10)) == [None] * 10
     rows = _assert_draw_isolated("lemma.theta-simp", 5, 6)
-    assert rows[6]["error"] == "RuntimeError: sampler failed to find an admissible point"
+    assert rows[6]["error"] == (
+        "NoAdmissiblePoint: sampler failed to find an admissible point in 500 tries"
+    )
 
 
 def test_a_draw_with_a_non_finite_batched_side_runs_on_its_own(monkeypatch):

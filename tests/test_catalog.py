@@ -158,6 +158,14 @@ def test_rng_for_is_stable():
     assert list(draws) == list(again)
 
 
+def test_a_rejection_sampler_that_finds_nothing_names_its_failure():
+    with pytest.raises(catalog.NoAdmissiblePoint) as caught:
+        catalog._reject(lambda: {}, lambda params: False, tries=3)
+    # a RuntimeError still, so error rows read as before, with the tries counted
+    assert isinstance(caught.value, RuntimeError)
+    assert str(caught.value) == "sampler failed to find an admissible point in 3 tries"
+
+
 # ---------------------------------------------------------------------------
 # running checks
 
