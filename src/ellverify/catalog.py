@@ -9,7 +9,8 @@ paths, against the pole inventories derived from their declared factors,
 before every quadrature and raise :class:`PoleOnPath` on a rejected path;
 :func:`run_check` reports the largest error those quadratures achieved.
 The sides of the pointwise checks take arrays (``array_sides``), and
-:func:`run_batch` evaluates many of their draws in one call.
+:func:`run_batch` evaluates many of their draws in one call and returns
+them as columns, one array per parameter, side and error (a :class:`Batch`).
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
@@ -20,7 +21,6 @@ stream at once (:func:`uniforms_for`), bit-identical to :func:`rng_for`.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import functools
 from typing import Callable, Optional, Sequence
@@ -44,6 +44,7 @@ __all__ = [
     "sample_params",
     "run_check",
     "run_batch",
+    "Batch",
     "DEFAULT_TOLERANCE",
     "COMPOUND_TOLERANCE",
 ]
@@ -936,28 +937,50 @@ def run_check(
     with achieved_errors() as errors:
         lhs = complex(entry.lhs(params))
         rhs = complex(entry.rhs(params))
-    return _compared(identity_id, sample_index, params, lhs, rhs, tol, errors)
-
-
-def _compared(identity_id, sample_index, params, lhs, rhs, tol, errors) -> IdentityResult:
-    """The result of one draw whose sides came out ``lhs`` and ``rhs``."""
-    lhs, rhs = complex(lhs), complex(rhs)
-    abs_error = abs(lhs - rhs)
-    scale = max(1.0, abs(rhs))
-    rel_error = abs_error / max(abs(rhs), 1e-300)
+    abs_error, _, rel_error, passed = _compare(np.array(lhs), np.array(rhs), tol)
     return IdentityResult(
         identity_id=identity_id,
         sample_index=sample_index,
         parameters=params,
         lhs_value=lhs,
         rhs_value=rhs,
-        abs_error=abs_error,
-        rel_error=rel_error,
+        abs_error=float(abs_error),
+        rel_error=float(rel_error),
         quadrature_error_estimate=max(errors) if errors else None,
         tolerance=tol,
         decision=DECISION_RULE,
-        passed=abs_error <= tol * scale,
+        passed=bool(passed),
     )
+
+
+def _compare(lhs, rhs, tol):
+    """``(abs_error, |rhs|, rel_error, passed)`` of complex side arrays by
+    :data:`DECISION_RULE`.  ``np.hypot(z.real, z.imag)`` is ``abs(z)`` bit
+    for bit (``np.abs`` is not), but reads ``inf`` where ``abs`` overflows."""
+    with np.errstate(all="ignore"):
+        diff = lhs - rhs
+        abs_error = np.hypot(diff.real, diff.imag)
+        size = np.hypot(rhs.real, rhs.imag)
+        rel_error = abs_error / np.maximum(size, 1e-300)
+        return abs_error, size, rel_error, abs_error <= tol * np.maximum(1.0, size)
+
+
+@dataclasses.dataclass(frozen=True)
+class Batch:
+    """The draws of one :func:`run_batch` as columns, entry k of each array
+    draw ``sample_indices[k]``: one complex array per parameter, the sides,
+    and their comparison under ``tolerance``.  Only the ``settled`` draws'
+    values hold; :func:`run_check` settles the others."""
+
+    sample_indices: tuple
+    parameters: dict
+    lhs: np.ndarray
+    rhs: np.ndarray
+    abs_error: np.ndarray
+    rel_error: np.ndarray
+    passed: np.ndarray
+    settled: np.ndarray
+    tolerance: float
 
 
 def run_batch(
@@ -965,44 +988,39 @@ def run_batch(
     seed: int,
     sample_indices: Sequence[int],
     tolerance: Optional[float] = None,
-) -> list:
+) -> Batch:
     """:func:`run_check` for many draws of a check with ``array_sides``.
 
     Every draw's stream is drawn at once by :func:`uniforms_for`, bit for bit
     the stream :func:`rng_for` gives the draw alone, and the check's
     :class:`UniformMap` turns the whole batch into one array per parameter,
     so each draw gets exactly the parameters :func:`sample_params` gives it;
-    each side is evaluated once on the arrays.  Returns one item per distinct
-    index, in order: the draw's :class:`IdentityResult`, or ``None`` where
-    the batch settles nothing for it, because the sampling or a side raised
-    for the batch, or one of the draw's sides is not finite;
-    :func:`run_check` gives such a draw its own result or error.  A side's
-    last bits may differ from :func:`run_check`'s (numpy rounds some complex
-    operations differently from Python), and the sum of a point's log series
-    runs to the term count of the slowest point in its batch.
+    each side is evaluated once on the arrays, and both are compared by the
+    function :func:`run_check` uses.  Returns a :class:`Batch` with one row
+    per distinct index, in order.  A draw is settled unless the sampling or
+    a side raised for the batch (then no draw is), or one of its sides, its
+    ``abs_error`` or its ``|rhs|`` is not finite; :func:`run_check` gives an
+    unsettled draw its own result or error.  A side's last bits may differ
+    from :func:`run_check`'s (numpy rounds some complex operations
+    differently from Python), and the sum of a point's log series runs to
+    the term count of the slowest point in its batch.
     """
     entry = entry_of_kind(identity_id, "numeric")
     if not entry.array_sides:
         raise ValueError(f"{identity_id} does not declare array sides")
     tol = entry.tolerance if tolerance is None else float(tolerance)
-    indices = list(dict.fromkeys(sample_indices))
-    if not indices:
-        return []
+    indices = tuple(dict.fromkeys(sample_indices))
     try:
         sampler = entry.sampler
         arrays = sampler.to_params(uniforms_for(seed, identity_id, indices, sampler.count))
-        columns = {name: values.tolist() for name, values in arrays.items()}
         # a pole or an overflow shows as a non-finite side, not as a warning
         with np.errstate(all="ignore"):
-            lhs = np.broadcast_to(entry.lhs(arrays), len(indices)).tolist()
-            rhs = np.broadcast_to(entry.rhs(arrays), len(indices)).tolist()
+            lhs = np.broadcast_to(entry.lhs(arrays), len(indices))
+            rhs = np.broadcast_to(entry.rhs(arrays), len(indices))
     except Exception:  # every draw left unsettled: run_check isolates the culprit
-        return [None] * len(indices)
-    settled = []
-    for row, (index, left, right) in enumerate(zip(indices, lhs, rhs)):
-        if cmath.isfinite(left) and cmath.isfinite(right):
-            params = {name: column[row] for name, column in columns.items()}
-            settled.append(_compared(identity_id, index, params, left, right, tol, ()))
-        else:
-            settled.append(None)
-    return settled
+        arrays, lhs = {}, np.full(len(indices), np.nan, complex)
+        rhs = lhs
+    abs_error, size, rel_error, passed = _compare(lhs, rhs, tol)
+    # a finite |lhs - rhs| needs finite sides; neither it nor |rhs| overflowed
+    settled = np.isfinite(abs_error) & np.isfinite(size)
+    return Batch(indices, arrays, lhs, rhs, abs_error, rel_error, passed, settled, tol)

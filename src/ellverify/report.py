@@ -20,6 +20,8 @@ import numbers
 import time
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from . import catalog, conjectures
 
 __all__ = [
@@ -133,21 +135,28 @@ def _encode_params(params):
     return {key: _encode_value(value) for key, value in params.items()}
 
 
-def _numeric_row(res, elapsed):
-    """The report row of a settled draw."""
+def _pairs(values):
+    """The ``[re, im]`` pairs of a complex array."""
+    return np.stack((values.real, values.imag), -1).tolist()
+
+
+def _numeric_row(
+    identity_id, index, params, lhs, rhs, abs_error, rel_error, estimate, tol, passed, elapsed
+):
+    """The report row of a settled draw, from values already in JSON form."""
     return {
-        "id": res.identity_id,
+        "id": identity_id,
         "kind": "numeric",
-        "sample_index": res.sample_index,
-        "parameters": _encode_params(res.parameters),
-        "lhs": _cx(res.lhs_value),
-        "rhs": _cx(res.rhs_value),
-        "abs_error": res.abs_error,
-        "rel_error": res.rel_error,
-        "quadrature_error_estimate": res.quadrature_error_estimate,
-        "tolerance": res.tolerance,
-        "decision": res.decision,
-        "status": "pass" if res.passed else "fail",
+        "sample_index": index,
+        "parameters": params,
+        "lhs": lhs,
+        "rhs": rhs,
+        "abs_error": abs_error,
+        "rel_error": rel_error,
+        "quadrature_error_estimate": estimate,
+        "tolerance": tol,
+        "decision": catalog.DECISION_RULE,
+        "status": "pass" if passed else "fail",
         "elapsed_seconds": elapsed,
     }
 
@@ -171,22 +180,38 @@ def _numeric_result(entry, config, sample_index):
             "error": f"{type(exc).__name__}: {exc}",
             "elapsed_seconds": time.perf_counter() - start,
         }
-    return _numeric_row(res, time.perf_counter() - start)
+    return _numeric_row(
+        entry.id, sample_index, _encode_params(res.parameters), _cx(res.lhs_value),
+        _cx(res.rhs_value), res.abs_error, res.rel_error, res.quadrature_error_estimate,
+        res.tolerance, res.passed, time.perf_counter() - start,
+    )
 
 
 def _numeric_results(entry, config, count):
     """The rows of draws ``0 .. count - 1``: one batch for a check with array
-    sides, then :func:`_numeric_result` for each draw the batch left unsettled."""
+    sides, its settled rows read straight from its columns, then
+    :func:`_numeric_result` for each draw the batch left unsettled."""
     if not entry.array_sides:
         return [_numeric_result(entry, config, index) for index in range(count)]
     start = time.perf_counter()
-    settled = catalog.run_batch(
+    batch = catalog.run_batch(
         entry.id, config.seed, range(count), config.tolerance_overrides.get(entry.id)
     )
     share = (time.perf_counter() - start) / count
+    names, tol = tuple(batch.parameters), batch.tolerance
+    columns = zip(
+        batch.sample_indices, batch.settled.tolist(), _pairs(batch.lhs), _pairs(batch.rhs),
+        batch.abs_error.tolist(), batch.rel_error.tolist(), batch.passed.tolist(),
+        *map(_pairs, batch.parameters.values()),
+    )
     return [
-        _numeric_result(entry, config, index) if res is None else _numeric_row(res, share)
-        for index, res in enumerate(settled)
+        _numeric_row(
+            entry.id, index, dict(zip(names, values)), lhs, rhs, abs_error, rel_error, None,
+            tol, passed, share,
+        )
+        if settled
+        else _numeric_result(entry, config, index)
+        for index, settled, lhs, rhs, abs_error, rel_error, passed, *values in columns
     ]
 
 
@@ -229,7 +254,8 @@ class VerificationReport:
     def _json_chunks(self):
         """The pieces of :meth:`to_json`, each result a piece of its own."""
         doc = self.as_dict()
-        encode = json.JSONEncoder(sort_keys=True).encode
+        # the rows are acyclic trees built here, so no circular-reference markers
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
         for index, key in enumerate(sorted(doc)):
             yield f"{',' if index else '{'}\n  {json.dumps(key)}: "
             if key != "results":
@@ -269,13 +295,14 @@ def run_suite(config: RunConfig) -> VerificationReport:
     batched draw has exactly the parameters it has alone; a draw the batch
     cannot settle (a raise, or a side that is not finite) runs on its own
     through :func:`catalog.run_check`, and gets the same result or error as
-    it would alone.  A batched draw's last bits may depend on its batch,
-    since numpy's SIMD complex arithmetic can round differently from Python
-    and a batch's series run to the term count of its slowest draw; its sides
-    stay within about 1e-14 of the per-draw ones, far inside every tolerance,
-    so verdicts do not change, and a fixed config still gives the same
-    report.  Each batched result's ``elapsed_seconds`` is its share of the
-    batch.
+    it would alone.  Only a batched draw's sides may differ in their last
+    bits from the per-draw ones, since numpy's SIMD complex arithmetic can
+    round differently from Python and a batch's series run to the term count
+    of its slowest draw; they stay within about 1e-14, far inside every
+    tolerance, so verdicts do not change, and a fixed config still gives the
+    same report.  Its comparison is the one :func:`catalog.run_check` makes,
+    and its row is built from the batch's columns.  Each batched result's
+    ``elapsed_seconds`` is its share of the batch.
     """
     started = time.perf_counter()
     results = []

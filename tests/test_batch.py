@@ -117,20 +117,31 @@ def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
 @pytest.mark.parametrize("identity_id", POINTWISE)
 def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
     indices = range(max(size, 20))
-    results = [
-        res
-        for start in range(0, len(indices), size)
-        for res in catalog.run_batch(identity_id, 0, indices[start : start + size])
-    ]
+    params = []
+    for start in range(0, len(indices), size):
+        batch = catalog.run_batch(identity_id, 0, indices[start : start + size])
+        assert batch.settled.all()
+        columns = {name: values.tolist() for name, values in batch.parameters.items()}
+        params.extend(
+            {name: column[row] for name, column in columns.items()}
+            for row in range(len(batch.sample_indices))
+        )
     for index in range(20):
         want = catalog.sample_params(identity_id, 0, index)
-        assert repr(results[index].parameters) == repr(want), index
+        assert repr(params[index]) == repr(want), index
 
 
 def test_run_batch_returns_a_result_per_index():
-    results = catalog.run_batch("lemma.theta-simp2", 3, [4, 0, 9])
-    assert [res.sample_index for res in results] == [4, 0, 9]
-    assert all(res.passed and res.quadrature_error_estimate is None for res in results)
+    batch = catalog.run_batch("lemma.theta-simp2", 3, [4, 0, 9, 4])
+    assert batch.sample_indices == (4, 0, 9)
+    columns = [batch.lhs, batch.rhs, batch.abs_error, batch.rel_error, batch.passed]
+    columns += list(batch.parameters.values())
+    assert all(column.shape == (3,) for column in columns)
+    assert batch.settled.tolist() == batch.passed.tolist() == [True] * 3
+    assert batch.tolerance == catalog.get_entry("lemma.theta-simp2").tolerance
+    # a batched row ran no quadrature
+    rows = run_suite(RunConfig(["lemma.theta-simp2"], samples_per_identity=3, seed=3)).results
+    assert all(row["quadrature_error_estimate"] is None for row in rows)
     with pytest.raises(ValueError, match="array sides"):
         catalog.run_batch("eval1", 0, [0])
 
@@ -187,30 +198,90 @@ def test_a_draw_whose_sampling_fails_gets_the_per_draw_error(monkeypatch):
 
     _patched_map(monkeypatch, "lemma.theta-simp", 5, 6, change)
     # the map raises for the whole batch, so the batch settles nothing
-    assert catalog.run_batch("lemma.theta-simp", 5, range(10)) == [None] * 10
+    batch = catalog.run_batch("lemma.theta-simp", 5, range(10))
+    assert batch.sample_indices == tuple(range(10))
+    assert batch.settled.tolist() == [False] * 10
     rows = _assert_draw_isolated("lemma.theta-simp", 5, 6)
     assert rows[6]["error"] == (
         "NoAdmissiblePoint: sampler failed to find an admissible point in 500 tries"
     )
 
 
-def test_a_draw_with_a_non_finite_batched_side_runs_on_its_own(monkeypatch):
+def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values):
+    """Patch lemma.theta-simp2's sides to ``values`` (a value per side name)
+    at draw ``index`` of the batch only: the batch leaves that draw alone
+    unsettled, and it gets the row it has on its own.  Returns the batch."""
     entry = catalog.get_entry("lemma.theta-simp2")
 
-    def lhs(params):
-        value = entry.lhs(params)
-        if isinstance(params["z"], np.ndarray):
-            value = value.copy()
-            value[5] = complex("nan")  # only the batch sees this
-        return value
+    def patched(side, value):
+        def evaluate(params):
+            result = side(params)
+            if isinstance(params["z"], np.ndarray):
+                result = result.copy()
+                result[index] = value  # only the batch sees this
+            return result
 
-    _patched(monkeypatch, "lemma.theta-simp2", lhs=lhs)
-    settled = catalog.run_batch("lemma.theta-simp2", 2, range(8))
-    assert [res is None for res in settled] == [index == 5 for index in range(8)]
+        return evaluate
+
+    changes = {name: patched(getattr(entry, name), value) for name, value in values.items()}
+    _patched(monkeypatch, "lemma.theta-simp2", **changes)
+    batch = catalog.run_batch("lemma.theta-simp2", 2, range(8))
+    assert batch.settled.tolist() == [k != index for k in range(8)]
     rows = run_suite(RunConfig(["lemma.theta-simp2"], samples_per_identity=8, seed=2)).results
     assert all(row["status"] == "pass" for row in rows)
-    single = _single_row("lemma.theta-simp2", 2, 5)
-    assert {k: v for k, v in rows[5].items() if k != "elapsed_seconds"} == single
+    single = _single_row("lemma.theta-simp2", 2, index)
+    assert {k: v for k, v in rows[index].items() if k != "elapsed_seconds"} == single
+    return batch
+
+
+def test_a_draw_with_a_non_finite_batched_side_runs_on_its_own(monkeypatch):
+    _assert_batched_draw_runs_on_its_own(monkeypatch, 5, {"lhs": complex("nan")})
+
+
+@pytest.mark.parametrize("sides", [("rhs",), ("lhs", "rhs")], ids=["abs-error", "rhs-size"])
+def test_a_draw_whose_comparison_overflows_runs_on_its_own(monkeypatch, sides):
+    # finite sides whose |lhs - rhs| or only |rhs| overflows, where Python's abs raises
+    values = dict.fromkeys(sides, 1.5e308 + 1.5e308j)
+    batch = _assert_batched_draw_runs_on_its_own(monkeypatch, 3, values)
+    assert np.isfinite(batch.lhs).all() and np.isfinite(batch.rhs).all()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("identity_id", POINTWISE)
+def test_the_array_comparison_is_the_scalar_rule_exactly(identity_id, seed):
+    rows = run_suite(RunConfig([identity_id], samples_per_identity=50, seed=seed)).results
+    for row in rows:
+        lhs, rhs = complex(*row["lhs"]), complex(*row["rhs"])
+        abs_error = abs(lhs - rhs)
+        assert row["abs_error"] == abs_error
+        assert row["rel_error"] == abs_error / max(abs(rhs), 1e-300)
+        passed = abs_error <= row["tolerance"] * max(1.0, abs(rhs))
+        assert row["status"] == ("pass" if passed else "fail")
+
+
+#: finite float parts: subnormal (or zero), ordinary and near overflow
+PARTS = st.one_of(
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(-1e12, 1e12),
+    st.builds(
+        lambda sign, size: sign * size,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(1e300, 1.7976931348623157e308),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(re=PARTS, im=PARTS)
+def test_hypot_is_the_absolute_value_of_a_complex_bit_for_bit(re, im):
+    # against lhs = 0, both |lhs - rhs| and |rhs| are np.hypot of the parts of z
+    z = np.array([complex(re, im)])
+    abs_error, size, _, _ = catalog._compare(np.zeros(1, complex), z, 1.0)
+    try:
+        want = abs(complex(re, im))
+    except OverflowError:
+        want = np.inf
+    assert abs_error[0] == size[0] == want
 
 
 def test_batched_report_is_reproducible_and_times_each_share():

@@ -138,6 +138,27 @@ def test_report_json_has_one_line_per_result(tmp_path):
     assert len(text.splitlines()) == len(bare.to_json().splitlines()) + len(rows) + 1
 
 
+def test_report_rows_are_json_dumps_byte_for_byte(monkeypatch):
+    import dataclasses
+
+    def lhs(params):
+        raise RuntimeError("pôle de Γ(z; τ, σ) — z ∈ ℤτ + ℤσ")
+
+    boom = dataclasses.replace(catalog.get_entry("lemma.theta-simp"), lhs=lhs)
+    monkeypatch.setitem(catalog._REGISTRY, "lemma.theta-simp", boom)
+    config = RunConfig(
+        identity_ids=FAST_IDS + ("lemma.theta-simp2", "theta-mod", "spiridonov"),
+        samples_per_identity=2, seed=9, series_order=4,
+    )
+    rep = run_suite(config)
+    assert {row["status"] for row in rep.results} == {"pass", "error"}
+    assert any("Γ(z; τ, σ)" in row.get("error", "") for row in rep.results)
+    rows = [line for line in rep.to_json().splitlines() if line.startswith("    {")]
+    assert len(rows) == len(rep.results)
+    for line, row in zip(rows, rep.results):
+        assert line.removeprefix("    ").removesuffix(",") == json.dumps(row, sort_keys=True)
+
+
 def test_report_json_is_byte_identical_timings_aside():
     config = RunConfig(
         identity_ids=FAST_IDS, samples_per_identity=2, seed=9, series_order=4
