@@ -21,6 +21,7 @@ stream at once (:func:`uniforms_for`), bit-identical to :func:`rng_for`.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 from typing import Callable, Optional, Sequence
@@ -937,7 +938,11 @@ def run_check(
     with achieved_errors() as errors:
         lhs = complex(entry.lhs(params))
         rhs = complex(entry.rhs(params))
-    abs_error, _, rel_error, passed = _compare(np.array(lhs), np.array(rhs), tol)
+    abs_error, size, rel_error, passed = _compare(np.array(lhs), np.array(rhs), tol)
+    # keep the OverflowError Python's abs raises where np.hypot of a finite value reads inf
+    for value, magnitude in ((lhs - rhs, abs_error), (rhs, size)):
+        if cmath.isfinite(value) and not np.isfinite(magnitude):
+            raise OverflowError("absolute value too large")
     return IdentityResult(
         identity_id=identity_id,
         sample_index=sample_index,
@@ -968,11 +973,11 @@ def _compare(lhs, rhs, tol):
 @dataclasses.dataclass(frozen=True)
 class Batch:
     """The draws of one :func:`run_batch` as columns, entry k of each array
-    draw ``sample_indices[k]``: one complex array per parameter, the sides,
-    and their comparison under ``tolerance``.  Only the ``settled`` draws'
-    values hold; :func:`run_check` settles the others."""
+    the k-th distinct index it was given: one complex array per parameter
+    (none if the batch raised), the sides, and their comparison under
+    ``tolerance``.  Only the ``settled`` draws' values hold; :func:`run_check`
+    settles the others."""
 
-    sample_indices: tuple
     parameters: dict
     lhs: np.ndarray
     rhs: np.ndarray
@@ -1013,14 +1018,17 @@ def run_batch(
     try:
         sampler = entry.sampler
         arrays = sampler.to_params(uniforms_for(seed, identity_id, indices, sampler.count))
-        # a pole or an overflow shows as a non-finite side, not as a warning
+        lhs = rhs = np.empty(0, complex)
+        # a pole or an overflow shows as a non-finite side, not as a warning;
+        # the array kernel has no term count for an empty batch
         with np.errstate(all="ignore"):
-            lhs = np.broadcast_to(entry.lhs(arrays), len(indices))
-            rhs = np.broadcast_to(entry.rhs(arrays), len(indices))
+            if indices:
+                lhs = np.broadcast_to(entry.lhs(arrays), len(indices))
+                rhs = np.broadcast_to(entry.rhs(arrays), len(indices))
     except Exception:  # every draw left unsettled: run_check isolates the culprit
         arrays, lhs = {}, np.full(len(indices), np.nan, complex)
         rhs = lhs
     abs_error, size, rel_error, passed = _compare(lhs, rhs, tol)
     # a finite |lhs - rhs| needs finite sides; neither it nor |rhs| overflowed
     settled = np.isfinite(abs_error) & np.isfinite(size)
-    return Batch(indices, arrays, lhs, rhs, abs_error, rel_error, passed, settled, tol)
+    return Batch(arrays, lhs, rhs, abs_error, rel_error, passed, settled, tol)

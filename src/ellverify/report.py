@@ -200,7 +200,7 @@ def _numeric_results(entry, config, count):
     share = (time.perf_counter() - start) / count
     names, tol = tuple(batch.parameters), batch.tolerance
     columns = zip(
-        batch.sample_indices, batch.settled.tolist(), _pairs(batch.lhs), _pairs(batch.rhs),
+        range(count), batch.settled.tolist(), _pairs(batch.lhs), _pairs(batch.rhs),
         batch.abs_error.tolist(), batch.rel_error.tolist(), batch.passed.tolist(),
         *map(_pairs, batch.parameters.values()),
     )
@@ -293,14 +293,14 @@ def run_suite(config: RunConfig) -> VerificationReport:
     evaluated as one batch by :func:`catalog.run_batch`, which draws every
     draw's stream at once, bit-identical to :func:`catalog.rng_for`, so a
     batched draw has exactly the parameters it has alone; a draw the batch
-    cannot settle (a raise, or a side that is not finite) runs on its own
-    through :func:`catalog.run_check`, and gets the same result or error as
-    it would alone.  Only a batched draw's sides may differ in their last
-    bits from the per-draw ones, since numpy's SIMD complex arithmetic can
-    round differently from Python and a batch's series run to the term count
-    of its slowest draw; they stay within about 1e-14, far inside every
-    tolerance, so verdicts do not change, and a fixed config still gives the
-    same report.  Its comparison is the one :func:`catalog.run_check` makes,
+    cannot settle (a raise, a side that is not finite, or a comparison that
+    overflows) runs on its own through :func:`catalog.run_check`, and gets
+    the same result or error as it would alone.  Only a batched draw's sides
+    may differ in their last bits from the per-draw ones, since numpy's SIMD
+    complex arithmetic can round differently from Python and a batch's
+    series run to the term count of its slowest draw; they stay within about
+    1e-14, far inside every tolerance, so verdicts do not change, and a fixed
+    config still gives the same report.  Its comparison is the one :func:`catalog.run_check` makes,
     and its row is built from the batch's columns.  Each batched result's
     ``elapsed_seconds`` is its share of the batch.
     """

@@ -124,7 +124,7 @@ def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
         columns = {name: values.tolist() for name, values in batch.parameters.items()}
         params.extend(
             {name: column[row] for name, column in columns.items()}
-            for row in range(len(batch.sample_indices))
+            for row in range(len(batch.lhs))
         )
     for index in range(20):
         want = catalog.sample_params(identity_id, 0, index)
@@ -133,10 +133,13 @@ def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
 
 def test_run_batch_returns_a_result_per_index():
     batch = catalog.run_batch("lemma.theta-simp2", 3, [4, 0, 9, 4])
-    assert batch.sample_indices == (4, 0, 9)
     columns = [batch.lhs, batch.rhs, batch.abs_error, batch.rel_error, batch.passed]
     columns += list(batch.parameters.values())
     assert all(column.shape == (3,) for column in columns)
+    # one row per distinct index, in order
+    for row, index in enumerate([4, 0, 9]):
+        params = {name: values[row].item() for name, values in batch.parameters.items()}
+        assert repr(params) == repr(catalog.sample_params("lemma.theta-simp2", 3, index))
     assert batch.settled.tolist() == batch.passed.tolist() == [True] * 3
     assert batch.tolerance == catalog.get_entry("lemma.theta-simp2").tolerance
     # a batched row ran no quadrature
@@ -144,6 +147,14 @@ def test_run_batch_returns_a_result_per_index():
     assert all(row["quadrature_error_estimate"] is None for row in rows)
     with pytest.raises(ValueError, match="array sides"):
         catalog.run_batch("eval1", 0, [0])
+
+
+@pytest.mark.parametrize("identity_id", POINTWISE)
+def test_an_empty_batch_has_empty_columns(identity_id):
+    batch = catalog.run_batch(identity_id, 0, [])
+    assert batch.parameters.keys() == catalog.sample_params(identity_id, 0, 0).keys()
+    columns = [batch.lhs, batch.rhs, batch.abs_error, batch.passed, batch.settled]
+    assert all(column.shape == (0,) for column in columns + list(batch.parameters.values()))
 
 
 def _patched(monkeypatch, identity_id, **changes):
@@ -199,7 +210,6 @@ def test_a_draw_whose_sampling_fails_gets_the_per_draw_error(monkeypatch):
     _patched_map(monkeypatch, "lemma.theta-simp", 5, 6, change)
     # the map raises for the whole batch, so the batch settles nothing
     batch = catalog.run_batch("lemma.theta-simp", 5, range(10))
-    assert batch.sample_indices == tuple(range(10))
     assert batch.settled.tolist() == [False] * 10
     rows = _assert_draw_isolated("lemma.theta-simp", 5, 6)
     assert rows[6]["error"] == (
@@ -207,18 +217,23 @@ def test_a_draw_whose_sampling_fails_gets_the_per_draw_error(monkeypatch):
     )
 
 
-def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values):
+def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values, alone=False):
     """Patch lemma.theta-simp2's sides to ``values`` (a value per side name)
-    at draw ``index`` of the batch only: the batch leaves that draw alone
-    unsettled, and it gets the row it has on its own.  Returns the batch."""
+    at draw ``index`` of the batch, and of the draw on its own too if
+    ``alone``: the batch leaves that draw alone unsettled, it gets the row it
+    has on its own, and every other draw passes.  Returns the batch and
+    that row."""
     entry = catalog.get_entry("lemma.theta-simp2")
+    bad = catalog.sample_params("lemma.theta-simp2", 2, index)
 
     def patched(side, value):
         def evaluate(params):
             result = side(params)
             if isinstance(params["z"], np.ndarray):
                 result = result.copy()
-                result[index] = value  # only the batch sees this
+                result[index] = value
+            elif alone and params == bad:
+                result = value
             return result
 
         return evaluate
@@ -228,22 +243,41 @@ def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values):
     batch = catalog.run_batch("lemma.theta-simp2", 2, range(8))
     assert batch.settled.tolist() == [k != index for k in range(8)]
     rows = run_suite(RunConfig(["lemma.theta-simp2"], samples_per_identity=8, seed=2)).results
-    assert all(row["status"] == "pass" for row in rows)
+    assert all(row["status"] == "pass" for row in rows if row["sample_index"] != index)
     single = _single_row("lemma.theta-simp2", 2, index)
     assert {k: v for k, v in rows[index].items() if k != "elapsed_seconds"} == single
-    return batch
+    return batch, single
 
 
 def test_a_draw_with_a_non_finite_batched_side_runs_on_its_own(monkeypatch):
-    _assert_batched_draw_runs_on_its_own(monkeypatch, 5, {"lhs": complex("nan")})
+    _, row = _assert_batched_draw_runs_on_its_own(monkeypatch, 5, {"lhs": complex("nan")})
+    assert row["status"] == "pass"
 
 
-@pytest.mark.parametrize("sides", [("rhs",), ("lhs", "rhs")], ids=["abs-error", "rhs-size"])
+#: finite sides whose |lhs - rhs| or only |rhs| overflows, where Python's abs raises
+OVERFLOWS = pytest.mark.parametrize(
+    "sides", [("rhs",), ("lhs", "rhs")], ids=["abs-error", "rhs-size"]
+)
+
+
+@OVERFLOWS
 def test_a_draw_whose_comparison_overflows_runs_on_its_own(monkeypatch, sides):
-    # finite sides whose |lhs - rhs| or only |rhs| overflows, where Python's abs raises
     values = dict.fromkeys(sides, 1.5e308 + 1.5e308j)
-    batch = _assert_batched_draw_runs_on_its_own(monkeypatch, 3, values)
+    batch, row = _assert_batched_draw_runs_on_its_own(monkeypatch, 3, values)
     assert np.isfinite(batch.lhs).all() and np.isfinite(batch.rhs).all()
+    assert row["status"] == "pass"
+
+
+@OVERFLOWS
+def test_an_overflowing_comparison_is_an_error_never_a_verdict(monkeypatch, sides):
+    # the same sides on the draw's own path too: its row is the error abs raises
+    values = dict.fromkeys(sides, 1.5e308 + 1.5e308j)
+    batch, row = _assert_batched_draw_runs_on_its_own(monkeypatch, 3, values, alone=True)
+    assert np.isfinite(batch.lhs).all() and np.isfinite(batch.rhs).all()
+    assert row["status"] == "error"
+    assert row["error"] == "OverflowError: absolute value too large"
+    with pytest.raises(OverflowError, match="absolute value too large"):
+        catalog.run_check("lemma.theta-simp2", 2, 3)
 
 
 @pytest.mark.parametrize("seed", [0, 7])
