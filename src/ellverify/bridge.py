@@ -28,7 +28,6 @@ __all__ = [
     "AdditiveCoords",
     "convert_conventions",
     "f22",
-    "chi_002",
     "J_mu_k2",
     "eval_conj_rhs",
 ]
@@ -94,21 +93,6 @@ def f22(q, omega):
     q = complex(q)
     p = _qpow(q, -2 * complex(omega))
     return qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
-
-
-def chi_002(q, lam, omega):
-    """Closed form of the graded trace at the zero weight (rank one)."""
-    AffineParams(0, 0, complex(q), complex(lam), complex(omega))
-    q = complex(q)
-    p = _qpow(q, -2 * complex(omega))
-    qlam = _qpow(q, complex(lam))
-    return (
-        qlam
-        * f22(q, omega)
-        * qpoch1(qlam**-2 * q**2, p)
-        * qpoch1(qlam**2 * q**2 * p, p)
-        * qpoch1(p * q**2, p)
-    )
 
 
 def J_mu_k2(mu, k, q, lam, omega):

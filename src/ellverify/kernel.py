@@ -52,7 +52,9 @@ scalar moduli.  An array ``theta0`` reduces ``z`` into
 then takes ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep
 their cached tables (``_theta_powers``, ``_gamma_coefficient_array``); a
 modulus per point gets its powers as running products, and every point
-takes as many terms as the slowest point of its array needs.
+takes as many terms as the slowest point of its array needs; rows of
+arguments on one modulus per column (a group of factors over a batch of
+draws) build each modulus's tables once.
 """
 
 from __future__ import annotations
@@ -120,6 +122,14 @@ def _flat(*values):
     return arrays[0].shape, [a.ravel() for a in arrays]
 
 
+def _rows(z, *moduli):
+    """How many rows of arguments ``z`` share moduli given one per column, as
+    a group of factors over a batch of draws does: the tables of each modulus
+    are then built once.  1 unless ``z`` is such rows."""
+    same = np.ndim(z) == 2 and all(np.shape(m) == np.shape(z)[1:] for m in moduli)
+    return len(z) if same else 1
+
+
 def _part(modulus, index):
     """The entries of a per-point ``modulus`` at ``index``; a scalar as it is."""
     return modulus[index] if isinstance(modulus, np.ndarray) else modulus
@@ -167,24 +177,30 @@ def _theta_power_columns(key):
     q = e2pi(np.frombuffer(key, dtype=complex))
     count = _term_count(float(np.abs(q).max()))
     # running products, as scalar theta0's a *= q: one exp per point, not per power
-    qn = np.cumprod(np.vstack((np.ones_like(q), np.broadcast_to(q, (count, len(q))))), axis=0)
+    # (column by column in memory, the order the products over the powers run in)
+    qn = np.empty((count + 1, len(q)), complex, order="F")
+    qn[0], qn[1:] = 1, q
+    np.cumprod(qn, axis=0, out=qn)
     qn.flags.writeable = False  # shared by every caller
     return qn[:, None]
 
 
-def _gamma_coefficient_columns(tau, sigma):
+def _gamma_coefficient_columns(tau, sigma, rows=1):
     """:func:`_gamma_coefficient_array` for moduli given per point: the
     largest ratio, and one column per point, twice over (for the ``x`` and
-    then the ``y`` of every point), as long as the slowest point needs."""
-    p, q = e2pi(tau), e2pi(sigma)
+    then the ``y`` of every point), as long as the slowest point needs.  The
+    points may be ``rows`` repeats of their first ``1 / rows``."""
+    p, q = e2pi(tau[: len(tau) // rows]), e2pi(sigma[: len(sigma) // rows])
     ratio = float(np.maximum(np.abs(p), np.abs(q)).max())
     count = _term_count(ratio)
     # running products, as the scalar table's pn *= p
-    pn = np.cumprod(np.broadcast_to(p, (count, len(p))), axis=0)
-    qn = np.cumprod(np.broadcast_to(q, (count, len(q))), axis=0)
+    pn, qn = np.empty((2, count, len(p)), complex)
+    pn[:], qn[:] = p, q
+    np.cumprod(pn, axis=0, out=pn)
+    np.cumprod(qn, axis=0, out=qn)
     n = np.arange(1, count + 1)[:, None]
     coeffs = (pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn))
-    return ratio, np.concatenate((coeffs, coeffs), axis=1)
+    return ratio, np.concatenate((coeffs,) * 2 * rows, axis=1)
 
 
 def _power_sum(w, ratio, coeffs):
@@ -205,10 +221,12 @@ def _power_sum(w, ratio, coeffs):
     return out
 
 
-def _theta0_array(z, tau):
-    """``theta0`` at the points ``z`` of a flat array, ``tau`` one modulus or one per point."""
+def _theta0_array(z, tau, rows=1):
+    """``theta0`` at the points ``z`` of a flat array, ``tau`` one modulus or
+    one per point (``rows`` repeats of one modulus per column)."""
     if isinstance(tau, np.ndarray):
-        qn = _theta_power_columns(tau.tobytes())
+        qn = _theta_power_columns(tau[: len(tau) // rows].tobytes())
+        qn = qn if rows == 1 else np.concatenate((qn,) * rows, axis=2)
     else:
         qn = _theta_powers(tau)[:, None, None]
     k = np.floor(z.imag / tau.imag)
@@ -217,7 +235,7 @@ def _theta0_array(z, tau):
     rows = max(1, _BLOCK_CELLS // (2 * len(qn)))
     for start in range(0, len(z), rows):
         block = slice(start, start + rows)
-        xv = np.exp(2j * math.pi * np.stack((w[block], _part(tau, block) - w[block])))
+        xv = np.exp(2j * math.pi * np.array((w[block], _part(tau, block) - w[block])))
         value[block] = (1 - (qn if qn.shape[2] == 1 else qn[..., block]) * xv).prod(axis=(0, 1))
     # theta0(w + k tau) = (-1)^k e^{-2 pi i (k w + tau k (k - 1) / 2)} theta0(w)
     return value * np.exp(1j * math.pi * (k - 2 * k * w - tau * k * (k - 1))) if k.any() else value
@@ -233,12 +251,13 @@ def _larger_im_first(tau, sigma):
     return (sigma, tau) if sigma.imag > tau.imag else (tau, sigma)
 
 
-def _ell_gamma_array(z, tau, sigma):
+def _ell_gamma_array(z, tau, sigma, rows=1):
     """``ell_gamma`` at the points ``z`` of a flat array, the moduli either two
-    numbers or two arrays with one entry per point."""
+    numbers or two arrays with one entry per point (``rows`` repeats of one
+    entry per column)."""
     tau, sigma = _larger_im_first(tau, sigma)
     if isinstance(tau, np.ndarray):
-        ratio, coeffs = _gamma_coefficient_columns(tau, sigma)
+        ratio, coeffs = _gamma_coefficient_columns(tau, sigma, rows)
     else:
         ratio, coeffs = _gamma_coefficient_array(tau, sigma)
     top = (tau + sigma).imag
@@ -353,8 +372,9 @@ def qpoch1_add(z, tau):
     rows = max(1, _BLOCK_CELLS // len(z))
     for start in range(0, count, rows):
         # the terms u q^n of this block as running products, as qpoch1's term *= q
-        steps = np.broadcast_to(q, (min(rows, count - start) - 1, len(q)))
-        terms = np.cumprod(np.vstack((term, steps)), axis=0)
+        terms = np.empty((min(rows, count - start), len(q)), complex, order="F")
+        terms[0], terms[1:] = term, q
+        np.cumprod(terms, axis=0, out=terms)
         value *= (1 - terms).prod(axis=0)
         term = terms[-1] * q
     return value.reshape(shape)
@@ -368,8 +388,9 @@ def theta0(z, tau):
     ``theta0(z + tau) = theta0(-z) = -e^{-2 pi i z} theta0(z)``.
     """
     if isinstance(tau, np.ndarray):
+        rows = _rows(z, tau)
         shape, (z, tau) = _flat(z, tau)
-        return _theta0_array(z, tau).reshape(shape)
+        return _theta0_array(z, tau, rows).reshape(shape)
     if isinstance(z, np.ndarray):
         return _theta0_array(z.ravel(), tau).reshape(z.shape)
     # one loop over (1 - x q^n)(1 - q^{n+1}/x), x = e^{2 pi i z}
@@ -427,8 +448,9 @@ def ell_gamma(z, tau, sigma):
     within ``POLE_EPSILON``.
     """
     if isinstance(tau, np.ndarray) or isinstance(sigma, np.ndarray):
+        rows = _rows(z, tau, sigma)
         shape, (z, tau, sigma) = _flat(z, tau, sigma)
-        return _ell_gamma_array(z, tau, sigma).reshape(shape)
+        return _ell_gamma_array(z, tau, sigma, rows).reshape(shape)
     if isinstance(z, np.ndarray):
         return _ell_gamma_array(z.ravel(), tau, sigma).reshape(z.shape)
     return _ell_gamma_scalar(z, tau, sigma)

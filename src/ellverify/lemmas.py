@@ -6,8 +6,11 @@ sample it; the three integral lemmas declare their integrands in gamma-pair
 form and integrate over the tower-separating cycle (straight path plus the
 tower correction that :mod:`.special` derives from the same declaration).
 
-The pointwise sides take numpy arrays of parameters, one entry per draw, as
-well as numbers; on arrays the gamma products make one kernel call.
+Every product of kernel values is a declaration of constant factors that
+:func:`.special.product` evaluates; a side that is a sum is a Python sum of
+such products.  The pointwise sides take numpy arrays of parameters, one
+entry per draw, as well as numbers; on arrays the factors of a product that
+share a kernel function and moduli make one kernel call.
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
@@ -18,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .contour import Path
-from .kernel import e2pi, ell_gamma, epi, qpoch1_add, theta0
+from .kernel import e2pi, epi
 from .special import (
     Factor,
     I_tilde,
@@ -30,6 +31,7 @@ from .special import (
     audited_integral,
     gamma_pair_tower_correction,
     j1_factors,
+    product,
 )
 
 __all__ = [
@@ -57,10 +59,10 @@ __all__ = [
 
 def j2_factor(t, lam, tau):
     """Non-symmetric factor carrying the lambda dependence and the level theta."""
-    return (
-        epi(-3 * lam)
-        * theta0(t + lam, tau)
-        * theta0(2 * t + 6 * tau - 4 * lam + 0.5, 8 * tau)
+    return product(
+        epi(-3 * lam),
+        Factor("theta0", t + lam, 0, (tau,)),
+        Factor("theta0", 2 * t + 6 * tau - 4 * lam + 0.5, 0, (8 * tau,)),
     )
 
 
@@ -69,17 +71,20 @@ def j2_factor(t, lam, tau):
 
 
 def sym_rearrange_lhs(t, tau, eta):
-    g = ell_gamma(t - 2 * eta, tau, 8 * eta) / ell_gamma(
-        t + 2 * eta, tau, 8 * eta
+    return product(
+        1,
+        Factor("gamma", t - 2 * eta, 0, (tau, 8 * eta)),
+        Factor("gamma", t + 2 * eta, 0, (tau, 8 * eta), -1),
+        Factor("theta0", t + 2 * eta, 0, (tau,), -1),
+        Factor("theta0", t + 2 * eta, 0, (8 * eta,), -1),
     )
-    return g / (theta0(t + 2 * eta, tau) * theta0(t + 2 * eta, 8 * eta))
 
 
 def sym_rearrange_rhs(t, tau, eta):
-    return (
-        -e2pi(-t - 2 * eta)
-        * ell_gamma(t - 2 * eta, tau, 8 * eta)
-        * ell_gamma(-t - 2 * eta, tau, 8 * eta)
+    return product(
+        -e2pi(-t - 2 * eta),
+        Factor("gamma", t - 2 * eta, 0, (tau, 8 * eta)),
+        Factor("gamma", -t - 2 * eta, 0, (tau, 8 * eta)),
     )
 
 
@@ -88,90 +93,73 @@ def theta_simp_lhs(t, lam, tau):
 
 
 def theta_simp_rhs(t, lam, tau):
-    return (
-        2
-        * theta0(6 * tau + 0.5, 8 * tau)
-        * epi(lam - 2 * t)
-        * theta0(t + lam, tau)
-        * theta0(t - 2 * lam + 0.5, 2 * tau)
-        / theta0(0.5, 2 * tau)
+    return product(
+        2 * epi(lam - 2 * t),
+        Factor("theta0", 6 * tau + 0.5, 0, (8 * tau,)),
+        Factor("theta0", t + lam, 0, (tau,)),
+        Factor("theta0", t - 2 * lam + 0.5, 0, (2 * tau,)),
+        Factor("theta0", 0.5, 0, (2 * tau,), -1),
     )
 
 
 def full_sym_lhs(t, lam, tau):
-    return (
-        j2_factor(t, lam, tau)
-        - j2_factor(t, -lam, tau)
-        + j2_factor(-t, lam, tau)
-        - j2_factor(-t, -lam, tau)
-    )
+    return theta_simp_lhs(t, lam, tau) - theta_simp_lhs(t, -lam, tau)
 
 
 def full_sym_rhs(t, lam, tau):
-    front = (
-        4
-        * theta0(6 * tau + 0.5, 8 * tau)
-        * theta0(lam, tau)
-        / theta0(0.5, 2 * tau) ** 3
-        * epi(-3 * lam)
+    # the theta-simp3 side times 2 e^{-2 pi i t} theta0(6 tau + 1/2; 8 tau) / theta0(1/2; 2 tau)
+    front = product(
+        2 * e2pi(-t),
+        Factor("theta0", 6 * tau + 0.5, 0, (8 * tau,)),
+        Factor("theta0", 0.5, 0, (2 * tau,), -1),
     )
-    common = e2pi(-t) * theta0(t + tau + 0.5, 2 * tau)
-    first = (
-        theta0(2 * lam + 0.5, 2 * tau)
-        / theta0(tau + 0.5, 2 * tau)
-        * common
-        * theta0(t + 0.5, 2 * tau) ** 2
-    )
-    second = (
-        theta0(lam + 0.5, tau) ** 2
-        / theta0(tau, 2 * tau)
-        * common
-        * theta0(t, 2 * tau) ** 2
-    )
-    return front * (first - second)
+    return front * theta_simp3_rhs(t, lam, tau)
 
 
 def theta_simp2_lhs(z, sigma):
-    return theta0(2 * z + 3 * sigma + 0.5, 4 * sigma) + e2pi(-z) * theta0(
-        2 * z + sigma + 0.5, 4 * sigma
+    return product(1, Factor("theta0", 2 * z + 3 * sigma + 0.5, 0, (4 * sigma,))) + product(
+        e2pi(-z), Factor("theta0", 2 * z + sigma + 0.5, 0, (4 * sigma,))
     )
 
 
 def theta_simp2_rhs(z, sigma):
-    return (
-        2
-        * theta0(3 * sigma + 0.5, 4 * sigma)
-        * e2pi(-z)
-        * theta0(z + 0.5, sigma)
-        / theta0(0.5, sigma)
+    return product(
+        2 * e2pi(-z),
+        Factor("theta0", 3 * sigma + 0.5, 0, (4 * sigma,)),
+        Factor("theta0", z + 0.5, 0, (sigma,)),
+        Factor("theta0", 0.5, 0, (sigma,), -1),
     )
 
 
 def theta_simp3_lhs(t, lam, tau):
-    return epi(lam) * theta0(t + lam, tau) * theta0(
-        t - 2 * lam + 0.5, 2 * tau
-    ) - epi(-lam) * theta0(t - lam, tau) * theta0(
-        t + 2 * lam + 0.5, 2 * tau
-    )
+    def term(lam):
+        return product(
+            epi(lam),
+            Factor("theta0", t + lam, 0, (tau,)),
+            Factor("theta0", t - 2 * lam + 0.5, 0, (2 * tau,)),
+        )
+
+    return term(lam) - term(-lam)
 
 
 def theta_simp3_rhs(t, lam, tau):
-    front = (
-        2
-        * epi(-3 * lam)
-        * theta0(t + tau + 0.5, 2 * tau)
-        * theta0(lam, tau)
-        / theta0(0.5, 2 * tau) ** 2
+    front = product(
+        2 * epi(-3 * lam),
+        Factor("theta0", t + tau + 0.5, 0, (2 * tau,)),
+        Factor("theta0", lam, 0, (tau,)),
+        Factor("theta0", 0.5, 0, (2 * tau,), -2),
     )
-    first = (
-        theta0(2 * lam + 0.5, 2 * tau)
-        / theta0(tau + 0.5, 2 * tau)
-        * theta0(t + 0.5, 2 * tau) ** 2
+    first = product(
+        1,
+        Factor("theta0", 2 * lam + 0.5, 0, (2 * tau,)),
+        Factor("theta0", tau + 0.5, 0, (2 * tau,), -1),
+        Factor("theta0", t + 0.5, 0, (2 * tau,), 2),
     )
-    second = (
-        theta0(lam + 0.5, tau) ** 2
-        / theta0(tau, 2 * tau)
-        * theta0(t, 2 * tau) ** 2
+    second = product(
+        1,
+        Factor("theta0", lam + 0.5, 0, (tau,), 2),
+        Factor("theta0", tau, 0, (2 * tau,), -1),
+        Factor("theta0", t, 0, (2 * tau,), 2),
     )
     return front * (first - second)
 
@@ -180,20 +168,15 @@ def theta_simp3_rhs(t, lam, tau):
 # gamma-product identities (shorthand gamma has periods 2 tau, 8 eta)
 
 
-def _gamma_product(arguments, tau, eta):
-    if isinstance(tau, np.ndarray):
-        # a batch of draws: every factor in one kernel call, multiplied in order
-        factors = np.stack(np.broadcast_arrays(*arguments))
-        return ell_gamma(factors, 2 * tau, 8 * eta).prod(axis=0)
-    total = complex(1)
-    for z in arguments:
-        total = total * ell_gamma(z, 2 * tau, 8 * eta)
-    return total
-
-
-def _eta_tau_front(tau, eta):
-    return 2 / (
-        qpoch1_add(2 * tau, 2 * tau) * qpoch1_add(8 * eta, 8 * eta)
+def _int_eval_rhs(sign, arguments, tau, eta):
+    """``sign 2 / ((2 tau; 2 tau)(8 eta; 8 eta))`` times the shorthand gammas
+    at ``arguments``."""
+    moduli = (2 * tau, 8 * eta)
+    return product(
+        2 * sign,
+        Factor("qpoch", moduli[0], 0, moduli[:1], -1),
+        Factor("qpoch", moduli[1], 0, moduli[1:], -1),
+        *(Factor("gamma", z, 0, moduli) for z in arguments),
     )
 
 
@@ -214,7 +197,7 @@ def int_eval1_rhs(tau, eta):
         4 * eta,
         tau + 0.5,
     ]
-    return -_eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
+    return _int_eval_rhs(-1, arguments, tau, eta)
 
 
 def int_eval2_rhs(tau, eta):
@@ -232,7 +215,7 @@ def int_eval2_rhs(tau, eta):
         4 * eta + 0.5,
         tau,
     ]
-    return _eta_tau_front(tau, eta) * _gamma_product(arguments, tau, eta)
+    return _int_eval_rhs(1, arguments, tau, eta)
 
 
 def _int_eval_lhs(tau, eta, shift):
@@ -261,17 +244,18 @@ def theta_simp4_lhs(tau, eta):
 
 
 def theta_simp4_rhs(tau, eta):
-    ratio = ell_gamma(6 * eta, tau, 8 * eta) / ell_gamma(2 * eta, tau, 8 * eta)
-    block = (
-        qpoch1_add(tau + 0.5, tau)
-        * theta0(2 * eta + 0.5, tau)
-        * theta0(tau + 2 * eta + 0.5, tau)
-        / (qpoch1_add(tau, tau) * theta0(tau + 4 * eta, tau))
+    return product(
+        2,
+        Factor("gamma", 6 * eta, 0, (tau, 8 * eta)),
+        Factor("gamma", 2 * eta, 0, (tau, 8 * eta), -1),
+        Factor("qpoch", tau + 0.5, 0, (tau,)),
+        Factor("theta0", 2 * eta + 0.5, 0, (tau,)),
+        Factor("theta0", tau + 2 * eta + 0.5, 0, (tau,)),
+        Factor("qpoch", tau, 0, (tau,), -1),
+        Factor("theta0", tau + 4 * eta, 0, (tau,), -1),
+        Factor("qpoch", 4 * eta, 0, (4 * eta,), -1),
+        Factor("qpoch", 2 * eta + 0.5, 0, (2 * eta,), -1),
     )
-    tail = 1 / (
-        qpoch1_add(4 * eta, 4 * eta) * qpoch1_add(2 * eta + 0.5, 2 * eta)
-    )
-    return 2 * ratio * block * tail
 
 
 # ---------------------------------------------------------------------------

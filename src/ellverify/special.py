@@ -6,15 +6,17 @@ product evaluation, the three-dimensional-representation hypergeometric
 function ``fv_u``, the level-kappa hypergeometric theta functions, the
 normalized symmetrized ratio ``ellmac_P`` with its two special-value closed
 forms, and the three-term modular relations (the supporting lemmas are in
-:mod:`.lemmas`).  Each LHS/RHS pair is kept verbatim in its own function so a
-formula transcription error stays local and visible.
+:mod:`.lemmas`).
 
 Functions receive additive parameters (moduli in the upper half-plane) and
 return builtin complex numbers.  Each integral evaluator declares its
 integrand once, as an :class:`Integrand`: kernel factors
-``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  On
-a node array the factors that share a kernel function and moduli make one
-kernel call on their stacked arguments.  The evaluator hands the declaration
+``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  A
+closed form is the same declaration with every slope 0, evaluated by
+:func:`product`; what is not a product of kernel values (a phase, a square
+root) is its scale.  On a node array, or on a batch of draws, the factors
+that share a kernel function and moduli make one kernel call on their
+stacked arguments.  The evaluator hands the declaration
 and its :class:`~ellverify.contour.Path` to :func:`audited_integral`, which
 derives the pole inventory from the factors (:func:`pole_inventory`), audits
 the path against it and then runs the periodic trapezoid rule from a first
@@ -57,6 +59,7 @@ __all__ = [
     "DomainViolation",
     "Factor",
     "Integrand",
+    "product",
     "pole_inventory",
     "audited_integral",
     "spiridonov_lhs",
@@ -111,8 +114,11 @@ def _require(condition, message):
 # integrands declared as factor lists
 
 
-#: the kernel function of each factor kind, by its name in this module
-_KERNELS = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
+#: the kernel function of each factor kind, by its name in this module: looked
+#: up at call time, so a wrapper bound to that name here sees every call
+_KERNELS = {
+    "gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta", "qpoch": "qpoch1_add"
+}
 
 
 @dataclass(frozen=True)
@@ -120,9 +126,13 @@ class Factor:
     """``f(shift + slope t; *moduli) ** power`` for one kernel function ``f``.
 
     ``kind`` names ``f``: ``"gamma"`` is :func:`ell_gamma` (two moduli),
-    ``"theta0"`` and ``"jacobi"`` are :func:`theta0` and :func:`jacobi_theta`
-    (one modulus).  ``slope`` and ``power`` are nonzero integers; only the
-    sign of ``power`` matters to the poles.  ``t`` may be a numpy array.
+    ``"theta0"``, ``"jacobi"`` and ``"qpoch"`` are :func:`theta0`,
+    :func:`jacobi_theta` and :func:`qpoch1_add` (one modulus).  ``slope`` is
+    an integer and ``power`` a nonzero one; only the sign of ``power`` matters
+    to the poles.  A factor of slope 0 is a constant, with no poles in ``t``;
+    :func:`pole_inventory` knows no zeros of ``(z; tau)``, so a ``"qpoch"``
+    factor is declared only so.  ``t`` may be a numpy array, and so may the
+    shift and the moduli, one entry per draw of a batch.
     """
 
     kind: str
@@ -132,25 +142,20 @@ class Factor:
     power: int = 1
 
     def __call__(self, t):
-        value = _kernel(self.kind)(self.shift + self.slope * t, *self.moduli)
+        value = globals()[_KERNELS[self.kind]](self.shift + self.slope * t, *self.moduli)
         return value if self.power == 1 else value**self.power
-
-
-def _kernel(kind):
-    # looked up by name at call time, so a wrapper bound to that name in this
-    # module sees every call
-    return globals()[_KERNELS[kind]]
 
 
 @dataclass(frozen=True)
 class Integrand:
     """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``.
 
-    The scale and the phase have no poles, so every pole is a factor's.  On a
-    numpy array ``t`` the factors that share a kind and moduli are one group:
-    their arguments are stacked and the group makes one kernel call, in
-    blocks of at most ``_BLOCK_CELLS`` arguments.  A scalar ``t`` (a tower
-    correction's residue point) takes one scalar kernel call per factor.
+    The scale and the phase have no poles, so every pole is a factor's.  The
+    factors that share a kind and the values of their moduli are one group,
+    which makes one kernel call on its stacked arguments: on a numpy array
+    ``t`` of nodes, in blocks of at most ``_BLOCK_CELLS`` arguments, or on a
+    batch of draws, whose shifts, moduli or scale hold one entry per draw.
+    Scalars take one scalar kernel call per factor.
     """
 
     factors: tuple
@@ -159,37 +164,61 @@ class Integrand:
 
     @functools.cached_property
     def _groups(self):
-        """``(kind, moduli, shifts, slopes, powers)`` of each group, the last
-        three as columns, ``powers`` ``None`` when every power is 1."""
+        """``(kind, moduli, shifts, slopes, powers)`` of each group: a lone
+        factor's own, or rows; ``None`` for slopes all 0 or powers all 1."""
         members = {}
-        for factor in self.factors:
-            members.setdefault((factor.kind, factor.moduli), []).append(factor)
+        for f in self.factors:
+            # by the moduli's values, an array of one modulus per draw by its bytes
+            key = [m.tobytes() if isinstance(m, np.ndarray) else complex(m) for m in f.moduli]
+            members.setdefault((f.kind, *key), []).append(f)
         groups = []
-        for (kind, moduli), group in members.items():
-            shifts, slopes, powers = (
-                np.array(column)[:, None]
-                for column in zip(*((complex(f.shift), f.slope, f.power) for f in group))
-            )
-            groups.append((kind, moduli, shifts, slopes, None if np.all(powers == 1) else powers))
+        for group in members.values():
+            first = group[0]
+            shifts, slopes, powers = first.shift, first.slope, first.power
+            if len(group) > 1:
+                shifts = [f.shift for f in group]
+                draws = [v.shape for v in shifts if isinstance(v, np.ndarray)]
+                if draws:  # a constant among them takes the draws' shape
+                    shifts = [np.full(draws[0], v) if np.ndim(v) == 0 else v for v in shifts]
+                shifts = np.array(shifts, complex).reshape(len(group), -1)
+                slopes = np.array([[f.slope] for f in group])
+                powers = np.array([[f.power] for f in group])
+            slopes = slopes if any(f.slope for f in group) else None
+            powers = None if all(f.power == 1 for f in group) else powers
+            groups.append((first.kind, first.moduli, shifts, slopes, powers))
         return tuple(groups)
+
+    def _times_groups(self, value, t):
+        for kind, moduli, shifts, slopes, powers in self._groups:
+            z = shifts if slopes is None else shifts + slopes * t
+            values = globals()[_KERNELS[kind]](z, *moduli)
+            if powers is not None:
+                values = values**powers
+            value = value * (values.prod(axis=0) if np.ndim(shifts) == 2 else values)
+        return value
 
     def __call__(self, t):
         phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
-        value = complex(self.scale) * phase
-        if not isinstance(t, np.ndarray):
-            for factor in self.factors:
-                value = value * factor(t)
+        if isinstance(t, np.ndarray):
+            value = np.broadcast_to(complex(self.scale) * phase, t.shape).copy()
+            width = max(1, _BLOCK_CELLS // max((np.size(g[2]) for g in self._groups), default=1))
+            for start in range(0, len(t), width):
+                block = slice(start, start + width)
+                value[block] = self._times_groups(value[block], t[block])
             return value
-        value = np.broadcast_to(value, t.shape).copy()
-        width = max(1, _BLOCK_CELLS // max((len(g[2]) for g in self._groups), default=1))
-        for start in range(0, len(t), width):
-            block = slice(start, start + width)
-            for kind, moduli, shifts, slopes, powers in self._groups:
-                values = _kernel(kind)(shifts + slopes * t[block], *moduli)
-                if powers is not None:
-                    values = values**powers
-                value[block] *= values.prod(axis=0)
+        parts = [self.scale] + [v for f in self.factors for v in (f.shift, *f.moduli)]
+        if any([isinstance(v, np.ndarray) for v in parts]):  # one entry per draw
+            return self._times_groups(self.scale * phase, t)
+        value = complex(self.scale) * phase
+        for factor in self.factors:
+            value = value * factor(t)
         return value
+
+
+def product(scale, *factors):
+    """The closed form ``scale`` times ``factors``, each of slope 0: a number,
+    or one entry per draw where a shift, a modulus or ``scale`` is an array."""
+    return Integrand(factors, scale)(0)
 
 
 def _cone(start, steps, lo, hi):
@@ -301,57 +330,57 @@ def spiridonov_lhs(s, tau, sigma):
 
 def spiridonov_rhs(s, tau, sigma):
     """Product side: ``2 prod_{i<j} gamma(s_i + s_j) / ((tau;tau)(sigma;sigma))``."""
-    s = [complex(v) for v in s]
-    total = complex(2)
-    for i in range(6):
-        for j in range(i + 1, 6):
-            total = total * ell_gamma(s[i] + s[j], tau, sigma)
-    return total / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma))
+    moduli = (tau, sigma)
+    pairs = [Factor("gamma", s[i] + s[j], 0, moduli) for i in range(6) for j in range(i + 1, 6)]
+    return product(
+        2, *pairs, Factor("qpoch", tau, 0, (tau,), -1), Factor("qpoch", sigma, 0, (sigma,), -1)
+    )
 
 
 # ---------------------------------------------------------------------------
 # quarter-shift evaluations
 
 
-def _quarter_shift_factors(tau, sigma, sign):
+def _quarter_shift_lhs(tau, sigma, sign):
     # sign=+1: gamma(t+1/4)/gamma(t-1/4) with theta0 denominators at t-1/4;
     # sign=-1: the mirrored variant with denominators at t+1/4
     a = sign * 0.25
     factors = [Factor("gamma", a, 1, (tau, sigma)), Factor("gamma", -a, 1, (tau, sigma), -1)]
     for modulus in (tau, sigma):
         factors += [Factor("theta0", 0.5, 1, (modulus,)), Factor("theta0", -a, 1, (modulus,), -1)]
-    return tuple(factors)
+    return audited_integral(Integrand(tuple(factors)), _quarter_path(-a, tau, sigma))
 
 
-def _quarter_shift_rhs_tail(tau, sigma):
-    return 1 / (
-        qpoch1_add(tau, tau)
-        * qpoch1_add(tau + 0.5, 2 * tau)
-        * qpoch1_add(sigma, sigma)
-        * qpoch1_add(sigma + 0.5, 2 * sigma)
+def _quarter_shift_rhs(tau, sigma, phase, power):
+    """``phase (gamma(1/4) / gamma(3/4)) ** power`` over ``(tau; tau)
+    (tau + 1/2; 2 tau) (sigma; sigma) (sigma + 1/2; 2 sigma)``."""
+    return product(
+        phase,
+        Factor("gamma", 0.25, 0, (tau, sigma), power),
+        Factor("gamma", 0.75, 0, (tau, sigma), -power),
+        Factor("qpoch", tau, 0, (tau,), -1),
+        Factor("qpoch", tau + 0.5, 0, (2 * tau,), -1),
+        Factor("qpoch", sigma, 0, (sigma,), -1),
+        Factor("qpoch", sigma + 0.5, 0, (2 * sigma,), -1),
     )
 
 
 def eval1_lhs(tau, sigma):
     """Path above -1/4 and below +1/4."""
-    f = Integrand(_quarter_shift_factors(tau, sigma, +1))
-    return audited_integral(f, _quarter_path(-0.25, tau, sigma))
+    return _quarter_shift_lhs(tau, sigma, 1)
 
 
 def eval1_rhs(tau, sigma):
-    ratio = ell_gamma(0.25, tau, sigma) / ell_gamma(0.75, tau, sigma)
-    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
+    return _quarter_shift_rhs(tau, sigma, -(1 + 1j), 1)
 
 
 def eval2_lhs(tau, sigma):
     """Path below -1/4 and above +1/4."""
-    f = Integrand(_quarter_shift_factors(tau, sigma, -1))
-    return audited_integral(f, _quarter_path(0.25, tau, sigma))
+    return _quarter_shift_lhs(tau, sigma, -1)
 
 
 def eval2_rhs(tau, sigma):
-    ratio = ell_gamma(0.75, tau, sigma) / ell_gamma(0.25, tau, sigma)
-    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
+    return _quarter_shift_rhs(tau, sigma, -(1 - 1j), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +482,16 @@ def I_sym(lam, tau, eta):
 
 
 def eval3_rhs(lam, tau, eta):
-    lam = complex(lam)
-    tau = complex(tau)
-    eta = complex(eta)
-    ratio = ell_gamma(6 * eta, tau, 8 * eta) / ell_gamma(2 * eta, tau, 8 * eta)
-    block1 = 1 / (qpoch1_add(8 * tau, 8 * tau) * theta0(-4 * eta, tau))
-    block2 = 1 / (
-        qpoch1_add(4 * eta, 4 * eta) * qpoch1_add(2 * eta + 0.5, 2 * eta)
+    return product(
+        epi(-12 * eta) * epi(-3 * lam),
+        Factor("gamma", 6 * eta, 0, (tau, 8 * eta)),
+        Factor("gamma", 2 * eta, 0, (tau, 8 * eta), -1),
+        Factor("qpoch", 8 * tau, 0, (8 * tau,), -1),
+        Factor("theta0", -4 * eta, 0, (tau,), -1),
+        Factor("qpoch", 4 * eta, 0, (4 * eta,), -1),
+        Factor("qpoch", 2 * eta + 0.5, 0, (2 * eta,), -1),
+        *(Factor("theta0", lam + k * eta, 0, (tau,)) for k in (0, -2, 2)),
     )
-    thetas = (
-        theta0(lam, tau)
-        * theta0(lam - 2 * eta, tau)
-        * theta0(lam + 2 * eta, tau)
-    )
-    return epi(-12 * eta) * ratio * block1 * block2 * epi(-3 * lam) * thetas
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +565,7 @@ def fv_u(lam, mu, tau, sigma, eta):
 
 def fv_val1_rhs(tau, sigma):
     """Closed form of ``u(1/2, 1/2, tau, sigma, -1/8)``."""
-    ratio = ell_gamma(0.75, tau, sigma) / ell_gamma(0.25, tau, sigma)
-    return -(1 + 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
+    return _quarter_shift_rhs(tau, sigma, -(1 + 1j), -1)
 
 
 def fv_val2_rhs(tau, sigma):
@@ -550,8 +574,7 @@ def fv_val2_rhs(tau, sigma):
     The gamma ratio here follows the phase chain through the quarter-shift
     evaluation (see the package notes on the adjudicated variant).
     """
-    ratio = ell_gamma(0.25, tau, sigma) / ell_gamma(0.75, tau, sigma)
-    return -(1 - 1j) * ratio * _quarter_shift_rhs_tail(tau, sigma)
+    return _quarter_shift_rhs(tau, sigma, -(1 - 1j), 1)
 
 
 def Q_factor(mu, sigma, eta):
@@ -564,10 +587,13 @@ def Q_factor(mu, sigma, eta):
     scale = max(1.0, abs(jacobi_theta_prime0(sigma)))
     if abs(d1) < Q_POLE_EPSILON * scale or abs(d2) < Q_POLE_EPSILON * scale:
         raise PoleHit(f"Q has a pole at mu = {complex(mu)!r}")
-    return (
-        jacobi_theta(4 * eta, sigma)
-        * jacobi_theta_prime0(sigma)
-        / (d1 * d2)
+    # theta'(0) = 2 pi e^{pi i sigma / 4} (sigma; sigma)^3
+    return product(
+        2 * math.pi * epi(sigma / 4),
+        Factor("jacobi", 4 * eta, 0, (sigma,)),
+        Factor("qpoch", sigma, 0, (sigma,), 3),
+        Factor("jacobi", mu - 2 * eta, 0, (sigma,), -1),
+        Factor("jacobi", mu + 2 * eta, 0, (sigma,), -1),
     )
 
 
@@ -671,83 +697,80 @@ def ellmac_P(mu, kappa, lam, tau, eta):
     tau = complex(tau)
     eta = complex(eta)
     numerator = delta_sym(mu + 2, kappa, lam, tau, eta)
-    denominator = (
-        jacobi_theta(lam - 2 * eta, tau)
-        * jacobi_theta(lam, tau)
-        * jacobi_theta(lam + 2 * eta, tau)
-    )
+    denominator = product(1, *(Factor("jacobi", lam + k * eta, 0, (tau,)) for k in (-2, 0, 2)))
     prefactor = epi(-(4 * eta + tau) * (mu + 2) ** 2 / (2 * kappa) + 0.75 * tau)
     return prefactor * numerator / denominator
 
 
 def ellmac_val_rhs(tau, eta):
     """Lambda-independent closed form of the (0, 4) normalized function."""
-    tau = complex(tau)
-    eta = complex(eta)
-    ratio = ell_gamma(-6 * eta, tau, -8 * eta) / ell_gamma(
-        -2 * eta, tau, -8 * eta
+    return product(
+        -2 * math.pi,
+        Factor("gamma", -6 * eta, 0, (tau, -8 * eta)),
+        Factor("gamma", -2 * eta, 0, (tau, -8 * eta), -1),
+        Factor("qpoch", -4 * eta, 0, (-4 * eta,)),
+        Factor("qpoch", -2 * eta, 0, (-4 * eta,), -1),
+        Factor("theta0", 4 * eta, 0, (tau,), -1),
+        Factor("qpoch", tau, 0, (tau,), -3),
     )
-    eta_term = qpoch1_add(-4 * eta, -4 * eta) / qpoch1_add(-2 * eta, -4 * eta)
-    block = theta0(4 * eta, tau) * qpoch1_add(tau, tau) ** 3
-    return -2 * math.pi * ratio * eta_term / block
 
 
 def ellmac_eval_rhs(mu, kappa, eta):
     """Closed form of the normalized function at the evaluation point
     ``lam = 4 eta``, ``tau = -8 eta``."""
-    eta = complex(eta)
-    kappa = int(kappa)
-    ratio = ell_gamma(-6 * eta, -2 * kappa * eta, -8 * eta) / ell_gamma(
-        -2 * eta, -2 * kappa * eta, -8 * eta
+    tau = -2 * int(kappa) * eta
+    return product(
+        -2 * math.pi * epi(-12 * eta - 2 * (mu + 2) * eta),
+        Factor("gamma", -6 * eta, 0, (tau, -8 * eta)),
+        Factor("gamma", -2 * eta, 0, (tau, -8 * eta), -1),
+        Factor("theta0", 2 * (mu + 2) * eta, 0, (tau,)),
+        Factor("qpoch", tau, 0, (tau,), 2),
+        Factor("qpoch", -8 * eta, 0, (-8 * eta,), -1),
+        Factor("qpoch", -4 * eta, 0, (-4 * eta,), -2),
+        Factor("qpoch", -2 * eta, 0, (-2 * eta,), -1),
     )
-    numerator = (
-        theta0(2 * (mu + 2) * eta, -2 * kappa * eta)
-        * qpoch1_add(-2 * kappa * eta, -2 * kappa * eta) ** 2
-    )
-    denominator = (
-        qpoch1_add(-8 * eta, -8 * eta)
-        * qpoch1_add(-4 * eta, -4 * eta) ** 2
-        * qpoch1_add(-2 * eta, -2 * eta)
-    )
-    phase = epi(-12 * eta - 2 * (mu + 2) * eta)
-    return -2 * math.pi * phase * ratio * numerator / denominator
 
 
 # ---------------------------------------------------------------------------
 # three-term modular relations
 
 
-def s_minus(tau, eta):
+def _s_factor(tau, eta, sign):
+    """``2 sign theta(1/2) theta'(0) / (theta(1/4) theta(3/4)) u(1/2, -sign/2,
+    1 / (8 eta), m, sign/8)`` of modulus ``m = -sign tau / (8 eta)``."""
     tau = complex(tau)
     eta = complex(eta)
-    m = tau / (8 * eta)
-    block = (
-        jacobi_theta(0.5, m)
-        * jacobi_theta_prime0(m)
-        / (jacobi_theta(0.75, m) * jacobi_theta(0.25, m))
+    m = -sign * tau / (8 * eta)
+    # theta'(0) = 2 pi e^{pi i m / 4} (m; m)^3
+    block = product(
+        2 * math.pi * epi(m / 4),
+        Factor("jacobi", 0.5, 0, (m,)),
+        Factor("qpoch", m, 0, (m,), 3),
+        Factor("jacobi", 0.75, 0, (m,), -1),
+        Factor("jacobi", 0.25, 0, (m,), -1),
     )
-    u = fv_u(0.5, 0.5, 1 / (8 * eta), m, -0.125)
-    return -2 * block * u
+    return 2 * sign * block * fv_u(0.5, -0.5 * sign, 1 / (8 * eta), m, 0.125 * sign)
+
+
+def s_minus(tau, eta):
+    return _s_factor(tau, eta, -1)
 
 
 def s_plus(tau, eta):
+    return _s_factor(tau, eta, 1)
+
+
+def _mod_rhs(tau, eta, sign):
+    # the constant of mod_minus_rhs (sign 1) or mod_plus_rhs (-1)
     tau = complex(tau)
     eta = complex(eta)
-    m = -tau / (8 * eta)
-    block = (
-        jacobi_theta(0.5, m)
-        * jacobi_theta_prime0(m)
-        / (jacobi_theta(0.25, m) * jacobi_theta(0.75, m))
-    )
-    u = fv_u(0.5, -0.5, 1 / (8 * eta), m, 0.125)
-    return 2 * block * u
+    exponent = 4 + 216 * eta**2 - 42 * eta * (tau - sign) + 3 * sign * tau + 4 * tau**2
+    exponent = exponent / (12 * tau)
+    return 4 * math.sqrt(2) * math.pi * 1j * tau * epi(exponent)
 
 
 def mod_minus_rhs(tau, eta):
-    tau = complex(tau)
-    eta = complex(eta)
-    exponent = (4 + 216 * eta**2 - 42 * eta * (tau - 1) + 3 * tau + 4 * tau**2) / (12 * tau)
-    return 4 * math.sqrt(2) * math.pi * 1j * tau * epi(exponent)
+    return _mod_rhs(tau, eta, 1)
 
 
 def mod_plus_rhs(tau, eta):
@@ -758,7 +781,4 @@ def mod_plus_rhs(tau, eta):
     variant); both sign readings differ by the odd half-period shift in the
     ``u(1/2, -1/2, ...)`` weight.
     """
-    tau = complex(tau)
-    eta = complex(eta)
-    exponent = (4 + 216 * eta**2 - 42 * eta * (1 + tau) - 3 * tau + 4 * tau**2) / (12 * tau)
-    return 4 * math.sqrt(2) * math.pi * 1j * tau * epi(exponent)
+    return _mod_rhs(tau, eta, -1)

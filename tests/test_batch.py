@@ -7,6 +7,7 @@ own and gets the per-draw result or error, while its companions are
 unaffected."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -245,7 +246,9 @@ def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values, alone=False
     rows = run_suite(RunConfig(["lemma.theta-simp2"], samples_per_identity=8, seed=2)).results
     assert all(row["status"] == "pass" for row in rows if row["sample_index"] != index)
     single = _single_row("lemma.theta-simp2", 2, index)
-    assert {k: v for k, v in rows[index].items() if k != "elapsed_seconds"} == single
+    row = {k: v for k, v in rows[index].items() if k != "elapsed_seconds"}
+    # compared as the report writes them, where a nan rel_error equals itself
+    assert json.dumps(row, sort_keys=True) == json.dumps(single, sort_keys=True)
     return batch, single
 
 
@@ -278,6 +281,17 @@ def test_an_overflowing_comparison_is_an_error_never_a_verdict(monkeypatch, side
     assert row["error"] == "OverflowError: absolute value too large"
     with pytest.raises(OverflowError, match="absolute value too large"):
         catalog.run_check("lemma.theta-simp2", 2, 3)
+
+
+def test_an_infinite_rhs_fails_against_any_lhs(monkeypatch):
+    # |lhs - rhs| and the bound tol * max(1, |rhs|) are both inf: no pass,
+    # on the draw's own path and in the row the batch leaves to it
+    values = {"lhs": 0j, "rhs": complex("inf")}
+    batch, row = _assert_batched_draw_runs_on_its_own(monkeypatch, 4, values, alone=True)
+    assert np.isinf(batch.abs_error[4]) and not batch.passed[4]
+    assert row["status"] == "fail"
+    result = catalog.run_check("lemma.theta-simp2", 2, 4)
+    assert np.isinf(result.abs_error) and result.passed is False
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -4,7 +4,7 @@ and phase conventions independently of the full identities)."""
 
 import pytest
 
-from ellverify import catalog, contour, lemmas, special
+from ellverify import catalog, contour, kernel, lemmas, special
 from helpers import record_quadratures
 
 
@@ -86,3 +86,21 @@ def test_int_eval_consistency_tight(monkeypatch):
     lhs = contour.integrate(f, path, tol=1e-12).value
     lhs += special.gamma_pair_tower_correction(f)
     assert close(lhs, lemmas.int_eval1_rhs(tau, eta), 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# every product of kernel values is a declaration
+
+
+def test_lemmas_and_catalog_bind_no_kernel_product():
+    # a product written out by hand would bypass the declarations that
+    # special evaluates (and that mutants and error bounds are derived from);
+    # the phases e2pi and epi are not products
+    products = [kernel.ell_gamma, kernel.theta0, kernel.jacobi_theta, kernel.qpoch1_add]
+    for module in (lemmas, catalog):
+        bound = [
+            name
+            for name, value in vars(module).items()
+            if value is kernel or any(value is f for f in products)
+        ]
+        assert not bound, (module.__name__, bound)

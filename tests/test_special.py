@@ -3,6 +3,8 @@ antisymmetry laws, balance/domain guards, and exact zeros of the closed
 forms.  Agreement of each integral with its closed form is exercised per
 identity through the catalog tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,16 @@ def test_fv_u_poles_structure(monkeypatch):
         pinned.update({-2 * eta - m: None, 2 * eta + m: None, 2 * eta - m: None})
     pinned = {p: side for p, side in pinned.items() if abs(p.imag) < 1.0}
     assert_pinned(special.pole_inventory(f), pinned)
+    # constants (factors of slope 0) add no pole, whatever their kind and power
+    constants = (
+        special.Factor("gamma", 0.1 + 0.2j, 0, (tau, sigma)),
+        special.Factor("gamma", -0.3 + 0.1j, 0, (tau, sigma), -1),
+        special.Factor("theta0", 0.2, 0, (tau,), -2),
+        special.Factor("jacobi", 0.1j, 0, (sigma,), -1),
+        special.Factor("qpoch", tau, 0, (tau,), -3),
+    )
+    extended = dataclasses.replace(f, factors=f.factors + constants)
+    assert special.pole_inventory(extended) == special.pole_inventory(f)
 
 
 def test_fv_u_real_eta_shells_carry_sides(monkeypatch):
@@ -321,6 +333,99 @@ def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
     calls.clear()
     spiridonov(_nodes(path))
     assert len(spiridonov.factors) == 14 and len(calls) == 1
+
+
+@pytest.fixture(scope="module")
+def closed_forms():
+    """``{(kind, power) of each factor: [(declaration, value), ...]}`` of every
+    closed form (a declaration of slope-0 factors) that the numeric checks
+    evaluate at their seed-0 draws 0-19, each at one draw.  Integrals read 1
+    and tower corrections 0, so that only closed forms are evaluated."""
+    found = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (special, lemmas):
+            mp.setattr(module, "audited_integral", lambda f, path: 1)
+            mp.setattr(module, "gamma_pair_tower_correction", lambda f: 0)
+        mp.setattr(special, "delta_sym", lambda *args: 1)
+        call = special.Integrand.__call__
+
+        def recording(self, t):
+            value = call(self, t)
+            if not any(f.slope for f in self.factors):
+                signature = tuple((f.kind, f.power) for f in self.factors)
+                found.setdefault(signature, []).append((self, value))
+            return value
+
+        mp.setattr(special.Integrand, "__call__", recording)
+        for cid in catalog.identity_ids("numeric"):
+            entry = catalog.get_entry(cid)
+            for index in range(20):
+                params = catalog.sample_params(cid, 0, index)
+                entry.lhs(params)
+                entry.rhs(params)
+    return found
+
+
+def _stacked(declarations):
+    """One declaration whose shifts, moduli and scale hold those of
+    ``declarations`` (of one signature), one entry per declaration."""
+    def column(values):
+        return np.array(list(values), complex)
+
+    factors = []
+    for i, factor in enumerate(declarations[0].factors):
+        shifts = column(d.factors[i].shift for d in declarations)
+        moduli = tuple(map(column, zip(*(d.factors[i].moduli for d in declarations))))
+        factors.append(special.Factor(factor.kind, shifts, 0, moduli, factor.power))
+    return special.Integrand(tuple(factors), column(d.scale for d in declarations))
+
+
+def _on_a_zero(declaration):
+    """Whether a theta factor of ``declaration`` sits on a zero of its own,
+    ``Z + tau Z``, where any value is roundoff."""
+    for factor in declaration.factors:
+        if factor.kind in ("theta0", "jacobi") and factor.power > 0:
+            z, (tau,) = complex(factor.shift), (complex(m) for m in factor.moduli)
+            rest = z - round(z.imag / tau.imag) * tau
+            if abs(rest - round(rest.real)) < 1e-9:
+                return True
+    return False
+
+
+def test_every_closed_form_is_the_same_on_scalars_and_on_a_batch(monkeypatch, closed_forms):
+    # the closed forms of special, lemmas and catalog: the quarter-shift,
+    # eval3, ellmac and spiridonov values, Q and the half-period blocks, the
+    # ellmac denominator, the pointwise sides and the modular lambdas
+    assert len(closed_forms) >= 20
+    rows = []
+    for name in ("ell_gamma", "theta0", "jacobi_theta", "qpoch1_add"):
+        def counting(z, *moduli, name=name, kernel=getattr(special, name)):
+            rows.append((name, len(z) if np.ndim(z) == 2 else 1))
+            return kernel(z, *moduli)
+
+        monkeypatch.setattr(special, name, counting)
+    for signature, records in closed_forms.items():
+        assert len(records) >= 20, signature
+        declarations, values = zip(*records[:20])
+        batch = _stacked(declarations)
+        # one modulus per draw
+        assert all(len(set(m)) > 1 for f in batch.factors for m in f.moduli), signature
+        got = batch(0)
+        assert got.shape == (20,)
+        # the grouped product is the product of each factor's own batch values
+        alone = batch.scale * np.prod([special.Integrand((f,))(0) for f in batch.factors], axis=0)
+        assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone)), signature
+        # and each draw's scalar value, to the agreement of the kernel's scalar
+        # and array paths: they differ by up to 1.1e-14 for a theta0 far
+        # outside its strip (eval3's theta0(-4 eta; tau) at 8e-39)
+        want = np.array(values)
+        live = [not _on_a_zero(d) for d in declarations]
+        assert sum(live) >= 18, signature
+        assert np.all((np.abs(got - want) <= 1e-13 * np.abs(want))[live]), signature
+    # the batches grouped factors of every kind: some call took several rows
+    assert {name for name, count in rows if count > 1} == {
+        "ell_gamma", "theta0", "jacobi_theta", "qpoch1_add"
+    }
 
 
 def test_deleting_the_nearest_poles_raises_missed_pole(monkeypatch):
