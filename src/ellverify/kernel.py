@@ -51,10 +51,11 @@ scalar moduli.  An array ``theta0`` reduces ``z`` into
 ``0 <= Im z < Im tau`` by ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``,
 then takes ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep
 their cached tables (``_theta_powers``, ``_gamma_coefficient_array``); a
-modulus per point gets its powers as running products, and every point
-takes as many terms as the slowest point of its array needs; rows of
-arguments on one modulus per column (a group of factors over a batch of
-draws) build each modulus's tables once.
+modulus per point gets its powers as running products, cached by the bytes
+of its array, so the factors of a batch that share moduli build them once,
+and every point takes as many terms as the slowest point of its array needs.
+The array path alone cuts its work arrays into blocks of ``_BLOCK_CELLS``
+cells, so a caller passes its whole array in one call.
 """
 
 from __future__ import annotations
@@ -122,14 +123,6 @@ def _flat(*values):
     return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def _rows(z, *moduli):
-    """How many rows of arguments ``z`` share moduli given one per column, as
-    a group of factors over a batch of draws does: the tables of each modulus
-    are then built once.  1 unless ``z`` is such rows."""
-    same = np.ndim(z) == 2 and all(np.shape(m) == np.shape(z)[1:] for m in moduli)
-    return len(z) if same else 1
-
-
 def _part(modulus, index):
     """The entries of a per-point ``modulus`` at ``index``; a scalar as it is."""
     return modulus[index] if isinstance(modulus, np.ndarray) else modulus
@@ -185,12 +178,13 @@ def _theta_power_columns(key):
     return qn[:, None]
 
 
-def _gamma_coefficient_columns(tau, sigma, rows=1):
-    """:func:`_gamma_coefficient_array` for moduli given per point: the
-    largest ratio, and one column per point, twice over (for the ``x`` and
-    then the ``y`` of every point), as long as the slowest point needs.  The
-    points may be ``rows`` repeats of their first ``1 / rows``."""
-    p, q = e2pi(tau[: len(tau) // rows]), e2pi(sigma[: len(sigma) // rows])
+@functools.lru_cache(maxsize=2)
+def _gamma_coefficient_columns(tau_key, sigma_key):
+    """:func:`_gamma_coefficient_array` for moduli given per point, as the
+    bytes of their complex arrays: the largest ratio, and one column per
+    point, twice over (for the ``x`` and then the ``y`` of every point), as
+    long as the slowest point needs."""
+    p, q = (e2pi(np.frombuffer(key, dtype=complex)) for key in (tau_key, sigma_key))
     ratio = float(np.maximum(np.abs(p), np.abs(q)).max())
     count = _term_count(ratio)
     # running products, as the scalar table's pn *= p
@@ -199,8 +193,9 @@ def _gamma_coefficient_columns(tau, sigma, rows=1):
     np.cumprod(pn, axis=0, out=pn)
     np.cumprod(qn, axis=0, out=qn)
     n = np.arange(1, count + 1)[:, None]
-    coeffs = (pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn))
-    return ratio, np.concatenate((coeffs,) * 2 * rows, axis=1)
+    coeffs = np.concatenate(((pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn)),) * 2, axis=1)
+    coeffs.flags.writeable = False  # shared by every caller
+    return ratio, coeffs
 
 
 def _power_sum(w, ratio, coeffs):
@@ -221,12 +216,11 @@ def _power_sum(w, ratio, coeffs):
     return out
 
 
-def _theta0_array(z, tau, rows=1):
+def _theta0_array(z, tau):
     """``theta0`` at the points ``z`` of a flat array, ``tau`` one modulus or
-    one per point (``rows`` repeats of one modulus per column)."""
+    one per point."""
     if isinstance(tau, np.ndarray):
-        qn = _theta_power_columns(tau[: len(tau) // rows].tobytes())
-        qn = qn if rows == 1 else np.concatenate((qn,) * rows, axis=2)
+        qn = _theta_power_columns(tau.tobytes())
     else:
         qn = _theta_powers(tau)[:, None, None]
     k = np.floor(z.imag / tau.imag)
@@ -251,13 +245,12 @@ def _larger_im_first(tau, sigma):
     return (sigma, tau) if sigma.imag > tau.imag else (tau, sigma)
 
 
-def _ell_gamma_array(z, tau, sigma, rows=1):
+def _ell_gamma_array(z, tau, sigma):
     """``ell_gamma`` at the points ``z`` of a flat array, the moduli either two
-    numbers or two arrays with one entry per point (``rows`` repeats of one
-    entry per column)."""
+    numbers or two arrays with one entry per point."""
     tau, sigma = _larger_im_first(tau, sigma)
     if isinstance(tau, np.ndarray):
-        ratio, coeffs = _gamma_coefficient_columns(tau, sigma, rows)
+        ratio, coeffs = _gamma_coefficient_columns(tau.tobytes(), sigma.tobytes())
     else:
         ratio, coeffs = _gamma_coefficient_array(tau, sigma)
     top = (tau + sigma).imag
@@ -388,9 +381,8 @@ def theta0(z, tau):
     ``theta0(z + tau) = theta0(-z) = -e^{-2 pi i z} theta0(z)``.
     """
     if isinstance(tau, np.ndarray):
-        rows = _rows(z, tau)
         shape, (z, tau) = _flat(z, tau)
-        return _theta0_array(z, tau, rows).reshape(shape)
+        return _theta0_array(z, tau).reshape(shape)
     if isinstance(z, np.ndarray):
         return _theta0_array(z.ravel(), tau).reshape(z.shape)
     # one loop over (1 - x q^n)(1 - q^{n+1}/x), x = e^{2 pi i z}
@@ -448,9 +440,8 @@ def ell_gamma(z, tau, sigma):
     within ``POLE_EPSILON``.
     """
     if isinstance(tau, np.ndarray) or isinstance(sigma, np.ndarray):
-        rows = _rows(z, tau, sigma)
         shape, (z, tau, sigma) = _flat(z, tau, sigma)
-        return _ell_gamma_array(z, tau, sigma, rows).reshape(shape)
+        return _ell_gamma_array(z, tau, sigma).reshape(shape)
     if isinstance(z, np.ndarray):
         return _ell_gamma_array(z.ravel(), tau, sigma).reshape(z.shape)
     return _ell_gamma_scalar(z, tau, sigma)

@@ -14,9 +14,10 @@ integrand once, as an :class:`Integrand`: kernel factors
 ``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  A
 closed form is the same declaration with every slope 0, evaluated by
 :func:`product`; what is not a product of kernel values (a phase, a square
-root) is its scale.  On a node array, or on a batch of draws, the factors
-that share a kernel function and moduli make one kernel call on their
-stacked arguments.  The evaluator hands the declaration
+root) is its scale.  On a node array, the factors that share a kernel
+function and moduli make one kernel call on their stacked arguments; a
+number, or a batch of draws (one shift, modulus or scale entry per draw),
+takes one kernel call per factor.  The evaluator hands the declaration
 and its :class:`~ellverify.contour.Path` to :func:`audited_integral`, which
 derives the pole inventory from the factors (:func:`pole_inventory`), audits
 the path against it and then runs the periodic trapezoid rule from a first
@@ -42,14 +43,12 @@ import numpy as np
 
 from .contour import CLEARANCE, Path, PoleOnPath, PoleSpec, integrate, pole_audit
 from .kernel import (
-    _BLOCK_CELLS,
     PoleHit,
     e2pi,
     ell_gamma,
     ell_gamma_residue,
     epi,
     jacobi_theta,
-    jacobi_theta_prime0,
     qpoch1_add,
     theta0,
 )
@@ -150,12 +149,12 @@ class Factor:
 class Integrand:
     """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``.
 
-    The scale and the phase have no poles, so every pole is a factor's.  The
-    factors that share a kind and the values of their moduli are one group,
-    which makes one kernel call on its stacked arguments: on a numpy array
-    ``t`` of nodes, in blocks of at most ``_BLOCK_CELLS`` arguments, or on a
-    batch of draws, whose shifts, moduli or scale hold one entry per draw.
-    Scalars take one scalar kernel call per factor.
+    The scale and the phase have no poles, so every pole is a factor's.  On
+    a numpy array ``t`` of nodes, the factors that share a kind and the
+    values of their moduli are one group, which makes one kernel call on its
+    stacked arguments at every node; the kernel blocks its own work arrays.
+    A number ``t`` takes one kernel call per factor, on numbers or on a batch
+    of draws, whose shifts, moduli or scale hold one entry per draw.
     """
 
     factors: tuple
@@ -168,19 +167,13 @@ class Integrand:
         factor's own, or rows; ``None`` for slopes all 0 or powers all 1."""
         members = {}
         for f in self.factors:
-            # by the moduli's values, an array of one modulus per draw by its bytes
-            key = [m.tobytes() if isinstance(m, np.ndarray) else complex(m) for m in f.moduli]
-            members.setdefault((f.kind, *key), []).append(f)
+            members.setdefault((f.kind, *map(complex, f.moduli)), []).append(f)
         groups = []
         for group in members.values():
             first = group[0]
             shifts, slopes, powers = first.shift, first.slope, first.power
             if len(group) > 1:
-                shifts = [f.shift for f in group]
-                draws = [v.shape for v in shifts if isinstance(v, np.ndarray)]
-                if draws:  # a constant among them takes the draws' shape
-                    shifts = [np.full(draws[0], v) if np.ndim(v) == 0 else v for v in shifts]
-                shifts = np.array(shifts, complex).reshape(len(group), -1)
+                shifts = np.array([[f.shift] for f in group], complex)
                 slopes = np.array([[f.slope] for f in group])
                 powers = np.array([[f.power] for f in group])
             slopes = slopes if any(f.slope for f in group) else None
@@ -188,28 +181,19 @@ class Integrand:
             groups.append((first.kind, first.moduli, shifts, slopes, powers))
         return tuple(groups)
 
-    def _times_groups(self, value, t):
-        for kind, moduli, shifts, slopes, powers in self._groups:
-            z = shifts if slopes is None else shifts + slopes * t
-            values = globals()[_KERNELS[kind]](z, *moduli)
-            if powers is not None:
-                values = values**powers
-            value = value * (values.prod(axis=0) if np.ndim(shifts) == 2 else values)
-        return value
-
     def __call__(self, t):
         phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
         if isinstance(t, np.ndarray):
-            value = np.broadcast_to(complex(self.scale) * phase, t.shape).copy()
-            width = max(1, _BLOCK_CELLS // max((np.size(g[2]) for g in self._groups), default=1))
-            for start in range(0, len(t), width):
-                block = slice(start, start + width)
-                value[block] = self._times_groups(value[block], t[block])
+            value = np.broadcast_to(complex(self.scale) * phase, t.shape)
+            for kind, moduli, shifts, slopes, powers in self._groups:
+                z = shifts if slopes is None else shifts + slopes * t
+                values = globals()[_KERNELS[kind]](z, *moduli)
+                if powers is not None:
+                    values = values**powers
+                value = value * (values.prod(axis=0) if np.ndim(shifts) == 2 else values)
             return value
-        parts = [self.scale] + [v for f in self.factors for v in (f.shift, *f.moduli)]
-        if any([isinstance(v, np.ndarray) for v in parts]):  # one entry per draw
-            return self._times_groups(self.scale * phase, t)
-        value = complex(self.scale) * phase
+        scale = self.scale if isinstance(self.scale, np.ndarray) else complex(self.scale)
+        value = scale * phase
         for factor in self.factors:
             value = value * factor(t)
         return value
@@ -582,19 +566,24 @@ def Q_factor(mu, sigma, eta):
     mu = complex(mu)
     sigma = complex(sigma)
     eta = complex(eta)
-    d1 = jacobi_theta(mu - 2 * eta, sigma)
-    d2 = jacobi_theta(mu + 2 * eta, sigma)
-    scale = max(1.0, abs(jacobi_theta_prime0(sigma)))
-    if abs(d1) < Q_POLE_EPSILON * scale or abs(d2) < Q_POLE_EPSILON * scale:
-        raise PoleHit(f"Q has a pole at mu = {complex(mu)!r}")
     # theta'(0) = 2 pi e^{pi i sigma / 4} (sigma; sigma)^3
-    return product(
-        2 * math.pi * epi(sigma / 4),
+    front = 2 * math.pi * epi(sigma / 4)
+    factors = (
         Factor("jacobi", 4 * eta, 0, (sigma,)),
         Factor("qpoch", sigma, 0, (sigma,), 3),
         Factor("jacobi", mu - 2 * eta, 0, (sigma,), -1),
         Factor("jacobi", mu + 2 * eta, 0, (sigma,), -1),
     )
+    # each kernel value once: the guard reads the denominators before their power
+    values = [replace(f, power=1)(0) for f in factors]
+    scale = max(1.0, abs(front * values[1] ** 3))
+    if abs(values[2]) < Q_POLE_EPSILON * scale or abs(values[3]) < Q_POLE_EPSILON * scale:
+        raise PoleHit(f"Q has a pole at mu = {complex(mu)!r}")
+    # then product's scalar loop over them
+    value = front
+    for f, v in zip(factors, values):
+        value = value * (v if f.power == 1 else v**f.power)
+    return value
 
 
 # ---------------------------------------------------------------------------

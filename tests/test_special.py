@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ellverify import catalog, contour, lemmas, special
+from ellverify import catalog, contour, kernel, lemmas, special
 from ellverify.contour import CLEARANCE, PoleOnPath
 from ellverify.kernel import PoleHit
 from helpers import record_quadratures
@@ -154,6 +154,30 @@ def test_q_factor_pole_guard():
         special.Q_factor(2 * eta, sigma, eta)
     with pytest.raises(PoleHit):
         special.Q_factor(-2 * eta, sigma, eta)
+
+
+def test_q_factor_takes_each_kernel_value_once(monkeypatch):
+    # theta(4 eta), (sigma; sigma) and the two denominators: the pole guard
+    # reads the declared factors' values, which then multiply as product's do
+    mu, sigma, eta = 0.31 + 0.02j, 0.8j, 0.12 + 0.3j
+    want = special.product(
+        2 * np.pi * special.epi(sigma / 4),
+        special.Factor("jacobi", 4 * eta, 0, (sigma,)),
+        special.Factor("qpoch", sigma, 0, (sigma,), 3),
+        special.Factor("jacobi", mu - 2 * eta, 0, (sigma,), -1),
+        special.Factor("jacobi", mu + 2 * eta, 0, (sigma,), -1),
+    )
+    calls = []
+    for name in kernel.__all__:
+        if callable(fn := getattr(special, name, None)) and not isinstance(fn, type):
+            def counting(*args, name=name, fn=fn):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(special, name, counting)
+    got = special.Q_factor(mu, sigma, eta)
+    assert sorted(calls) == ["jacobi_theta"] * 3 + ["qpoch1_add"]
+    assert type(got) is complex and got == want
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +352,14 @@ def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
             calls.clear()
             f(_nodes(path))
             assert len(calls) == len(groups) and set(calls) == groups, cid
-    # a spiridonov batch of 64 nodes stacks 14 x 64 gamma arguments in one call
+    # a spiridonov batch stacks its 14 gamma factors in one call, at 64 nodes
+    # and at the 1,024 of the largest batch a clearance of CLEARANCE allows
     ((spiridonov, path),) = declarations["spiridonov"]
-    calls.clear()
-    spiridonov(_nodes(path))
-    assert len(spiridonov.factors) == 14 and len(calls) == 1
+    assert len(spiridonov.factors) == 14
+    for n in (64, 1024):
+        calls.clear()
+        spiridonov(_nodes(path, n))
+        assert len(calls) == 1, n
 
 
 @pytest.fixture(scope="module")
@@ -394,13 +421,14 @@ def _on_a_zero(declaration):
 
 def test_every_closed_form_is_the_same_on_scalars_and_on_a_batch(monkeypatch, closed_forms):
     # the closed forms of special, lemmas and catalog: the quarter-shift,
-    # eval3, ellmac and spiridonov values, Q and the half-period blocks, the
-    # ellmac denominator, the pointwise sides and the modular lambdas
+    # eval3, ellmac and spiridonov values, the half-period blocks (of Q's
+    # factor kinds and powers), the ellmac denominator, the pointwise sides
+    # and the modular lambdas
     assert len(closed_forms) >= 20
-    rows = []
+    calls = []
     for name in ("ell_gamma", "theta0", "jacobi_theta", "qpoch1_add"):
         def counting(z, *moduli, name=name, kernel=getattr(special, name)):
-            rows.append((name, len(z) if np.ndim(z) == 2 else 1))
+            calls.append((name, np.shape(z), *map(np.shape, moduli)))
             return kernel(z, *moduli)
 
         monkeypatch.setattr(special, name, counting)
@@ -410,8 +438,14 @@ def test_every_closed_form_is_the_same_on_scalars_and_on_a_batch(monkeypatch, cl
         batch = _stacked(declarations)
         # one modulus per draw
         assert all(len(set(m)) > 1 for f in batch.factors for m in f.moduli), signature
+        calls.clear()
         got = batch(0)
         assert got.shape == (20,)
+        # one kernel call per factor, on the draws' 1-D arrays
+        kinds = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
+        names = [kinds.get(f.kind, "qpoch1_add") for f in batch.factors]
+        assert calls == [(n, *[(20,)] * (1 + len(f.moduli))) for n, f in zip(names, batch.factors)]
+        calls.clear()
         # the grouped product is the product of each factor's own batch values
         alone = batch.scale * np.prod([special.Integrand((f,))(0) for f in batch.factors], axis=0)
         assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone)), signature
@@ -422,10 +456,6 @@ def test_every_closed_form_is_the_same_on_scalars_and_on_a_batch(monkeypatch, cl
         live = [not _on_a_zero(d) for d in declarations]
         assert sum(live) >= 18, signature
         assert np.all((np.abs(got - want) <= 1e-13 * np.abs(want))[live]), signature
-    # the batches grouped factors of every kind: some call took several rows
-    assert {name for name, count in rows if count > 1} == {
-        "ell_gamma", "theta0", "jacobi_theta", "qpoch1_add"
-    }
 
 
 def test_deleting_the_nearest_poles_raises_missed_pole(monkeypatch):
