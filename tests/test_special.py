@@ -4,6 +4,7 @@ forms.  Agreement of each integral with its closed form is exercised per
 identity through the catalog tests."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_q_factor_takes_each_kernel_value_once(monkeypatch):
     )
     calls = []
     for name in kernel.__all__:
-        if callable(fn := getattr(special, name, None)) and not isinstance(fn, type):
+        if inspect.isfunction(fn := getattr(special, name, None)):
             def counting(*args, name=name, fn=fn):
                 calls.append(name)
                 return fn(*args)
