@@ -9,11 +9,11 @@ rule and one family of paths cover them all.
 A :class:`Path` is ``z(t) = t + i c cos 2 pi (t - x0)``.  :func:`integrate`
 applies the trapezoid rule on ``N`` equispaced nodes and doubles ``N``,
 reusing the old nodes, until two successive sums agree to the tolerance.
-Given the audit clearance ``a`` (the least distance from a pole to the path),
-it starts where the strip bound of that paper (Thm 3.2), an error of about
+Every quadrature is given its audit clearance ``a``, the least distance from
+a pole to the path (``math.inf`` when the integrand lists no pole): it
+starts where the strip bound of that paper (Thm 3.2), an error of about
 ``e^{-2 pi a N}``, predicts the tolerance, and raises :class:`MissedPole`
-when the sums keep disagreeing far past that prediction; without a clearance
-it starts at 16 nodes.
+when the sums keep disagreeing far past that prediction.
 
 :func:`pole_audit` checks a path against the known poles of an integrand:
 every pole (reduced modulo the period) must keep a minimum distance from the
@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "Path",
     "QuadratureResult",
-    "ToleranceNotReached",
     "PoleOnPath",
     "MissedPole",
     "FIRST_NODES",
@@ -49,18 +48,6 @@ __all__ = [
     "achieved_errors",
     "pole_audit",
 ]
-
-
-class ToleranceNotReached(ArithmeticError):
-    """The evaluation budget ran out before the error target was met.
-
-    The partial result (with its honest error estimate) is attached as the
-    ``result`` attribute.
-    """
-
-    def __init__(self, message, result):
-        super().__init__(message)
-        self.result = result
 
 
 class PoleOnPath(RuntimeError):
@@ -117,7 +104,7 @@ def achieved_errors():
         _ACHIEVED.reset(token)
 
 
-#: nodes of the first batch without a clearance, and the most with one
+#: the fewest nodes of a first batch, and the most
 FIRST_NODES = 16
 MAX_FIRST_NODES = 512
 #: a quadrature that has not met its tolerance at this many times the nodes
@@ -126,7 +113,7 @@ MAX_FIRST_NODES = 512
 MISSED_POLE_FACTOR = 10
 
 
-def integrate(f, path, tol=1e-10, budget=200_000, clearance=None):
+def integrate(f, path, clearance, tol=1e-10):
     """Integrate ``f`` over one period along ``path`` to relative tolerance ``tol``.
 
     ``f`` maps each batch of nodes (the first ``N``, then each doubling's
@@ -136,46 +123,30 @@ def integrate(f, path, tol=1e-10, budget=200_000, clearance=None):
     ``tol * max(1, |T_2N|)`` after at least one doubling; ``T_2N`` is
     returned with that estimate as its error.
 
-    Without a ``clearance`` the first batch has :data:`FIRST_NODES` nodes.
-    With one, the least distance ``a`` from a pole to the path, the strip
-    bound ``e^{-2 pi a N} <= tol`` predicts ``N = ln(1/tol) / (2 pi a)``, but
-    never fewer than ``2 * FIRST_NODES``, the fewest a quadrature stops at.  The
+    ``clearance`` is the least distance ``a`` from a pole of ``f`` to the
+    path, or ``math.inf`` for an ``f`` with no listed pole; anything but a
+    positive number raises :class:`ValueError`.  The strip bound
+    ``e^{-2 pi a N} <= tol`` predicts ``N = ln(1/tol) / (2 pi a)``, but never
+    fewer than ``2 * FIRST_NODES``, the fewest a quadrature stops at.  The
     first batch is the least power of two from :data:`FIRST_NODES` whose
     doubling reaches that ``N``, at most :data:`MAX_FIRST_NODES`, and a
     doubling past :data:`MISSED_POLE_FACTOR` times that ``N`` raises
-    :class:`MissedPole` instead.  Raises :class:`ToleranceNotReached`
-    (carrying the partial result) when the next doubling would take more than
-    ``budget`` evaluations.
+    :class:`MissedPole` instead.
     """
+    if clearance is None or not clearance > 0:
+        raise ValueError(f"clearance must be positive or math.inf, got {clearance!r}")
 
     def batch(t):
         return complex(np.sum(f(path.point(t)) * path.velocity(t)))
 
+    predicted = max(2 * FIRST_NODES, math.log(1 / tol) / (2 * math.pi * clearance))
     n = FIRST_NODES
-    limit = math.inf
-    if clearance:
-        predicted = max(2 * FIRST_NODES, math.log(1 / tol) / (2 * math.pi * clearance))
-        while 2 * n < predicted and n < MAX_FIRST_NODES:
-            n *= 2
-        limit = MISSED_POLE_FACTOR * predicted
+    while 2 * n < predicted and n < MAX_FIRST_NODES:
+        n *= 2
     total = batch(np.arange(n) / n)
     value = total / n
-    evaluations = n
-    error = math.inf
     while True:
-        if evaluations + n > budget:
-            partial = QuadratureResult(value, error, evaluations)
-            raise ToleranceNotReached(
-                f"achieved error {partial.error:.3g} > target after {evaluations} evaluations",
-                partial,
-            )
-        if error < math.inf and 2 * n > limit:
-            raise MissedPole(
-                f"error {error:.3g} at {n} nodes, where clearance {clearance:.3g} "
-                f"predicts tolerance at {limit / MISSED_POLE_FACTOR:.1f}"
-            )
         total = total + batch((np.arange(n) + 0.5) / n)
-        evaluations += n
         n *= 2
         previous, value = value, total / n
         error = float(abs(value - previous))
@@ -184,7 +155,12 @@ def integrate(f, path, tol=1e-10, budget=200_000, clearance=None):
             errors = _ACHIEVED.get()
             if errors is not None:
                 errors.append(error / scale)
-            return QuadratureResult(value, error, evaluations)
+            return QuadratureResult(value, error, n)
+        if 2 * n > MISSED_POLE_FACTOR * predicted:
+            raise MissedPole(
+                f"error {error:.3g} at {n} nodes, where clearance {clearance:.3g} "
+                f"predicts tolerance at {predicted:.1f}"
+            )
 
 
 # ---------------------------------------------------------------------------

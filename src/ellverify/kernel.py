@@ -16,13 +16,15 @@ Conventions
 
 Truncation
 ----------
-Products stop once the current factor differs from 1 by less than
-``TERM_EPSILON``.  Because successive factor deviations decay geometrically
-with ratio ``|q|`` (and ``|r|``), the neglected tail of a single product
-changes the result by a relative amount of at most about
+Every product and series takes its term count up front from the ratio of
+its terms (``|q|``, and ``|r|`` for the layers of a double product) and its
+first term, down to the first power below ``TERM_EPSILON``; a product whose
+first term is already below it is empty.  Because successive factor
+deviations decay geometrically with ratio ``|q|``, the neglected tail of a
+single product changes the result by a relative amount of at most about
 ``4 * TERM_EPSILON / (1 - |q|)``; for double products the bound carries an
-extra ``1 / (1 - |r|)``.  Exceeding ``MAX_TERMS`` factors (or layers) before
-reaching the threshold raises :class:`NonConvergent`.
+extra ``1 / (1 - |r|)``.  A ratio of 1 or more, or a count beyond
+``MAX_TERMS``, raises :class:`NonConvergent`.
 
 ``ell_gamma`` is ``(1 - y)/(1 - x) exp(sum_n c_n (x^n - y^n))``,
 ``x = e^{2 pi i z}``, ``y = pq/x``, ``c_n = (a_n - 1)/n``,
@@ -36,7 +38,7 @@ modulus bring ``z`` into ``0 <= Im z <= Im(tau + sigma)``, where
 ``|x|, |y| <= 1``; the sum stops at the first power of its ratio
 ``max(|x|, |y|) max(|p|, |q|)`` below ``TERM_EPSILON``.  A point on a pole
 (``x = 1``, or a shift factor that vanishes in a denominator) raises
-:class:`PoleHit`, a term count beyond ``MAX_TERMS`` :class:`NonConvergent`.
+:class:`PoleHit`.
 No double product ``qpoch2`` is taken.
 
 ``theta0``, ``jacobi_theta``, ``ell_gamma`` and ``qpoch1_add`` also take
@@ -77,7 +79,6 @@ __all__ = [
     "theta0",
     "theta0_mult",
     "jacobi_theta",
-    "jacobi_theta_prime0",
     "ell_gamma",
     "ell_gamma_modular_Q",
 ]
@@ -92,9 +93,9 @@ class PoleHit(ArithmeticError):
     to) a pole of the requested function."""
 
 
-#: a product stops once its current factor is within this of 1
+#: a product or series takes its terms down to the first one below this
 TERM_EPSILON = 1e-17
-#: factors (or layers) per product before :class:`NonConvergent` is raised
+#: the most terms (factors or layers) of one product or series; more raise :class:`NonConvergent`
 MAX_TERMS = 100_000
 #: a denominator factor smaller than this is treated as an exact pole
 POLE_EPSILON = 1e-13
@@ -304,6 +305,13 @@ def _ell_gamma_scalar(z, tau, sigma):
     return value
 
 
+def _factor_count(u, q):
+    """Factors ``u q^n`` of a product down to ``TERM_EPSILON``, none when
+    ``|u|`` is already below it; ``|q| >= 1`` raises even then."""
+    count = _term_count(abs(q), max(abs(u), TERM_EPSILON))
+    return count if abs(u) >= TERM_EPSILON else 0
+
+
 def qpoch1(u, q):
     """Single q-Pochhammer product ``(u; q) = prod_{n>=0} (1 - u q^n)``.
 
@@ -311,43 +319,26 @@ def qpoch1(u, q):
     """
     u = complex(u)
     q = complex(q)
-    if not abs(q) < 1:
-        raise NonConvergent(f"single product requires |q| < 1, got |q| = {abs(q)}")
     total = complex(1)
-    term = u
-    for _ in range(MAX_TERMS):
-        if abs(term) < TERM_EPSILON:
-            return total
-        total = total * (1 - term)
-        term = term * q
-    raise NonConvergent(
-        f"(u; q) with |u| = {abs(u):.3g}, |q| = {abs(q):.6g} "
-        f"did not converge within {MAX_TERMS} factors"
-    )
+    for _ in range(_factor_count(u, q)):
+        total = total * (1 - u)
+        u = u * q
+    return total
 
 
 def qpoch2(u, q, r):
     """Double q-Pochhammer product ``(u; q, r) = prod_{n,m>=0} (1 - u q^n r^m)``.
 
     Requires ``|q| < 1`` and ``|r| < 1``.  Evaluated as the layered product
-    ``prod_{n>=0} (u q^n; r)``; the outer loop stops when an entire layer is
-    within the truncation threshold of 1.
+    ``prod_{n>=0} (u q^n; r)``, whose layers are counted as a layer's factors are.
     """
     u = complex(u)
     q = complex(q)
-    if not abs(q) < 1:
-        raise NonConvergent(f"double product requires |q| < 1, got |q| = {abs(q)}")
     total = complex(1)
-    layer_arg = u
-    for _ in range(MAX_TERMS):
-        if abs(layer_arg) < TERM_EPSILON:
-            return total
-        total = total * qpoch1(layer_arg, r)
-        layer_arg = layer_arg * q
-    raise NonConvergent(
-        f"(u; q, r) with |u| = {abs(u):.3g}, |q| = {abs(q):.6g} "
-        f"did not converge within {MAX_TERMS} layers"
-    )
+    for _ in range(_factor_count(u, q)):
+        total = total * qpoch1(u, r)
+        u = u * q
+    return total
 
 
 def qpoch1_add(z, tau):
@@ -410,17 +401,7 @@ def jacobi_theta(z, tau):
     ``jacobi_theta(z; tau) = i e^{pi i tau / 4 - pi i z} (tau; tau) theta0(z; tau)``,
     normalized so that it is odd in ``z`` with a simple zero at ``z = 0``.
     """
-    if isinstance(z, np.ndarray) or isinstance(tau, np.ndarray):
-        return 1j * np.exp(1j * math.pi * (tau / 4 - z)) * qpoch1_add(tau, tau) * theta0(z, tau)
-    q = e2pi(tau)
-    prefactor = 1j * epi(tau / 4 - z)
-    return prefactor * qpoch1(q, q) * theta0(z, tau)
-
-
-def jacobi_theta_prime0(tau):
-    """``d/dz jacobi_theta(z; tau)`` at ``z = 0``: ``2 pi e^{pi i tau/4} (tau; tau)^3``."""
-    eta = qpoch1(e2pi(tau), e2pi(tau))
-    return 2 * math.pi * epi(tau / 4) * eta**3
+    return 1j * epi(tau / 4 - z) * qpoch1_add(tau, tau) * theta0(z, tau)
 
 
 def ell_gamma(z, tau, sigma):

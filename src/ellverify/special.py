@@ -268,15 +268,16 @@ def audited_integral(integrand, path):
     """Audit ``path`` against the poles of ``integrand``, then integrate it.
 
     Raises :class:`PoleOnPath` when a pole is too close to the path or on
-    the wrong side of it.  The least pole distance, the audit clearance, sizes
-    the quadrature's first batch, and a quadrature that converges far slower
-    than that clearance predicts raises :class:`~ellverify.contour.MissedPole`.
+    the wrong side of it.  The least pole distance, the audit clearance
+    (``math.inf`` for no listed pole), sizes the quadrature's first batch, and
+    one that converges far slower than that clearance predicts raises
+    :class:`~ellverify.contour.MissedPole`.
     """
     report = pole_audit(path, pole_inventory(integrand))
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
         raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    clearance = min((e.distance for e in report.entries), default=None)
+    clearance = min((e.distance for e in report.entries), default=math.inf)
     return integrate(integrand, path, clearance=clearance).value
 
 

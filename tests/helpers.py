@@ -1,8 +1,10 @@
 """Shared test helpers: a numeric value for exact series, a series rebuilt
-under tighter caps, and a recorder for the quadratures the integral
-evaluators run."""
+under tighter caps, a recorder for the quadratures the integral evaluators
+run, and the audit clearance of a declared integrand."""
 
-from ellverify import special
+import math
+
+from ellverify import contour, special
 from ellverify.series import SeriesRing
 
 
@@ -41,3 +43,10 @@ def record_quadratures(monkeypatch):
 
     monkeypatch.setattr(special, "integrate", recording)
     return runs
+
+
+def audit_clearance(integrand, path):
+    """The least distance from a listed pole of ``integrand`` to ``path``, as
+    :func:`ellverify.special.audited_integral` passes it to the quadrature."""
+    report = contour.pole_audit(path, special.pole_inventory(integrand))
+    return min((e.distance for e in report.entries), default=math.inf)

@@ -3,7 +3,9 @@ rule, the achieved quadrature error, and the mandatory pre-integration pole
 audit."""
 
 import dataclasses
+import inspect
 import json
+import math
 import pathlib
 import sys
 
@@ -244,17 +246,23 @@ INTEGRATING_IDS = (
 @pytest.mark.parametrize("identity_id", INTEGRATING_IDS)
 def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, monkeypatch):
     # the trapezoid rule needs f(t + 1) = f(t); capture every integrand and
-    # count the audits wherever a module holds the contour functions by name
-    captured, audits = [], []
+    # its clearance, and every audit's least pole distance, wherever a module
+    # holds the contour functions by name
+    captured, audits, order = [], [], []
     integrate, pole_audit = contour.integrate, contour.pole_audit
+    signature = inspect.signature(integrate)
 
-    def recording_integrate(f, path, *args, **kwargs):
-        captured.append((f, path))
-        return integrate(f, path, *args, **kwargs)
+    def recording_integrate(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        captured.append((bound["f"], bound["path"]))
+        order.append(("integrate", bound["clearance"]))
+        return integrate(*args, **kwargs)
 
     def recording_audit(*args, **kwargs):
+        report = pole_audit(*args, **kwargs)
         audits.append(args)
-        return pole_audit(*args, **kwargs)
+        order.append(("audit", min((e.distance for e in report.entries), default=math.inf)))
+        return report
 
     for name, module in list(sys.modules.items()):
         if name.startswith("ellverify.") and name != "ellverify.contour":
@@ -267,6 +275,11 @@ def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, mo
     res = run_check(identity_id, seed=0, sample_index=0)
     assert res.passed
     assert captured and len(audits) == len(captured)
+    # each quadrature follows its audit and takes that audit's least pole
+    # distance as its clearance
+    assert [kind for kind, _ in order] == ["audit", "integrate"] * len(captured)
+    for (_, distance), (_, clearance) in zip(order[::2], order[1::2]):
+        assert clearance == distance
     assert 0 <= res.quadrature_error_estimate < 1e-9
     for f, path in captured:
         for t in (0.13, 0.37, 0.71):

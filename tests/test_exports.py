@@ -1,10 +1,12 @@
-"""Every name a module exports in ``__all__`` exists in that module, and no
-module reads another module's underscore names."""
+"""Every name a module exports in ``__all__`` exists in that module and is
+used outside the tests, and no module reads another module's underscore
+names."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,50 @@ def test_no_module_reaches_into_another_modules_private_names(name):
             if isinstance(node.value, ast.Name) and node.value.id in modules:
                 reached.append(f"{node.value.id}.{node.attr}")
     assert not reached, f"ellverify.{name} reaches into private names: {reached}"
+
+
+SOURCES = {
+    name: ast.parse(inspect.getsource(importlib.import_module(f"ellverify.{name}")))
+    for name in MODULES
+}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BENCH_SOURCES = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+
+
+def _names_used(tree, strings=False):
+    """Identifiers ``tree`` reads or imports, and with ``strings`` those it
+    may look up by a string, as ``bench/tracing.py`` does with ``getattr``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _names_read(tree):
+    """Identifiers ``tree`` reads: not its definitions, nor the strings of its ``__all__``."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_used(name):
+    # an export that no other module, no code of its own module and nothing in
+    # bench/ uses is code that only tests call
+    module = importlib.import_module(f"ellverify.{name}")
+    used = _names_read(SOURCES[name]).union(
+        *(_names_used(tree) for other, tree in SOURCES.items() if other != name),
+        *(_names_used(tree, strings=True) for tree in BENCH_SOURCES),
+    )
+    unused = [attr for attr in getattr(module, "__all__", ()) if attr not in used]
+    assert not unused, f"ellverify.{name}.__all__ names used nowhere but tests: {unused}"

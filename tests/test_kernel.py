@@ -7,20 +7,22 @@ theta_1 series for the Jacobi theta function, a direct bilateral lattice sum
 for the level theta)."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ellverify import special
 from ellverify.kernel import (
     NonConvergent,
     PoleHit,
     ell_gamma,
     ell_gamma_modular_Q,
     ell_gamma_residue,
+    epi,
     jacobi_theta,
-    jacobi_theta_prime0,
     qpoch1,
     qpoch1_add,
     qpoch2,
@@ -79,6 +81,12 @@ def test_theta0_value():
 def test_jacobi_theta_value():
     got = jacobi_theta(0.21 + 0.37j, 0.13 + 0.92j)
     assert close(got, 0.88355908775198819413 + 1.1834073545632234413j, 1e-13)
+
+
+def jacobi_theta_prime0(tau):
+    """``d/dz jacobi_theta(z; tau)`` at ``z = 0`` as ``special.Q_factor`` and
+    ``special.s_minus`` declare it: ``2 pi e^{pi i tau/4} (tau; tau)^3``."""
+    return special.product(2 * math.pi * epi(tau / 4), special.Factor("qpoch", tau, 0, (tau,), 3))
 
 
 def test_jacobi_theta_prime0_value():
@@ -204,9 +212,18 @@ def test_qpoch2_rejects_modulus_outside_disk():
         qpoch2(0.5, 1.2, 0.1)
 
 
+def test_product_counts_from_its_first_term():
+    # a first term below TERM_EPSILON is the empty product; |q| >= 1 raises even then
+    assert qpoch1(1e-18 + 1e-18j, 0.5) == qpoch2(0, 0.5, 0.3) == 1
+    assert qpoch1(0.3, 0) == 0.7
+    for product in (lambda: qpoch1(0, 1.01), lambda: qpoch2(0, 1.2, 0.1)):
+        with pytest.raises(NonConvergent, match="needs more than 100000 terms"):
+            product()
+
+
 def test_max_terms_cap_is_honest():
     # |q| = 1 - 1e-6 needs ~3.8e7 factors to reach the threshold, beyond the cap
-    with pytest.raises(NonConvergent, match="did not converge within 100000 factors"):
+    with pytest.raises(NonConvergent, match="100000 terms"):
         qpoch1(0.5, 1 - 1e-6)
     # theta0's one loop over both products keeps the cap
     tau = complex(0.2, -cmath.log(1 - 1e-6).real / (2 * cmath.pi))
