@@ -271,7 +271,9 @@ def audited_integral(integrand, path):
     the wrong side of it.  The least pole distance, the audit clearance
     (``math.inf`` for no listed pole), sizes the quadrature's first batch, and
     one that converges far slower than that clearance predicts raises
-    :class:`~ellverify.contour.MissedPole`.
+    :class:`~ellverify.contour.MissedPole`.  The quadrature's error, which
+    ``achieved_errors`` collects, is the predicted error of the returned
+    ``T_2N`` at safety factor 100 (``|T_2N - T_N|`` for no listed pole).
     """
     report = pole_audit(path, pole_inventory(integrand))
     if not report.ok:

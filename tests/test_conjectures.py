@@ -5,11 +5,12 @@ The oracles here are deliberately naive re-derivations (explicit loops over
 small root sets, hand-expanded leading terms) so a bookkeeping slip in the
 main builders cannot hide."""
 
+import cmath
 import hashlib
 
 import pytest
 
-from ellverify import catalog, conjectures, series
+from ellverify import catalog, conjectures, kernel, lemmas, series
 from ellverify.catalog import UnknownIdentity
 from ellverify.conjectures import (
     _LEMMA_SERIES,
@@ -192,6 +193,23 @@ def test_theta_lemma_series(name):
 def test_theta_lemma_unknown_identity():
     with pytest.raises(UnknownIdentity):
         run_series_check("series.theta-simp9", order=4)
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_theta_simp2_series_states_the_numeric_lemma(order):
+    # both sides of the series form, summed at a = e(z) and v = e(sigma) for
+    # seed-0 draws of the numeric check, are its sides times theta0(1/2; sigma),
+    # the divisor the series form clears; the series stops below v^(order+1)
+    side1, side2 = _LEMMA_SERIES["theta-simp2"](order)
+    for index in range(5):
+        p = catalog.sample_params("lemma.theta-simp2", 0, index)
+        a, v = (cmath.exp(2j * cmath.pi * p[name]) for name in ("z", "sigma"))
+        divisor = kernel.theta0(0.5, p["sigma"])
+        tol = 1e-14 + 1e4 * abs(v) ** (order + 1)
+        for side, numeric in ((side1, lemmas.theta_simp2_lhs), (side2, lemmas.theta_simp2_rhs)):
+            value = sum(c * a**i * v**j for (i, j), c in side.terms.items()) / divisor
+            want = numeric(p["z"], p["sigma"])
+            assert abs(value - want) <= tol * abs(want), (index, order)
 
 
 # SHA-256 of render() of both sides at the benchmark orders.  They were

@@ -56,7 +56,7 @@ def test_constant_integrates_to_period_length():
 
 
 def test_doubling_reuses_every_node():
-    # 16 nodes, then one doubling to 32 that adds only the 16 midpoints
+    # one call on 32 nodes: the 16 of T_16 and their 16 midpoints
     nodes = []
 
     def f(t):
@@ -92,8 +92,8 @@ def test_first_batch_is_sized_by_the_clearance(clearance, first):
     predicted = math.log(1e10) / (2 * math.pi * clearance)
     assert first == 512 or 2 * first >= predicted
     assert first == 16 or first < predicted
-    # the predicted batch, then the doubling that confirms it
-    assert _batch_sizes(clearance) == [first, first]
+    # the predicted batch and the doubling that confirms it, in one call
+    assert _batch_sizes(clearance) == [2 * first]
 
 
 def test_missed_pole_fails_fast():
@@ -105,6 +105,38 @@ def test_missed_pole_fails_fast():
     with pytest.raises(MissedPole) as excinfo:
         integrate(f, STRAIGHT, 0.5, tol=1e-10)
     assert isinstance(excinfo.value, PoleOnPath)
+
+
+def test_missed_pole_is_raised_by_the_first_call():
+    # a claimed clearance of 0.5 predicts 32 nodes, one call; the three sums
+    # of that call contract at the rate of the true 0.01, under a quarter of
+    # the claim, so the first doubling already raises
+    calls = []
+
+    def f(t):
+        calls.append(len(t))
+        return _pole_at(0.2 + 0.01j)(t)
+
+    with pytest.raises(MissedPole):
+        integrate(f, STRAIGHT, 0.5, tol=1e-10)
+    assert calls == [32]
+
+
+def test_entire_integrand_stops_on_its_last_difference():
+    # with clearance math.inf there is no rate: cos(2 pi 16 t) has
+    # T_8 = T_16 = 1 and T_32 = 0, so d1 = 0 and the observed rate is 1
+    def f(eps):
+        return lambda t: 1 + eps * np.cos(2 * np.pi * 16 * t)
+
+    # d2 = 1e-11 meets tol at 32 nodes, where C d2 = 1e-9 would not
+    res = integrate(f(1e-11), STRAIGHT, math.inf, tol=1e-10)
+    assert res.evaluations == 32 and math.isclose(res.error, 1e-11, rel_tol=1e-4)
+    # d2 = 1 with no contraction would raise MissedPole at a finite clearance;
+    # here it doubles, and T_64 = 1 is exact
+    res = integrate(f(1.0), STRAIGHT, math.inf, tol=1e-10)
+    assert res.evaluations == 64 and abs(res.value - 1) < 1e-15 and res.error < 1e-15
+    with pytest.raises(MissedPole):
+        integrate(f(1.0), STRAIGHT, 1.0, tol=1e-10)
 
 
 @pytest.mark.parametrize("clearance", [0, 0.0, -0.01, -math.inf, math.nan, None])

@@ -483,6 +483,33 @@ def test_deleting_the_nearest_poles_raises_missed_pole(monkeypatch):
     assert abs(p.location + q.location) < 1e-12
 
 
+INTEGRATING = [
+    cid
+    for cid in catalog.identity_ids("numeric")
+    if not catalog.entry_of_kind(cid, "numeric").array_sides
+]
+#: the tolerance :func:`special.audited_integral` integrates to, the default
+QUADRATURE_TOL = inspect.signature(contour.integrate).parameters["tol"].default
+
+
+@pytest.mark.parametrize("cid", INTEGRATING)
+def test_every_quadrature_meets_its_tolerance_and_its_estimate(monkeypatch, cid):
+    # each value a quadrature returns, against the trapezoid sum on 4 times
+    # its final nodes: within a tenth of its tolerance, and within 10 times
+    # its reported error unless under 1e-13, the floor of a relative error
+    runs = record_quadratures(monkeypatch)
+    for index in range(3):
+        catalog.run_check(cid, seed=0, sample_index=index)
+    assert runs
+    for f, path, result in runs:
+        t = np.arange(4 * result.evaluations) / (4 * result.evaluations)
+        reference = complex(np.mean(f(path.point(t)) * path.velocity(t)))
+        scale = max(1.0, abs(result.value))
+        true_error = abs(result.value - reference) / scale
+        assert true_error <= QUADRATURE_TOL / 10, (cid, result)
+        assert true_error <= max(10 * result.error / scale, 1e-13), (cid, result)
+
+
 # ---------------------------------------------------------------------------
 # tower corrections derived from gamma-pair forms
 
