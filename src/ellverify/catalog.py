@@ -149,38 +149,37 @@ def _words(n: int) -> list:
 
 
 def _hasher(const, mult):
-    """``SeedSequence``'s hash of uint32 arrays: a call xors in ``const``,
-    steps it by ``mult`` and multiplies by the new ``const``."""
+    """``SeedSequence``'s hash of uint32 words, masked ints or arrays: a call
+    xors in ``const``, steps it by ``mult`` and multiplies by the new ``const``."""
 
     def hash_(value):
         nonlocal const
         value = value ^ const
         const = const * mult & _MASK32
-        value = value * const
+        value = value * const & _MASK32
         return value ^ value >> 16
 
     return hash_
 
 
-def _philox_keys(entropy) -> np.ndarray:
-    """``SeedSequence(row).generate_state(2, uint64)`` of each row of the
-    (N, L) uint32 ``entropy`` (pool size 4), as a (2, N) uint64 array."""
+def _philox_keys(words) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(2, uint64)`` of each row of the
+    entropy whose words are ``words`` (pool size 4), as a (2, N) uint64 array:
+    a word is an int, the same in every row, or a uint32 array of N rows."""
     hashmix = _hasher(0x43B0D7E5, 0x931E8875)
 
     def mix(x, y):
-        result = 0xCA01F9DD * x - 0x4973F715 * y
+        result = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
         return result ^ result >> 16
 
-    length = entropy.shape[1]
-    zero = np.zeros(len(entropy), np.uint32)
-    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(4)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, length):
+    for word in words[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = mix(pool[dst], hashmix(word))
     state = [word.astype(np.uint64) for word in map(_hasher(0x8B51F9DD, 0x58F38DED), pool)]
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
 
@@ -200,9 +199,8 @@ def _philox_doubles(keys, count) -> np.ndarray:
             key = key + _PHILOX_W
         # high words of the 128-bit products, from 32-bit halves
         x_lo, x_hi = even & _MASK32, even >> 32
-        lo_lo, lo_hi, hi_lo = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-        carry = ((lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)) >> 32
-        high = m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + carry
+        mid = m_lo * x_hi + (m_lo * x_lo >> 32)
+        high = m_hi * x_hi + (mid >> 32) + (m_hi * x_lo + (mid & _MASK32) >> 32)
         even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
     words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
     return (words.reshape(keys.shape[1], 4 * blocks)[:, :count] >> 11) * 2.0**-53
@@ -213,15 +211,15 @@ def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.
     bit for bit, for indices in [0, 2**64); all rows are drawn at once."""
     prefix = _words(int(seed)) + _words(fnv1a64(identity_id))
     index = np.asarray(sample_indices, dtype=np.uint64)
-    entropy = np.empty((len(index), len(prefix) + 2), np.uint32)
-    entropy[:, : len(prefix)] = prefix
-    entropy[:, -2], entropy[:, -1] = index & _MASK32, index >> 32
+    low, high = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
     # an index of two words makes a longer entropy, which mixes differently
-    wide = entropy[:, -1] > 0
+    wide = high > 0
+    if not wide.any():
+        return _philox_doubles(_philox_keys(prefix + [low]), count)
     keys = np.empty((2, len(index)), np.uint64)
-    for rows, words in ((~wide, -1), (wide, None)):
+    for rows, words in ((~wide, [low]), (wide, [low, high])):
         if rows.any():
-            keys[:, rows] = _philox_keys(entropy[rows, :words])
+            keys[:, rows] = _philox_keys(prefix + [word[rows] for word in words])
     return _philox_doubles(keys, count)
 
 

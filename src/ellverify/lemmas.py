@@ -19,8 +19,6 @@ function with periods ``2 tau`` and ``8 eta``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .contour import Path
 from .kernel import e2pi, epi
 from .special import (
@@ -267,12 +265,8 @@ def int_rearrange_lhs(lam, tau, eta):
 
 
 def int_rearrange_rhs(lam, tau, eta):
-    lam = complex(lam)
-    tau = complex(tau)
-    eta = complex(eta)
-    # j1_factors times j2_factor.  The phase e^{-12 pi i eta} reaches
-    # e^{12 pi Im eta} ~ 1e7; inside the integrand it puts the quadrature
-    # tolerance, relative to max(1, |value|), on the result
-    pair = asym_pair_form(lam, tau, eta)
-    f = replace(pair, scale=pair.scale * epi(-3 * lam))
+    # j1_factors times j2_factor, its one term.  The phase e^{-12 pi i eta}
+    # reaches e^{12 pi Im eta} ~ 1e7; inside the integrand it puts the
+    # quadrature tolerance, relative to max(1, |value|), on the result
+    f = asym_pair_form(lam, tau, eta)
     return audited_integral(f, Path()) + gamma_pair_tower_correction(f)

@@ -11,26 +11,28 @@ forms, and the three-term modular relations (the supporting lemmas are in
 Functions receive additive parameters (moduli in the upper half-plane) and
 return builtin complex numbers.  Each integral evaluator declares its
 integrand once, as an :class:`Integrand`: kernel factors
-``f(shift + slope t; moduli) ** power`` times a phase that has no poles.  A
-closed form is the same declaration with every slope 0, evaluated by
-:func:`product`; what is not a product of kernel values (a phase, a square
-root) is its scale.  On a node array, the factors that share a kernel
-function and moduli make one kernel call on their stacked arguments; a
-number, or a batch of draws (one shift, modulus or scale entry per draw),
-takes one kernel call per factor.  The evaluator hands the declaration
-and its :class:`~ellverify.contour.Path` to :func:`audited_integral`, which
-derives the pole inventory from the factors (:func:`pole_inventory`), audits
-the path against it and then runs the periodic trapezoid rule from a first
-batch sized by the audit clearance.  A path the audit rejects raises
-:class:`~ellverify.contour.PoleOnPath`, and a quadrature that converges far
-slower than its clearance predicts raises its subclass
-:class:`~ellverify.contour.MissedPole`.
+``f(shift + slope t; moduli) ** power`` times a phase that has no poles and,
+for a sum such as :func:`I_sym` or :func:`delta_sym`, one term per sign of
+``lam``, so that the sum is one quadrature.  A closed form is the same
+declaration with every slope 0, evaluated by :func:`product`; what is not a
+product of kernel values (a phase, a square root) is its scale.  On a node
+array, the factors that share a kernel function and moduli make one kernel
+call on their stacked arguments; a number, or a batch of draws (one shift,
+modulus or scale entry per draw), takes one kernel call per factor.  The
+evaluator hands the declaration and its :class:`~ellverify.contour.Path` to
+:func:`audited_integral`, which derives the pole inventory from the factors
+(:func:`pole_inventory`), audits the path against it and then runs the
+periodic trapezoid rule from a first batch sized by the audit clearance.  A
+path the audit rejects raises :class:`~ellverify.contour.PoleOnPath`, and a
+quadrature that converges far slower than its clearance predicts raises its
+subclass :class:`~ellverify.contour.MissedPole`.
 
 An integral over a cycle that separates two gamma towers is the straight
 period plus one tower correction, :func:`gamma_pair_tower_correction`.  It is
 derived from the integrand's gamma-pair form, a declaration whose first two
-factors are ``gamma(a + t)`` and ``gamma(a - t)``: every crossed pole is then a
-simple pole of one of them, and the rest of the declaration is the entire part.
+factors are ``gamma(a + t)`` and ``gamma(a - t)``: every crossed pole is then
+a simple pole of one of them, and the rest of the declaration, its terms
+included, is the entire part.
 """
 
 from __future__ import annotations
@@ -147,29 +149,37 @@ class Factor:
 
 @dataclass(frozen=True)
 class Integrand:
-    """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``.
+    """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``,
+    times ``sum_k s_k prod(fs_k)`` over the ``(s_k, fs_k)`` of ``terms``, if any.
 
-    The scale and the phase have no poles, so every pole is a factor's.  On
-    a numpy array ``t`` of nodes, the factors that share a kind and the
-    values of their moduli are one group, which makes one kernel call on its
-    stacked arguments at every node; the kernel blocks its own work arrays.
-    A number ``t`` takes one kernel call per factor, on numbers or on a batch
-    of draws, whose shifts, moduli or scale hold one entry per draw.
+    The scale, the phase and each ``s_k`` have no poles, so every pole is a
+    factor's.  On a numpy array ``t`` of nodes, the factors, term factors
+    too, that share a kind and the values of their moduli are one group,
+    which makes one kernel call on its stacked arguments at every node; each
+    term takes its product from its own rows, and the kernel blocks its own
+    work arrays.  A number ``t`` takes one kernel call per factor, on numbers
+    or on a batch of draws, whose shifts, moduli or scale hold one entry per
+    draw.
     """
 
     factors: tuple
     scale: complex = 1
     wind: int = 0
+    terms: tuple = ()
 
     @functools.cached_property
     def _groups(self):
-        """``(kind, moduli, shifts, slopes, powers)`` of each group: a lone
-        factor's own, or rows; ``None`` for slopes all 0 or powers all 1."""
+        """``(kind, moduli, shifts, slopes, powers, slots, starts)`` of each
+        group: a lone factor's own, or rows; ``None`` for slopes all 0 or
+        powers all 1; the slot of each run of rows, 0 for ``factors`` and
+        ``k + 1`` for term ``k``, and its first row."""
         members = {}
-        for f in self.factors:
-            members.setdefault((f.kind, *map(complex, f.moduli)), []).append(f)
+        for slot, factors in enumerate((self.factors, *(fs for _, fs in self.terms))):
+            for f in factors:
+                members.setdefault((f.kind, *map(complex, f.moduli)), []).append((slot, f))
         groups = []
         for group in members.values():
+            slots, group = zip(*group)
             first = group[0]
             shifts, slopes, powers = first.shift, first.slope, first.power
             if len(group) > 1:
@@ -178,24 +188,33 @@ class Integrand:
                 powers = np.array([[f.power] for f in group])
             slopes = slopes if any(f.slope for f in group) else None
             powers = None if all(f.power == 1 for f in group) else powers
-            groups.append((first.kind, first.moduli, shifts, slopes, powers))
+            starts = [i for i, slot in enumerate(slots) if i == 0 or slot != slots[i - 1]]
+            groups.append((first.kind, first.moduli, shifts, slopes, powers,
+                           [slots[i] for i in starts], starts))
         return tuple(groups)
 
     def __call__(self, t):
         phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
         if isinstance(t, np.ndarray):
-            value = np.broadcast_to(complex(self.scale) * phase, t.shape)
-            for kind, moduli, shifts, slopes, powers in self._groups:
+            parts = [complex(self.scale) * phase] + [s for s, _ in self.terms]
+            for kind, moduli, shifts, slopes, powers, slots, starts in self._groups:
                 z = shifts if slopes is None else shifts + slopes * t
                 values = globals()[_KERNELS[kind]](z, *moduli)
                 if powers is not None:
                     values = values**powers
-                value = value * (values.prod(axis=0) if np.ndim(shifts) == 2 else values)
-            return value
+                if len(slots) > 1:
+                    rows = np.multiply.reduceat(values, starts)
+                else:
+                    rows = [values.prod(axis=0) if np.ndim(shifts) == 2 else values]
+                for slot, row in zip(slots, rows):
+                    parts[slot] = parts[slot] * row
+            return parts[0] * sum(parts[2:], parts[1]) if self.terms else parts[0]
         scale = self.scale if isinstance(self.scale, np.ndarray) else complex(self.scale)
         value = scale * phase
         for factor in self.factors:
             value = value * factor(t)
+        if self.terms:
+            value = value * sum(s * math.prod(f(t) for f in fs) for s, fs in self.terms)
         return value
 
 
@@ -219,8 +238,8 @@ def _cone(start, steps, lo, hi):
 
 
 def pole_inventory(integrand):
-    """Poles of ``integrand`` within 1 of the real axis, reduced modulo 1,
-    each with the side the path must pass on.
+    """Poles of ``integrand``'s factors and term factors within 1 of the real
+    axis, reduced modulo 1, each with the side the path must pass on.
 
     A factor's argument ``z`` is singular on the lattice points below, each
     plus any integer: ``-j tau - k sigma`` for a gamma, the gamma zeros
@@ -233,7 +252,7 @@ def pole_inventory(integrand):
     and below a member of an ascending one or a reciprocal-theta zero.
     """
     specs = []
-    for factor in integrand.factors:
+    for factor in integrand.factors + sum((fs for _, fs in integrand.terms), ()):
         if factor.kind != "gamma" and factor.power > 0:
             continue
         moduli = [complex(m) for m in factor.moduli]
@@ -380,10 +399,11 @@ def gamma_pair_tower_correction(f):
 
     ``f`` is a gamma-pair form: its first two factors are
     ``gamma(a + t; tau, sigma)`` and ``gamma(a - t; tau, sigma)``, and the rest
-    of the declaration is the entire part.  The cycle keeps the descending
-    tower ``-a - k tau`` of the first factor below the path and the ascending
-    tower ``a + k tau`` of the second above it.  Tower members on the wrong
-    side of the axis are crossed; each contributes ``-2 pi i`` times its
+    of the declaration, its terms included, is the entire part, so one walk
+    takes one residue per crossed member for all terms.  The cycle keeps the
+    descending tower ``-a - k tau`` of the first factor below the path and the
+    ascending tower ``a + k tau`` of the second above it.  Tower members on the
+    wrong side of the axis are crossed; each contributes ``-2 pi i`` times its
     residue (an upper pole is entered from below, and the lower pole's
     reversed local variable supplies the matching sign).  Raises
     :class:`DomainViolation` when a member is within
@@ -422,17 +442,34 @@ def j1_factors(tau, eta):
     )
 
 
+def _asym_forms(lam, tau, eta, signs):
+    """The integrand of :func:`I_tilde` and its gamma-pair form, with a term
+    ``s e^{-3 pi i s lam}`` times the factors in ``s lam`` for each ``s`` in ``signs``."""
+    lam, tau, eta = complex(lam), complex(tau), complex(eta)
+    _require(tau.imag > 0 and eta.imag > 0, "requires Im(tau) > 0 and Im(eta) > 0")
+    terms = tuple((s * epi(-3 * s * lam), (
+        Factor("theta0", s * lam, 1, (tau,)),
+        Factor("theta0", 6 * tau - 4 * s * lam + 0.5, 2, (8 * tau,)),
+    )) for s in signs)
+    f = Integrand((
+        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
+        Factor("gamma", 2 * eta, 1, (tau, 8 * eta), -1),
+        Factor("theta0", 2 * eta, 1, (tau,), -1),
+        Factor("theta0", -4 * eta, 1, (8 * eta,)),
+        Factor("theta0", 2 * eta, 1, (8 * eta,), -1),
+    ), terms=terms)
+    return f, Integrand(j1_factors(tau, eta), epi(-12 * eta), terms=terms)
+
+
 def asym_pair_form(lam, tau, eta):
-    """The integrand of :func:`I_tilde`, less its phase ``e^{-3 pi i lam}``,
-    in gamma-pair form: :func:`j1_factors` times ``theta0(t + lam; tau)
-    theta0(2t + 6 tau - 4 lam + 1/2; 8 tau)`` and ``e^{-12 pi i eta}``."""
-    return Integrand(
-        j1_factors(tau, eta) + (
-            Factor("theta0", lam, 1, (tau,)),
-            Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
-        ),
-        scale=epi(-12 * eta),
-    )
+    """The integrand of :func:`I_tilde` in gamma-pair form: :func:`j1_factors`
+    times ``e^{-12 pi i eta}`` and the one term of :func:`I_tilde`."""
+    return _asym_forms(lam, tau, eta, (1,))[1]
+
+
+def _asym_integral(lam, tau, eta, signs):
+    f, pair = _asym_forms(lam, tau, eta, signs)
+    return audited_integral(f, Path()) + gamma_pair_tower_correction(pair)
 
 
 def I_tilde(lam, tau, eta):
@@ -445,27 +482,13 @@ def I_tilde(lam, tau, eta):
     valid).  It is realized as straight-path quadrature plus the tower
     correction of the gamma-pair form :func:`asym_pair_form`.
     """
-    lam = complex(lam)
-    tau = complex(tau)
-    eta = complex(eta)
-    _require(tau.imag > 0 and eta.imag > 0, "requires Im(tau) > 0 and Im(eta) > 0")
-    f = Integrand((
-        Factor("gamma", -2 * eta, 1, (tau, 8 * eta)),
-        Factor("gamma", 2 * eta, 1, (tau, 8 * eta), -1),
-        Factor("theta0", lam, 1, (tau,)),
-        Factor("theta0", 2 * eta, 1, (tau,), -1),
-        Factor("theta0", -4 * eta, 1, (8 * eta,)),
-        Factor("theta0", 2 * eta, 1, (8 * eta,), -1),
-        Factor("theta0", 6 * tau - 4 * lam + 0.5, 2, (8 * tau,)),
-    ))
-    value = audited_integral(f, Path())
-    value = value + gamma_pair_tower_correction(asym_pair_form(lam, tau, eta))
-    return epi(-3 * lam) * value
+    return _asym_integral(lam, tau, eta, (1,))
 
 
 def I_sym(lam, tau, eta):
-    """Antisymmetrization ``I_tilde(lam) - I_tilde(-lam)``."""
-    return I_tilde(lam, tau, eta) - I_tilde(-lam, tau, eta)
+    """Antisymmetrization ``I_tilde(lam) - I_tilde(-lam)`` as one integral, a
+    term for each sign of ``lam``: one audited quadrature and one tower walk."""
+    return _asym_integral(lam, tau, eta, (1, -1))
 
 
 def eval3_rhs(lam, tau, eta):
@@ -485,39 +508,35 @@ def eval3_rhs(lam, tau, eta):
 # hypergeometric function of the three-dimensional representation
 
 
-def _fv_factors(lam, mu, tau, sigma, eta):
-    return (
+def _fv_forms(scale, mu, tau, sigma, eta, terms):
+    """``scale`` times the integrand of :func:`fv_u`, whose ``theta(lam + t;
+    tau)`` each of ``terms`` carries, and its gamma-pair form ``gamma(2 eta
+    +- t) theta(mu + t; sigma)`` times a constant and the terms, or ``None``
+    for Im(eta) >= 0.  For Im(eta) < 0 the straight path crosses the pair
+    ``+-2 eta`` and, once the moduli are shallower than ``|Im 2 eta|``,
+    further tower members, which are refused."""
+    f = Integrand((
         Factor("gamma", 2 * eta, 1, (tau, sigma)),
         Factor("gamma", -2 * eta, 1, (tau, sigma), -1),
-        Factor("jacobi", lam, 1, (tau,)),
         Factor("jacobi", -2 * eta, 1, (tau,), -1),
         Factor("jacobi", mu, 1, (sigma,)),
         Factor("jacobi", -2 * eta, 1, (sigma,), -1),
-    )
-
-
-def _fv_pair_form(lam, mu, tau, sigma, eta):
-    """The integrand of :func:`_fv_factors` in gamma-pair form,
-    ``gamma(2 eta +- t) theta(lam + t; tau) theta(mu + t; sigma)`` times a
-    constant.
-
-    For Im(eta) < 0 the straight path crosses the pair ``+-2 eta`` and, once
-    the moduli are shallower than ``|Im 2 eta|``, further tower members, which
-    are refused.
-    """
+    ), scale, terms=terms)
+    if eta.imag >= 0:
+        return f, None
     depth = abs((2 * eta).imag)
     _require(
         tau.imag - depth >= CLEARANCE and sigma.imag - depth >= CLEARANCE,
         "moduli too shallow: tower members beyond +-2 eta reach the axis",
     )
-    return Integrand(
+    return f, Integrand(
         (
             Factor("gamma", 2 * eta, 1, (tau, sigma)),
             Factor("gamma", 2 * eta, -1, (tau, sigma)),
-            Factor("jacobi", lam, 1, (tau,)),
             Factor("jacobi", mu, 1, (sigma,)),
         ),
-        scale=epi(-(tau + sigma) / 4) / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)),
+        scale * epi(-(tau + sigma) / 4) / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)),
+        terms=terms,
     )
 
 
@@ -538,15 +557,15 @@ def fv_u(lam, mu, tau, sigma, eta):
     sigma = complex(sigma)
     eta = complex(eta)
     _require(tau.imag > 0 and sigma.imag > 0, "requires Im(tau) > 0 and Im(sigma) > 0")
-    f = Integrand(_fv_factors(lam, mu, tau, sigma, eta))
+    f, pair = _fv_forms(1, mu, tau, sigma, eta, ((1, (Factor("jacobi", lam, 1, (tau,)),)),))
     path = Path()
     if eta.imag == 0:
         quarter = 4 * float(eta.real) - 0.5
         _require(abs(quarter - round(quarter)) < 1e-12, "real eta needs 4 eta = 1/2 (mod 1)")
         path = _quarter_path(-2 * float(eta.real), tau, sigma)
     value = audited_integral(f, path)
-    if eta.imag < 0:
-        value = value + gamma_pair_tower_correction(_fv_pair_form(lam, mu, tau, sigma, eta))
+    if pair is not None:
+        value = value + gamma_pair_tower_correction(pair)
     return epi(-lam * mu / (2 * eta)) * value
 
 
@@ -603,6 +622,22 @@ def _check_htf_domain(mu, kappa, tau, eta):
             raise DomainViolation(f"j tau + 4 eta is an integer at j = {j}")
 
 
+def _htf_integral(mu, kappa, lam, tau, eta, signs):
+    """:func:`htf_I_tilde` at ``s lam`` for each sign ``s`` in ``signs``,
+    negated for ``s = -1`` and summed, as one integral: each sign is a term
+    ``s e^{-pi i s lam mu}`` times its factors in ``lam``."""
+    _check_htf_domain(mu, kappa, tau, eta)
+    kappa = int(kappa)
+    lam, tau, eta = complex(lam), complex(tau), complex(eta)
+    terms = tuple((s * epi(-s * lam * mu), (
+        Factor("jacobi", s * lam, 1, (tau,)),
+        Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * s * lam, 2, (2 * kappa * tau,)),
+    )) for s in signs)
+    scale = epi(tau * mu**2 / (2 * kappa)) * qpoch1_add(2 * kappa * tau, 2 * kappa * tau)
+    f, pair = _fv_forms(scale, 2 * eta * mu, tau, -2 * eta * kappa, eta, terms)
+    return audited_integral(f, Path()) + gamma_pair_tower_correction(pair)
+
+
 def htf_I_tilde(mu, kappa, lam, tau, eta):
     """Integral form of the level-kappa hypergeometric theta function.
 
@@ -612,29 +647,20 @@ def htf_I_tilde(mu, kappa, lam, tau, eta):
     real axis, so the straight-path integral is completed by the tower
     correction of its gamma-pair form.  The explicit
     ``e^{pi i tau mu^2 / 2 kappa - pi i lam mu} (2 kappa tau; 2 kappa tau)``
-    prefactor is included.
+    prefactor is the integrand's scale and, in ``lam``, its one term.
     """
-    _check_htf_domain(mu, kappa, tau, eta)
-    kappa = int(kappa)
-    lam = complex(lam)
-    tau = complex(tau)
+    return _htf_integral(mu, kappa, lam, tau, eta, (1,))
+
+
+def _delta_weight(mu, kappa, eta):
+    """The factor ``e^{2 pi i eta mu^2 / kappa} Q`` of :func:`delta_tilde`."""
     eta = complex(eta)
-    sigma = -2 * eta * kappa
-    level = Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * lam, 2, (2 * kappa * tau,))
-    f = Integrand(_fv_factors(lam, 2 * eta * mu, tau, sigma, eta) + (level,))
-    value = audited_integral(f, Path())
-    pair = _fv_pair_form(lam, 2 * eta * mu, tau, sigma, eta)
-    value = value + gamma_pair_tower_correction(replace(pair, factors=pair.factors + (level,)))
-    prefactor = epi(tau * mu**2 / (2 * kappa) - lam * mu)
-    return prefactor * qpoch1_add(2 * kappa * tau, 2 * kappa * tau) * value
+    return e2pi(eta * mu**2 / kappa) * Q_factor(2 * eta * mu, -2 * eta * kappa, eta)
 
 
 def delta_tilde(mu, kappa, lam, tau, eta):
     """Non-symmetric hypergeometric theta function (integral route)."""
-    eta = complex(eta)
-    weight = Q_factor(2 * eta * mu, -2 * eta * kappa, eta)
-    phase = e2pi(eta * mu**2 / kappa)
-    return phase * weight * htf_I_tilde(mu, kappa, lam, tau, eta)
+    return _delta_weight(mu, kappa, eta) * htf_I_tilde(mu, kappa, lam, tau, eta)
 
 
 def delta_tilde_series(mu, kappa, lam, tau, eta):
@@ -673,8 +699,10 @@ def delta_tilde_series(mu, kappa, lam, tau, eta):
 
 
 def delta_sym(mu, kappa, lam, tau, eta):
-    """Symmetrized hypergeometric theta function (integral route)."""
-    return delta_tilde(mu, kappa, lam, tau, eta) - delta_tilde(mu, kappa, -lam, tau, eta)
+    """Symmetrized hypergeometric theta function (integral route),
+    ``delta_tilde(lam) - delta_tilde(-lam)`` as one integral, a term for each
+    sign of ``lam``: one audited quadrature, one tower walk and one ``Q``."""
+    return _delta_weight(mu, kappa, eta) * _htf_integral(mu, kappa, lam, tau, eta, (1, -1))
 
 
 def ellmac_P(mu, kappa, lam, tau, eta):

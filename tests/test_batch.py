@@ -99,7 +99,7 @@ def test_batch_uniforms_are_rng_for_bit_for_bit(seed, identity_id, indices, coun
 )
 def test_philox_keys_are_seed_sequence_states(rows):
     # fewer than four words pad the pool, more than four mix in after it
-    keys = catalog._philox_keys(np.array(rows, np.uint32))
+    keys = catalog._philox_keys(list(np.array(rows, np.uint32).T))
     for key, row in zip(keys.T, rows):
         want = np.random.SeedSequence(np.array(row, np.uint32)).generate_state(2, np.uint64)
         assert key.tolist() == want.tolist()

@@ -212,6 +212,30 @@ def test_theta_simp2_series_states_the_numeric_lemma(order):
             assert abs(value - want) <= tol * abs(want), (index, order)
 
 
+@pytest.mark.parametrize("order", [12, 16])
+def test_theta_simp3_series_states_the_numeric_lemma(order):
+    # both sides of the series form, summed at a = e(t), b = e^{pi i lam} and
+    # u = e(tau) for seed-0 draws of the numeric check, are its sides times
+    # theta0(1/2; 2 tau)^2 theta0(tau + 1/2; 2 tau) theta0(tau; 2 tau), the
+    # divisor the series form clears; the series stops below u^(order+1),
+    # and at these draws its tail reaches 4e4 |u|^(order+1)
+    side1, side2 = _LEMMA_SERIES["theta-simp3"](order)
+    for index in range(5):
+        p = catalog.sample_params("lemma.theta-simp3", 0, index)
+        t, lam, tau = p["t"], p["lam"], p["tau"]
+        a, b, u = (cmath.exp(2j * cmath.pi * x) for x in (t, lam / 2, tau))
+        divisor = (
+            kernel.theta0(0.5, 2 * tau) ** 2
+            * kernel.theta0(tau + 0.5, 2 * tau)
+            * kernel.theta0(tau, 2 * tau)
+        )
+        tol = 1e-13 + 1e6 * abs(u) ** (order + 1)
+        for side, numeric in ((side1, lemmas.theta_simp3_lhs), (side2, lemmas.theta_simp3_rhs)):
+            value = sum(c * a**i * b**j * u**k for (i, j, k), c in side.terms.items()) / divisor
+            want = numeric(t, lam, tau)
+            assert abs(value - want) <= tol * abs(want), (index, order)
+
+
 # SHA-256 of render() of both sides at the benchmark orders.  They were
 # recorded with a sparse dict-of-Fraction storage, so they pin the output
 # independently of how series are stored.

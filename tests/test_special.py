@@ -133,6 +133,26 @@ def test_sym_integral_vanishes_at_origin():
     assert special.I_sym(0.0, 0.1 + 0.55j, 0.07 + 0.4j) == 0
 
 
+@pytest.mark.parametrize("cid, symmetrized, one_sided, mu", [
+    ("eval3", special.I_sym, special.I_tilde, ()),
+    ("ellmac-val", special.delta_sym, special.delta_tilde, (2, 4)),
+])
+def test_symmetrized_integral_is_one_quadrature_of_both_signs(monkeypatch, cid, symmetrized,
+                                                              one_sided, mu):
+    # the one integral with a term for each sign of lam is the difference of
+    # the two one-sided integrals, which take a quadrature each
+    runs = record_quadratures(monkeypatch)
+    for index in range(5):
+        p = catalog.sample_params(cid, 0, index)
+        args = (p["tau"], p["eta"])
+        runs.clear()
+        value = symmetrized(*mu, p["lam"], *args)
+        assert len(runs) == 1, (cid, index)
+        want = one_sided(*mu, p["lam"], *args) - one_sided(*mu, -p["lam"], *args)
+        assert len(runs) == 3, (cid, index)
+        assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (cid, index)
+
+
 def test_i_tilde_requires_upper_half_moduli():
     with pytest.raises(special.DomainViolation):
         special.I_tilde(0.1, 0.5j, -0.3j)
@@ -322,6 +342,8 @@ def _per_factor(f, t):
     value = complex(f.scale) * (np.exp(2j * np.pi * f.wind * t) if f.wind else 1)
     for factor in f.factors:
         value = value * factor(t)
+    if f.terms:
+        value = value * sum(s * np.prod([x(t) for x in fs], axis=0) for s, fs in f.terms)
     return value
 
 
@@ -350,7 +372,8 @@ def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
     names = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
     for cid, runs in declarations.items():
         for f, path in runs:
-            groups = {(names[x.kind], x.moduli) for x in f.factors}
+            factors = f.factors + sum((fs for _, fs in f.terms), ())
+            groups = {(names[x.kind], x.moduli) for x in factors}
             calls.clear()
             f(_nodes(path))
             assert len(calls) == len(groups) and set(calls) == groups, cid
@@ -580,10 +603,13 @@ def _record_tower_walk(monkeypatch):
 
 
 # (evaluator, arguments, a, moduli) of the pair gamma(a +- t; *moduli); every
-# draw crosses at least one member of each tower, I_tilde's three
+# draw crosses at least one member of each tower, I_tilde's three.  I_sym
+# walks the towers once for both signs of lam, its two terms
 TOWER_CASES = {
     "I_tilde": (special.I_tilde, (0.13 - 0.07j, 0.1 + 0.3j, 0.05 + 0.35j),
                 -0.1 - 0.7j, (0.1 + 0.3j, 0.4 + 2.8j)),
+    "I_sym": (special.I_sym, (0.13 - 0.07j, 0.1 + 0.3j, 0.05 + 0.35j),
+              -0.1 - 0.7j, (0.1 + 0.3j, 0.4 + 2.8j)),
     "fv_u": (special.fv_u, (0.3, 0.2, 0.1 + 0.7j, 0.2 + 0.8j, 0.05 - 0.3j),
              0.1 - 0.6j, (0.1 + 0.7j, 0.2 + 0.8j)),
     "htf_I_tilde": (special.htf_I_tilde, (2, 4, 0.1 + 0.05j, 0.05 + 0.7j, 0.02 - 0.08j),
