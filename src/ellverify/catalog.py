@@ -212,14 +212,10 @@ def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.
     prefix = _words(int(seed)) + _words(fnv1a64(identity_id))
     index = np.asarray(sample_indices, dtype=np.uint64)
     low, high = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
+    keys = _philox_keys(prefix + [low])
     # an index of two words makes a longer entropy, which mixes differently
-    wide = high > 0
-    if not wide.any():
-        return _philox_doubles(_philox_keys(prefix + [low]), count)
-    keys = np.empty((2, len(index)), np.uint64)
-    for rows, words in ((~wide, [low]), (wide, [low, high])):
-        if rows.any():
-            keys[:, rows] = _philox_keys(prefix + [word[rows] for word in words])
+    if (wide := high > 0).any():
+        keys[:, wide] = _philox_keys(prefix + [low[wide], high[wide]])
     return _philox_doubles(keys, count)
 
 

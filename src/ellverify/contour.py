@@ -12,8 +12,8 @@ reusing the old nodes.  Given the audit clearance ``a``, the least distance
 from a pole to the path (``math.inf`` when the integrand lists no pole), it
 starts where the strip bound of that paper (Thm 3.2), an error of about
 ``e^{-2 pi a N}``, predicts the tolerance, stops once the error predicted at
-the slower of that rate and the observed one meets it, and raises
-:class:`MissedPole` when the sums converge far slower than ``a`` predicts.
+the slower of that rate and the observed one meets it (or the sums agree to
+their rounding), and raises :class:`MissedPole` when they converge far slower.
 
 :func:`pole_audit` checks a path against the known poles of an integrand:
 every pole (reduced modulo the period) must keep a minimum distance from the
@@ -114,6 +114,8 @@ MISSED_POLE_FACTOR = 10
 #: C, the safety factor on the predicted error; at C = 100 no value of 1,895
 #: quadratures (seeds 0-4) is tol / C away from the sum on 4 times its nodes
 _SAFETY = 100
+#: the rounding of a trapezoid sum per mean |f|: delta_sym's cancelling d2 read <= 1.1 eps
+_ROUNDING = 8 * np.finfo(float).eps
 #: an observed rate implying under this share of the audited clearance raises
 #: MissedPole: honest quadratures read >= 0.72 (seeds 0-3), unlisted poles 0.08
 _OBSERVED_SHARE = 1 / 4
@@ -130,7 +132,8 @@ def integrate(f, path, clearance, tol=1e-10):
     ``C d2 max(e^{-2 pi a N}, (d2 / d1)^2)`` (the slower of the audited and
     the observed rate, ``C = 100``), or as ``d2`` for an ``f`` with no listed
     pole.  ``T_2N`` is returned with that error once it meets
-    ``tol * max(1, |T_2N|)``.
+    ``tol * max(1, |T_2N|)``, or once ``d2`` is within the rounding of the
+    sums, ``8 eps`` times the first batch's mean ``|f|``, where terms cancel.
 
     ``clearance`` is the least distance ``a`` from a pole of ``f`` to the
     path, or ``math.inf`` for an ``f`` with no listed pole; anything but a
@@ -140,8 +143,8 @@ def integrate(f, path, clearance, tol=1e-10):
     first ``N`` is the least power of two from :data:`FIRST_NODES` whose
     double reaches that prediction, at most :data:`MAX_FIRST_NODES`.  A
     doubling past :data:`MISSED_POLE_FACTOR` times the prediction raises
-    :class:`MissedPole`, and so does a ``d2`` above tolerance whose observed
-    rate implies a clearance below ``a / 4``.
+    :class:`MissedPole`, and so does a ``d2`` above tolerance and rounding
+    whose observed rate implies a clearance below ``a / 4``.
     """
     if clearance is None or not clearance > 0:
         raise ValueError(f"clearance must be positive or math.inf, got {clearance!r}")
@@ -154,6 +157,7 @@ def integrate(f, path, clearance, tol=1e-10):
     while 2 * n < predicted and n < MAX_FIRST_NODES:
         n *= 2
     first = batch(np.arange(2 * n) / (2 * n))
+    floor = _ROUNDING * float(np.mean(np.abs(first)))
     sums = [complex(np.mean(first[::step])) for step in (4, 2, 1)]
     while True:
         d1, d2 = abs(sums[-2] - sums[-3]), abs(sums[-1] - sums[-2])
@@ -161,7 +165,7 @@ def integrate(f, path, clearance, tol=1e-10):
         rate = min(1.0, d2 / d1) ** 2 if d1 else float(d2 > 0)
         exponent = 2 * math.pi * clearance * n  # of the audited rate e^{-2 pi a N}
         error = d2 if clearance == math.inf else _SAFETY * d2 * max(math.exp(-exponent), rate)
-        if error <= tol * scale:
+        if error <= tol * scale or d2 <= floor:
             errors = _ACHIEVED.get()
             if errors is not None:
                 errors.append(error / scale)

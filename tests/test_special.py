@@ -225,6 +225,31 @@ def test_ellmac_runs_on_valid_point():
     assert close(value, reference, 1e-8)
 
 
+#: the corners and the centre of the box ellmac-eval samples eta from
+ETA_BOX = [complex(re, im) for re in (-0.05, 0.05) for im in (-0.3, -0.08)] + [-0.19j]
+
+
+@pytest.mark.parametrize("eta", ETA_BOX)
+def test_ellmac_eval_holds_where_both_signs_cancel(eta):
+    # at mu + 2 = kappa = 4 the rhs is 0: the two sign terms of delta_sym's
+    # one integral cancel, over the whole sampled range of eta
+    result = catalog.run_check("ellmac-eval", params={"mu": 2, "kappa": 4, "eta": eta})
+    assert result.passed, result
+
+
+@pytest.mark.parametrize("eta", ETA_BOX)
+def test_cancelling_terms_stop_at_their_rounding(monkeypatch, eta):
+    # scaled until the rounding of its node values exceeds the tolerance, the
+    # cancelling integrand stops at that rounding instead of raising MissedPole
+    f, path = declared(monkeypatch, special.delta_sym, 4, 4, 4 * eta, -8 * eta, eta)
+    scaled = dataclasses.replace(f, scale=f.scale * 1e8)
+    t = np.arange(64) / 64
+    size = float(np.mean(np.abs(scaled(path.point(t)))))
+    assert size * np.finfo(float).eps > 1e-10
+    result = contour.integrate(scaled, path, audit_clearance(f, path))
+    assert abs(result.value) <= 1e-13 * size
+
+
 # ---------------------------------------------------------------------------
 # pole inventories derived from the factor lists
 
