@@ -22,7 +22,8 @@ modulus or scale entry per draw), takes one kernel call per factor.  The
 evaluator hands the declaration and its :class:`~ellverify.contour.Path` to
 :func:`audited_integral`, which derives the pole inventory from the factors
 (:func:`pole_inventory`), audits the path against it and then runs the
-periodic trapezoid rule from a first batch sized by the audit clearance.  A
+periodic trapezoid rule from a first batch sized by the audit clearance,
+the strip half-width in the path parameter that no listed pole enters.  A
 path the audit rejects raises :class:`~ellverify.contour.PoleOnPath`, and a
 quadrature that converges far slower than its clearance predicts raises its
 subclass :class:`~ellverify.contour.MissedPole`.
@@ -287,19 +288,20 @@ def audited_integral(integrand, path):
     """Audit ``path`` against the poles of ``integrand``, then integrate it.
 
     Raises :class:`PoleOnPath` when a pole is too close to the path or on
-    the wrong side of it.  The least pole distance, the audit clearance
-    (``math.inf`` for no listed pole), sizes the quadrature's first batch, and
-    one that converges far slower than that clearance predicts raises
+    the wrong side of it.  The audit clearance, the strip half-width in the
+    path parameter that no pole enters (``math.inf`` for no listed pole),
+    sizes the quadrature's first batch, and one that converges far slower
+    than that clearance predicts raises
     :class:`~ellverify.contour.MissedPole`.  The quadrature's error, which
     ``achieved_errors`` collects, is the predicted error of the returned
-    ``T_2N`` at safety factor 100 (``|T_2N - T_N|`` for no listed pole).
+    ``T_2N`` at safety factor 100 (``|T_2N - T_N|`` for no listed pole), at
+    least the rounding of its sums.
     """
     report = pole_audit(path, pole_inventory(integrand))
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
         raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    clearance = min((e.distance for e in report.entries), default=math.inf)
-    return integrate(integrand, path, clearance=clearance).value
+    return integrate(integrand, path, clearance=report.clearance).value
 
 
 def _quarter_path(x0, tau, sigma):

@@ -9,9 +9,10 @@ import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from ellverify import catalog, contour
+from ellverify import catalog, contour, special
 from ellverify.catalog import (
     COMPOUND_TOLERANCE,
     DECISION_RULE,
@@ -246,8 +247,8 @@ INTEGRATING_IDS = (
 @pytest.mark.parametrize("identity_id", INTEGRATING_IDS)
 def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, monkeypatch):
     # the trapezoid rule needs f(t + 1) = f(t); capture every integrand and
-    # its clearance, and every audit's least pole distance, wherever a module
-    # holds the contour functions by name
+    # its clearance, and every audit's clearance, wherever a module holds the
+    # contour functions by name
     captured, audits, order = [], [], []
     integrate, pole_audit = contour.integrate, contour.pole_audit
     signature = inspect.signature(integrate)
@@ -261,7 +262,9 @@ def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, mo
     def recording_audit(*args, **kwargs):
         report = pole_audit(*args, **kwargs)
         audits.append(args)
-        order.append(("audit", min((e.distance for e in report.entries), default=math.inf)))
+        # no pole is nearer the real t axis than the clearance
+        assert report.clearance <= min((e.distance for e in report.entries), default=math.inf)
+        order.append(("audit", report.clearance))
         return report
 
     for name, module in list(sys.modules.items()):
@@ -275,8 +278,7 @@ def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, mo
     res = run_check(identity_id, seed=0, sample_index=0)
     assert res.passed
     assert captured and len(audits) == len(captured)
-    # each quadrature follows its audit and takes that audit's least pole
-    # distance as its clearance
+    # each quadrature follows its audit and takes that audit's clearance
     assert [kind for kind, _ in order] == ["audit", "integrate"] * len(captured)
     for (_, distance), (_, clearance) in zip(order[::2], order[1::2]):
         assert clearance == distance
@@ -286,6 +288,34 @@ def test_integrands_are_periodic_and_every_quadrature_is_audited(identity_id, mo
             z = path.point(t)
             value = complex(f(z))
             assert abs(complex(f(z + 1)) - value) <= 1e-12 * abs(value)
+
+
+@pytest.mark.parametrize("identity_id", INTEGRATING_IDS)
+def test_no_quadrature_reports_less_than_its_rounding(identity_id, monkeypatch):
+    # the reported error is at least the rounding of the sums, 8 eps times
+    # the mean |f z'| of the first batch, where the predicted error of a
+    # quadrature whose last difference sits at that rounding is far smaller
+    integrate = contour.integrate
+    reported = []
+
+    def recording(f, path, *args, **kwargs):
+        first = []
+
+        def batch(z):
+            values = f(z)
+            if not first:
+                first.append(float(np.mean(np.abs(values * path.velocity(z.real)))))
+            return values
+
+        result = integrate(batch, path, *args, **kwargs)
+        reported.append((result.error, 8 * np.finfo(float).eps * first[0]))
+        return result
+
+    monkeypatch.setattr(special, "integrate", recording)
+    for index in range(3):
+        run_check(identity_id, seed=0, sample_index=index)
+    assert reported
+    assert all(error >= rounding for error, rounding in reported)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ The residue check integrates 1/(e^{2 pi i t} - e^{2 pi i a}) on paths passing
 below and above the pole at t = a; the difference of the two runs encloses
 the pole counterclockwise, so it must equal 2 pi i times the residue, which
 works out to e^{-2 pi i a}.  Every quadrature is given its integrand's true
-pole distance as its clearance, or ``math.inf`` for an entire integrand."""
+strip half-width in the path parameter as its clearance, or ``math.inf`` for
+an entire integrand."""
 
 import cmath
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellverify import special
+from ellverify import contour, special
 from ellverify.contour import (
     CLEARANCE,
     MISSED_POLE_FACTOR,
@@ -36,7 +37,8 @@ def _pole_at(a):
 
 
 def _clearance(path, a):
-    """The distance from the pole of ``_pole_at(a)`` (at ``a`` modulo 1) to ``path``."""
+    """The strip half-width in the parameter of ``path`` that the pole of
+    ``_pole_at(a)`` (at ``a`` modulo 1) leaves free."""
     return pole_audit(path, [PoleSpec(a)]).entries[0].distance
 
 
@@ -132,11 +134,24 @@ def test_entire_integrand_stops_on_its_last_difference():
     res = integrate(f(1e-11), STRAIGHT, math.inf, tol=1e-10)
     assert res.evaluations == 32 and math.isclose(res.error, 1e-11, rel_tol=1e-4)
     # d2 = 1 with no contraction would raise MissedPole at a finite clearance;
-    # here it doubles, and T_64 = 1 is exact
+    # here it doubles, and T_64 = 1 is exact up to the rounding of the sums,
+    # 8 eps times the mean |f| = 1 of the first batch, which it reports
     res = integrate(f(1.0), STRAIGHT, math.inf, tol=1e-10)
-    assert res.evaluations == 64 and abs(res.value - 1) < 1e-15 and res.error < 1e-15
+    assert res.evaluations == 64 and abs(res.value - 1) < 1e-15
+    assert res.error == 8 * np.finfo(float).eps
     with pytest.raises(MissedPole):
         integrate(f(1.0), STRAIGHT, 1.0, tol=1e-10)
+
+
+def test_error_is_at_least_the_rounding_of_the_sums():
+    # T_8, T_16 and T_32 of a pole 0.31 off the axis differ by 1.2e-6 and
+    # 2.0e-13: the predicted error is 6e-25, far below the
+    # rounding of the sums, 8 eps times the mean |f| of the 32 nodes (1.8e-15)
+    f = _pole_at(0.31j)
+    res = integrate(f, STRAIGHT, 0.31, tol=1e-11)
+    assert res.evaluations == 32
+    rounding = 8 * np.finfo(float).eps * float(np.mean(np.abs(f(np.arange(32) / 32))))
+    assert res.error == rounding
 
 
 @pytest.mark.parametrize("clearance", [0, 0.0, -0.01, -math.inf, math.nan, None])
@@ -307,24 +322,123 @@ def test_audit_flags_too_close():
     assert math.isclose(report.entries[0].distance, 0.01)
 
 
+def _bisect(rising, lo, hi):
+    """The root of ``rising`` between ``lo`` and ``hi``, where it rises
+    through 0, from below."""
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if rising(mid) < 0 else (lo, mid)
+    return lo
+
+
+def _strip_floor(d, c):
+    """``g^-1(d)`` for ``g(y) = y + |c| sinh 2 pi y``."""
+    return _bisect(lambda y: y + abs(c) * math.sinh(2 * math.pi * y) - d, 0.0, d)
+
+
 def test_audit_arc_clearance():
-    # the arc of the path over its crest at -1/4 and its trough at +1/4
+    # poles on the axis under the crest at -1/4 and over the trough at +1/4:
+    # 0.1 from the path, but their preimages -1/4 - iy and 1/4 + iy sit at
+    # |Im t| = y with y = 0.1 cosh 2 pi y
     path = Path(0.1, -0.25)
     report = pole_audit(path, [PoleSpec(-0.25, "above"), PoleSpec(0.25, "below")])
     assert report.ok
-    for entry in report.entries:
-        assert math.isclose(entry.distance, 0.1)
+    # the smaller root of y = 0.1 cosh 2 pi y
+    y = _bisect(lambda y: y - 0.1 * math.cosh(2 * math.pi * y), 0.1, 0.19)
+    assert round(y, 6) == 0.143435
+    for entry, preimage in zip(report.entries, (-0.25 - 1j * y, 0.25 + 1j * y)):
+        assert math.isclose(entry.distance, y, rel_tol=1e-12)
+        assert abs(entry.preimage - preimage) < 1e-12
+    assert math.isclose(report.clearance, y, rel_tol=1e-12)
     assert [e.path_side for e in report.entries] == ["above", "below"]
 
 
 def test_audit_curved_distance_matches_dense_search():
+    # a dense grid over the parameter plane finds the one preimage of the
+    # pole within |Im t| < 0.3; the audit's Newton preimage is where the grid
+    # minimum lies, and the path maps it onto the pole
     path = Path(0.1, -0.25)
     pole = 0.05 + 0.13j
-    x = np.linspace(-0.45, 0.55, 200_001)
-    dense = float(np.min(np.abs(x + 1j * path.height(x) - pole)))
     (entry,) = pole_audit(path, [PoleSpec(pole)]).entries
-    assert abs(entry.distance - dense) < 1e-9
-    assert entry.path_side == "below"
+    assert abs(path.point(entry.preimage) - pole) <= 1e-13
+    s, y = np.meshgrid(np.linspace(-0.45, 0.55, 2001), np.linspace(-0.3, 0.3, 1201))
+    t = s + 1j * y
+    miss = np.abs(path.point(t) - pole)
+    nearest = t.flat[np.argmin(miss)]
+    assert abs(nearest - entry.preimage) < 1e-3
+    assert math.isclose(entry.distance, abs(entry.preimage.imag))
+    assert abs(entry.distance - abs(nearest.imag)) < 1e-3
+    assert entry.path_side == "below" and entry.preimage.imag > 0
+
+
+def _strip_rate(path, a, sizes=range(8, 33, 4)):
+    """The rate ``a`` at which ``|T_2N - T_N|`` of ``_pole_at(a)`` on ``path``
+    contracts, ``e^{-2 pi a N}``, fitted over ``sizes``."""
+    f = _pole_at(a)
+
+    def trapezoid(n):
+        t = np.arange(n) / n
+        return complex(np.mean(f(path.point(t)) * path.velocity(t)))
+
+    sizes = np.array(sizes)
+    gaps = [abs(trapezoid(2 * n) - trapezoid(n)) for n in sizes]
+    return -np.polyfit(sizes, np.log(gaps), 1)[0] / (2 * math.pi)
+
+
+@pytest.mark.parametrize("a", [-0.25, 0.05 + 0.13j, 0.3 - 0.05j])
+def test_clearance_is_the_rate(a):
+    # the trapezoid differences of a curved-path integrand with one simple
+    # pole contract at the audited strip half-width in the path parameter,
+    # not at the distance from the pole to the path
+    path = Path(0.1, -0.25)
+    (entry,) = pole_audit(path, [PoleSpec(a)]).entries
+    rate = _strip_rate(path, a)
+    assert abs(rate / entry.distance - 1) < 0.1
+    if a == -0.25:
+        # under the crest the pole is 0.1 from the path: 1.43 times too slow
+        assert rate / 0.1 > 1.4
+
+
+def test_audit_clearance_is_capped_for_unlisted_poles():
+    # a pole left unlisted is at least 1 - |c| from the path, so no preimage
+    # of it is nearer than g^-1(1 - |c|), g(y) = y + |c| sinh 2 pi y, which
+    # caps the clearance that listed poles farther off would give
+    path = Path(0.1, 0.2)
+    report = pole_audit(path, [PoleSpec(0.3 + 0.95j, "below")])
+    (entry,) = report.entries
+    assert report.ok and entry.distance > report.clearance
+    y = report.clearance
+    assert math.isclose(y + 0.1 * math.sinh(2 * math.pi * y), 0.9, rel_tol=1e-12)
+    assert round(y, 4) == 0.3755
+    assert pole_audit(STRAIGHT, [PoleSpec(0.3 + 0.95j)]).clearance == 0.95
+
+
+def test_unsolved_pole_takes_the_bound_and_fails_below_the_clearance(monkeypatch):
+    # under the crest of Path(0.1, 0) the path reaches no lower than
+    # Im z = -0.0105 on the line Re t = 0, so the preimages of a pole at
+    # -0.05i lie off that line; the solve, started right of it, finds one
+    path = Path(0.1, 0.0)
+    pole = PoleSpec(-0.05j, "above")
+    bound = _strip_floor(0.15 / math.hypot(1, 2 * math.pi * 0.1), 0.1)
+    (entry,) = pole_audit(path, [pole]).entries
+    assert abs(path.point(entry.preimage) + 0.05j) <= 1e-13 and entry.preimage.real != 0
+    assert entry.ok and entry.distance > bound
+    # with the solve cut off, each pole takes the bound g^-1(d) of its
+    # distance d from the path, here 0.15 below the crest over the slope
+    monkeypatch.setattr(contour, "_NEWTON_STEPS", 0)
+    far = PoleSpec(1.2j, "below")  # 1.1 over the crest: its bound clears
+    report = pole_audit(path, [pole, far])
+    entry, other = report.entries
+    assert entry.preimage is None and other.preimage is None
+    assert math.isclose(entry.distance, bound, rel_tol=1e-12)
+    assert math.isclose(report.clearance, _strip_floor(0.9, 0.1), rel_tol=1e-12)
+    assert other.ok and other.distance >= report.clearance
+    # a bound below the clearance the report returns cannot vouch for it:
+    # the entry fails, and the audited quadrature names the pole
+    assert entry.distance < report.clearance and not entry.ok and not report.ok
+    monkeypatch.setattr(special, "pole_inventory", lambda f: [pole, far])
+    with pytest.raises(PoleOnPath, match=r"pole=\(-0-0\.05j\)"):
+        special.audited_integral(lambda z: 1 / z, path)
 
 
 def test_audit_reduces_modulo_period():
@@ -346,24 +460,40 @@ def test_audit_wraparound_distance():
     assert math.isclose(report.entries[0].distance, 0.2)
 
 
-def _reference_entry(path, spec):
-    """One pole's entry, audited on its own: the audit before it was batched."""
-    location = complex(spec.location)
-    p = complex(location.real - math.floor(location.real + 0.5), location.imag)
-    height = float(path.height(p.real))
-    path_side = "above" if height > p.imag else "below" if height < p.imag else "on"
-    if path.c == 0:
-        distance = abs(p.imag)
-    else:
-        lo, hi = p.real - 0.5, p.real + 0.5
-        for _ in range(4):
-            x = np.linspace(lo, hi, 257)
-            d = np.abs(x + 1j * path.height(x) - p)
-            k = int(np.argmin(d))
-            lo, hi = x[max(k - 1, 0)], x[min(k + 1, 256)]
-        distance = float(d[k])
-    ok = distance >= CLEARANCE and path_side != "on" and spec.side in (None, path_side)
-    return PoleAuditEntry(location, p, distance, path_side, spec.side, ok)
+def _reference_entries(path, poles):
+    """Each pole's entry, solved on its own with scalar arithmetic: the
+    damped Newton solve of the batched audit, one pole at a time."""
+    c, x0 = path.c, path.x0
+    reach = _strip_floor(1 - abs(c), c)
+    rows = []
+    for spec in poles:
+        location = complex(spec.location)
+        p = complex(location.real - math.floor(location.real + 0.5), location.imag)
+        height = c * math.cos(2 * math.pi * (p.real - x0))
+        path_side = "above" if height > p.imag else "below" if height < p.imag else "on"
+        t = complex(p.real, min(max(p.imag - height, -reach), reach)) if c else p
+        for _ in range(40):
+            residual = t + 1j * c * cmath.cos(2 * math.pi * (t - x0)) - p
+            if abs(residual) <= 1e-13:
+                break
+            step = residual / (1 - 2j * math.pi * c * cmath.sin(2 * math.pi * (t - x0)))
+            t -= step * min(1, 0.2 / abs(step))
+        if abs(t + 1j * c * cmath.cos(2 * math.pi * (t - x0)) - p) <= 1e-13:
+            rows.append((location, p, t, abs(t.imag), path_side, spec.side))
+        else:
+            bound = _strip_floor(abs(p.imag - height) / math.hypot(1, 2 * math.pi * c), c)
+            rows.append((location, p, None, bound, path_side, spec.side))
+    clearance = min([reach] + [row[3] for row in rows if row[2] is not None])
+    entries = []
+    for location, p, t, distance, path_side, side in rows:
+        ok = (
+            distance >= CLEARANCE
+            and path_side != "on"
+            and side in (None, path_side)
+            and (t is not None or distance >= clearance)
+        )
+        entries.append(PoleAuditEntry(location, p, t, distance, path_side, side, ok))
+    return entries, clearance
 
 
 @pytest.mark.parametrize("path", [STRAIGHT, Path(0.1, -0.25), Path(0.07, 0.31)])
@@ -376,11 +506,28 @@ def test_batched_audit_matches_per_pole_reference(path):
     sides = [None, "above", "below"]
     poles = [PoleSpec(z, sides[i % 3]) for i, z in enumerate(locations)]
     report = pole_audit(path, poles)
-    expected = [_reference_entry(path, spec) for spec in poles]
-    assert list(report.entries) == expected
+    expected, clearance = _reference_entries(path, poles)
+    assert math.isclose(report.clearance, clearance, rel_tol=1e-12, abs_tol=1e-15)
+    slope = math.hypot(1, 2 * math.pi * path.c)
     for got, want in zip(report.entries, expected):
-        assert got.distance.hex() == want.distance.hex()
+        assert (got.pole, got.reduced, got.path_side, got.required_side, got.ok) == (
+            want.pole, want.reduced, want.path_side, want.required_side, want.ok
+        )
         assert type(got.reduced) is complex and type(got.distance) is float
+        assert (got.preimage is None) == (want.preimage is None)
+        if path.c == 0:
+            assert got.preimage == got.reduced and got.distance.hex() == want.distance.hex()
+            continue
+        assert math.isclose(got.distance, want.distance, rel_tol=1e-12, abs_tol=1e-13)
+        # every preimage is solved or replaced by its bound; a solved one
+        # maps onto its pole and respects the bound g^-1(d)
+        floor = _strip_floor(abs(got.reduced.imag - path.height(got.reduced.real)) / slope, path.c)
+        if got.preimage is None:
+            assert got.distance <= floor and math.isclose(got.distance, floor, rel_tol=1e-12)
+        else:
+            assert abs(path.point(got.preimage) - got.reduced) <= 1e-13
+            assert abs(got.preimage - want.preimage) < 1e-12
+            assert got.distance >= floor * (1 - 1e-12)
     assert report.ok == all(e.ok for e in expected)
     assert any(e.path_side == "on" for e in report.entries)
 

@@ -106,6 +106,29 @@ def test_quarter_shift_sides_are_derived_not_assumed(monkeypatch):
         special.audited_integral(eval1, eval2_path)
 
 
+def test_wide_quarter_paths_pass_at_the_parameter_clearance(monkeypatch):
+    # Path(-0.39, 0.25) passes above -1/4 and below 1/4 as the quarter path
+    # does, but bends 0.39 off the axis.  The audit passes it, and at its
+    # clearance, the strip half-width in the path parameter (0.087), the
+    # quadrature gives the quarter-path value; at the least distance from a
+    # pole to the path (0.23), three times more, it raises MissedPole
+    wide = contour.Path(-0.39, 0.25)
+    x = np.linspace(-0.5, 0.5, 100_001)
+    for index in range(5):
+        params = catalog.sample_params("eval1", 0, index)
+        with monkeypatch.context() as mp:
+            f, path = declared(mp, special.eval1_lhs, params["tau"], params["sigma"])
+        quarter = special.audited_integral(f, path)
+        report = contour.pole_audit(wide, special.pole_inventory(f))
+        assert report.ok and round(report.clearance, 3) == 0.087
+        assert all(abs(wide.point(e.preimage) - e.reduced) <= 1e-13 for e in report.entries)
+        assert close(special.audited_integral(f, wide), quarter, 1e-12)
+        euclidean = min(float(np.min(np.abs(wide.point(x) - e.reduced))) for e in report.entries)
+        assert round(euclidean, 2) == 0.23
+        with pytest.raises(contour.MissedPole):
+            contour.integrate(f, wide, euclidean)
+
+
 # ---------------------------------------------------------------------------
 # antisymmetrized one-sided integral
 
