@@ -4,9 +4,10 @@ Each entry has a stable string ID and a kind.  A ``numeric`` entry pairs an
 LHS and RHS evaluator with a seeded domain sampler and a declared tolerance;
 a ``series`` entry names a runner from :mod:`.conjectures` and its default
 expansion order.  ``identity_ids()`` is the machine-readable manifest.  The
-integral evaluators in :mod:`.special` and :mod:`.lemmas` audit their own
-paths, against the pole inventories derived from their declared factors,
-before every quadrature and raise :class:`PoleOnPath` on a rejected path;
+integral evaluators in :mod:`.special` and :mod:`.lemmas` end in
+:func:`.special.audited_integral`, which picks each path from the pole
+inventory derived from the declared factors and audits it before the
+quadrature, raising :class:`PoleOnPath` on a rejected path;
 :func:`run_check` reports the largest error those quadratures achieved.
 The sides of the pointwise checks take arrays (``array_sides``), and
 :func:`run_batch` evaluates many of their draws in one call and returns

@@ -21,8 +21,10 @@ each pole (reduced modulo the period) is mapped back to its preimage
 ``t_p``, ``z(t_p) = p``, whose ``|Im t_p|`` is its strip half-width in the
 path parameter and must keep a minimum size, and poles that carry a required
 passing side must see the path pass on that side.  The evaluators that
-integrate pick their own path, derive the pole inventory from their
-integrand's factors and run the audit before every quadrature.
+integrate hand their integrand to one function,
+:func:`ellverify.special.audited_integral`, which derives the pole inventory
+from its factors, picks the path from it and runs the audit before every
+quadrature.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Each lemma is exposed as an ``<name>_lhs`` / ``<name>_rhs`` pair.  Pointwise
 identities take the free variable (``t`` or ``z``) explicitly so callers can
 sample it; the three integral lemmas declare their integrands in gamma-pair
-form and integrate over the tower-separating cycle (straight path plus the
-tower correction that :mod:`.special` derives from the same declaration).
+form and hand each to :func:`.special.audited_integral` as its own pair
+form, which integrates the tower-separating cycle (straight path plus the
+tower correction derived from the same declaration).
 
 Every product of kernel values is a declaration of constant factors that
 :func:`.special.product` evaluates; a side that is a sum is a Python sum of
@@ -19,7 +20,6 @@ function with periods ``2 tau`` and ``8 eta``.
 
 from __future__ import annotations
 
-from .contour import Path
 from .kernel import e2pi, epi
 from .special import (
     Factor,
@@ -27,7 +27,6 @@ from .special import (
     Integrand,
     asym_pair_form,
     audited_integral,
-    gamma_pair_tower_correction,
     j1_factors,
     product,
 )
@@ -225,7 +224,7 @@ def _int_eval_lhs(tau, eta, shift):
         ),
         wind=-1,
     )
-    return audited_integral(f, Path()) + gamma_pair_tower_correction(f)
+    return audited_integral(f, f)
 
 
 def int_eval1_lhs(tau, eta):
@@ -269,4 +268,4 @@ def int_rearrange_rhs(lam, tau, eta):
     # reaches e^{12 pi Im eta} ~ 1e7; inside the integrand it puts the
     # quadrature tolerance, relative to max(1, |value|), on the result
     f = asym_pair_form(lam, tau, eta)
-    return audited_integral(f, Path()) + gamma_pair_tower_correction(f)
+    return audited_integral(f, f)

@@ -18,22 +18,22 @@ declaration with every slope 0, evaluated by :func:`product`; what is not a
 product of kernel values (a phase, a square root) is its scale.  On a node
 array, the factors that share a kernel function and moduli make one kernel
 call on their stacked arguments; a number, or a batch of draws (one shift,
-modulus or scale entry per draw), takes one kernel call per factor.  The
-evaluator hands the declaration and its :class:`~ellverify.contour.Path` to
-:func:`audited_integral`, which derives the pole inventory from the factors
-(:func:`pole_inventory`), audits the path against it and then runs the
-periodic trapezoid rule from a first batch sized by the audit clearance,
-the strip half-width in the path parameter that no listed pole enters.  A
-path the audit rejects raises :class:`~ellverify.contour.PoleOnPath`, and a
-quadrature that converges far slower than its clearance predicts raises its
-subclass :class:`~ellverify.contour.MissedPole`.
+modulus or scale entry per draw), takes one kernel call per factor.  Every
+integral evaluator ends in one call, :func:`audited_integral`, which derives
+the pole inventory from the factors (:func:`pole_inventory`), picks the path
+from it, audits the path and then runs the periodic trapezoid rule from a
+first batch sized by the audit clearance, the strip half-width in the path
+parameter that no listed pole enters.  A path the audit rejects raises
+:class:`~ellverify.contour.PoleOnPath`, and a quadrature that converges far
+slower than its clearance predicts raises its subclass
+:class:`~ellverify.contour.MissedPole`.
 
 An integral over a cycle that separates two gamma towers is the straight
-period plus one tower correction, :func:`gamma_pair_tower_correction`.  It is
-derived from the integrand's gamma-pair form, a declaration whose first two
-factors are ``gamma(a + t)`` and ``gamma(a - t)``: every crossed pole is then
-a simple pole of one of them, and the rest of the declaration, its terms
-included, is the entire part.
+period plus one tower correction, :func:`gamma_pair_tower_correction`, which
+:func:`audited_integral` adds when given the integrand's gamma-pair form: a
+declaration whose first two factors are ``gamma(a + t)`` and
+``gamma(a - t)``, so that every crossed pole is a simple pole of one of them
+and the rest of the declaration, its terms included, is the entire part.
 """
 
 from __future__ import annotations
@@ -284,30 +284,32 @@ def pole_inventory(integrand):
     return list(dict.fromkeys(specs))
 
 
-def audited_integral(integrand, path):
-    """Audit ``path`` against the poles of ``integrand``, then integrate it.
+def audited_integral(integrand, pair=None):
+    """The cycle integral of ``integrand``, plus the tower correction of its
+    gamma-pair form ``pair`` if given.
 
-    Raises :class:`PoleOnPath` when a pole is too close to the path or on
-    the wrong side of it.  The audit clearance, the strip half-width in the
-    path parameter that no pole enters (``math.inf`` for no listed pole),
-    sizes the quadrature's first batch, and one that converges far slower
-    than that clearance predicts raises
-    :class:`~ellverify.contour.MissedPole`.  The quadrature's error, which
-    ``achieved_errors`` collects, is the predicted error of the returned
-    ``T_2N`` at safety factor 100 (``|T_2N - T_N|`` for no listed pole), at
-    least the rounding of its sums.
+    The cycle passes each pole of :func:`pole_inventory` on its listed side,
+    and every path the audit passes gives its integral.  With no pole on the
+    real axis the path is the straight period; otherwise it is the
+    :class:`Path` of height ``min(0.1, 1/2 least |Im|)`` of the off-axis poles
+    that passes above an axis pole at ``x0`` (or below one at ``x0 + 1/2``).
+    A pole too close to it or on the wrong side raises :class:`PoleOnPath`.
+    The audit clearance, the strip half-width in the path parameter that no
+    listed pole enters, sizes the quadrature (:func:`integrate`).
     """
-    report = pole_audit(path, pole_inventory(integrand))
+    poles = pole_inventory(integrand)
+    axis = [p for p in poles if p.location.imag == 0]
+    path = Path()
+    if axis:
+        least = min((abs(p.location.imag) for p in poles if p.location.imag), default=math.inf)
+        above = [p.location.real for p in axis if p.side == "above"]
+        path = Path(min(0.1, 0.5 * least), above[0] if above else axis[0].location.real + 0.5)
+    report = pole_audit(path, poles)
     if not report.ok:
         bad = [e for e in report.entries if not e.ok]
-        raise PoleOnPath(f"audit rejected {len(bad)} pole(s): {bad[:3]}")
-    return integrate(integrand, path, clearance=report.clearance).value
-
-
-def _quarter_path(x0, tau, sigma):
-    """Path above ``x0`` and below ``x0 + 1/2``, at most half as high as the
-    shallower modulus so that the lattice shells keep their sides."""
-    return Path(min(0.1, 0.5 * min(complex(tau).imag, complex(sigma).imag)), x0)
+        raise PoleOnPath(f"audit of {path} rejected {len(bad)} pole(s): {bad[:3]}")
+    value = integrate(integrand, path, clearance=report.clearance).value
+    return value if pair is None else value + gamma_pair_tower_correction(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +335,7 @@ def spiridonov_lhs(s, tau, sigma):
     # reciprocal gammas via reflection, gamma(tau + sigma -+ 2t): finite at
     # the half-integer lattice zeros the path runs through
     factors += [Factor("gamma", sum(moduli), e, moduli) for e in (-2, 2)]
-    return audited_integral(Integrand(tuple(factors)), Path())
+    return audited_integral(Integrand(tuple(factors)))
 
 
 def spiridonov_rhs(s, tau, sigma):
@@ -356,7 +358,7 @@ def _quarter_shift_lhs(tau, sigma, sign):
     factors = [Factor("gamma", a, 1, (tau, sigma)), Factor("gamma", -a, 1, (tau, sigma), -1)]
     for modulus in (tau, sigma):
         factors += [Factor("theta0", 0.5, 1, (modulus,)), Factor("theta0", -a, 1, (modulus,), -1)]
-    return audited_integral(Integrand(tuple(factors)), _quarter_path(-a, tau, sigma))
+    return audited_integral(Integrand(tuple(factors)))
 
 
 def _quarter_shift_rhs(tau, sigma, phase, power):
@@ -469,11 +471,6 @@ def asym_pair_form(lam, tau, eta):
     return _asym_forms(lam, tau, eta, (1,))[1]
 
 
-def _asym_integral(lam, tau, eta, signs):
-    f, pair = _asym_forms(lam, tau, eta, signs)
-    return audited_integral(f, Path()) + gamma_pair_tower_correction(pair)
-
-
 def I_tilde(lam, tau, eta):
     """One-sided integral: phase ``e^{-3 pi i lam}`` times the separating-cycle
     integral of the gamma-ratio / theta-ratio / level-theta integrand.
@@ -484,13 +481,13 @@ def I_tilde(lam, tau, eta):
     valid).  It is realized as straight-path quadrature plus the tower
     correction of the gamma-pair form :func:`asym_pair_form`.
     """
-    return _asym_integral(lam, tau, eta, (1,))
+    return audited_integral(*_asym_forms(lam, tau, eta, (1,)))
 
 
 def I_sym(lam, tau, eta):
     """Antisymmetrization ``I_tilde(lam) - I_tilde(-lam)`` as one integral, a
     term for each sign of ``lam``: one audited quadrature and one tower walk."""
-    return _asym_integral(lam, tau, eta, (1, -1))
+    return audited_integral(*_asym_forms(lam, tau, eta, (1, -1)))
 
 
 def eval3_rhs(lam, tau, eta):
@@ -559,16 +556,11 @@ def fv_u(lam, mu, tau, sigma, eta):
     sigma = complex(sigma)
     eta = complex(eta)
     _require(tau.imag > 0 and sigma.imag > 0, "requires Im(tau) > 0 and Im(sigma) > 0")
-    f, pair = _fv_forms(1, mu, tau, sigma, eta, ((1, (Factor("jacobi", lam, 1, (tau,)),)),))
-    path = Path()
     if eta.imag == 0:
         quarter = 4 * float(eta.real) - 0.5
         _require(abs(quarter - round(quarter)) < 1e-12, "real eta needs 4 eta = 1/2 (mod 1)")
-        path = _quarter_path(-2 * float(eta.real), tau, sigma)
-    value = audited_integral(f, path)
-    if pair is not None:
-        value = value + gamma_pair_tower_correction(pair)
-    return epi(-lam * mu / (2 * eta)) * value
+    terms = ((1, (Factor("jacobi", lam, 1, (tau,)),)),)
+    return epi(-lam * mu / (2 * eta)) * audited_integral(*_fv_forms(1, mu, tau, sigma, eta, terms))
 
 
 def fv_val1_rhs(tau, sigma):
@@ -636,8 +628,7 @@ def _htf_integral(mu, kappa, lam, tau, eta, signs):
         Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * s * lam, 2, (2 * kappa * tau,)),
     )) for s in signs)
     scale = epi(tau * mu**2 / (2 * kappa)) * qpoch1_add(2 * kappa * tau, 2 * kappa * tau)
-    f, pair = _fv_forms(scale, 2 * eta * mu, tau, -2 * eta * kappa, eta, terms)
-    return audited_integral(f, Path()) + gamma_pair_tower_correction(pair)
+    return audited_integral(*_fv_forms(scale, 2 * eta * mu, tau, -2 * eta * kappa, eta, terms))
 
 
 def htf_I_tilde(mu, kappa, lam, tau, eta):

@@ -167,22 +167,25 @@ def test_clearance_is_required():
 
 def test_entire_integrand_is_audited_with_infinite_clearance(monkeypatch):
     # slope-1 theta0 factors in the numerator list no pole, so the audit
-    # passes math.inf, and the quadrature runs 16 nodes and their 16 midpoints
+    # passes math.inf on the straight period, the path that no axis pole
+    # bends, and the quadrature runs 16 nodes and their 16 midpoints
     tau = 0.1 + 0.8j
     f = special.Integrand(
         (special.Factor("theta0", 0.1, 1, (tau,)), special.Factor("theta0", -0.2j, 1, (tau,), 2))
     )
     assert special.pole_inventory(f) == []
-    calls = []
+    calls, paths = [], []
 
     def recording(*args, **kwargs):
         result = integrate(*args, **kwargs)
         calls.append((kwargs["clearance"], result.evaluations))
+        paths.append(args[1])
         return result
 
     monkeypatch.setattr(special, "integrate", recording)
-    value = special.audited_integral(f, STRAIGHT)
+    value = special.audited_integral(f)
     assert calls == [(math.inf, 32)]
+    assert paths == [STRAIGHT]
     # an entire periodic integrand has the same integral on every path
     curved = integrate(f, Path(0.1, 0.2), math.inf, tol=1e-12).value
     assert abs(value - curved) <= 1e-10 * max(1.0, abs(curved))
@@ -434,11 +437,17 @@ def test_unsolved_pole_takes_the_bound_and_fails_below_the_clearance(monkeypatch
     assert math.isclose(report.clearance, _strip_floor(0.9, 0.1), rel_tol=1e-12)
     assert other.ok and other.distance >= report.clearance
     # a bound below the clearance the report returns cannot vouch for it:
-    # the entry fails, and the audited quadrature names the pole
+    # the entry fails.  An axis pole at 0 makes the audited quadrature pick
+    # a curved path over it, Path(0.025, 0), half as high as the pole at
+    # -0.05i; there the unsolved pole's bound again falls below the
+    # clearance, and the audited quadrature names the pole and the path
     assert entry.distance < report.clearance and not entry.ok and not report.ok
-    monkeypatch.setattr(special, "pole_inventory", lambda f: [pole, far])
-    with pytest.raises(PoleOnPath, match=r"pole=\(-0-0\.05j\)"):
-        special.audited_integral(lambda z: 1 / z, path)
+    axis = PoleSpec(0.0, "above")
+    curved = pole_audit(Path(0.025, 0.0), [axis, pole, far])
+    assert curved.entries[1].preimage is None and curved.entries[1].distance < curved.clearance
+    monkeypatch.setattr(special, "pole_inventory", lambda f: [axis, pole, far])
+    with pytest.raises(PoleOnPath, match=r"Path\(c=0\.025, x0=0\.0\).*pole=\(-0-0\.05j\)"):
+        special.audited_integral(lambda z: 1 / z)
 
 
 def test_audit_reduces_modulo_period():

@@ -95,3 +95,31 @@ def test_every_exported_name_is_used(name):
     )
     unused = [attr for attr in getattr(module, "__all__", ()) if attr not in used]
     assert not unused, f"ellverify.{name}.__all__ names used nowhere but tests: {unused}"
+
+
+def _callers(callee):
+    """``(module, function)`` of each call of ``callee`` in ``src/``, by the
+    innermost function that makes it (``None`` at module level)."""
+    found = set()
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call) and callee in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.add((module, function))
+            visit(child, module, function)
+
+    for name, tree in SOURCES.items():
+        visit(tree, name, None)
+    return found
+
+
+def test_only_the_audit_picks_a_path():
+    # the cycle follows from the pole inventory, so no evaluator constructs
+    # a Path or adds a tower correction: audited_integral does both
+    assert {c for c in _callers("Path") if c[0] != "contour"} == {("special", "audited_integral")}
+    assert _callers("gamma_pair_tower_correction") == {("special", "audited_integral")}

@@ -5,6 +5,7 @@ identity through the catalog tests."""
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -96,14 +97,20 @@ def test_quarter_shift_sides_are_derived_not_assumed(monkeypatch):
     # eval1's integrand on eval2's path: the poles at -+1/4 keep their
     # clearance but see the path pass on the wrong side
     tau, sigma = 0.1 + 0.8j, 0.2 + 0.7j
-    eval1, _ = declared(monkeypatch, special.eval1_lhs, tau, sigma)
+    eval1, eval1_path = declared(monkeypatch, special.eval1_lhs, tau, sigma)
     _, eval2_path = declared(monkeypatch, special.eval2_lhs, tau, sigma)
-    report = contour.pole_audit(eval2_path, special.pole_inventory(eval1))
+    assert eval1_path != eval2_path
+    inventory = special.pole_inventory(eval1)
+    report = contour.pole_audit(eval2_path, inventory)
     bad = [e for e in report.entries if not e.ok]
     assert {round(e.reduced.real, 12) for e in bad} == {-0.25, 0.25}
     assert all(e.distance >= CLEARANCE and e.path_side != e.required_side for e in bad)
-    with pytest.raises(PoleOnPath):
-        special.audited_integral(eval1, eval2_path)
+    # an inventory led by eval2's axis pole makes the audited quadrature pick
+    # eval2's path, which eval1's own poles then refuse
+    with monkeypatch.context() as mp:
+        mp.setattr(special, "pole_inventory", lambda f: [contour.PoleSpec(0.25, "above")] + inventory)
+        with pytest.raises(PoleOnPath, match=re.escape(f"audit of {eval2_path} rejected 2 pole(s)")):
+            special.audited_integral(eval1)
 
 
 def test_wide_quarter_paths_pass_at_the_parameter_clearance(monkeypatch):
@@ -118,11 +125,11 @@ def test_wide_quarter_paths_pass_at_the_parameter_clearance(monkeypatch):
         params = catalog.sample_params("eval1", 0, index)
         with monkeypatch.context() as mp:
             f, path = declared(mp, special.eval1_lhs, params["tau"], params["sigma"])
-        quarter = special.audited_integral(f, path)
+        quarter = special.audited_integral(f)
         report = contour.pole_audit(wide, special.pole_inventory(f))
         assert report.ok and round(report.clearance, 3) == 0.087
         assert all(abs(wide.point(e.preimage) - e.reduced) <= 1e-13 for e in report.entries)
-        assert close(special.audited_integral(f, wide), quarter, 1e-12)
+        assert close(contour.integrate(f, wide, report.clearance).value, quarter, 1e-12)
         euclidean = min(float(np.min(np.abs(wide.point(x) - e.reduced))) for e in report.entries)
         assert round(euclidean, 2) == 0.23
         with pytest.raises(contour.MissedPole):
@@ -439,13 +446,12 @@ def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
 def closed_forms():
     """``{(kind, power) of each factor: [(declaration, value), ...]}`` of every
     closed form (a declaration of slope-0 factors) that the numeric checks
-    evaluate at their seed-0 draws 0-19, each at one draw.  Integrals read 1
-    and tower corrections 0, so that only closed forms are evaluated."""
+    evaluate at their seed-0 draws 0-19, each at one draw.  Integrals, tower
+    corrections included, read 1, so that only closed forms are evaluated."""
     found = {}
     with pytest.MonkeyPatch.context() as mp:
         for module in (special, lemmas):
-            mp.setattr(module, "audited_integral", lambda f, path: 1)
-            mp.setattr(module, "gamma_pair_tower_correction", lambda f: 0)
+            mp.setattr(module, "audited_integral", lambda f, pair=None: 1)
         mp.setattr(special, "delta_sym", lambda *args: 1)
         call = special.Integrand.__call__
 
@@ -579,6 +585,44 @@ def test_every_quadrature_meets_its_tolerance_and_its_estimate(monkeypatch, cid)
         true_error = abs(result.value - reference) / scale
         assert true_error <= QUADRATURE_TOL / 10, (cid, result)
         assert true_error <= max(10 * result.error / scale, 1e-13), (cid, result)
+
+
+#: the checks whose cycle passes between poles on the real axis
+QUARTER = ["eval1", "eval2", "fv-val1", "fv-val2", "mod-minus", "mod-plus"]
+
+
+@pytest.mark.parametrize("cid", INTEGRATING)
+def test_the_audit_picks_the_quarter_path_or_the_straight_period(monkeypatch, cid):
+    # the quarter-shift cycle of each draw of these checks, eval1's, eval2's
+    # or fv_u's at real eta (its leading gamma has a real shift), runs on
+    # Path(min(0.1, Im m / 2), x0) for the shallower modulus m of its own
+    # gamma factors, above x0, minus that shift (-1/4 for eval1, 1/4 for
+    # eval2, -2 eta for fv_u); every other cycle is the straight period
+    assert set(QUARTER) <= set(INTEGRATING)
+    runs = record_quadratures(monkeypatch)
+    for index in range(3):
+        catalog.run_check(cid, seed=0, sample_index=index)
+    assert runs
+    for f, path, _ in runs:
+        expected = contour.Path()
+        if cid in QUARTER and complex(f.factors[0].shift).imag == 0:
+            gamma = f.factors[0]
+            depth = min(complex(m).imag for m in gamma.moduli)
+            expected = contour.Path(min(0.1, 0.5 * depth), -complex(gamma.shift).real)
+        assert path == expected, (cid, path)
+    assert sum(path.c != 0 for _, path, _ in runs) == (3 if cid in QUARTER else 0)
+
+
+def test_axis_poles_no_path_separates_are_refused(monkeypatch):
+    # both axis poles want the path above them; the path passes above the
+    # first, at x0 = -1/4, so it runs below the second, and the audit names it
+    inventory = [contour.PoleSpec(-0.25, "above"), contour.PoleSpec(0.25, "above")]
+    monkeypatch.setattr(special, "pole_inventory", lambda f: inventory)
+    with pytest.raises(PoleOnPath) as excinfo:
+        special.audited_integral(lambda z: np.ones_like(z))
+    message = str(excinfo.value)
+    assert "Path(c=0.1, x0=-0.25) rejected 1 pole(s)" in message
+    assert "pole=(0.25+0j)" in message and "path_side='below'" in message
 
 
 # ---------------------------------------------------------------------------
