@@ -9,12 +9,18 @@ resolved configuration, so a report can be re-derived from itself.
 Complex numbers are serialized as two-element ``[re, im]`` arrays.  Wall
 times are recorded under ``elapsed_seconds`` keys; strip those to compare
 reports for reproducibility.
+
+Schema "2": only a failed numeric row carries ``parameters``; a passing
+row's are ``catalog.sample_params(row["id"], config["seed"],
+row["sample_index"])`` exactly.  They were 44% of a pointwise report's
+floats, whose ``repr`` is most of the cost of writing it.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import functools
 import json
 import numbers
 import time
@@ -34,7 +40,7 @@ __all__ = [
     "run_suite",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class ConfigInvalid(ValueError):
@@ -143,12 +149,12 @@ def _pairs(values):
 def _numeric_row(
     identity_id, index, params, lhs, rhs, abs_error, rel_error, estimate, tol, passed, elapsed
 ):
-    """The report row of a settled draw, from values already in JSON form."""
-    return {
+    """The report row of a settled draw, from values already in JSON form;
+    ``params()``, the encoded parameters, is called for a failed draw only."""
+    row = {
         "id": identity_id,
         "kind": "numeric",
         "sample_index": index,
-        "parameters": params,
         "lhs": lhs,
         "rhs": rhs,
         "abs_error": abs_error,
@@ -159,6 +165,9 @@ def _numeric_row(
         "status": "pass" if passed else "fail",
         "elapsed_seconds": elapsed,
     }
+    if not passed:
+        row["parameters"] = params()
+    return row
 
 
 def _numeric_result(entry, config, sample_index):
@@ -181,7 +190,7 @@ def _numeric_result(entry, config, sample_index):
             "elapsed_seconds": time.perf_counter() - start,
         }
     return _numeric_row(
-        entry.id, sample_index, _encode_params(res.parameters), _cx(res.lhs_value),
+        entry.id, sample_index, lambda: _encode_params(res.parameters), _cx(res.lhs_value),
         _cx(res.rhs_value), res.abs_error, res.rel_error, res.quadrature_error_estimate,
         res.tolerance, res.passed, time.perf_counter() - start,
     )
@@ -198,20 +207,23 @@ def _numeric_results(entry, config, count):
         entry.id, config.seed, range(count), config.tolerance_overrides.get(entry.id)
     )
     share = (time.perf_counter() - start) / count
-    names, tol = tuple(batch.parameters), batch.tolerance
+
+    def params(index):
+        """The encoded parameters of draw ``index``, read from the batch's columns."""
+        return _encode_params({name: values[index] for name, values in batch.parameters.items()})
+
     columns = zip(
         range(count), batch.settled.tolist(), _pairs(batch.lhs), _pairs(batch.rhs),
         batch.abs_error.tolist(), batch.rel_error.tolist(), batch.passed.tolist(),
-        *map(_pairs, batch.parameters.values()),
     )
     return [
         _numeric_row(
-            entry.id, index, dict(zip(names, values)), lhs, rhs, abs_error, rel_error, None,
-            tol, passed, share,
+            entry.id, index, functools.partial(params, index), lhs, rhs, abs_error,
+            rel_error, None, batch.tolerance, passed, share,
         )
         if settled
         else _numeric_result(entry, config, index)
-        for index, settled, lhs, rhs, abs_error, rel_error, passed, *values in columns
+        for index, settled, lhs, rhs, abs_error, rel_error, passed in columns
     ]
 
 
@@ -300,9 +312,13 @@ def run_suite(config: RunConfig) -> VerificationReport:
     complex arithmetic can round differently from Python and a batch's
     series run to the term count of its slowest draw; they stay within about
     1e-14, far inside every tolerance, so verdicts do not change, and a fixed
-    config still gives the same report.  Its comparison is the one :func:`catalog.run_check` makes,
-    and its row is built from the batch's columns.  Each batched result's
-    ``elapsed_seconds`` is its share of the batch.
+    config still gives the same report.  Its comparison is the one
+    :func:`catalog.run_check` makes, and its row is built from the batch's
+    columns.  Each batched result's ``elapsed_seconds`` is its share of the
+    batch.
+
+    Only a failed numeric row carries its ``parameters``, from the batch's
+    columns or the draw's own result (report schema "2").
     """
     started = time.perf_counter()
     results = []

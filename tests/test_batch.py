@@ -18,8 +18,9 @@ from ellverify.report import RunConfig, run_suite
 
 POINTWISE = [cid for cid in catalog.identity_ids("numeric") if catalog.get_entry(cid).array_sides]
 
-#: fields a batched row shares exactly with the row of the per-draw path
-EXACT_FIELDS = ("id", "kind", "sample_index", "parameters", "tolerance", "decision", "status")
+#: fields a batched row shares exactly with the row of the per-draw path; a
+#: passing row has no parameters (see test_a_failed_row_carries_its_parameters)
+EXACT_FIELDS = ("id", "kind", "sample_index", "tolerance", "decision", "status")
 
 
 def _single_row(identity_id, seed, index):
@@ -341,3 +342,35 @@ def test_batched_report_is_reproducible_and_times_each_share():
     second["summary"].pop("elapsed_seconds")
     assert first == second
     assert first["summary"]["passed"] == 7 * len(POINTWISE)
+
+
+def test_a_passing_row_leaves_its_parameters_to_sample_params():
+    # schema 2: catalog.sample_params(id, config.seed, sample_index) rebuilds them
+    config = RunConfig(catalog.identity_ids("numeric"), samples_per_identity=3, seed=0)
+    payload = run_suite(config).as_dict()
+    assert payload["schema_version"] == report.SCHEMA_VERSION == "2"
+    assert payload["summary"]["all_passed"]
+    assert len(payload["results"]) == 3 * len(config.identity_ids)
+    for row in payload["results"]:
+        assert row["status"] == "pass" and "parameters" not in row, row["id"]
+
+
+@pytest.mark.parametrize("identity_id", POINTWISE + ["eval1"])
+def test_a_failed_row_carries_its_parameters(identity_id):
+    # only sides equal to the last bit meet a tolerance of 1e-300: no batched
+    # draw does, so every batched row fails and carries the parameters
+    # sample_params gives it, and so does every draw that fails on its own
+    overrides = {identity_id: 1e-300}
+    config = RunConfig([identity_id], samples_per_identity=20, tolerance_overrides=overrides)
+    rows = run_suite(config).results
+    entry = catalog.get_entry(identity_id)
+    for index, row in enumerate(rows):
+        want = report._encode_params(catalog.sample_params(identity_id, 0, index))
+        assert row["status"] == "fail" and row["parameters"] == want, index
+        single = report._numeric_result(entry, config, index)
+        # Python's complex arithmetic gives lemma.sym-rearrange draw 14 and
+        # theta-mod draw 4 equal sides on their own: those rows pass
+        if single["abs_error"] == 0:
+            assert single["status"] == "pass" and "parameters" not in single, index
+        else:
+            assert single["status"] == "fail" and single["parameters"] == want, index

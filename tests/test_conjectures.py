@@ -236,6 +236,37 @@ def test_theta_simp3_series_states_the_numeric_lemma(order):
             assert abs(value - want) <= tol * abs(want), (index, order)
 
 
+@pytest.mark.parametrize("order", [12, 16])
+def test_sym_rearrange_series_states_the_numeric_lemma(order):
+    # both sides of the series form, summed at x = e(t), u = e(tau) and
+    # w = e(eta) for seed-0 draws of the numeric check, are its sides times
+    # (x/w^2; u, w^8)^2 (1/(x w^2); u, w^8) (u w^6/x; u, w^8)
+    # theta0(t + 2 eta; tau) theta0(t + 2 eta; 8 eta), the divisor the series
+    # form clears.  The series stops below u^(order+1) and w^(order+1); its
+    # factor 1 - x w^2 is the largest per power of w, so the tail shrinks
+    # like rho^(order+1), rho = max(|u|, |w| sqrt|x|), and at these draws it
+    # reaches 1e3 rho^(order+1)
+    side1, side2 = _LEMMA_SERIES["sym-rearrange"](order)
+    for index in range(5):
+        p = catalog.sample_params("lemma.sym-rearrange", 0, index)
+        t, tau, eta = p["t"], p["tau"], p["eta"]
+        x, u, w = (cmath.exp(2j * cmath.pi * v) for v in (t, tau, eta))
+        w8 = w**8
+        divisor = (
+            kernel.qpoch2(x / w**2, u, w8) ** 2
+            * kernel.qpoch2(1 / (x * w**2), u, w8)
+            * kernel.qpoch2(u * w**6 / x, u, w8)
+            * kernel.theta0(t + 2 * eta, tau)
+            * kernel.theta0(t + 2 * eta, 8 * eta)
+        )
+        rho = max(abs(u), abs(w) * abs(x) ** 0.5)
+        tol = 1e-13 + 1e4 * rho ** (order + 1)
+        for side, numeric in ((side1, lemmas.sym_rearrange_lhs), (side2, lemmas.sym_rearrange_rhs)):
+            value = sum(c * x**i * u**j * w**k for (i, j, k), c in side.terms.items()) / divisor
+            want = numeric(t, tau, eta)
+            assert abs(value - want) <= tol * abs(want), (index, order)
+
+
 # SHA-256 of render() of both sides at the benchmark orders.  They were
 # recorded with a sparse dict-of-Fraction storage, so they pin the output
 # independently of how series are stored.
