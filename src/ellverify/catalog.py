@@ -111,6 +111,9 @@ class IdentityResult:
     rhs_value: complex
     abs_error: float
     rel_error: float
+    #: abs_error / (tolerance * max(1, |rhs|)), at most 1 exactly when a
+    #: finite abs_error passes; nan when an infinite rhs makes both infinite
+    margin: float
     #: largest error / max(1, |value|) among the quadratures the draw ran
     #: (None when it ran none)
     quadrature_error_estimate: Optional[float]
@@ -933,7 +936,7 @@ def run_check(
     with achieved_errors() as errors:
         lhs = complex(entry.lhs(params))
         rhs = complex(entry.rhs(params))
-    abs_error, size, rel_error, passed = _compare(np.array(lhs), np.array(rhs), tol)
+    abs_error, size, margin, passed = _compare(np.array(lhs), np.array(rhs), tol)
     # keep the OverflowError Python's abs raises where np.hypot of a finite value reads inf
     for value, magnitude in ((lhs - rhs, abs_error), (rhs, size)):
         if cmath.isfinite(value) and not np.isfinite(magnitude):
@@ -945,7 +948,8 @@ def run_check(
         lhs_value=lhs,
         rhs_value=rhs,
         abs_error=float(abs_error),
-        rel_error=float(rel_error),
+        rel_error=float(abs_error) / max(float(size), 1e-300),
+        margin=float(margin),
         quadrature_error_estimate=max(errors) if errors else None,
         tolerance=tol,
         decision=DECISION_RULE,
@@ -954,17 +958,18 @@ def run_check(
 
 
 def _compare(lhs, rhs, tol):
-    """``(abs_error, |rhs|, rel_error, passed)`` of complex side arrays by
-    :data:`DECISION_RULE`.  ``np.hypot(z.real, z.imag)`` is ``abs(z)`` bit
-    for bit (``np.abs`` is not), but reads ``inf`` where ``abs`` overflows."""
+    """``(abs_error, |rhs|, margin, passed)`` of complex side arrays by
+    :data:`DECISION_RULE`, the margin being abs_error over its bound.
+    ``np.hypot(z.real, z.imag)`` is ``abs(z)`` bit for bit (``np.abs`` is
+    not), but reads ``inf`` where ``abs`` overflows."""
     with np.errstate(all="ignore"):
         diff = lhs - rhs
         abs_error = np.hypot(diff.real, diff.imag)
         size = np.hypot(rhs.real, rhs.imag)
-        rel_error = abs_error / np.maximum(size, 1e-300)
+        bound = tol * np.maximum(1.0, size)
         # an infinite rhs makes the bound infinite too: inf <= inf is no pass
-        passed = (abs_error <= tol * np.maximum(1.0, size)) & np.isfinite(abs_error)
-        return abs_error, size, rel_error, passed
+        passed = (abs_error <= bound) & np.isfinite(abs_error)
+        return abs_error, size, abs_error / bound, passed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -979,7 +984,7 @@ class Batch:
     lhs: np.ndarray
     rhs: np.ndarray
     abs_error: np.ndarray
-    rel_error: np.ndarray
+    margin: np.ndarray
     passed: np.ndarray
     settled: np.ndarray
     tolerance: float
@@ -1025,7 +1030,7 @@ def run_batch(
     except Exception:  # every draw left unsettled: run_check isolates the culprit
         arrays, lhs = {}, np.full(len(indices), np.nan, complex)
         rhs = lhs
-    abs_error, size, rel_error, passed = _compare(lhs, rhs, tol)
+    abs_error, size, margin, passed = _compare(lhs, rhs, tol)
     # a finite |lhs - rhs| needs finite sides; neither it nor |rhs| overflowed
     settled = np.isfinite(abs_error) & np.isfinite(size)
-    return Batch(arrays, lhs, rhs, abs_error, rel_error, passed, settled, tol)
+    return Batch(arrays, lhs, rhs, abs_error, margin, passed, settled, tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import catalog, report
@@ -117,7 +118,7 @@ def _print_report(rep):
         rows = grouped[check_id]
         errors = [r for r in rows if r["status"] == "error"]
         failed = [r for r in rows if r["status"] == "fail"]
-        if rows[0]["kind"] == "series":
+        if catalog.get_entry(check_id).kind == "series":
             row = rows[0]
             if errors:
                 print(f"ERROR {check_id}: {row['error']}")
@@ -128,12 +129,13 @@ def _print_report(rep):
                     f"{len(row['cases'])} case(s)"
                 )
             continue
-        measured = [r["abs_error"] for r in rows if r["status"] != "error"]
-        worst = max(measured) if measured else float("nan")
+        measured = [r["margin"] for r in rows if r["status"] != "error"]
+        # an infinite rhs makes a draw's margin nan, the worst there is
+        worst = max(measured, key=lambda m: math.inf if math.isnan(m) else m, default=math.nan)
         status = "ok  " if not failed and not errors else "FAIL"
         line = (
             f"{status}  {check_id}: {len(rows) - len(errors) - len(failed)}"
-            f"/{len(rows)} samples ok, worst abs err {worst:.2e}"
+            f"/{len(rows)} samples ok, worst margin {worst:.2e}"
         )
         if errors:
             line += f", {len(errors)} error(s): {errors[0]['error']}"

@@ -10,10 +10,19 @@ Complex numbers are serialized as two-element ``[re, im]`` arrays.  Wall
 times are recorded under ``elapsed_seconds`` keys; strip those to compare
 reports for reproducibility.
 
-Schema "2": only a failed numeric row carries ``parameters``; a passing
-row's are ``catalog.sample_params(row["id"], config["seed"],
-row["sample_index"])`` exactly.  They were 44% of a pointwise report's
-floats, whose ``repr`` is most of the cost of writing it.
+Schema "3": a row holds only what varies by draw.  The top-level
+``checks`` maps each selected id to what its rows share: ``kind``, and for a
+numeric check ``tolerance`` and ``decision``.  A settled numeric row carries
+``margin``, abs_error / (tolerance * max(1, |rhs|)), in place of the errors
+its ``lhs`` and ``rhs`` rebuild: abs_error is ``abs(complex(*lhs) -
+complex(*rhs))`` and rel_error that over ``max(abs(rhs), 1e-300)``, bit for
+bit.  ``status`` is the verdict.  The margin divides by the bound the
+comparison uses, so on a finite error it is at most 1 exactly when the draw
+passes; an infinite rhs makes it nan, and the draw fails.
+Only a failed numeric row carries ``parameters``; a passing row's are
+``catalog.sample_params(row["id"], config["seed"], row["sample_index"])``
+exactly.  Float ``repr`` is most of the cost of writing a report, so every
+float a row can leave out is one it does not write.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ __all__ = [
     "run_suite",
 ]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class ConfigInvalid(ValueError):
@@ -146,25 +155,20 @@ def _pairs(values):
     return np.stack((values.real, values.imag), -1).tolist()
 
 
-def _numeric_row(
-    identity_id, index, params, lhs, rhs, abs_error, rel_error, estimate, tol, passed, elapsed
-):
+def _numeric_row(identity_id, index, params, lhs, rhs, margin, estimate, passed, elapsed):
     """The report row of a settled draw, from values already in JSON form;
     ``params()``, the encoded parameters, is called for a failed draw only."""
     row = {
         "id": identity_id,
-        "kind": "numeric",
         "sample_index": index,
         "lhs": lhs,
         "rhs": rhs,
-        "abs_error": abs_error,
-        "rel_error": rel_error,
-        "quadrature_error_estimate": estimate,
-        "tolerance": tol,
-        "decision": catalog.DECISION_RULE,
+        "margin": margin,
         "status": "pass" if passed else "fail",
         "elapsed_seconds": elapsed,
     }
+    if estimate is not None:
+        row["quadrature_error_estimate"] = estimate
     if not passed:
         row["parameters"] = params()
     return row
@@ -183,7 +187,6 @@ def _numeric_result(entry, config, sample_index):
     except Exception as exc:  # isolated: one bad draw must not sink the run
         return {
             "id": entry.id,
-            "kind": "numeric",
             "sample_index": sample_index,
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
@@ -191,8 +194,8 @@ def _numeric_result(entry, config, sample_index):
         }
     return _numeric_row(
         entry.id, sample_index, lambda: _encode_params(res.parameters), _cx(res.lhs_value),
-        _cx(res.rhs_value), res.abs_error, res.rel_error, res.quadrature_error_estimate,
-        res.tolerance, res.passed, time.perf_counter() - start,
+        _cx(res.rhs_value), res.margin, res.quadrature_error_estimate, res.passed,
+        time.perf_counter() - start,
     )
 
 
@@ -214,16 +217,16 @@ def _numeric_results(entry, config, count):
 
     columns = zip(
         range(count), batch.settled.tolist(), _pairs(batch.lhs), _pairs(batch.rhs),
-        batch.abs_error.tolist(), batch.rel_error.tolist(), batch.passed.tolist(),
+        batch.margin.tolist(), batch.passed.tolist(),
     )
     return [
         _numeric_row(
-            entry.id, index, functools.partial(params, index), lhs, rhs, abs_error,
-            rel_error, None, batch.tolerance, passed, share,
+            entry.id, index, functools.partial(params, index), lhs, rhs, margin, None,
+            passed, share,
         )
         if settled
         else _numeric_result(entry, config, index)
-        for index, settled, lhs, rhs, abs_error, rel_error, passed in columns
+        for index, settled, lhs, rhs, margin, passed in columns
     ]
 
 
@@ -234,19 +237,30 @@ def _series_result(check_id, config):
     except Exception as exc:
         return {
             "id": check_id,
-            "kind": "series",
             "status": "error",
             "error": f"{type(exc).__name__}: {exc}",
             "elapsed_seconds": time.perf_counter() - start,
         }
     return {
         "id": check_id,
-        "kind": "series",
         "order": outcome["order"],
         "cases": outcome["cases"],
         "status": "pass" if outcome["exact"] else "fail",
         "elapsed_seconds": time.perf_counter() - start,
     }
+
+
+def _checks(config):
+    """What every row of a check shares, by check id: its kind, and for a
+    numeric check the tolerance its draws ran at and the decision rule."""
+    checks = {}
+    for check_id in config.identity_ids:
+        entry = catalog.get_entry(check_id)
+        checks[check_id] = {"kind": entry.kind}
+        if entry.kind == "numeric":
+            tol = config.tolerance_overrides.get(check_id, entry.tolerance)
+            checks[check_id].update(tolerance=float(tol), decision=catalog.DECISION_RULE)
+    return checks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,6 +273,7 @@ class VerificationReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.as_dict(),
+            "checks": _checks(self.config),
             "results": list(self.results),
             "summary": dict(self.summary),
         }
@@ -280,8 +295,8 @@ class VerificationReport:
         yield "\n}"
 
     def to_json(self):
-        """The report as JSON with sorted keys: ``config`` and ``summary`` at
-        ``indent=2``, and each result on one compact line of its own."""
+        """The report as JSON with sorted keys: ``checks``, ``config`` and
+        ``summary`` at ``indent=2``, and each result on one compact line of its own."""
         return "".join(self._json_chunks())
 
     def save(self, path):
@@ -311,14 +326,20 @@ def run_suite(config: RunConfig) -> VerificationReport:
     may differ in their last bits from the per-draw ones, since numpy's SIMD
     complex arithmetic can round differently from Python and a batch's
     series run to the term count of its slowest draw; they stay within about
-    1e-14, far inside every tolerance, so verdicts do not change, and a fixed
-    config still gives the same report.  Its comparison is the one
-    :func:`catalog.run_check` makes, and its row is built from the batch's
-    columns.  Each batched result's ``elapsed_seconds`` is its share of the
-    batch.
+    1e-14, and a fixed config still gives the same report.  At the
+    registered tolerances that is far inside every bound, so a batched
+    draw's verdict is the per-draw one.  At a tolerance near rounding it
+    need not be: at ``tolerance_overrides={id: 1e-300}`` and seed 0,
+    lemma.sym-rearrange draw 14 and theta-mod draw 4 fail batched but pass
+    alone, where Python's arithmetic gives equal sides.  Its comparison is
+    the one :func:`catalog.run_check` makes, and its row is built from the
+    batch's columns.  Each batched result's ``elapsed_seconds`` is its share
+    of the batch.
 
-    Only a failed numeric row carries its ``parameters``, from the batch's
-    columns or the draw's own result (report schema "2").
+    A row carries only what varies by draw (report schema "3"); what the
+    rows of a check share is in the report's ``checks``.  Only a failed
+    numeric row carries its ``parameters``, from the batch's columns or the
+    draw's own result.
     """
     started = time.perf_counter()
     results = []

@@ -18,9 +18,16 @@ from ellverify.report import RunConfig, run_suite
 
 POINTWISE = [cid for cid in catalog.identity_ids("numeric") if catalog.get_entry(cid).array_sides]
 
+#: three draws of every numeric check at seed 0
+THREE_DRAWS = RunConfig(catalog.identity_ids("numeric"), samples_per_identity=3, seed=0)
+
 #: fields a batched row shares exactly with the row of the per-draw path; a
-#: passing row has no parameters (see test_a_failed_row_carries_its_parameters)
-EXACT_FIELDS = ("id", "kind", "sample_index", "tolerance", "decision", "status")
+#: passing row has no parameters (see test_a_failed_row_carries_its_parameters),
+#: and the kind, tolerance and decision are the report's, once per check
+EXACT_FIELDS = ("id", "sample_index", "status")
+
+#: the keys of a settled numeric row, before its optional ones
+ROW_KEYS = {"id", "sample_index", "lhs", "rhs", "margin", "status", "elapsed_seconds"}
 
 
 def _single_row(identity_id, seed, index):
@@ -56,7 +63,12 @@ def test_the_eight_pointwise_checks_declare_array_sides():
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("identity_id", POINTWISE)
 def test_batched_run_suite_matches_run_check(identity_id, seed):
-    rows = run_suite(RunConfig([identity_id], samples_per_identity=50, seed=seed)).results
+    payload = run_suite(RunConfig([identity_id], samples_per_identity=50, seed=seed)).as_dict()
+    # the kind, tolerance and decision each per-draw result carries
+    res = catalog.run_check(identity_id, seed, 0)
+    want = {"kind": "numeric", "tolerance": res.tolerance, "decision": res.decision}
+    assert payload["checks"] == {identity_id: want}
+    rows = payload["results"]
     assert [row["sample_index"] for row in rows] == list(range(50))
     for row in rows:
         single = _single_row(identity_id, seed, row["sample_index"])
@@ -135,7 +147,7 @@ def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
 
 def test_run_batch_returns_a_result_per_index():
     batch = catalog.run_batch("lemma.theta-simp2", 3, [4, 0, 9, 4])
-    columns = [batch.lhs, batch.rhs, batch.abs_error, batch.rel_error, batch.passed]
+    columns = [batch.lhs, batch.rhs, batch.abs_error, batch.margin, batch.passed]
     columns += list(batch.parameters.values())
     assert all(column.shape == (3,) for column in columns)
     # one row per distinct index, in order
@@ -144,9 +156,9 @@ def test_run_batch_returns_a_result_per_index():
         assert repr(params) == repr(catalog.sample_params("lemma.theta-simp2", 3, index))
     assert batch.settled.tolist() == batch.passed.tolist() == [True] * 3
     assert batch.tolerance == catalog.get_entry("lemma.theta-simp2").tolerance
-    # a batched row ran no quadrature
+    # a batched row ran no quadrature, so it has no estimate to write
     rows = run_suite(RunConfig(["lemma.theta-simp2"], samples_per_identity=3, seed=3)).results
-    assert all(row["quadrature_error_estimate"] is None for row in rows)
+    assert all(set(row) == ROW_KEYS for row in rows)
     with pytest.raises(ValueError, match="array sides"):
         catalog.run_batch("eval1", 0, [0])
 
@@ -248,7 +260,7 @@ def _assert_batched_draw_runs_on_its_own(monkeypatch, index, values, alone=False
     assert all(row["status"] == "pass" for row in rows if row["sample_index"] != index)
     single = _single_row("lemma.theta-simp2", 2, index)
     row = {k: v for k, v in rows[index].items() if k != "elapsed_seconds"}
-    # compared as the report writes them, where a nan rel_error equals itself
+    # compared as the report writes them, where a nan margin equals itself
     assert json.dumps(row, sort_keys=True) == json.dumps(single, sort_keys=True)
     return batch, single
 
@@ -298,14 +310,17 @@ def test_an_infinite_rhs_fails_against_any_lhs(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("identity_id", POINTWISE)
 def test_the_array_comparison_is_the_scalar_rule_exactly(identity_id, seed):
-    rows = run_suite(RunConfig([identity_id], samples_per_identity=50, seed=seed)).results
-    for row in rows:
+    payload = run_suite(RunConfig([identity_id], samples_per_identity=50, seed=seed)).as_dict()
+    batch = catalog.run_batch(identity_id, seed, range(50))
+    tolerance = payload["checks"][identity_id]["tolerance"]
+    for row in payload["results"]:
         lhs, rhs = complex(*row["lhs"]), complex(*row["rhs"])
         abs_error = abs(lhs - rhs)
-        assert row["abs_error"] == abs_error
-        assert row["rel_error"] == abs_error / max(abs(rhs), 1e-300)
-        passed = abs_error <= row["tolerance"] * max(1.0, abs(rhs))
-        assert row["status"] == ("pass" if passed else "fail")
+        # the error the verdict was made on is the one the row's sides rebuild
+        assert batch.abs_error[row["sample_index"]] == abs_error
+        bound = tolerance * max(1.0, abs(rhs))
+        assert row["margin"] == abs_error / bound
+        assert row["status"] == ("pass" if abs_error <= bound else "fail")
 
 
 #: finite float parts: subnormal (or zero), ordinary and near overflow
@@ -333,6 +348,22 @@ def test_hypot_is_the_absolute_value_of_a_complex_bit_for_bit(re, im):
     assert abs_error[0] == size[0] == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.tuples(PARTS, PARTS, PARTS, PARTS),
+    tol=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-16, 1.0), st.floats(1e300, 1e308)),
+)
+def test_a_finite_margin_is_at_most_one_exactly_on_a_pass(parts, tol):
+    # the margin divides by the rounded bound the comparison tests against, and
+    # a correctly rounded a / b exceeds 1 whenever a > b > 0
+    lhs, rhs = np.array([complex(*parts[:2])]), np.array([complex(*parts[2:])])
+    abs_error, _, margin, passed = catalog._compare(lhs, rhs, tol)
+    if np.isfinite(abs_error[0]):
+        assert bool(margin[0] <= 1.0) == bool(passed[0])
+    else:
+        assert not passed[0]
+
+
 def test_batched_report_is_reproducible_and_times_each_share():
     config = RunConfig(POINTWISE, samples_per_identity=7, seed=11)
     first, second = run_suite(config).as_dict(), run_suite(config).as_dict()
@@ -345,14 +376,51 @@ def test_batched_report_is_reproducible_and_times_each_share():
 
 
 def test_a_passing_row_leaves_its_parameters_to_sample_params():
-    # schema 2: catalog.sample_params(id, config.seed, sample_index) rebuilds them
-    config = RunConfig(catalog.identity_ids("numeric"), samples_per_identity=3, seed=0)
-    payload = run_suite(config).as_dict()
-    assert payload["schema_version"] == report.SCHEMA_VERSION == "2"
+    # catalog.sample_params(id, config.seed, sample_index) rebuilds them
+    payload = run_suite(THREE_DRAWS).as_dict()
+    assert payload["schema_version"] == report.SCHEMA_VERSION == "3"
     assert payload["summary"]["all_passed"]
-    assert len(payload["results"]) == 3 * len(config.identity_ids)
+    assert len(payload["results"]) == 3 * len(THREE_DRAWS.identity_ids)
     for row in payload["results"]:
         assert row["status"] == "pass" and "parameters" not in row, row["id"]
+
+
+def test_a_settled_row_holds_only_what_varies_by_draw():
+    # schema 3: no kind, tolerance, decision or errors; lhs and rhs rebuild
+    # the error the verdict was made on, and the margin is the comparison's
+    payload = run_suite(THREE_DRAWS).as_dict()
+    assert payload["schema_version"] == "3"
+    batches = {cid: catalog.run_batch(cid, 0, range(3)) for cid in POINTWISE}
+    for row in payload["results"]:
+        cid, index = row["id"], row["sample_index"]
+        if cid in batches:
+            assert set(row) == ROW_KEYS, cid
+            want = batches[cid].abs_error[index], batches[cid].margin[index]
+        else:
+            assert set(row) == ROW_KEYS | {"quadrature_error_estimate"}, cid
+            res = catalog.run_check(cid, 0, index)
+            assert row["quadrature_error_estimate"] == res.quadrature_error_estimate
+            assert res.rel_error == res.abs_error / max(abs(res.rhs_value), 1e-300)
+            want = res.abs_error, res.margin
+        rebuilt = abs(complex(*row["lhs"]) - complex(*row["rhs"]))
+        assert (rebuilt, row["margin"]) == want, (cid, index)
+
+
+def test_the_checks_of_a_report_are_the_manifest_and_its_overrides():
+    # derived from the config alone, so a report with no rows has them too
+    overrides = {"eval1": 1e-5, "theta-mod": 3}
+    config = RunConfig(report.all_check_ids(), tolerance_overrides=overrides)
+    summary = {"total": 0, "passed": 0, "failed": 0, "errors": 0, "all_passed": True}
+    checks = report.VerificationReport(config, (), summary).as_dict()["checks"]
+    manifest = report.list_identities()
+    assert list(checks) == [row["id"] for row in manifest]
+    for row in manifest:
+        want = {"kind": row["kind"]}
+        if row["kind"] == "numeric":
+            want["tolerance"] = overrides.get(row["id"], row["tolerance"])
+            want["decision"] = catalog.DECISION_RULE
+        assert checks[row["id"]] == want, row["id"]
+    assert isinstance(checks["theta-mod"]["tolerance"], float)
 
 
 @pytest.mark.parametrize("identity_id", POINTWISE + ["eval1"])
@@ -364,13 +432,17 @@ def test_a_failed_row_carries_its_parameters(identity_id):
     config = RunConfig([identity_id], samples_per_identity=20, tolerance_overrides=overrides)
     rows = run_suite(config).results
     entry = catalog.get_entry(identity_id)
+    keys = ROW_KEYS | {"parameters"}
+    if not entry.array_sides:
+        keys.add("quadrature_error_estimate")
     for index, row in enumerate(rows):
         want = report._encode_params(catalog.sample_params(identity_id, 0, index))
         assert row["status"] == "fail" and row["parameters"] == want, index
+        assert set(row) == keys, index
         single = report._numeric_result(entry, config, index)
         # Python's complex arithmetic gives lemma.sym-rearrange draw 14 and
         # theta-mod draw 4 equal sides on their own: those rows pass
-        if single["abs_error"] == 0:
+        if abs(complex(*single["lhs"]) - complex(*single["rhs"])) == 0:
             assert single["status"] == "pass" and "parameters" not in single, index
         else:
             assert single["status"] == "fail" and single["parameters"] == want, index

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ellverify import catalog, report
+from ellverify import catalog, cli, report
 from ellverify.cli import main
 from ellverify.report import ConfigInvalid, RunConfig, all_check_ids, run_suite
 
@@ -81,14 +81,15 @@ def test_report_rows_and_summary():
     # two numeric draws plus one series row
     assert payload["summary"]["total"] == 3
     assert payload["summary"]["all_passed"] is True
-    kinds = {row["kind"] for row in payload["results"]}
-    assert kinds == {"numeric", "series"}
+    checks = payload["checks"]
+    assert {check["kind"] for check in checks.values()} == {"numeric", "series"}
     for row in payload["results"]:
-        if row["kind"] == "numeric":
-            assert row["tolerance"] == catalog.DEFAULT_TOLERANCE
+        assert "kind" not in row and "tolerance" not in row  # both are per check
+        if checks[row["id"]]["kind"] == "numeric":
+            assert checks[row["id"]]["tolerance"] == catalog.DEFAULT_TOLERANCE
             assert isinstance(row["lhs"], list) and len(row["lhs"]) == 2
         else:
-            assert "tolerance" not in row  # exact checks carry no tolerance
+            assert "tolerance" not in checks[row["id"]]  # exact checks carry no tolerance
             assert row["order"] == 4
     assert rep.all_passed
 
@@ -214,7 +215,24 @@ def test_cli_verify_writes_report(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["summary"]["all_passed"] is True
-    assert "ok" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    worst = max(row["margin"] for row in payload["results"] if "margin" in row)
+    assert f"ok    lemma.theta-simp: 2/2 samples ok, worst margin {worst:.2e}\n" in printed
+
+
+def test_cli_prints_a_nan_margin_as_the_worst(capsys):
+    # an infinite rhs gives a failing draw a nan margin, wherever it falls
+    margins = [0.5, float("nan"), 0.25]
+    rows = tuple(
+        {"id": "theta-mod", "sample_index": k, "margin": m, "elapsed_seconds": 0.0,
+         "status": "fail" if m != m else "pass"}
+        for k, m in enumerate(margins)
+    )
+    summary = {"total": 3, "passed": 2, "failed": 1, "errors": 0, "all_passed": False,
+               "elapsed_seconds": 0.0}
+    config = RunConfig(["theta-mod"], samples_per_identity=3)
+    cli._print_report(report.VerificationReport(config, rows, summary))
+    assert "FAIL  theta-mod: 2/3 samples ok, worst margin nan\n" in capsys.readouterr().out
 
 
 def test_cli_exit_code_on_failure():
