@@ -110,7 +110,6 @@ class IdentityResult:
     lhs_value: complex
     rhs_value: complex
     abs_error: float
-    rel_error: float
     #: abs_error / (tolerance * max(1, |rhs|)), at most 1 exactly when a
     #: finite abs_error passes; nan when an infinite rhs makes both infinite
     margin: float
@@ -948,7 +947,6 @@ def run_check(
         lhs_value=lhs,
         rhs_value=rhs,
         abs_error=float(abs_error),
-        rel_error=float(abs_error) / max(float(size), 1e-300),
         margin=float(margin),
         quadrature_error_estimate=max(errors) if errors else None,
         tolerance=tol,
@@ -983,7 +981,6 @@ class Batch:
     parameters: dict
     lhs: np.ndarray
     rhs: np.ndarray
-    abs_error: np.ndarray
     margin: np.ndarray
     passed: np.ndarray
     settled: np.ndarray
@@ -1033,4 +1030,4 @@ def run_batch(
     abs_error, size, margin, passed = _compare(lhs, rhs, tol)
     # a finite |lhs - rhs| needs finite sides; neither it nor |rhs| overflowed
     settled = np.isfinite(abs_error) & np.isfinite(size)
-    return Batch(arrays, lhs, rhs, abs_error, margin, passed, settled, tol)
+    return Batch(arrays, lhs, rhs, margin, passed, settled, tol)

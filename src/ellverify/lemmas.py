@@ -10,8 +10,9 @@ tower correction derived from the same declaration).
 Every product of kernel values is a declaration of constant factors that
 :func:`.special.product` evaluates; a side that is a sum is a Python sum of
 such products.  The pointwise sides take numpy arrays of parameters, one
-entry per draw, as well as numbers; on arrays the factors of a product that
-share a kernel function and moduli make one kernel call.
+entry per draw, as well as numbers; a product takes one kernel call per
+factor either way, on a batch of draws as on a number (see
+:class:`.special.Integrand`).
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus

@@ -15,11 +15,15 @@ Products are declared as factor lists.  A binomial ``1 + c * x**e`` is the
 pair ``(c, e)``, with ``e`` an exponent tuple in ring variable order
 (:func:`binomial_factors` and the Pochhammer and theta builders make them);
 a list may also hold series, monomials such as ``ring.term(...)`` or dense
-ones.  :func:`truncated_product` gathers the monomials into one coefficient
-and shift and applies every other factor in place to one object-dtype box: a
-pair is one shifted update, ``box[k + e] += c * box[k]`` over the whole box at
-once, and a dense series one such update per nonzero cell.  The box starts as
-the dense series with the most nonzero cells, so the others spread fewer.
+ones.  The builders take their arguments and moduli as :class:`Mono` and
+turn each into such a pair once; they step a progression and square a
+reciprocal's monomial on the pairs themselves, counting from the caps how
+many terms each takes.  :func:`truncated_product` gathers the monomials into
+one coefficient and shift and applies every other factor in place to one
+object-dtype box: a pair is one shifted update, ``box[k + e] += c * box[k]``
+over the whole box at once, and a dense series one such update per nonzero
+cell.  The box starts as the dense series with the most nonzero cells, so the
+others spread fewer.
 Every few factors the box is trimmed to its nonzero cells and given room
 for the next few.  It is the one multiply: ``a * b`` and ``a ** n`` are
 the factor lists ``[a, b]`` and ``[a] * n``.
@@ -41,6 +45,7 @@ passes ``1 / c`` and the factors ``1 + r**(2**j)`` to the same product.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -84,9 +89,10 @@ _EXACT = np.frompyfunc(_exact, 1, 1)
 class Mono:
     """An exact monomial ``coeff * prod(var**exp)``, independent of any caps.
 
-    Used as the argument/modulus currency for the product builders, because a
+    The argument and modulus type of the product builders, because a
     monomial must survive unpruned even when its exponents exceed a ring cap
-    (for instance while forming a reciprocal).
+    (for instance while forming a reciprocal).  A builder turns each into a
+    pair ``(coeff, exponent tuple)`` once and enumerates on pairs.
     """
 
     __slots__ = ("coeff", "exps")
@@ -356,9 +362,47 @@ def _trimmed(ring, lo, coeffs, integral):
 # product builders
 
 
-def _pair(ring, coeff, mono):
-    """The factor ``1 + coeff * x**e`` where ``x**e`` is ``mono``'s exponents."""
-    return coeff, tuple([mono.exps.get(v, 0) for v in ring.variables])
+def _pair(ring, mono):
+    """``mono`` as ``(coeff, e)``, ``e`` its exponent tuple in ring variable order."""
+    return mono.coeff, tuple([mono.exps.get(v, 0) for v in ring.variables])
+
+
+def _check_power(power):
+    if power != 1 and power != -1:
+        raise ValueError("power must be 1 or -1")
+
+
+def _binomials(ring, terms, power):
+    """Factors of ``prod (1 - c * x**e)**power`` over the pairs ``(c, e)`` of
+    ``terms``, below the caps.
+
+    The reciprocal of one binomial is ``prod_j (1 + c**(2**j) x**(2**j e))``
+    over the powers the caps keep: ``2**j e`` stays below a cap in a slot
+    where ``e`` is positive for ``((cap - 1) // e).bit_length()`` values of
+    ``j``.  A zero or discarded term gives no factor.
+    """
+    slots, factors = ring._cap_slots, []
+    for coeff, exps in terms:
+        if coeff == 0:
+            continue
+        for i, cap in slots:
+            if exps[i] >= cap:
+                break
+        else:
+            if power == 1:
+                factors.append((-coeff, exps))
+                continue
+            capped = [exps[i] for i, _ in slots]
+            if min(capped, default=0) < 0:
+                raise NotInvertible("negative exponent in a truncated variable")
+            if not any(capped):
+                raise NotInvertible("divisor free of every truncated variable")
+            doublings = min(((cap - 1) // exps[i]).bit_length() for i, cap in slots if exps[i])
+            for _ in range(doublings):
+                factors.append((coeff, exps))
+                # a non-integral Fraction squared stays non-integral
+                coeff, exps = coeff * coeff, tuple([e + e for e in exps])
+    return factors
 
 
 def binomial_factors(ring, mono, power=1):
@@ -370,56 +414,54 @@ def binomial_factors(ring, mono, power=1):
     ``invert`` would also accept: ``mono`` must have no negative capped
     exponent and a positive one.  A discarded ``mono`` gives no factor.
     """
-    if mono.coeff == 0 or ring.negligible(mono):
+    _check_power(power)
+    return _binomials(ring, [_pair(ring, mono)], power)
+
+
+def _progression(ring, coeff, exps, modulus):
+    """The pairs ``(c, e)`` of ``coeff * x**exps * modulus**n`` for n = 0, 1,
+    ... while the caps keep them; ``modulus`` is a pair too."""
+    step_coeff, step = modulus
+    if coeff == 0:
         return []
-    if power == 1:
-        return [_pair(ring, -mono.coeff, mono)]
-    if power != -1:
-        raise ValueError("power must be 1 or -1")
-    exps = [mono.exps.get(v, 0) for v in ring.caps]
-    if min(exps, default=0) < 0:
-        raise NotInvertible("negative exponent in a truncated variable")
-    if not any(exps):
-        raise NotInvertible("divisor free of every truncated variable")
-    factors = []
-    while not ring.negligible(mono):
-        factors.append(_pair(ring, mono.coeff, mono))
-        mono = mono * mono
-    return factors
-
-
-def _progression(ring, argument, modulus):
-    """``argument * modulus**n`` for n = 0, 1, ... while the caps keep it."""
-    if argument.coeff == 0:
-        return
-    if modulus.coeff == 0:  # only n = 0 survives: (argument; 0) = 1 - argument
-        yield argument
-        return
+    if step_coeff == 0:  # only n = 0 survives: (argument; 0) = 1 - argument
+        return [(coeff, exps)]
     for v in ring.caps:
-        if modulus.exps.get(v, 0) < 0:
+        if step[ring._index[v]] < 0:
             raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
-    if ring.negligible(argument):
-        return
-    if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
+    slots = ring._cap_slots
+    for i, cap in slots:
+        if exps[i] >= cap:
+            return []
+    if not any(step[i] for i, _ in slots):
         raise NonTerminating(
             "neither factor advances a truncated variable; the product "
             "never leaves the stored range"
         )
-    while not ring.negligible(argument):
-        yield argument
-        argument = argument * modulus
+    terms = []
+    for _ in range(min((cap - 1 - exps[i]) // step[i] for i, cap in slots if step[i]) + 1):
+        terms.append((coeff, exps))
+        # as for a Mono: (1/2) * 2 is stored as the int 1
+        coeff, exps = _exact(coeff * step_coeff), tuple(map(add, exps, step))
+    return terms
 
 
 def pochhammer_factors(ring, argument, modulus, power=1):
     """Factors of ``prod_n (1 - argument*modulus**n)**power`` below the caps."""
-    progression = _progression(ring, argument, modulus)
-    return [f for x in progression for f in binomial_factors(ring, x, power)]
+    _check_power(power)
+    terms = _progression(ring, *_pair(ring, argument), _pair(ring, modulus))
+    return _binomials(ring, terms, power)
 
 
 def pochhammer2_factors(ring, argument, modulus1, modulus2, power=1):
     """Factors of the double product iterating ``modulus1`` then ``modulus2``."""
-    progression = _progression(ring, argument, modulus1)
-    return [f for x in progression for f in pochhammer_factors(ring, x, modulus2, power)]
+    _check_power(power)
+    modulus2 = _pair(ring, modulus2)
+    factors = []
+    for coeff, exps in _progression(ring, *_pair(ring, argument), _pair(ring, modulus1)):
+        terms = _progression(ring, coeff, exps, modulus2)
+        factors += _binomials(ring, terms, power)
+    return factors
 
 
 def theta0_factors(ring, argument, modulus):
@@ -432,9 +474,9 @@ def _corners(factor):
     """Lowest and highest exponent tuples of a pair's or a series' terms."""
     if isinstance(factor, LaurentSeries):
         shape = factor.coeffs.shape
-        return factor.lo, tuple(a + n - 1 for a, n in zip(factor.lo, shape))
+        return factor.lo, tuple([a + n - 1 for a, n in zip(factor.lo, shape)])
     exps = factor[1]
-    return tuple(min(0, e) for e in exps), tuple(max(0, e) for e in exps)
+    return tuple([e if e < 0 else 0 for e in exps]), tuple([e if e > 0 else 0 for e in exps])
 
 
 #: factors applied between two re-trims of a running product's box
@@ -472,7 +514,9 @@ class _Box:
     def _clip(self, new_lo, new_hi, top):
         """Lower ``new_hi`` to ``top``; False when nothing is left below it."""
         for i, t in zip(self.capped, top):
-            new_hi[i] = min(new_hi[i], t - self.base[i])
+            t -= self.base[i]
+            if new_hi[i] > t:
+                new_hi[i] = t
             if new_hi[i] <= new_lo[i]:
                 return False
         return True
@@ -508,8 +552,7 @@ class _Box:
         A pair ``1 + c * x**e`` is one shifted update in place; a series is
         one shifted update per nonzero cell, into a new buffer.
         """
-        new_lo = [l + a for l, a in zip(self.lo, low)]
-        new_hi = [h + b for h, b in zip(self.hi, high)]
+        new_lo, new_hi = list(map(add, self.lo, low)), list(map(add, self.hi, high))
         if not self._clip(new_lo, new_hi, top):
             return False
         if isinstance(factor, LaurentSeries):
@@ -527,7 +570,9 @@ class _Box:
         """``out += coeff * x**shift * (the terms)``, below ``new_hi``."""
         dst, src = [], []
         for l, h, e, n in zip(self.lo, self.hi, shift, new_hi):
-            stop = min(h + e, n)
+            stop = h + e
+            if stop > n:
+                stop = n
             if stop <= l + e:
                 return
             dst.append(slice(l + e, stop))
@@ -583,18 +628,19 @@ def truncated_product(ring, factors):
     seed = None if most is None else steps.pop(most)
     slots = [i for i, _ in ring._cap_slots]
     steps = [(f,) + _corners(f) for f in steps]
-    steps.sort(key=lambda step: all(step[1][i] >= 0 for i in slots))
+    steps.sort(key=lambda step: min([step[1][i] for i in slots], default=0) >= 0)
     # tops[k]: exclusive exponent in each capped slot before step k, the cap
     # less the monomials' shift plus the negative budget of steps k, k+1, ...
-    tops = [tuple(cap - shift[i] for i, cap in ring._cap_slots)]
+    tops = [tuple([cap - shift[i] for i, cap in ring._cap_slots])]
     for _, low, _ in reversed(steps):
-        tops.append(tuple(t - min(0, low[i]) for t, i in zip(tops[-1], slots)))
+        tops.append(tuple([t - low[i] if low[i] < 0 else t for t, i in zip(tops[-1], slots)]))
     tops.reverse()
     box = _Box(ring, seed)
     for start in range(0, len(steps), _RETRIM):
         window = steps[start : start + _RETRIM]
-        low = [sum(min(0, step[1][i]) for step in window) for i in range(dims)]
-        high = [sum(max(0, step[2][i]) for step in window) for i in range(dims)]
+        # a dense series' corners may both lie above or below 0
+        low = [sum([a for a in col if a < 0]) for col in zip(*[step[1] for step in window])]
+        high = [sum([b for b in col if b > 0]) for col in zip(*[step[2] for step in window])]
         if not box.resize(low, high, tops[start]):
             return ring.zero()
         for k, step in enumerate(window, start + 1):

@@ -1,9 +1,10 @@
 """Shared test helpers: a numeric value for exact series, a series rebuilt
-under tighter caps, a recorder for the quadratures the integral evaluators
-run, and the audit clearance of a declared integrand."""
+under tighter caps, a reference enumeration of the series product builders,
+a recorder for the quadratures the integral evaluators run, and the audit
+clearance of a declared integrand."""
 
 from ellverify import contour, special
-from ellverify.series import SeriesRing
+from ellverify.series import NonTerminating, NotInvertible, SeriesRing
 
 
 def series_value(series, **values):
@@ -26,6 +27,68 @@ def narrowed(series, **caps):
     for key, coeff in series.terms.items():
         out = out + ring.term(coeff, **dict(zip(ring.variables, key)))
     return out
+
+
+def _reference_pair(ring, coeff, mono):
+    return coeff, tuple(mono.exps.get(v, 0) for v in ring.variables)
+
+
+def reference_binomial_factors(ring, mono, power=1):
+    """:func:`ellverify.series.binomial_factors` by ``Mono`` arithmetic: a
+    ``Mono`` per doubling and a ``SeriesRing.negligible`` test on each."""
+    if mono.coeff == 0 or ring.negligible(mono):
+        return []
+    if power == 1:
+        return [_reference_pair(ring, -mono.coeff, mono)]
+    exps = [mono.exps.get(v, 0) for v in ring.caps]
+    if min(exps, default=0) < 0:
+        raise NotInvertible("negative exponent in a truncated variable")
+    if not any(exps):
+        raise NotInvertible("divisor free of every truncated variable")
+    factors = []
+    while not ring.negligible(mono):
+        factors.append(_reference_pair(ring, mono.coeff, mono))
+        mono = mono * mono
+    return factors
+
+
+def _reference_progression(ring, argument, modulus):
+    """``argument * modulus**n`` for n = 0, 1, ... while the caps keep it."""
+    if argument.coeff == 0:
+        return
+    if modulus.coeff == 0:
+        yield argument
+        return
+    for v in ring.caps:
+        if modulus.exps.get(v, 0) < 0:
+            raise NonTerminating(f"modulus lowers the truncated variable {v!r}")
+    if ring.negligible(argument):
+        return
+    if not any(modulus.exps.get(v, 0) > 0 for v in ring.caps):
+        raise NonTerminating(
+            "neither factor advances a truncated variable; the product "
+            "never leaves the stored range"
+        )
+    while not ring.negligible(argument):
+        yield argument
+        argument = argument * modulus
+
+
+def reference_pochhammer_factors(ring, argument, modulus, power=1):
+    progression = _reference_progression(ring, argument, modulus)
+    return [f for x in progression for f in reference_binomial_factors(ring, x, power)]
+
+
+def reference_pochhammer2_factors(ring, argument, modulus1, modulus2, power=1):
+    progression = _reference_progression(ring, argument, modulus1)
+    return [
+        f for x in progression for f in reference_pochhammer_factors(ring, x, modulus2, power)
+    ]
+
+
+def reference_theta0_factors(ring, argument, modulus):
+    forward = reference_pochhammer_factors(ring, argument, modulus)
+    return forward + reference_pochhammer_factors(ring, modulus / argument, modulus)
 
 
 def record_quadratures(monkeypatch):

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellverify.kernel import qpoch1, qpoch2, theta0_mult
-from helpers import narrowed, series_value
+from helpers import (
+    narrowed,
+    reference_binomial_factors,
+    reference_pochhammer2_factors,
+    reference_pochhammer_factors,
+    reference_theta0_factors,
+    series_value,
+)
 from ellverify.series import (
     Mono,
     NonTerminating,
@@ -24,6 +31,7 @@ from ellverify.series import (
     series_pochhammer,
     series_theta0,
     stabilized_product,
+    theta0_factors,
     truncated_product,
 )
 
@@ -603,6 +611,108 @@ def test_negligible_divisor_gives_no_factor():
         assert binomial_factors(ring, ring.mono(1, p=6), power) == []
         assert binomial_factors(ring, ring.mono(1, p=7, x=-2), power) == []
         assert binomial_factors(ring, ring.mono(0, p=1), power) == []
+
+
+def test_a_bad_power_is_refused_before_any_enumeration():
+    # even where no factor would be built: a zero or discarded monomial, an
+    # empty progression
+    ring = SeriesRing(("x", "p"), {"p": 6})
+    p = ring.mono(1, p=1)
+    for power in (0, 2, -2, 3):
+        calls = [
+            (binomial_factors, (ring.mono(0, p=1),)),
+            (binomial_factors, (ring.mono(1, p=6),)),
+            (binomial_factors, (p,)),
+            (pochhammer_factors, (ring.mono(1, p=6), p)),
+            (pochhammer_factors, (Mono(0), p)),
+            (pochhammer_factors, (p, p)),
+            (pochhammer2_factors, (ring.mono(1, p=6), p, p)),
+            (pochhammer2_factors, (p, Mono(0), p)),
+        ]
+        for build, args in calls:
+            with pytest.raises(ValueError, match="power must be 1 or -1") as caught:
+                build(ring, *args, power)
+            assert caught.type is ValueError
+
+
+def _enumeration(build, ring, *args):
+    """The factors ``build`` returns, coefficient types included, or the
+    type and message of the error it raises."""
+    try:
+        factors = build(ring, *args)
+    except (NonTerminating, NotInvertible, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return [(type(c), c, e) for c, e in factors]
+
+
+def _builder_cases(ring, argument, modulus1, modulus2, power):
+    return [
+        (binomial_factors, reference_binomial_factors, (argument, power)),
+        (pochhammer_factors, reference_pochhammer_factors, (argument, modulus1, power)),
+        (
+            pochhammer2_factors,
+            reference_pochhammer2_factors,
+            (argument, modulus1, modulus2, power),
+        ),
+        (theta0_factors, reference_theta0_factors, (argument, modulus1)),
+    ]
+
+
+@st.composite
+def builder_monos(draw, ring):
+    """A monomial, coefficient 0 included, with exponents from -2 to past each cap."""
+    exps = {v: draw(st.integers(-2, ring.caps.get(v, 3) + 1)) for v in ring.variables}
+    return Mono(draw(coefficients), exps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_builders_enumerate_as_the_mono_reference(data):
+    # the builders step exponent tuples; the reference multiplies Mono
+    # objects and tests each against the caps.  Same pairs, same order, same
+    # coefficient types, same errors.
+    ring = data.draw(rings())
+    argument, modulus1, modulus2 = (data.draw(builder_monos(ring)) for _ in range(3))
+    power = data.draw(st.sampled_from((1, -1)))
+    for build, reference, args in _builder_cases(ring, argument, modulus1, modulus2, power):
+        assert _enumeration(build, ring, *args) == _enumeration(reference, ring, *args)
+
+
+def test_builders_enumerate_as_the_mono_reference_on_pinned_cases():
+    # the cases the property must reach: a zero modulus (under a discarded
+    # argument too), a reciprocal, each error the builders raise, and a
+    # coefficient made integral by a product
+    ring = SeriesRing(("x", "p", "q"), {"p": 6, "q": 4})
+    p, q = ring.mono(1, p=1), ring.mono(1, q=1)
+    cases = [
+        (ring.mono(1, p=1, x=-1), Mono(0, {"p": -1}), q, 1),
+        (ring.mono(1, p=6), Mono(0), ring.mono(1, q=-1), 1),
+        (ring.mono(-1, p=1, q=1), Mono(0), Mono(0), -1),
+        (ring.mono(Fraction(1, 2), p=1), ring.mono(2, p=1, x=1), ring.mono(3, q=2), -1),
+        (ring.mono(2, x=1, p=1), p * q, q, -1),
+        (p, ring.mono(1, q=-1), p, 1),
+        (p, ring.mono(1, x=2), p, 1),
+        (p, q, ring.mono(1, x=1), -1),
+        (ring.mono(1, p=-1, q=1), q, p, -1),
+        (ring.mono(1, x=1), p, q, -1),
+    ]
+    seen = set()
+    for argument, modulus1, modulus2, power in cases:
+        for build, reference, args in _builder_cases(ring, argument, modulus1, modulus2, power):
+            want = _enumeration(reference, ring, *args)
+            assert _enumeration(build, ring, *args) == want
+            if isinstance(want, tuple):
+                seen.add(want)
+    assert seen == {
+        (NonTerminating, "modulus lowers the truncated variable 'q'"),
+        (
+            NonTerminating,
+            "neither factor advances a truncated variable; the product "
+            "never leaves the stored range",
+        ),
+        (NotInvertible, "negative exponent in a truncated variable"),
+        (NotInvertible, "divisor free of every truncated variable"),
+    }
 
 
 def test_reciprocal_pochhammer_is_the_partition_series():
