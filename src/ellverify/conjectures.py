@@ -234,43 +234,35 @@ def aff_eval_conjecture_series(n, k_mac, mu, k, order):
     lead = k_mac * sum(m * l * (n - l) for l, m in enumerate(mu, start=1))
 
     def build(ring):
-        cap = ring.caps["r"]
-
-        def factor(exponent, power=1):
-            return binomial_factors(ring, ring.mono(1, r=2 * exponent), power)
+        def r(exponent):
+            return ring.mono(1, r=2 * exponent)
 
         factors = [ring.term(1, r=-lead)]
         # imaginary-root correction brackets (cancel identically when k == 0)
-        step_bar = ring.mono(1, r=2 * kappa_bar)
-        step_n = ring.mono(1, r=2 * k_mac * n)
+        step_bar, step_n = r(kappa_bar), r(k_mac * n)
         for i in range(1, k_mac):
-            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_bar)
-            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_bar, -1)
-            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_n)
-            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_n, -1)
-        layer0 = AffineRootLayer(n, 0)
-        for root in layer0.finite_roots:
+            factors += pochhammer_factors(ring, r(i), step_bar)
+            factors += pochhammer_factors(ring, r(n * i), step_bar, -1)
+            factors += pochhammer_factors(ring, r(n * i), step_n)
+            factors += pochhammer_factors(ring, r(i), step_n, -1)
+        for root in AffineRootLayer(n, 0).finite_roots:
             shift = _pair(root, mu) + k_mac * sum(root)
             for i in range(k_mac):
-                factors += factor(shift + i)
-                factors += factor(k_mac * sum(root) + i, -1)
-        reach = max(
-            (abs(_pair(root, mu)) + k_mac * n for root in layer0.finite_roots),
-            default=0,
-        )
-        top = cap // 2 + reach + k_mac + 1
+                factors += binomial_factors(ring, r(shift + i))
+                factors += binomial_factors(ring, r(k_mac * sum(root) + i), -1)
+        # the layers m = 1, 2, ... of one root and i: a progression in m
         layers = AffineRootLayer(n, 1)
-        m = 1
-        while min(kappa_bar, k_mac * n) * m <= top:
-            for root in layers.finite_roots:
-                shift = _pair(root, mu) + k_mac * sum(root)
-                for i in range(k_mac):
-                    factors += factor(m * kappa_bar + shift + i)
-                    factors += factor(m * k_mac * n + k_mac * sum(root) + i, -1)
+        for root in layers.finite_roots:
+            shift = _pair(root, mu) + k_mac * sum(root)
             for i in range(k_mac):
-                factors += factor(m * kappa_bar + i) * layers.imaginary_multiplicity
-                factors += factor(m * k_mac * n + i, -1) * layers.imaginary_multiplicity
-            m += 1
+                factors += pochhammer_factors(ring, r(kappa_bar + shift + i), step_bar)
+                factors += pochhammer_factors(
+                    ring, r(k_mac * n + k_mac * sum(root) + i), step_n, -1
+                )
+        for i in range(k_mac):
+            imaginary = pochhammer_factors(ring, r(kappa_bar + i), step_bar)
+            imaginary += pochhammer_factors(ring, r(k_mac * n + i), step_n, -1)
+            factors += imaginary * layers.imaginary_multiplicity
         return factors
 
     return stabilized_product(("r",), {"r": order + 1}, build)

@@ -37,7 +37,9 @@ its output is exact up to the ring caps regardless of sign patterns.
 
 A divisor ``1 - x`` is declared as the factors ``1 + x**(2**j)`` up to the
 first power the caps discard (:func:`binomial_factors`, ``power=-1``), since
-``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``.
+``(1 - x) * prod_{j<J} (1 + x**(2**j)) = 1 - x**(2**J)``; where a list
+declares both, :func:`truncated_product` telescopes them to the one
+binomial ``1 - x**(2**J)`` before it multiplies.
 :meth:`LaurentSeries.invert` writes a whole series as ``c (1 - r)`` and
 passes ``1 / c`` and the factors ``1 + r**(2**j)`` to the same product.
 """
@@ -52,6 +54,7 @@ import numpy as np
 __all__ = [
     "NonTerminating",
     "NotInvertible",
+    "NotStabilized",
     "Mono",
     "SeriesRing",
     "LaurentSeries",
@@ -72,6 +75,11 @@ class NonTerminating(ValueError):
 
 class NotInvertible(ValueError):
     """Series inversion needs a unit constant term and nilpotent remainder."""
+
+
+class NotStabilized(RuntimeError):
+    """A factor list's negative budget keeps growing with the caps it is
+    enumerated under (:func:`stabilized_product`)."""
 
 
 def _exact(value):
@@ -586,12 +594,31 @@ class _Box:
             out[dst] += coeff * src
 
 
+def _cancelled(pairs):
+    """``pairs`` with each two ``(c, e)`` and ``(-c, e)`` replaced by the one
+    pair ``(-c*c, 2e)``, their product, until no two such pairs remain."""
+    left = {}
+    for c, e in pairs:
+        while left.get((-c, e)):
+            left[(-c, e)] -= 1
+            c, e = -c * c, tuple([a + a for a in e])
+        left[(c, e)] = left.get((c, e), 0) + 1
+    return [pair for pair, n in left.items() for _ in range(n)]
+
+
 def truncated_product(ring, factors):
     """Product of a factor list, exact up to the ring caps.
 
     ``factors`` mixes binomial pairs (see :func:`binomial_factors`) and
     series; ``a * b``, ``a ** n`` and :meth:`LaurentSeries.invert` multiply
-    here too.  Monomials gather into one coefficient and shift.  The box
+    here too.  Monomials gather into one coefficient and shift.  Before
+    anything multiplies, two pairs ``(c, e)`` and ``(-c, e)`` become the one
+    pair ``(-c*c, 2e)``, since ``(1 + c x**e)(1 - c x**e) = 1 - c**2 x**(2e)``,
+    and again until no two such pairs remain (:func:`_cancelled`): a binomial
+    ``1 - x`` eats its reciprocal's whole doubling chain and leaves one pair
+    past the cap.  The list's product is the same polynomial, and so is its
+    negative budget, since ``2e`` dips exactly as far as ``e`` and ``e``
+    together; so the result is the same truncated series.  The box
     (:class:`_Box`) starts as the series with the most nonzero cells, so each
     other series spreads its fewer cells over it.  The rest are applied to
     the box in place, and after each one the box drops the cells at or past
@@ -603,7 +630,7 @@ def truncated_product(ring, factors):
     and keeps the box small.
     """
     dims = len(ring.variables)
-    scale, shift, integral, steps = 1, (0,) * dims, True, []
+    scale, shift, integral, steps, pairs = 1, (0,) * dims, True, [], []
     for factor in factors:
         if isinstance(factor, LaurentSeries):
             if not factor.coeffs.size:
@@ -614,8 +641,7 @@ def truncated_product(ring, factors):
                 continue
             coeff, exps = factor.coeffs.flat[0], factor.lo
         elif any(factor[1]):
-            steps.append(factor)
-            integral = integral and isinstance(factor[0], int)
+            pairs.append(factor)
             continue
         else:
             coeff, exps = 1 + factor[0], factor[1]
@@ -623,6 +649,9 @@ def truncated_product(ring, factors):
         shift = tuple(a + b for a, b in zip(shift, exps))
     if scale == 0:
         return ring.zero()
+    pairs = _cancelled(pairs)
+    integral = integral and all([isinstance(c, int) for c, _ in pairs])
+    steps += pairs
     dense = [k for k, f in enumerate(steps) if isinstance(f, LaurentSeries)]
     most = max(dense, key=lambda k: np.count_nonzero(steps[k].coeffs), default=None)
     seed = None if most is None else steps.pop(most)
@@ -660,23 +689,23 @@ def stabilized_product(variables, caps, build):
     budget stabilizes.  It then multiplies at the requested caps: a pair
     carries no caps, and :func:`truncated_product` keeps what the remaining
     budget can still pull down.  With a clean factor list the first round is
-    already stable and there is no overhead.
+    already stable and there is no overhead.  A budget that still grows
+    after eight rounds raises :class:`NotStabilized`.
     """
     working = dict(caps)
     for _ in range(8):
         ring = SeriesRing(variables, working)
         factors = build(ring)
-        budgets = {v: 0 for v in caps}
-        for factor in factors:
-            # a pair's exponents dip below 0 exactly where its terms do
-            low = factor.lo if isinstance(factor, LaurentSeries) else factor[1]
-            for v in budgets:
-                budgets[v] += max(0, -low[ring._index[v]])
-        wanted = {v: caps[v] + budgets[v] for v in caps}
+        # a pair's exponents dip below 0 exactly where its terms do
+        lows = [f.lo if isinstance(f, LaurentSeries) else f[1] for f in factors]
+        wanted = {}
+        for v, cap in caps.items():
+            i = ring._index[v]
+            wanted[v] = cap - sum([low[i] for low in lows if low[i] < 0])
         if wanted == working:
             return truncated_product(SeriesRing(variables, caps), factors)
         working = wanted
-    raise RuntimeError("negative budget failed to stabilize")
+    raise NotStabilized("negative budget failed to stabilize")
 
 
 def series_pochhammer(ring, argument, modulus):

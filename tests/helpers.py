@@ -1,10 +1,19 @@
 """Shared test helpers: a numeric value for exact series, a series rebuilt
 under tighter caps, a reference enumeration of the series product builders,
-a recorder for the quadratures the integral evaluators run, and the audit
-clearance of a declared integrand."""
+a reference build of the evaluation conjecture's factors, a recorder for the
+quadratures the integral evaluators run, and the audit clearance of a
+declared integrand."""
 
 from ellverify import contour, special
-from ellverify.series import NonTerminating, NotInvertible, SeriesRing
+from ellverify.conjectures import AffineRootLayer
+from ellverify.series import (
+    NonTerminating,
+    NotInvertible,
+    SeriesRing,
+    binomial_factors,
+    pochhammer_factors,
+    stabilized_product,
+)
 
 
 def series_value(series, **values):
@@ -89,6 +98,56 @@ def reference_pochhammer2_factors(ring, argument, modulus1, modulus2, power=1):
 def reference_theta0_factors(ring, argument, modulus):
     forward = reference_pochhammer_factors(ring, argument, modulus)
     return forward + reference_pochhammer_factors(ring, modulus / argument, modulus)
+
+
+def reference_aff_eval_conjecture_series(n, k_mac, mu, k, order):
+    """:func:`ellverify.conjectures.aff_eval_conjecture_series` with its
+    layers m >= 1 declared one binomial at a time: a loop over m whose bound
+    admits every m with a factor below the cap, for the weight ``mu`` given
+    as a tuple of fundamental coordinates."""
+    kappa_bar = k + k_mac * n
+    lead = k_mac * sum(m * l * (n - l) for l, m in enumerate(mu, start=1))
+
+    def pair(root):
+        return sum(c * m for c, m in zip(root, mu))
+
+    def build(ring):
+        cap = ring.caps["r"]
+
+        def factor(exponent, power=1):
+            return binomial_factors(ring, ring.mono(1, r=2 * exponent), power)
+
+        factors = [ring.term(1, r=-lead)]
+        step_bar = ring.mono(1, r=2 * kappa_bar)
+        step_n = ring.mono(1, r=2 * k_mac * n)
+        for i in range(1, k_mac):
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_bar)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_bar, -1)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * n * i), step_n)
+            factors += pochhammer_factors(ring, ring.mono(1, r=2 * i), step_n, -1)
+        layer0 = AffineRootLayer(n, 0)
+        for root in layer0.finite_roots:
+            shift = pair(root) + k_mac * sum(root)
+            for i in range(k_mac):
+                factors += factor(shift + i)
+                factors += factor(k_mac * sum(root) + i, -1)
+        reach = max(abs(pair(root)) + k_mac * n for root in layer0.finite_roots)
+        top = cap // 2 + reach + k_mac + 1
+        layers = AffineRootLayer(n, 1)
+        m = 1
+        while min(kappa_bar, k_mac * n) * m <= top:
+            for root in layers.finite_roots:
+                shift = pair(root) + k_mac * sum(root)
+                for i in range(k_mac):
+                    factors += factor(m * kappa_bar + shift + i)
+                    factors += factor(m * k_mac * n + k_mac * sum(root) + i, -1)
+            for i in range(k_mac):
+                factors += factor(m * kappa_bar + i) * layers.imaginary_multiplicity
+                factors += factor(m * k_mac * n + i, -1) * layers.imaginary_multiplicity
+            m += 1
+        return factors
+
+    return stabilized_product(("r",), {"r": order + 1}, build)
 
 
 def record_quadratures(monkeypatch):

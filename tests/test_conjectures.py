@@ -7,13 +7,16 @@ main builders cannot hide."""
 
 import cmath
 import hashlib
+import itertools
 
 import pytest
+from helpers import reference_aff_eval_conjecture_series
 
 from ellverify import catalog, conjectures, kernel, lemmas, series
 from ellverify.catalog import UnknownIdentity
 from ellverify.conjectures import (
     _LEMMA_SERIES,
+    _pair,
     AffineRootLayer,
     aff_eval_closed_form_series,
     aff_eval_conjecture_series,
@@ -162,6 +165,47 @@ def test_aff_eval_weight_normalization():
     assert aff_eval_conjecture_series(2, 2, (1,), 1, 8) == aff_eval_conjecture_series(
         2, 2, 1, 1, 8
     )
+
+
+def _weights(n, level):
+    """The dominant weights of rank ``n - 1`` whose coordinates sum to at most ``level``."""
+    return [mu for mu in itertools.product(range(level + 1), repeat=n - 1) if sum(mu) <= level]
+
+
+AFF_EVAL_REFERENCE_CASES = [
+    (n, k_mac, mu, k, 40 if (n, k_mac) == (2, 2) else 8)
+    for n, k_mac in ((2, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1))
+    for k in range(3)
+    for mu in _weights(n, k)
+] + [
+    (2, 2, (2,), 0, 12),  # a first-layer numerator 1 - r**0: the series is 0
+    (2, 1, (3,), 1, 12),  # a first-layer numerator 1 - r**-2
+    (3, 1, (2, 1), 0, 8),  # both, at rank two
+]
+
+
+@pytest.mark.parametrize("n, k_mac, mu, k, order", AFF_EVAL_REFERENCE_CASES)
+def test_aff_eval_layers_as_progressions_match_the_layer_loop(n, k_mac, mu, k, order):
+    # one progression in m per (root, i) declares the binomials the loop over
+    # m declares one at a time, in another order
+    got = aff_eval_conjecture_series(n, k_mac, mu, k, order)
+    assert got == reference_aff_eval_conjecture_series(n, k_mac, mu, k, order)
+
+
+def test_aff_eval_reference_cases_reach_a_zero_factor_and_a_negative_exponent():
+    def first_layer_low(n, k_mac, mu, k):
+        # the numerator exponent (halved) of a negative root at m = 1, i = 0
+        roots = positive_finite_roots(n)
+        return min(k + k_mac * (n - sum(root)) - _pair(root, mu) for root in roots)
+
+    lows = {case[:4]: first_layer_low(*case[:4]) for case in AFF_EVAL_REFERENCE_CASES}
+    assert lows[(2, 2, (2,), 0)] == 0
+    assert not aff_eval_conjecture_series(2, 2, (2,), 0, 12).terms
+    assert lows[(2, 1, (3,), 1)] < 0
+    assert aff_eval_conjecture_series(2, 1, (3,), 1, 12).terms
+    assert lows[(3, 1, (2, 1), 0)] < 0
+    assert not aff_eval_conjecture_series(3, 1, (2, 1), 0, 8).terms
+    assert all(low > 0 for case, low in lows.items() if sum(case[2]) <= case[3])
 
 
 # ---------------------------------------------------------------------------

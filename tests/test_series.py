@@ -21,10 +21,13 @@ from helpers import (
     series_value,
 )
 from ellverify.series import (
+    LaurentSeries,
     Mono,
     NonTerminating,
     NotInvertible,
+    NotStabilized,
     SeriesRing,
+    _cancelled,
     binomial_factors,
     pochhammer_factors,
     pochhammer2_factors,
@@ -281,6 +284,15 @@ def test_stabilized_product_is_exact_to_the_cap():
     got = stabilized_product(("x",), {"x": 8}, build)
     assert got == shifted_reference(2, 8)
     assert got.lo == (-2,)
+
+
+def test_stabilized_product_names_a_budget_that_keeps_growing():
+    # a dip as deep as the working cap asks for a higher cap every round
+    def build(ring):
+        return [(1, (-ring.caps["x"],))]
+
+    with pytest.raises(NotStabilized, match="^negative budget failed to stabilize$"):
+        stabilized_product(("x",), {"x": 4}, build)
 
 
 def test_stabilized_product_crossed_budgets():
@@ -591,6 +603,68 @@ def test_reciprocal_binomials_divide_exactly(data):
     for _ in inverse:
         square = square * square
     assert ring.negligible(square)
+
+
+@st.composite
+def cancelling_factors(draw, ring):
+    """A factor list whose pairs cancel, with the ``{exponent tuple:
+    coefficient}`` reference of each factor: each drawn pair beside its
+    negation (negative capped exponents and uncapped variables included),
+    each forward binomial beside its reciprocal's doubling chain, and a
+    dense seed, in a drawn order."""
+    zero = (0,) * len(ring.variables)
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            exps = tuple(
+                draw(st.integers(-2, ring.caps.get(v, 2) + 1)) for v in ring.variables
+            )
+            coeff = draw(coefficients.filter(bool))
+            pairs += [(coeff, exps), (-coeff, exps)]
+        else:
+            m = draw(monos(ring))
+            try:
+                pairs += binomial_factors(ring, m) + binomial_factors(ring, m, -1)
+            except NotInvertible:
+                continue
+    seed = draw(term_dicts(ring, size=3).filter(lambda terms: len(terms) > 1))
+    factors = [from_terms(ring, seed)] + pairs
+    refs = [seed] + [{zero: 1, e: c} if e != zero else {zero: 1 + c} for c, e in pairs]
+    order = draw(st.permutations(range(len(factors))))
+    return [factors[k] for k in order], [refs[k] for k in order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cancelled_pairs_give_the_dict_reference(data):
+    # (1 + c x^e)(1 - c x^e) = 1 - c^2 x^2e: the product is the same
+    # polynomial, so it is the same series to the caps, and no two pairs
+    # that would cancel reach the box
+    ring = data.draw(rings())
+    factors, refs = data.draw(cancelling_factors(ring))
+    full = {(0,) * len(ring.variables): 1}
+    for terms in refs:
+        full = ref_mul(ring, full, terms, caps={})
+    assert_matches(truncated_product(ring, factors), ref_clean(ring, full))
+    pairs = [f for f in factors if not isinstance(f, LaurentSeries) and any(f[1])]
+    left = _cancelled(pairs)
+    assert not any((-c, e) in left for c, e in left)
+
+
+def test_a_binomial_eats_its_reciprocal_doubling_chain():
+    # (1 - m) prod_{j<J} (1 + m**(2**j)) = 1 - m**(2**J): one pair, past the cap
+    ring = SeriesRing(("x", "p"), {"p": 10})
+    cases = [
+        (ring.mono(1, p=1), (-1, (0, 16))),
+        (ring.mono(2, x=-1, p=3), (-16, (-4, 12))),
+        (ring.mono(Fraction(1, 2), p=3), (Fraction(-1, 16), (0, 12))),
+    ]
+    for m, left in cases:
+        forward, chain = binomial_factors(ring, m), binomial_factors(ring, m, -1)
+        assert len(chain) > 1
+        assert _cancelled(forward + chain) == _cancelled(chain + forward) == [left]
+        assert ring.negligible(Mono(left[0], dict(zip(ring.variables, left[1]))))
+        assert truncated_product(ring, forward + chain) == ring.one()
 
 
 def test_reciprocal_binomials_refuse_what_invert_refuses():
