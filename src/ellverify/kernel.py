@@ -49,15 +49,23 @@ scalar ``theta0`` is the one loop over ``(1 - x q^n)(1 - q^{n+1}/x)``; on a
 5-6x the scalar loop for ``ell_gamma``.  So a single draw of a pointwise
 check makes scalar calls, while a batch of draws (``catalog.run_batch``)
 passes one modulus per draw and each quadrature passes its node array with
-scalar moduli.  An array ``theta0`` reduces ``z`` into
+scalar moduli.  Moduli given per draw have shape ``(N,)``, and ``z`` may
+stack rows of arguments ``(G, N)`` against them, as a group of factors
+does: the moduli broadcast over the rows and are never tiled, so their
+tables stay one column per draw.  An array ``theta0`` reduces ``z`` into
 ``0 <= Im z < Im tau`` by ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``,
 then takes ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep
 their cached tables (``_theta_powers``, ``_gamma_coefficient_array``); a
-modulus per point gets its powers as running products, cached by the bytes
+modulus per draw gets its powers as running products, cached by the bytes
 of its array, so the factors of a batch that share moduli build them once,
-and every point takes as many terms as the slowest point of its array needs.
-The array path alone cuts its work arrays into blocks of ``_BLOCK_CELLS``
-cells, so a caller passes its whole array in one call.
+and ``jacobi_theta`` takes its ``(tau; tau)`` from the same powers.  The
+``theta0`` shift factors of ``ell_gamma`` are taken at the shifted points
+alone; for moduli per draw their selection of moduli gets its table
+outside the cache, which it would only miss and churn.  Every point takes
+as many terms as the slowest point of its array needs.  The array path
+alone cuts its work arrays into blocks of ``_BLOCK_CELLS`` cells, or takes
+rows of draws of at most ``_WHOLE_CELLS`` cells whole, so a caller passes
+its whole array in one call.
 """
 
 from __future__ import annotations
@@ -101,6 +109,10 @@ MAX_TERMS = 100_000
 POLE_EPSILON = 1e-13
 #: node x term cells in one block of the array path's work arrays
 _BLOCK_CELLS = 1 << 11
+#: the most cells of rows of draws that the array path takes as one block:
+#: a batch's stacks are short, and in blocks numpy's fixed cost per call
+#: outweighs what the cache saves (a node array keeps ``_BLOCK_CELLS``)
+_WHOLE_CELLS = 1 << 13
 
 
 def e2pi(z):
@@ -124,9 +136,41 @@ def _flat(*values):
     return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def _part(modulus, index):
-    """The entries of a per-point ``modulus`` at ``index``; a scalar as it is."""
-    return modulus[index] if isinstance(modulus, np.ndarray) else modulus
+def _rows(z, *moduli):
+    """The broadcast shape, ``z`` as rows ``(G, N)`` and the moduli as one
+    entry per column ``(N,)``: moduli that broadcast to the last axis are
+    never tiled over the rows.  Moduli of any other shape are tiled with
+    ``z``, which is then one row."""
+    z = np.asarray(z, dtype=complex)
+    moduli = [np.asarray(m, dtype=complex) for m in moduli]
+    columns = moduli[0].shape
+    # a group's rows against its moduli, the common case, needs no broadcast
+    if len(columns) == 1 and z.shape[-1:] == columns and all(m.shape == columns for m in moduli):
+        return z.shape, z.reshape(-1, columns[0]), moduli
+    columns = np.broadcast_shapes(*(m.shape for m in moduli))
+    shape = np.broadcast_shapes(z.shape, columns)
+    if len(columns) == 1 and shape[-1:] == columns:
+        z = np.broadcast_to(z, shape).reshape(-1, columns[0])
+        return shape, z, [np.broadcast_to(m, columns) for m in moduli]
+    shape, (z, *moduli) = _flat(z, *moduli)
+    return shape, z[None], moduli
+
+
+def _part(modulus, columns):
+    """The entries of a per-column ``modulus`` at ``columns``; a scalar as it is."""
+    return modulus[columns] if isinstance(modulus, np.ndarray) else modulus
+
+
+def _column_blocks(array, cells):
+    """Slices of the last axis of ``array`` that cut it into blocks of at
+    most ``_BLOCK_CELLS`` work cells, ``cells`` per point, each block holding
+    every row of its columns and one column at least; rows of draws of at
+    most ``_WHOLE_CELLS`` work cells are one block."""
+    if array.ndim > 1 and cells * array.size <= _WHOLE_CELLS:
+        return [slice(None)]
+    rows = len(array) if array.ndim > 1 else 1
+    step = max(1, _BLOCK_CELLS // (cells * rows))
+    return [slice(start, start + step) for start in range(0, array.shape[-1], step)]
 
 
 def _term_count(ratio, start=1.0):
@@ -163,28 +207,35 @@ def _gamma_coefficient_array(tau, sigma):
     return ratio, np.array(coeffs)[:, None]
 
 
-@functools.lru_cache(maxsize=8)
-def _theta_power_columns(key):
-    """:func:`_theta_powers` for moduli given per point, as the bytes ``key``
-    of their complex array: one column per point, as many powers as the
-    largest ``|q|`` needs, and a middle axis of length 1."""
-    q = e2pi(np.frombuffer(key, dtype=complex))
+def _theta_power_table(tau):
+    """:func:`_theta_powers` for moduli ``tau`` given per column: one column
+    per modulus, as many powers as the largest ``|q|`` needs, and two middle
+    axes of length 1."""
+    q = e2pi(tau)
     count = _term_count(float(np.abs(q).max()))
     # running products, as scalar theta0's a *= q: one exp per point, not per power
-    # (column by column in memory, the order the products over the powers run in)
-    qn = np.empty((count + 1, len(q)), complex, order="F")
+    qn = np.empty((count + 1, len(q)), complex)
     qn[0], qn[1:] = 1, q
     np.cumprod(qn, axis=0, out=qn)
+    return qn[:, None, None]
+
+
+@functools.lru_cache(maxsize=8)
+def _theta_power_columns(key):
+    """:func:`_theta_power_table` of the moduli whose complex array has the
+    bytes ``key``, read-only: the factors of a batch that share moduli build
+    it once."""
+    qn = _theta_power_table(np.frombuffer(key, dtype=complex))
     qn.flags.writeable = False  # shared by every caller
-    return qn[:, None]
+    return qn
 
 
 @functools.lru_cache(maxsize=2)
 def _gamma_coefficient_columns(tau_key, sigma_key):
-    """:func:`_gamma_coefficient_array` for moduli given per point, as the
+    """:func:`_gamma_coefficient_array` for moduli given per column, as the
     bytes of their complex arrays: the largest ratio, and one column per
-    point, twice over (for the ``x`` and then the ``y`` of every point), as
-    long as the slowest point needs."""
+    modulus pair, as long as the slowest pair needs, with a middle axis of
+    length 1."""
     p, q = (e2pi(np.frombuffer(key, dtype=complex)) for key in (tau_key, sigma_key))
     ratio = float(np.maximum(np.abs(p), np.abs(q)).max())
     count = _term_count(ratio)
@@ -194,46 +245,57 @@ def _gamma_coefficient_columns(tau_key, sigma_key):
     np.cumprod(pn, axis=0, out=pn)
     np.cumprod(qn, axis=0, out=qn)
     n = np.arange(1, count + 1)[:, None]
-    coeffs = np.concatenate(((pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn)),) * 2, axis=1)
+    coeffs = (pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn))
     coeffs.flags.writeable = False  # shared by every caller
-    return ratio, coeffs
+    return ratio, coeffs[:, None]
 
 
 def _power_sum(w, ratio, coeffs):
     """``sum_n coeffs[n - 1] w**n`` for each entry of ``w`` (``|w| <= 1``),
-    to the first power of ``max|w| * ratio`` below ``TERM_EPSILON``; ``coeffs``
-    has one column for all entries or one per entry.
+    to the first power of ``max|w| * ratio`` below ``TERM_EPSILON``: ``w``
+    flat against one column of ``coeffs``, or rows against one per column.
     """
     coeffs = coeffs[: _term_count(float(np.abs(w).max()) * ratio)]
-    out = np.empty(len(w), dtype=complex)
-    rows = max(1, _BLOCK_CELLS // len(coeffs))
-    for start in range(0, len(w), rows):
-        block = slice(start, start + rows)
-        powers = w[block][None]
+    out = np.empty(w.shape, dtype=complex)
+    for block in _column_blocks(w, len(coeffs)):
+        powers = w[..., block][None]
         while len(powers) < len(coeffs):
             powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
+        c = coeffs if coeffs.shape[-1] == 1 else coeffs[..., block]
         # a plain sum: a BLAS product may start threads for a few hundred cells
-        out[block] = (powers * (coeffs if coeffs.shape[1] == 1 else coeffs[:, block])).sum(axis=0)
+        out[..., block] = (powers * c).sum(axis=0)
     return out
 
 
-def _theta0_array(z, tau):
-    """``theta0`` at the points ``z`` of a flat array, ``tau`` one modulus or
-    one per point."""
+def _theta0_array(z, tau, qn=None):
+    """``theta0`` at the points ``z``: a flat array against one modulus
+    ``tau``, or rows ``(G, N)`` against one modulus per column, whose power
+    table ``qn`` is looked up in the cache unless given."""
     if isinstance(tau, np.ndarray):
-        qn = _theta_power_columns(tau.tobytes())
+        qn = _theta_power_columns(tau.tobytes()) if qn is None else qn
     else:
         qn = _theta_powers(tau)[:, None, None]
     k = np.floor(z.imag / tau.imag)
     w = z - k * tau
-    value = np.empty(len(z), dtype=complex)
-    rows = max(1, _BLOCK_CELLS // (2 * len(qn)))
-    for start in range(0, len(z), rows):
-        block = slice(start, start + rows)
-        xv = np.exp(2j * math.pi * np.array((w[block], _part(tau, block) - w[block])))
-        value[block] = (1 - (qn if qn.shape[2] == 1 else qn[..., block]) * xv).prod(axis=(0, 1))
+    value = np.empty(z.shape, dtype=complex)
+    for block in _column_blocks(z, 2 * len(qn)):
+        xv = np.exp(2j * math.pi * np.array((w[..., block], _part(tau, block) - w[..., block])))
+        q = qn if qn.shape[-1] == 1 else qn[..., block]
+        value[..., block] = (1 - q * xv).prod(axis=(0, 1))
     # theta0(w + k tau) = (-1)^k e^{-2 pi i (k w + tau k (k - 1) / 2)} theta0(w)
     return value * np.exp(1j * math.pi * (k - 2 * k * w - tau * k * (k - 1))) if k.any() else value
+
+
+def _theta0_at(z, offset, tau, at):
+    """``theta0(z + offset; tau)`` at the points ``at`` of ``z``, as one row.
+    For a modulus per column, the points' moduli are a selection that no
+    later call repeats, so their table is built outside the cache: it would
+    miss there and evict the tables the batch's factors share."""
+    if isinstance(tau, np.ndarray):
+        columns = np.nonzero(at)[-1]
+        tau = tau[columns]
+        return _theta0_array((z[at] + offset[columns])[None], tau, _theta_power_table(tau))[0]
+    return _theta0_array(z[at] + offset, tau)
 
 
 def _larger_im_first(tau, sigma):
@@ -247,8 +309,8 @@ def _larger_im_first(tau, sigma):
 
 
 def _ell_gamma_array(z, tau, sigma):
-    """``ell_gamma`` at the points ``z`` of a flat array, the moduli either two
-    numbers or two arrays with one entry per point."""
+    """``ell_gamma`` at the points ``z``: a flat array against two moduli, or
+    rows ``(G, N)`` against two moduli per column."""
     tau, sigma = _larger_im_first(tau, sigma)
     if isinstance(tau, np.ndarray):
         ratio, coeffs = _gamma_coefficient_columns(tau.tobytes(), sigma.tobytes())
@@ -259,22 +321,22 @@ def _ell_gamma_array(z, tau, sigma):
     k -= np.ceil(np.maximum(z.imag - top, 0) / tau.imag)
     w = z + k * tau
     xy = np.exp(2j * math.pi * np.concatenate((w, tau + sigma - w)))
-    x, y = xy.reshape(2, -1)
+    x, y = xy[: len(z)], xy[len(z) :]
     if np.any(np.abs(1 - x) < POLE_EPSILON):
         raise PoleHit("ell_gamma argument on its pole lattice")
-    logs = _power_sum(xy, ratio, coeffs).reshape(2, -1)
-    value = (1 - y) / (1 - x) * np.exp(logs[0] - logs[1])
+    logs = _power_sum(xy, ratio, coeffs)
+    value = (1 - y) / (1 - x) * np.exp(logs[: len(z)] - logs[len(z) :])
     # ell_gamma(z) = ell_gamma(z + k tau) / prod_{0 <= j < k} theta0(z + j tau; sigma)
     for j in range(int(k.max(initial=0))):
         at = k > j
-        shift = _theta0_array(z[at] + j * _part(tau, at), _part(sigma, at))
+        shift = _theta0_at(z, j * tau, sigma, at)
         if np.any(np.abs(shift) < POLE_EPSILON):
             raise PoleHit("ell_gamma argument on its pole lattice")
         value[at] /= shift
     # and for k < 0, times prod_{1 <= j <= -k} theta0(z - j tau; sigma)
     for j in range(1, 1 - int(k.min(initial=0))):
         at = k <= -j
-        value[at] *= _theta0_array(z[at] - j * _part(tau, at), _part(sigma, at))
+        value[at] *= _theta0_at(z, -j * tau, sigma, at)
     return value
 
 
@@ -349,19 +411,18 @@ def qpoch1_add(z, tau):
     """
     if not (isinstance(z, np.ndarray) or isinstance(tau, np.ndarray)):
         return qpoch1(e2pi(z), e2pi(tau))
-    shape, (z, tau) = _flat(z, tau)
-    term, q = e2pi(z), e2pi(tau)
+    term, q = e2pi(np.asarray(z, dtype=complex)), e2pi(np.asarray(tau, dtype=complex))
     count = _term_count(float(np.abs(q).max()), float(np.abs(term).max()))
-    value = np.ones(len(z), dtype=complex)
-    rows = max(1, _BLOCK_CELLS // len(z))
+    value = np.ones(np.broadcast_shapes(term.shape, q.shape), dtype=complex)
+    rows = max(1, _BLOCK_CELLS // max(1, value.size))
     for start in range(0, count, rows):
         # the terms u q^n of this block as running products, as qpoch1's term *= q
-        terms = np.empty((min(rows, count - start), len(q)), complex, order="F")
+        terms = np.empty((min(rows, count - start), *value.shape), complex)
         terms[0], terms[1:] = term, q
         np.cumprod(terms, axis=0, out=terms)
         value *= (1 - terms).prod(axis=0)
         term = terms[-1] * q
-    return value.reshape(shape)
+    return value
 
 
 def theta0(z, tau):
@@ -372,7 +433,7 @@ def theta0(z, tau):
     ``theta0(z + tau) = theta0(-z) = -e^{-2 pi i z} theta0(z)``.
     """
     if isinstance(tau, np.ndarray):
-        shape, (z, tau) = _flat(z, tau)
+        shape, z, (tau,) = _rows(z, tau)
         return _theta0_array(z, tau).reshape(shape)
     if isinstance(z, np.ndarray):
         return _theta0_array(z.ravel(), tau).reshape(z.shape)
@@ -395,13 +456,22 @@ def theta0_mult(u, q):
     return qpoch1(u, q) * qpoch1(q / u, q)
 
 
+def _euler(tau):
+    """``(tau; tau)``; for moduli given per column, the product of ``1 - q^n``
+    over the rows ``n >= 1`` of the power table that :func:`theta0` caches."""
+    if not isinstance(tau, np.ndarray):
+        return qpoch1_add(tau, tau)
+    tau = tau.astype(complex, copy=False)
+    return (1 - _theta_power_columns(tau.tobytes())[1:, 0, 0]).prod(axis=0).reshape(tau.shape)
+
+
 def jacobi_theta(z, tau):
     """First Jacobi theta function.
 
     ``jacobi_theta(z; tau) = i e^{pi i tau / 4 - pi i z} (tau; tau) theta0(z; tau)``,
     normalized so that it is odd in ``z`` with a simple zero at ``z = 0``.
     """
-    return 1j * epi(tau / 4 - z) * qpoch1_add(tau, tau) * theta0(z, tau)
+    return 1j * epi(tau / 4 - z) * _euler(tau) * theta0(z, tau)
 
 
 def ell_gamma(z, tau, sigma):
@@ -421,7 +491,7 @@ def ell_gamma(z, tau, sigma):
     within ``POLE_EPSILON``.
     """
     if isinstance(tau, np.ndarray) or isinstance(sigma, np.ndarray):
-        shape, (z, tau, sigma) = _flat(z, tau, sigma)
+        shape, z, (tau, sigma) = _rows(z, tau, sigma)
         return _ell_gamma_array(z, tau, sigma).reshape(shape)
     if isinstance(z, np.ndarray):
         return _ell_gamma_array(z.ravel(), tau, sigma).reshape(z.shape)

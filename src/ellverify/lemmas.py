@@ -8,11 +8,12 @@ form, which integrates the tower-separating cycle (straight path plus the
 tower correction derived from the same declaration).
 
 Every product of kernel values is a declaration of constant factors that
-:func:`.special.product` evaluates; a side that is a sum is a Python sum of
-such products.  The pointwise sides take numpy arrays of parameters, one
-entry per draw, as well as numbers; a product takes one kernel call per
-factor either way, on a batch of draws as on a number (see
-:class:`.special.Integrand`).
+:func:`.special.product` evaluates; a side that is a sum is one declaration
+with ``terms``, a scale times factors per summand, as the antisymmetrized
+integrands are.  The pointwise sides take numpy arrays of parameters, one
+entry per draw, as well as numbers: on a batch of draws, the factors of one
+kernel function and moduli, across terms too, make one kernel call, and on
+a number each factor makes one scalar call (see :class:`.special.Integrand`).
 
 Shorthand convention for the gamma products: a plain ``gamma(z)`` inside the
 two integral evaluations and the product identity means the double-modulus
@@ -55,10 +56,10 @@ __all__ = [
 ]
 
 
-def j2_factor(t, lam, tau):
-    """Non-symmetric factor carrying the lambda dependence and the level theta."""
-    return product(
-        epi(-3 * lam),
+def j2_factor(t, lam, tau, sign=1):
+    """The non-symmetric factor carrying the lambda dependence and the level
+    theta, as a term ``(sign e^{-3 pi i lam}, factors)`` of a declaration."""
+    return sign * epi(-3 * lam), (
         Factor("theta0", t + lam, 0, (tau,)),
         Factor("theta0", 2 * t + 6 * tau - 4 * lam + 0.5, 0, (8 * tau,)),
     )
@@ -87,7 +88,7 @@ def sym_rearrange_rhs(t, tau, eta):
 
 
 def theta_simp_lhs(t, lam, tau):
-    return j2_factor(t, lam, tau) - j2_factor(-t, -lam, tau)
+    return product(1, terms=(j2_factor(t, lam, tau), j2_factor(-t, -lam, tau, -1)))
 
 
 def theta_simp_rhs(t, lam, tau):
@@ -101,23 +102,30 @@ def theta_simp_rhs(t, lam, tau):
 
 
 def full_sym_lhs(t, lam, tau):
-    return theta_simp_lhs(t, lam, tau) - theta_simp_lhs(t, -lam, tau)
+    # theta_simp_lhs(t, lam) - theta_simp_lhs(t, -lam)
+    return product(1, terms=(
+        j2_factor(t, lam, tau), j2_factor(-t, -lam, tau, -1),
+        j2_factor(t, -lam, tau, -1), j2_factor(-t, lam, tau),
+    ))
 
 
 def full_sym_rhs(t, lam, tau):
     # the theta-simp3 side times 2 e^{-2 pi i t} theta0(6 tau + 1/2; 8 tau) / theta0(1/2; 2 tau)
-    front = product(
-        2 * e2pi(-t),
+    front, first, second = _theta_simp3_rhs_parts(t, lam, tau)
+    return product(
+        4 * e2pi(-t) * epi(-3 * lam),
         Factor("theta0", 6 * tau + 0.5, 0, (8 * tau,)),
         Factor("theta0", 0.5, 0, (2 * tau,), -1),
+        *front,
+        terms=((1, first), (-1, second)),
     )
-    return front * theta_simp3_rhs(t, lam, tau)
 
 
 def theta_simp2_lhs(z, sigma):
-    return product(1, Factor("theta0", 2 * z + 3 * sigma + 0.5, 0, (4 * sigma,))) + product(
-        e2pi(-z), Factor("theta0", 2 * z + sigma + 0.5, 0, (4 * sigma,))
-    )
+    return product(1, terms=(
+        (1, (Factor("theta0", 2 * z + 3 * sigma + 0.5, 0, (4 * sigma,)),)),
+        (e2pi(-z), (Factor("theta0", 2 * z + sigma + 0.5, 0, (4 * sigma,)),)),
+    ))
 
 
 def theta_simp2_rhs(z, sigma):
@@ -130,36 +138,36 @@ def theta_simp2_rhs(z, sigma):
 
 
 def theta_simp3_lhs(t, lam, tau):
-    def term(lam):
-        return product(
-            epi(lam),
-            Factor("theta0", t + lam, 0, (tau,)),
-            Factor("theta0", t - 2 * lam + 0.5, 0, (2 * tau,)),
-        )
-
-    return term(lam) - term(-lam)
+    return product(1, terms=tuple((s * epi(s * lam), (
+        Factor("theta0", t + s * lam, 0, (tau,)),
+        Factor("theta0", t - 2 * s * lam + 0.5, 0, (2 * tau,)),
+    )) for s in (1, -1)))
 
 
-def theta_simp3_rhs(t, lam, tau):
-    front = product(
-        2 * epi(-3 * lam),
+def _theta_simp3_rhs_parts(t, lam, tau):
+    """The factors of the theta-simp3 side, ``2 e^{-3 pi i lam}`` times the
+    first times the difference of the two others."""
+    front = (
         Factor("theta0", t + tau + 0.5, 0, (2 * tau,)),
         Factor("theta0", lam, 0, (tau,)),
         Factor("theta0", 0.5, 0, (2 * tau,), -2),
     )
-    first = product(
-        1,
+    first = (
         Factor("theta0", 2 * lam + 0.5, 0, (2 * tau,)),
         Factor("theta0", tau + 0.5, 0, (2 * tau,), -1),
         Factor("theta0", t + 0.5, 0, (2 * tau,), 2),
     )
-    second = product(
-        1,
+    second = (
         Factor("theta0", lam + 0.5, 0, (tau,), 2),
         Factor("theta0", tau, 0, (2 * tau,), -1),
         Factor("theta0", t, 0, (2 * tau,), 2),
     )
-    return front * (first - second)
+    return front, first, second
+
+
+def theta_simp3_rhs(t, lam, tau):
+    front, first, second = _theta_simp3_rhs_parts(t, lam, tau)
+    return product(2 * epi(-3 * lam), *front, terms=((1, first), (-1, second)))
 
 
 # ---------------------------------------------------------------------------

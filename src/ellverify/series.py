@@ -657,6 +657,18 @@ def truncated_product(ring, factors):
     seed = None if most is None else steps.pop(most)
     slots = [i for i, _ in ring._cap_slots]
     steps = [(f,) + _corners(f) for f in steps]
+    # a pair's term c x**e times the rest starts at e plus the seed's low
+    # corner plus the whole negative budget: where that reaches the cap less
+    # the shift, the pair writes nothing, and it is dropped before the box
+    corner = seed.lo if seed is not None else (0,) * dims
+    reach = [
+        cap - shift[i] - corner[i] - sum([low[i] for _, low, _ in steps if low[i] < 0])
+        for i, cap in ring._cap_slots
+    ]
+    steps = [
+        (f, low, high) for f, low, high in steps
+        if isinstance(f, LaurentSeries) or all([f[1][i] < r for i, r in zip(slots, reach)])
+    ]
     steps.sort(key=lambda step: min([step[1][i] for i in slots], default=0) >= 0)
     # tops[k]: exclusive exponent in each capped slot before step k, the cap
     # less the monomials' shift plus the negative budget of steps k, k+1, ...

@@ -16,9 +16,10 @@ for a sum such as :func:`I_sym` or :func:`delta_sym`, one term per sign of
 ``lam``, so that the sum is one quadrature.  A closed form is the same
 declaration with every slope 0, evaluated by :func:`product`; what is not a
 product of kernel values (a phase, a square root) is its scale.  On a node
-array, the factors that share a kernel function and moduli make one kernel
-call on their stacked arguments; a number, or a batch of draws (one shift,
-modulus or scale entry per draw), takes one kernel call per factor.  Every
+array, and on a batch of draws (one shift, modulus or scale entry per
+draw), the factors that share a kernel function and moduli, those of the
+terms included, make one kernel call on their stacked arguments; a number
+takes one scalar kernel call per factor.  Every
 integral evaluator ends in one call, :func:`audited_integral`, which derives
 the pole inventory from the factors (:func:`pole_inventory`), picks the path
 from it, audits the path and then runs the periodic trapezoid rule from a
@@ -148,19 +149,31 @@ class Factor:
         return value if self.power == 1 else value**self.power
 
 
+def _value_key(modulus):
+    """A modulus by value: an array by its bytes, as the kernel's caches key
+    it, and a number as a complex."""
+    if isinstance(modulus, np.ndarray):
+        return modulus.dtype, modulus.shape, modulus.tobytes()
+    return complex(modulus)
+
+
 @dataclass(frozen=True)
 class Integrand:
     """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``,
     times ``sum_k s_k prod(fs_k)`` over the ``(s_k, fs_k)`` of ``terms``, if any.
 
     The scale, the phase and each ``s_k`` have no poles, so every pole is a
-    factor's.  On a numpy array ``t`` of nodes, the factors, term factors
-    too, that share a kind and the values of their moduli are one group,
-    which makes one kernel call on its stacked arguments at every node; each
-    term takes its product from its own rows, and the kernel blocks its own
-    work arrays.  A number ``t`` takes one kernel call per factor, on numbers
-    or on a batch of draws, whose shifts, moduli or scale hold one entry per
-    draw.
+    factor's.  On a numpy array ``t`` of nodes, or on a batch of draws (a
+    shift, a modulus or a scale holds one entry per draw), the factors, term
+    factors too, that share a kind and the values of their moduli are one
+    group, which makes one kernel call on its stacked arguments: rows of
+    nodes against one modulus, or rows of draws against a modulus per draw,
+    which the kernel broadcasts over the rows; arrays of moduli group by
+    their bytes, as the kernel's caches key them.  Each term takes its
+    product from its own rows, and the kernel blocks its own work arrays.  A
+    number ``t`` with numbers everywhere takes one scalar kernel call per
+    factor; whether a declaration is a batch is found once, by ``isinstance``
+    tests, so a declaration called again on numbers pays no scan.
     """
 
     factors: tuple
@@ -169,49 +182,76 @@ class Integrand:
     terms: tuple = ()
 
     @functools.cached_property
+    def _per_draw(self):
+        """Whether a scale, a shift or a modulus holds one entry per draw."""
+        for scale, factors in ((self.scale, self.factors), *self.terms):
+            if isinstance(scale, np.ndarray):
+                return True
+            for f in factors:
+                for x in (f.shift, *f.moduli):
+                    if isinstance(x, np.ndarray):
+                        return True
+        return False
+
+    @functools.cached_property
     def _groups(self):
         """``(kind, moduli, shifts, slopes, powers, slots, starts)`` of each
-        group: a lone factor's own, or rows; ``None`` for slopes all 0 or
-        powers all 1; the slot of each run of rows, 0 for ``factors`` and
-        ``k + 1`` for term ``k``, and its first row."""
+        group: a lone factor's own, ``starts`` ``None``; or rows, the slot of
+        each run of rows, 0 for ``factors`` and ``k + 1`` for term ``k``, and
+        its first row.  ``None`` for slopes all 0 or powers all 1."""
+        key = _value_key if self._per_draw else complex
         members = {}
         for slot, factors in enumerate((self.factors, *(fs for _, fs in self.terms))):
             for f in factors:
-                members.setdefault((f.kind, *map(complex, f.moduli)), []).append((slot, f))
+                members.setdefault((f.kind, *map(key, f.moduli)), []).append((slot, f))
         groups = []
         for group in members.values():
-            slots, group = zip(*group)
-            first = group[0]
-            shifts, slopes, powers = first.shift, first.slope, first.power
-            if len(group) > 1:
-                shifts = np.array([[f.shift] for f in group], complex)
-                slopes = np.array([[f.slope] for f in group])
-                powers = np.array([[f.power] for f in group])
-            slopes = slopes if any(f.slope for f in group) else None
-            powers = None if all(f.power == 1 for f in group) else powers
+            slots, factors = [slot for slot, _ in group], [f for _, f in group]
+            first = factors[0]
+            if len(factors) == 1:
+                slopes = first.slope or None
+                powers = None if first.power == 1 else first.power
+                groups.append((first.kind, first.moduli, first.shift, slopes, powers, slots, None))
+                continue
+            shifts = [f.shift for f in factors]
+            if self._per_draw:
+                # a row per factor, a column per draw: scalar shifts fill their rows
+                rows = np.empty((len(shifts), max(getattr(x, "size", 1) for x in shifts)), complex)
+                for row, shift in zip(rows, shifts):
+                    row[...] = shift
+                shifts = rows
+            else:
+                shifts = np.array(shifts, complex)[:, None]
+            slopes = [[f.slope] for f in factors]
+            powers = [[f.power] for f in factors]
             starts = [i for i, slot in enumerate(slots) if i == 0 or slot != slots[i - 1]]
-            groups.append((first.kind, first.moduli, shifts, slopes, powers,
-                           [slots[i] for i in starts], starts))
+            groups.append((
+                first.kind, first.moduli, shifts,
+                np.array(slopes) if any(f.slope for f in factors) else None,
+                None if all(f.power == 1 for f in factors) else np.array(powers),
+                [slots[i] for i in starts], starts,
+            ))
         return tuple(groups)
 
     def __call__(self, t):
         phase = np.exp(2j * math.pi * self.wind * t) if self.wind else 1
-        if isinstance(t, np.ndarray):
-            parts = [complex(self.scale) * phase] + [s for s, _ in self.terms]
+        if isinstance(t, np.ndarray) or self._per_draw:
+            parts = [self.scale * phase if self.wind else self.scale, *(s for s, _ in self.terms)]
             for kind, moduli, shifts, slopes, powers, slots, starts in self._groups:
                 z = shifts if slopes is None else shifts + slopes * t
                 values = globals()[_KERNELS[kind]](z, *moduli)
                 if powers is not None:
                     values = values**powers
-                if len(slots) > 1:
+                if starts is None:
+                    rows = (values,)
+                elif len(slots) > 1:
                     rows = np.multiply.reduceat(values, starts)
                 else:
-                    rows = [values.prod(axis=0) if np.ndim(shifts) == 2 else values]
+                    rows = (values.prod(axis=0),)
                 for slot, row in zip(slots, rows):
                     parts[slot] = parts[slot] * row
             return parts[0] * sum(parts[2:], parts[1]) if self.terms else parts[0]
-        scale = self.scale if isinstance(self.scale, np.ndarray) else complex(self.scale)
-        value = scale * phase
+        value = complex(self.scale) * phase
         for factor in self.factors:
             value = value * factor(t)
         if self.terms:
@@ -219,10 +259,11 @@ class Integrand:
         return value
 
 
-def product(scale, *factors):
-    """The closed form ``scale`` times ``factors``, each of slope 0: a number,
-    or one entry per draw where a shift, a modulus or ``scale`` is an array."""
-    return Integrand(factors, scale)(0)
+def product(scale, *factors, terms=()):
+    """The closed form ``scale`` times ``factors``, each of slope 0, times the
+    sum of ``terms`` if any (see :class:`Integrand`): a number, or one entry
+    per draw where a shift, a modulus or a scale is an array."""
+    return Integrand(factors, scale, terms=terms)(0)
 
 
 def _cone(start, steps, lo, hi):

@@ -1,10 +1,13 @@
 """Shared test helpers: a numeric value for exact series, a series rebuilt
 under tighter caps, a reference enumeration of the series product builders,
-a reference build of the evaluation conjecture's factors, a recorder for the
-quadratures the integral evaluators run, and the audit clearance of a
-declared integrand."""
+a reference build of the evaluation conjecture's factors, reference forms
+of the pointwise lemma sides that are sums, a recorder for the quadratures
+the integral evaluators run, and the audit clearance of a declared
+integrand."""
 
 from ellverify import contour, special
+from ellverify.kernel import e2pi, epi
+from ellverify.special import Factor, product
 from ellverify.conjectures import AffineRootLayer
 from ellverify.series import (
     NonTerminating,
@@ -148,6 +151,86 @@ def reference_aff_eval_conjecture_series(n, k_mac, mu, k, order):
         return factors
 
     return stabilized_product(("r",), {"r": order + 1}, build)
+
+
+# ---------------------------------------------------------------------------
+# the pointwise lemma sides that are sums, as Python sums and products of
+# products of slope-0 factors, one product per term
+
+
+def _j2_product(t, lam, tau):
+    return product(
+        epi(-3 * lam),
+        Factor("theta0", t + lam, 0, (tau,)),
+        Factor("theta0", 2 * t + 6 * tau - 4 * lam + 0.5, 0, (8 * tau,)),
+    )
+
+
+def reference_theta_simp_lhs(t, lam, tau):
+    return _j2_product(t, lam, tau) - _j2_product(-t, -lam, tau)
+
+
+def reference_full_sym_lhs(t, lam, tau):
+    return reference_theta_simp_lhs(t, lam, tau) - reference_theta_simp_lhs(t, -lam, tau)
+
+
+def reference_full_sym_rhs(t, lam, tau):
+    front = product(
+        2 * e2pi(-t),
+        Factor("theta0", 6 * tau + 0.5, 0, (8 * tau,)),
+        Factor("theta0", 0.5, 0, (2 * tau,), -1),
+    )
+    return front * reference_theta_simp3_rhs(t, lam, tau)
+
+
+def reference_theta_simp2_lhs(z, sigma):
+    return product(1, Factor("theta0", 2 * z + 3 * sigma + 0.5, 0, (4 * sigma,))) + product(
+        e2pi(-z), Factor("theta0", 2 * z + sigma + 0.5, 0, (4 * sigma,))
+    )
+
+
+def reference_theta_simp3_lhs(t, lam, tau):
+    def term(lam):
+        return product(
+            epi(lam),
+            Factor("theta0", t + lam, 0, (tau,)),
+            Factor("theta0", t - 2 * lam + 0.5, 0, (2 * tau,)),
+        )
+
+    return term(lam) - term(-lam)
+
+
+def reference_theta_simp3_rhs(t, lam, tau):
+    front = product(
+        2 * epi(-3 * lam),
+        Factor("theta0", t + tau + 0.5, 0, (2 * tau,)),
+        Factor("theta0", lam, 0, (tau,)),
+        Factor("theta0", 0.5, 0, (2 * tau,), -2),
+    )
+    first = product(
+        1,
+        Factor("theta0", 2 * lam + 0.5, 0, (2 * tau,)),
+        Factor("theta0", tau + 0.5, 0, (2 * tau,), -1),
+        Factor("theta0", t + 0.5, 0, (2 * tau,), 2),
+    )
+    second = product(
+        1,
+        Factor("theta0", lam + 0.5, 0, (tau,), 2),
+        Factor("theta0", tau, 0, (2 * tau,), -1),
+        Factor("theta0", t, 0, (2 * tau,), 2),
+    )
+    return front * (first - second)
+
+
+#: ``(check id, side): reference`` of each lemma side declared with terms
+REFERENCE_LEMMA_SIDES = {
+    ("lemma.theta-simp", "lhs"): reference_theta_simp_lhs,
+    ("lemma.full-sym", "lhs"): reference_full_sym_lhs,
+    ("lemma.full-sym", "rhs"): reference_full_sym_rhs,
+    ("lemma.theta-simp2", "lhs"): reference_theta_simp2_lhs,
+    ("lemma.theta-simp3", "lhs"): reference_theta_simp3_lhs,
+    ("lemma.theta-simp3", "rhs"): reference_theta_simp3_rhs,
+}
 
 
 def record_quadratures(monkeypatch):

@@ -427,9 +427,10 @@ def test_the_checks_of_a_report_are_the_manifest_and_its_overrides():
 
 @pytest.mark.parametrize("identity_id", POINTWISE + ["eval1"])
 def test_a_failed_row_carries_its_parameters(identity_id):
-    # only sides equal to the last bit meet a tolerance of 1e-300: no batched
-    # draw does, so every batched row fails and carries the parameters
-    # sample_params gives it, and so does every draw that fails on its own
+    # only sides equal to the last bit meet a tolerance of 1e-300: a row
+    # whose sides are equal passes and leaves its parameters out, batched or
+    # on its own, and every other row fails and carries the parameters
+    # sample_params gives it
     overrides = {identity_id: 1e-300}
     config = RunConfig([identity_id], samples_per_identity=20, tolerance_overrides=overrides)
     rows = run_suite(config).results
@@ -439,12 +440,12 @@ def test_a_failed_row_carries_its_parameters(identity_id):
         keys.add("quadrature_error_estimate")
     for index, row in enumerate(rows):
         want = report._encode_params(catalog.sample_params(identity_id, 0, index))
-        assert row["status"] == "fail" and row["parameters"] == want, index
-        assert set(row) == keys, index
         single = report._numeric_result(entry, config, index)
         # Python's complex arithmetic gives lemma.sym-rearrange draw 14 and
         # theta-mod draw 4 equal sides on their own: those rows pass
-        if abs(complex(*single["lhs"]) - complex(*single["rhs"])) == 0:
-            assert single["status"] == "pass" and "parameters" not in single, index
-        else:
-            assert single["status"] == "fail" and single["parameters"] == want, index
+        for result in (row, single):
+            if abs(complex(*result["lhs"]) - complex(*result["rhs"])) == 0:
+                assert result["status"] == "pass" and "parameters" not in result, index
+            else:
+                assert result["status"] == "fail" and result["parameters"] == want, index
+        assert set(row) == (keys if row["status"] == "fail" else keys - {"parameters"}), index

@@ -2,10 +2,11 @@
 exact symmetry structure of the building-block factors (which pins down sign
 and phase conventions independently of the full identities)."""
 
+import numpy as np
 import pytest
 
 from ellverify import catalog, contour, kernel, lemmas, special
-from helpers import audit_clearance, record_quadratures
+from helpers import REFERENCE_LEMMA_SIDES, audit_clearance, record_quadratures
 
 
 def close(a, b, tol=1e-12):
@@ -24,6 +25,22 @@ def test_nine_lemmas_registered():
 def test_lemma_draws(identity_id, index):
     res = catalog.run_check(identity_id, seed=23, sample_index=index)
     assert res.passed, f"{identity_id}[{index}]: abs_error={res.abs_error:.3e}"
+
+
+@pytest.mark.parametrize("identity_id, side", sorted(REFERENCE_LEMMA_SIDES))
+def test_term_declarations_match_the_sums_of_products(identity_id, side):
+    # a side declared as one product with terms is the Python sum of its
+    # terms' products, on each draw alone and on a batch of draws, at seed 0
+    evaluate = getattr(catalog.get_entry(identity_id), side)
+    reference = REFERENCE_LEMMA_SIDES[identity_id, side]
+    for index in range(50):
+        params = catalog.sample_params(identity_id, 0, index)
+        got, want = evaluate(params), reference(**params)
+        assert abs(got - want) <= 1e-14 * abs(want), index
+    params = catalog.run_batch(identity_id, 0, range(50)).parameters
+    got, want = evaluate(params), reference(**params)
+    assert got.shape == (50,)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -536,12 +536,15 @@ def test_monomials_past_every_cap_give_zero():
 @st.composite
 def mixed_factors(draw, ring):
     """A factor list mixing binomial pairs (negative capped exponents and
-    uncapped variables included), reciprocal pairs, monomials and dense
-    series, each with its ``{exponent tuple: coefficient}`` reference."""
+    uncapped variables included, and pairs well past a cap), reciprocal
+    pairs, monomials and dense series, each with its ``{exponent tuple:
+    coefficient}`` reference."""
     zero = (0,) * len(ring.variables)
     factors, refs = [], []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(("pair", "pair", "pair", "reciprocal", "monomial", "dense")))
+        kind = draw(
+            st.sampled_from(("pair", "pair", "pair", "past", "reciprocal", "monomial", "dense"))
+        )
         if kind == "dense":
             terms = draw(term_dicts(ring, size=3))
             factors.append(from_terms(ring, terms))
@@ -556,6 +559,16 @@ def mixed_factors(draw, ring):
                 # up to past the cap, where a later dip can bring a term back
                 exps = tuple(
                     draw(st.integers(-2, ring.caps.get(v, 2) + 1)) for v in ring.variables
+                )
+                pairs = [(draw(coefficients.filter(bool)), exps)]
+            elif kind == "past":
+                # from the cap up to 6 past it in one capped variable: idle
+                # unless the dips and the seed can bring its term back
+                far = draw(st.sampled_from(sorted(ring.caps)))
+                exps = tuple(
+                    draw(st.integers(ring.caps[v], ring.caps[v] + 6) if v == far
+                         else st.integers(-2, ring.caps.get(v, 2) + 1))
+                    for v in ring.variables
                 )
                 pairs = [(draw(coefficients.filter(bool)), exps)]
             else:

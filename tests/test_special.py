@@ -444,10 +444,11 @@ def test_one_kernel_call_per_group_and_batch(monkeypatch, declarations):
 
 @pytest.fixture(scope="module")
 def closed_forms():
-    """``{(kind, power) of each factor: [(declaration, value), ...]}`` of every
-    closed form (a declaration of slope-0 factors) that the numeric checks
-    evaluate at their seed-0 draws 0-19, each at one draw.  Integrals, tower
-    corrections included, read 1, so that only closed forms are evaluated."""
+    """``{(kind, power) of each factor, and of each term's factors:
+    [(declaration, value), ...]}`` of every closed form (a declaration of
+    slope-0 factors) that the numeric checks evaluate at their seed-0 draws
+    0-19, each at one draw.  Integrals, tower corrections included, read 1,
+    so that only closed forms are evaluated."""
     found = {}
     with pytest.MonkeyPatch.context() as mp:
         for module in (special, lemmas):
@@ -457,8 +458,10 @@ def closed_forms():
 
         def recording(self, t):
             value = call(self, t)
-            if not any(f.slope for f in self.factors):
-                signature = tuple((f.kind, f.power) for f in self.factors)
+            if not any(f.slope for f in _all_factors(self)):
+                signature = tuple((f.kind, f.power) for f in self.factors), tuple(
+                    tuple((f.kind, f.power) for f in fs) for _, fs in self.terms
+                )
                 found.setdefault(signature, []).append((self, value))
             return value
 
@@ -472,18 +475,30 @@ def closed_forms():
     return found
 
 
+def _all_factors(declaration):
+    return declaration.factors + sum((fs for _, fs in declaration.terms), ())
+
+
 def _stacked(declarations):
-    """One declaration whose shifts, moduli and scale hold those of
-    ``declarations`` (of one signature), one entry per declaration."""
+    """One declaration whose shifts, moduli and scales, its terms' too, hold
+    those of ``declarations`` (of one signature), one entry per declaration."""
     def column(values):
         return np.array(list(values), complex)
 
-    factors = []
-    for i, factor in enumerate(declarations[0].factors):
-        shifts = column(d.factors[i].shift for d in declarations)
-        moduli = tuple(map(column, zip(*(d.factors[i].moduli for d in declarations))))
-        factors.append(special.Factor(factor.kind, shifts, 0, moduli, factor.power))
-    return special.Integrand(tuple(factors), column(d.scale for d in declarations))
+    def stacked(lists):
+        factors = []
+        for i, factor in enumerate(lists[0]):
+            shifts = column(fs[i].shift for fs in lists)
+            moduli = tuple(map(column, zip(*(fs[i].moduli for fs in lists))))
+            factors.append(special.Factor(factor.kind, shifts, 0, moduli, factor.power))
+        return tuple(factors)
+
+    terms = tuple(
+        (column(s for s, _ in term), stacked([fs for _, fs in term]))
+        for term in zip(*(d.terms for d in declarations))
+    )
+    factors = stacked([d.factors for d in declarations])
+    return special.Integrand(factors, column(d.scale for d in declarations), terms=terms)
 
 
 def _on_a_zero(declaration):
@@ -515,19 +530,35 @@ def test_every_closed_form_is_the_same_on_scalars_and_on_a_batch(monkeypatch, cl
         assert len(records) >= 20, signature
         declarations, values = zip(*records[:20])
         batch = _stacked(declarations)
+        factors = _all_factors(batch)
         # one modulus per draw
-        assert all(len(set(m)) > 1 for f in batch.factors for m in f.moduli), signature
+        assert all(len(set(m)) > 1 for f in factors for m in f.moduli), signature
         calls.clear()
         got = batch(0)
         assert got.shape == (20,)
-        # one kernel call per factor, on the draws' 1-D arrays
+        # one kernel call per (function, moduli) group, terms included: the
+        # group's arguments stacked as one row per factor, a lone factor's
+        # as the draws' 1-D array, against the draws' 1-D moduli
         kinds = {"gamma": "ell_gamma", "theta0": "theta0", "jacobi": "jacobi_theta"}
-        names = [kinds.get(f.kind, "qpoch1_add") for f in batch.factors]
-        assert calls == [(n, *[(20,)] * (1 + len(f.moduli))) for n, f in zip(names, batch.factors)]
+        groups = {}
+        for f in factors:
+            key = (kinds.get(f.kind, "qpoch1_add"), *(m.tobytes() for m in f.moduli))
+            groups.setdefault(key, []).append(f)
+        want = [
+            (key[0], (len(fs), 20) if len(fs) > 1 else (20,), *[(20,)] * len(fs[0].moduli))
+            for key, fs in groups.items()
+        ]
+        assert calls == want, signature
         calls.clear()
-        # the grouped product is the product of each factor's own batch values
-        alone = batch.scale * np.prod([special.Integrand((f,))(0) for f in batch.factors], axis=0)
-        assert np.all(np.abs(got - alone) <= 1e-14 * np.abs(alone)), signature
+        # the grouped value is the product of each factor's own batch values,
+        # times the sum over the terms of the products of theirs
+        def alone(fs):
+            return np.prod([special.Integrand((f,))(0) for f in fs], axis=0)
+
+        want = batch.scale * alone(batch.factors)
+        if batch.terms:
+            want = want * sum(s * alone(fs) for s, fs in batch.terms)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), signature
         # and each draw's scalar value, to the agreement of the kernel's scalar
         # and array paths: they differ by up to 1.1e-14 for a theta0 far
         # outside its strip (eval3's theta0(-4 eta; tau) at 8e-39)
