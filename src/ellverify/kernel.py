@@ -161,16 +161,16 @@ def _part(modulus, columns):
     return modulus[columns] if isinstance(modulus, np.ndarray) else modulus
 
 
-def _column_blocks(array, cells):
-    """Slices of the last axis of ``array`` that cut it into blocks of at
-    most ``_BLOCK_CELLS`` work cells, ``cells`` per point, each block holding
-    every row of its columns and one column at least; rows of draws of at
-    most ``_WHOLE_CELLS`` work cells are one block."""
-    if array.ndim > 1 and cells * array.size <= _WHOLE_CELLS:
-        return [slice(None)]
-    rows = len(array) if array.ndim > 1 else 1
-    step = max(1, _BLOCK_CELLS // (cells * rows))
-    return [slice(start, start + step) for start in range(0, array.shape[-1], step)]
+def _block_columns(array, cells):
+    """Columns of ``array`` in one block of the array path's work arrays,
+    ``cells`` per point: as many as ``_BLOCK_CELLS`` work cells hold, every
+    row of a column together, and one at least; rows of draws of at most
+    ``_WHOLE_CELLS`` work cells are one block."""
+    if array.ndim == 1:
+        return max(1, _BLOCK_CELLS // cells)
+    if cells * array.size <= _WHOLE_CELLS:
+        return array.shape[-1]
+    return max(1, _BLOCK_CELLS // (cells * len(array)))
 
 
 def _term_count(ratio, start=1.0):
@@ -257,7 +257,9 @@ def _power_sum(w, ratio, coeffs):
     """
     coeffs = coeffs[: _term_count(float(np.abs(w).max()) * ratio)]
     out = np.empty(w.shape, dtype=complex)
-    for block in _column_blocks(w, len(coeffs)):
+    step = _block_columns(w, len(coeffs))
+    for start in range(0, w.shape[-1], step):
+        block = slice(start, start + step)
         powers = w[..., block][None]
         while len(powers) < len(coeffs):
             powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
@@ -278,8 +280,11 @@ def _theta0_array(z, tau, qn=None):
     k = np.floor(z.imag / tau.imag)
     w = z - k * tau
     value = np.empty(z.shape, dtype=complex)
-    for block in _column_blocks(z, 2 * len(qn)):
-        xv = np.exp(2j * math.pi * np.array((w[..., block], _part(tau, block) - w[..., block])))
+    step = _block_columns(z, 2 * len(qn))
+    for start in range(0, z.shape[-1], step):
+        block = slice(start, start + step)
+        part = w[..., block]
+        xv = np.exp(2j * math.pi * np.array((part, _part(tau, block) - part)))
         q = qn if qn.shape[-1] == 1 else qn[..., block]
         value[..., block] = (1 - q * xv).prod(axis=(0, 1))
     # theta0(w + k tau) = (-1)^k e^{-2 pi i (k w + tau k (k - 1) / 2)} theta0(w)
@@ -456,11 +461,9 @@ def theta0_mult(u, q):
     return qpoch1(u, q) * qpoch1(q / u, q)
 
 
-def _euler(tau):
-    """``(tau; tau)``; for moduli given per column, the product of ``1 - q^n``
+def _euler_columns(tau):
+    """``(tau; tau)`` for moduli given per column: the product of ``1 - q^n``
     over the rows ``n >= 1`` of the power table that :func:`theta0` caches."""
-    if not isinstance(tau, np.ndarray):
-        return qpoch1_add(tau, tau)
     tau = tau.astype(complex, copy=False)
     return (1 - _theta_power_columns(tau.tobytes())[1:, 0, 0]).prod(axis=0).reshape(tau.shape)
 
@@ -471,7 +474,8 @@ def jacobi_theta(z, tau):
     ``jacobi_theta(z; tau) = i e^{pi i tau / 4 - pi i z} (tau; tau) theta0(z; tau)``,
     normalized so that it is odd in ``z`` with a simple zero at ``z = 0``.
     """
-    return 1j * epi(tau / 4 - z) * _euler(tau) * theta0(z, tau)
+    euler = _euler_columns(tau) if isinstance(tau, np.ndarray) else qpoch1_add(tau, tau)
+    return 1j * epi(tau / 4 - z) * euler * theta0(z, tau)
 
 
 def ell_gamma(z, tau, sigma):

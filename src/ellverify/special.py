@@ -172,8 +172,8 @@ class Integrand:
     their bytes, as the kernel's caches key them.  Each term takes its
     product from its own rows, and the kernel blocks its own work arrays.  A
     number ``t`` with numbers everywhere takes one scalar kernel call per
-    factor; whether a declaration is a batch is found once, by ``isinstance``
-    tests, so a declaration called again on numbers pays no scan.
+    factor; whether a declaration is a batch is found once, from the types
+    of its values, so a declaration called again on numbers pays no scan.
     """
 
     factors: tuple
@@ -184,14 +184,11 @@ class Integrand:
     @functools.cached_property
     def _per_draw(self):
         """Whether a scale, a shift or a modulus holds one entry per draw."""
-        for scale, factors in ((self.scale, self.factors), *self.terms):
-            if isinstance(scale, np.ndarray):
-                return True
-            for f in factors:
-                for x in (f.shift, *f.moduli):
-                    if isinstance(x, np.ndarray):
-                        return True
-        return False
+        values = [self.scale, *(s for s, _ in self.terms)]
+        for f in self.factors + sum((fs for _, fs in self.terms), ()):
+            values.append(f.shift)
+            values += f.moduli
+        return np.ndarray in set(map(type, values))
 
     @functools.cached_property
     def _groups(self):
