@@ -149,14 +149,6 @@ class Factor:
         return value if self.power == 1 else value**self.power
 
 
-def _value_key(modulus):
-    """A modulus by value: an array by its bytes, as the kernel's caches key
-    it, and a number as a complex."""
-    if isinstance(modulus, np.ndarray):
-        return modulus.dtype, modulus.shape, modulus.tobytes()
-    return complex(modulus)
-
-
 @dataclass(frozen=True)
 class Integrand:
     """``scale * e2pi(wind * t)`` times the product of ``factors`` at ``t``,
@@ -196,11 +188,12 @@ class Integrand:
         group: a lone factor's own, ``starts`` ``None``; or rows, the slot of
         each run of rows, 0 for ``factors`` and ``k + 1`` for term ``k``, and
         its first row.  ``None`` for slopes all 0 or powers all 1."""
-        key = _value_key if self._per_draw else complex
         members = {}
         for slot, factors in enumerate((self.factors, *(fs for _, fs in self.terms))):
             for f in factors:
-                members.setdefault((f.kind, *map(key, f.moduli)), []).append((slot, f))
+                # moduli by value: a number as itself, an array by its bytes
+                key = [m.tobytes() if type(m) is np.ndarray else m for m in f.moduli]
+                members.setdefault((f.kind, *key), []).append((slot, f))
         groups = []
         for group in members.values():
             slots, factors = [slot for slot, _ in group], [f for _, f in group]
@@ -211,7 +204,7 @@ class Integrand:
                 groups.append((first.kind, first.moduli, first.shift, slopes, powers, slots, None))
                 continue
             shifts = [f.shift for f in factors]
-            if self._per_draw:
+            if np.ndarray in set(map(type, shifts)):
                 # a row per factor, a column per draw: scalar shifts fill their rows
                 rows = np.empty((len(shifts), max(getattr(x, "size", 1) for x in shifts)), complex)
                 for row, shift in zip(rows, shifts):
