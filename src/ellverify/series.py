@@ -1,4 +1,4 @@
-"""Exact truncated multivariate Laurent-series arithmetic over rationals.
+"""Exact truncated multivariate Laurent-series arithmetic over the integers.
 
 A :class:`SeriesRing` fixes an ordered variable list and, for a subset of the
 variables, a truncation cap: terms whose exponent in a capped variable reaches
@@ -7,9 +7,9 @@ Uncapped variables are honest Laurent directions (negative exponents fine,
 every stored slice finite).
 
 A series is stored densely over the bounding box of its terms, as an
-object-dtype ``numpy`` array.  Coefficients are exact: ``int``, and
-:class:`fractions.Fraction` only where a coefficient is not integral.  Nothing
-here is floating point.
+object-dtype ``numpy`` array.  Coefficients are ``int``: a non-integral
+request raises ``TypeError``, and only a unit, ``1`` or ``-1``, is inverted.
+Nothing here is floating point.
 
 Products are declared as factor lists.  A binomial ``1 + c * x**e`` is the
 pair ``(c, e)``, with ``e`` an exponent tuple in ring variable order
@@ -41,12 +41,11 @@ first power the caps discard (:func:`binomial_factors`, ``power=-1``), since
 declares both, :func:`truncated_product` telescopes them to the one
 binomial ``1 - x**(2**J)`` before it multiplies.
 :meth:`LaurentSeries.invert` writes a whole series as ``c (1 - r)`` and
-passes ``1 / c`` and the factors ``1 + r**(2**j)`` to the same product.
+passes ``c``, its own inverse, and the factors ``1 + r**(2**j)`` to the same product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 import numpy as np
@@ -74,7 +73,7 @@ class NonTerminating(ValueError):
 
 
 class NotInvertible(ValueError):
-    """Series inversion needs a unit constant term and nilpotent remainder."""
+    """Inversion needs a unit (1 or -1) coefficient and a nilpotent remainder."""
 
 
 class NotStabilized(RuntimeError):
@@ -82,20 +81,8 @@ class NotStabilized(RuntimeError):
     enumerated under (:func:`stabilized_product`)."""
 
 
-def _exact(value):
-    """``value`` as an ``int`` when integral, else as a ``Fraction``."""
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
-
-
-_EXACT = np.frompyfunc(_exact, 1, 1)
-
-
 class Mono:
-    """An exact monomial ``coeff * prod(var**exp)``, independent of any caps.
+    """An integer monomial ``coeff * prod(var**exp)``, independent of any caps.
 
     The argument and modulus type of the product builders, because a
     monomial must survive unpruned even when its exponents exceed a ring cap
@@ -106,7 +93,9 @@ class Mono:
     __slots__ = ("coeff", "exps")
 
     def __init__(self, coeff, exps=None):
-        self.coeff = _exact(coeff)
+        if not isinstance(coeff, int):
+            raise TypeError(f"int coefficient expected, got {type(coeff).__name__}")
+        self.coeff = coeff
         self.exps = {v: e for v, e in (exps or {}).items() if e != 0}
 
     def __mul__(self, other):
@@ -119,9 +108,9 @@ class Mono:
         return self * other.reciprocal()
 
     def reciprocal(self):
-        if self.coeff == 0:
-            raise ZeroDivisionError("reciprocal of the zero monomial")
-        return Mono(Fraction(1) / self.coeff, {v: -e for v, e in self.exps.items()})
+        if self.coeff != 1 and self.coeff != -1:
+            raise NotInvertible("reciprocal of a monomial whose coefficient is not a unit")
+        return Mono(self.coeff, {v: -e for v, e in self.exps.items()})
 
     def __repr__(self):
         parts = [str(self.coeff)]
@@ -168,7 +157,7 @@ class SeriesRing:
 
     def zero(self):
         empty = np.zeros((0,) * len(self.variables), dtype=object)
-        return LaurentSeries(self, (0,) * len(self.variables), empty, True)
+        return LaurentSeries(self, (0,) * len(self.variables), empty)
 
     def one(self):
         return self.constant(1)
@@ -185,7 +174,7 @@ class SeriesRing:
             return self.zero()
         lo = tuple(mono.exps.get(v, 0) for v in self.variables)
         cell = np.full((1,) * len(lo), mono.coeff, dtype=object)
-        return LaurentSeries(self, lo, cell, isinstance(mono.coeff, int))
+        return LaurentSeries(self, lo, cell)
 
 
 class LaurentSeries:
@@ -195,19 +184,20 @@ class LaurentSeries:
     of the exponent tuple ``lo + k`` (aligned with the ring's variable order).
     The box is trimmed, so each of its faces holds a nonzero cell; the zero
     series has shape ``(0, ..., 0)`` at ``lo = (0, ..., 0)``.  No stored
-    exponent reaches its variable's cap.  ``_integral`` is true when every
-    coefficient is an ``int``.  :func:`_trimmed` builds a series from any box.
+    exponent reaches its variable's cap.  :func:`_trimmed` builds a series
+    from any box.
     """
 
-    __slots__ = ("ring", "lo", "coeffs", "_integral")
+    __slots__ = ("ring", "lo", "coeffs")
 
-    def __init__(self, ring, lo, coeffs, integral):
+    def __init__(self, ring, lo, coeffs):
         self.ring = ring
         self.lo = lo
         self.coeffs = coeffs
-        self._integral = integral
 
     def _compatible(self, other):
+        if not isinstance(other, LaurentSeries):
+            raise TypeError(f"series or int expected, got {type(other).__name__}")
         if self.ring != other.ring:
             raise ValueError("series belong to different rings")
 
@@ -221,7 +211,7 @@ class LaurentSeries:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = self.ring.constant(other)
         self._compatible(other)
         if not other.coeffs.size:
@@ -234,24 +224,19 @@ class LaurentSeries:
         for part in (self, other):
             start = np.subtract(part.lo, lo)
             out[tuple(map(slice, start, start + part.coeffs.shape))] += part.coeffs
-        return _trimmed(self.ring, lo, out, self._integral and other._integral)
+        return _trimmed(self.ring, lo, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.ring, self.lo, -self.coeffs, self._integral)
+        return LaurentSeries(self.ring, self.lo, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _exact(other)
-            integral = self._integral and isinstance(other, int)
-            return _trimmed(self.ring, self.lo, self.coeffs * other, integral)
+        if isinstance(other, int):
+            return _trimmed(self.ring, self.lo, self.coeffs * other)
         self._compatible(other)
         return truncated_product(self.ring, [self, other])
 
@@ -265,16 +250,16 @@ class LaurentSeries:
         return truncated_product(self.ring, [self] * power)
 
     def invert(self):
-        """Multiplicative inverse of a series with unit constant term.
+        """Multiplicative inverse of a series whose constant term is a unit.
 
         Requires every non-constant term to carry a positive exponent in some
         capped variable (so the remainder is nilpotent under truncation) and no
         negative capped exponents anywhere (pruned inversion would be unsound).
-        With ``self = c (1 - r)`` the inverse is ``prod_j (1 + r**(2**j)) / c``,
-        the rule of :func:`binomial_factors`.
+        With ``self = c (1 - r)``, ``c`` a unit, the inverse is
+        ``c prod_j (1 + r**(2**j))``, the rule of :func:`binomial_factors`.
         """
         constant = self.terms.get((0,) * len(self.lo))
-        if not constant:
+        if constant != 1 and constant != -1:
             raise NotInvertible("no unit constant term")
         capped = [self.ring._index[v] for v in self.ring.caps]
         if any(self.lo[i] < 0 for i in capped):
@@ -284,8 +269,8 @@ class LaurentSeries:
         if np.count_nonzero(self.coeffs[free]) > 1:
             raise NotInvertible("non-constant term free of every truncated variable")
         one = self.ring.one()
-        power = one - self * (Fraction(1) / constant)
-        factors = [self.ring.constant(Fraction(1) / constant)]
+        power = one - self * constant
+        factors = [self.ring.constant(constant)]
         # r**k vanishes once k reaches the sum of the caps
         for _ in range(sum(self.ring.caps.values()).bit_length() + 1):
             if not power.coeffs.size:
@@ -314,43 +299,11 @@ class LaurentSeries:
         box = [slice(None)] * len(self.lo)
         box[idx] = slice(k, k + 1)
         lo = self.lo[:idx] + (0,) + self.lo[idx + 1 :]
-        return _trimmed(self.ring, lo, self.coeffs[tuple(box)], self._integral)
-
-    # -- rendering ------------------------------------------------------------
-
-    def render(self):
-        """Canonical text form (exponent-lex term order) for golden files."""
-        terms = self.terms
-        if not terms:
-            return "0"
-        pieces = []
-        for key in sorted(terms):
-            coeff = terms[key]
-            pairs = zip(self.ring.variables, key)
-            body = "*".join(f"{v}^{e}" if e != 1 else v for v, e in pairs if e != 0)
-            magnitude = abs(coeff)
-            if not body:
-                text = str(magnitude)
-            elif magnitude == 1:
-                text = body
-            else:
-                text = f"{magnitude}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(pieces)
-
-    def __repr__(self):
-        text = self.render()
-        if len(text) > 60:
-            text = text[:57] + "..."
-        return f"<LaurentSeries {text}>"
+        return _trimmed(self.ring, lo, self.coeffs[tuple(box)])
 
 
-def _trimmed(ring, lo, coeffs, integral):
-    """The series of ``coeffs`` at ``lo``, trimmed to its nonzero cells, and
-    unless ``integral``, with integral ``Fraction`` values stored as ``int``."""
+def _trimmed(ring, lo, coeffs):
+    """The series of ``coeffs`` at ``lo``, trimmed to its nonzero cells."""
     mask = coeffs != 0
     box = []
     for axis in range(coeffs.ndim):
@@ -359,11 +312,7 @@ def _trimmed(ring, lo, coeffs, integral):
         if not hit.size:
             return ring.zero()
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
-    coeffs = coeffs[tuple(box)]
-    if not integral:
-        coeffs = _EXACT(coeffs)
-        integral = not any(isinstance(c, Fraction) for c in coeffs.flat)
-    return LaurentSeries(ring, tuple(e + b.start for e, b in zip(lo, box)), coeffs, integral)
+    return LaurentSeries(ring, tuple(e + b.start for e, b in zip(lo, box)), coeffs[tuple(box)])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +357,6 @@ def _binomials(ring, terms, power):
             doublings = min(((cap - 1) // exps[i]).bit_length() for i, cap in slots if exps[i])
             for _ in range(doublings):
                 factors.append((coeff, exps))
-                # a non-integral Fraction squared stays non-integral
                 coeff, exps = coeff * coeff, tuple([e + e for e in exps])
     return factors
 
@@ -449,8 +397,7 @@ def _progression(ring, coeff, exps, modulus):
     terms = []
     for _ in range(min((cap - 1 - exps[i]) // step[i] for i, cap in slots if step[i]) + 1):
         terms.append((coeff, exps))
-        # as for a Mono: (1/2) * 2 is stored as the int 1
-        coeff, exps = _exact(coeff * step_coeff), tuple(map(add, exps, step))
+        coeff, exps = coeff * step_coeff, tuple(map(add, exps, step))
     return terms
 
 
@@ -532,7 +479,7 @@ class _Box:
     def resize(self, low, high, top):
         """Trim to the nonzero cells below ``top``, then make room for terms
         from ``low`` below to ``high`` above them; False when none is left."""
-        part = self.trimmed(top, [0] * len(self.lo), True)
+        part = self.trimmed(top, [0] * len(self.lo))
         if not part.coeffs.size:
             return False
         base = [a + d for a, d in zip(part.lo, low)]
@@ -546,13 +493,12 @@ class _Box:
         self.base = tuple(base)
         return True
 
-    def trimmed(self, top, shift, integral):
-        """The series of the cells below ``top``, its exponents moved by
-        ``shift``; see :func:`_trimmed` for ``integral``."""
+    def trimmed(self, top, shift):
+        """The series of the cells below ``top``, its exponents moved by ``shift``."""
         if not self._clip(self.lo, self.hi, top):
             return self.ring.zero()
         lo = tuple(b + l + s for b, l, s in zip(self.base, self.lo, shift))
-        return _trimmed(self.ring, lo, self.buf[self._support()], integral)
+        return _trimmed(self.ring, lo, self.buf[self._support()])
 
     def times(self, factor, low, high, top):
         """Multiply by a pair or a series whose terms span ``low``..``high``.
@@ -630,14 +576,13 @@ def truncated_product(ring, factors):
     and keeps the box small.
     """
     dims = len(ring.variables)
-    scale, shift, integral, steps, pairs = 1, (0,) * dims, True, [], []
+    scale, shift, steps, pairs = 1, (0,) * dims, [], []
     for factor in factors:
         if isinstance(factor, LaurentSeries):
             if not factor.coeffs.size:
                 return ring.zero()
             if factor.coeffs.size > 1:
                 steps.append(factor)
-                integral = integral and factor._integral
                 continue
             coeff, exps = factor.coeffs.flat[0], factor.lo
         elif any(factor[1]):
@@ -649,9 +594,7 @@ def truncated_product(ring, factors):
         shift = tuple(a + b for a, b in zip(shift, exps))
     if scale == 0:
         return ring.zero()
-    pairs = _cancelled(pairs)
-    integral = integral and all([isinstance(c, int) for c, _ in pairs])
-    steps += pairs
+    steps += _cancelled(pairs)
     dense = [k for k, f in enumerate(steps) if isinstance(f, LaurentSeries)]
     most = max(dense, key=lambda k: np.count_nonzero(steps[k].coeffs), default=None)
     seed = None if most is None else steps.pop(most)
@@ -687,7 +630,7 @@ def truncated_product(ring, factors):
         for k, step in enumerate(window, start + 1):
             if not box.times(*step, tops[k]):
                 return ring.zero()
-    out = box.trimmed(tops[-1], shift, integral)
+    out = box.trimmed(tops[-1], shift)
     return out if scale == 1 else out * scale
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: a numeric value for exact series, a series rebuilt
-under tighter caps, a reference enumeration of the series product builders,
+"""Shared test helpers: a numeric value for exact series, the canonical text
+of a series, a series rebuilt under tighter caps, a reference enumeration of the series product builders,
 a reference build of the evaluation conjecture's factors, reference forms
 of the pointwise lemma sides that are sums, a recorder for the quadratures
 the integral evaluators run, and the audit clearance of a declared
@@ -30,6 +30,30 @@ def series_value(series, **values):
                 term *= value**exp
         total += term
     return total
+
+
+def render(series):
+    """Canonical text form of ``series`` (exponent-lex term order) for golden files."""
+    terms = series.terms
+    if not terms:
+        return "0"
+    pieces = []
+    for key in sorted(terms):
+        coeff = terms[key]
+        pairs = zip(series.ring.variables, key)
+        body = "*".join(f"{v}^{e}" if e != 1 else v for v, e in pairs if e != 0)
+        magnitude = abs(coeff)
+        if not body:
+            text = str(magnitude)
+        elif magnitude == 1:
+            text = body
+        else:
+            text = f"{magnitude}*{body}"
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(pieces)
 
 
 def narrowed(series, **caps):

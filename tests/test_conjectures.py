@@ -10,7 +10,7 @@ import hashlib
 import itertools
 
 import pytest
-from helpers import reference_aff_eval_conjecture_series
+from helpers import reference_aff_eval_conjecture_series, render
 
 from ellverify import catalog, conjectures, kernel, lemmas, series
 from ellverify.catalog import UnknownIdentity
@@ -133,8 +133,8 @@ def test_denominator_validation():
 
 def test_aff_eval_trivial_weight_is_one():
     series = aff_eval_conjecture_series(2, 2, 0, 0, 20)
-    assert series.render() == "1"
-    assert aff_eval_closed_form_series(0, 0, 20).render() == "1"
+    assert render(series) == "1"
+    assert render(aff_eval_closed_form_series(0, 0, 20)) == "1"
 
 
 def test_aff_eval_leading_term():
@@ -334,7 +334,7 @@ def _sides(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_series_render_golden_digest(name):
     for side in _sides(name):
-        digest = hashlib.sha256(side.render().encode()).hexdigest()
+        digest = hashlib.sha256(render(side).encode()).hexdigest()
         assert digest == GOLDEN_DIGESTS[name]
 
 

@@ -3,6 +3,7 @@ used outside the tests, and no module reads another module's underscore
 names."""
 
 import ast
+import copy
 import importlib
 import inspect
 import pkgutil
@@ -123,3 +124,31 @@ def test_only_the_audit_picks_a_path():
     # a Path or adds a tower correction: audited_integral does both
     assert {c for c in _callers("Path") if c[0] != "contour"} == {("special", "audited_integral")}
     assert _callers("gamma_pair_tower_correction") == {("special", "audited_integral")}
+
+
+
+def _without_reprs(tree):
+    """A copy of ``tree`` with no ``__repr__``: a repr is what a failed
+    assertion prints, so what it reads is not a use."""
+    tree = copy.deepcopy(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            node.body = [n for n in node.body if getattr(n, "name", None) != "__repr__"]
+    return tree
+
+
+@pytest.mark.parametrize("cls", ["Mono", "SeriesRing", "LaurentSeries"])
+def test_every_public_series_member_is_read(cls):
+    # a method or property of the series classes that nothing in src/ or
+    # bench/ reads is code that only tests call
+    members = [
+        attr
+        for attr, value in vars(getattr(importlib.import_module("ellverify.series"), cls)).items()
+        if not attr.startswith("_") and (callable(value) or isinstance(value, property))
+    ]
+    used = set().union(
+        *(_names_used(_without_reprs(tree)) for tree in SOURCES.values()),
+        *(_names_used(_without_reprs(tree), strings=True) for tree in BENCH_SOURCES),
+    )
+    unread = [attr for attr in members if attr not in used]
+    assert members and not unread, f"ellverify.series.{cls} members read only by tests: {unread}"

@@ -18,6 +18,7 @@ from helpers import (
     reference_pochhammer2_factors,
     reference_pochhammer_factors,
     reference_theta0_factors,
+    render,
     series_value,
 )
 from ellverify.series import (
@@ -53,22 +54,32 @@ def euler(cap):
 
 def test_pentagonal_golden():
     _, ep = euler(16)
-    assert ep.render() == "1 - p - p^2 + p^5 + p^7 - p^12 - p^15"
+    assert render(ep) == "1 - p - p^2 + p^5 + p^7 - p^12 - p^15"
 
 
-def test_render_zero_and_fractions():
-    assert RING.zero().render() == "0"
-    s = RING.term(Fraction(1, 2), x=-1) - RING.term(3, y=2) + RING.one()
-    assert s.render() == "1/2*x^-1 + 1 - 3*y^2"
+def test_render_zero_and_signs():
+    assert render(RING.zero()) == "0"
+    s = RING.term(-2, x=-1) - RING.term(3, y=2) + RING.one()
+    assert render(s) == "-2*x^-1 + 1 - 3*y^2"
 
 
-def test_integral_fraction_is_stored_as_int():
-    s = RING.constant(Fraction(4, 2))
-    (coeff,) = s.terms.values()
-    assert type(coeff) is int and coeff == 2
-    assert s.render() == "2"
-    half = RING.term(Fraction(1, 2), x=1)
-    assert all(type(c) is int for c in (half * 2 + half * half * 4).terms.values())
+def test_a_non_integral_request_raises_a_named_error():
+    s = RING.one() + RING.term(1, y=1)
+    for request in (
+        lambda: Mono(Fraction(1, 2)),
+        lambda: RING.term(0.5),
+        lambda: s * Fraction(1, 2),
+        lambda: s + 0.5,
+    ):
+        with pytest.raises(TypeError):
+            request()
+    # only a unit has an integer inverse
+    for request in (Mono(2).reciprocal, Mono(0).reciprocal, RING.constant(2).invert):
+        with pytest.raises(NotInvertible):
+            request()
+    assert RING.constant(-1).invert() == RING.constant(-1)
+    inverse = Mono(-1, {"x": 1}).reciprocal()
+    assert type(inverse.coeff) is int and inverse.coeff == -1 and inverse.exps == {"x": -1}
 
 
 def test_term_beyond_cap_prunes_to_zero():
@@ -89,13 +100,14 @@ def test_ring_validation():
 
 def test_mono_arithmetic():
     a = Mono(2, {"x": 1, "y": -2})
-    b = Mono(Fraction(1, 2), {"y": 2})
+    b = Mono(-1, {"y": 2})
     assert (a * b).exps == {"x": 1}
-    assert (a / b).coeff == 4
-    assert a.reciprocal().coeff == Fraction(1, 2)
-    assert (a * a.reciprocal()).exps == {}
-    with pytest.raises(ZeroDivisionError):
-        Mono(0).reciprocal()
+    assert (a / b).coeff == -2 and (a / b).exps == {"x": 1, "y": -4}
+    assert b.reciprocal().coeff == -1
+    assert (b * b.reciprocal()).exps == {} and (b * b.reciprocal()).coeff == 1
+    for m in (a, Mono(0), Mono(3, {"y": 1})):
+        with pytest.raises(NotInvertible):
+            m.reciprocal()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +117,7 @@ def test_mono_arithmetic():
 def _series(draw_terms):
     terms = {}
     for xe, ye, num in draw_terms:
-        terms[(xe, ye)] = terms.get((xe, ye), 0) + Fraction(num)
+        terms[(xe, ye)] = terms.get((xe, ye), 0) + num
     out = RING.zero()
     for (xe, ye), coeff in terms.items():
         out = out + RING.term(coeff, x=xe, y=ye)
@@ -346,23 +358,25 @@ def ref_mul(ring, a, b, caps=None):
 
 
 def ref_invert(ring, a):
-    """Geometric-series inverse, or None where the engine must refuse."""
+    """Geometric-series inverse, or None where the engine must refuse: a
+    constant term that is not a unit has no integer inverse."""
     zero = (0,) * len(ring.variables)
     capped = [i for i, v in enumerate(ring.variables) if v in ring.caps]
     constant = a.get(zero)
-    if not constant:
+    if constant not in (1, -1):
         return None
     for k in a:
         if k != zero and (
             any(k[i] < 0 for i in capped) or not any(k[i] > 0 for i in capped)
         ):
             return None
-    remainder = ref_clean(ring, {k: -Fraction(c) / constant for k, c in a.items() if k != zero})
+    # a unit is its own inverse
+    remainder = ref_clean(ring, {k: -c * constant for k, c in a.items() if k != zero})
     out, power = {zero: 1}, remainder
     while power:
         out = ref_add(ring, out, power)
         power = ref_mul(ring, power, remainder)
-    return {k: Fraction(c) / constant for k, c in out.items()}
+    return {k: c * constant for k, c in out.items()}
 
 
 def from_terms(ring, terms):
@@ -372,9 +386,7 @@ def from_terms(ring, terms):
     return out
 
 
-coefficients = st.one_of(
-    st.integers(-3, 3), st.integers(1, 4).map(lambda k: Fraction(1, k))
-)
+coefficients = st.integers(-3, 3)
 
 
 @st.composite
@@ -404,10 +416,6 @@ def assert_matches(series, terms):
     highs = [max((k[i] + 1 for k in terms), default=0) for i in range(len(series.lo))]
     assert series.lo == tuple(lows)
     assert series.coeffs.shape == tuple(h - l for h, l in zip(highs, lows))
-    # integral values are stored as int, whatever arithmetic produced them
-    assert not any(
-        isinstance(c, Fraction) and c.denominator == 1 for c in series.terms.values()
-    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -432,7 +440,8 @@ def test_dense_storage_matches_dict_reference(data):
     assert_matches(a, a_terms)
     assert_matches(b, b_terms)
 
-    # a unit plus terms of positive capped degree, which is mostly invertible
+    # a constant plus terms of positive capped degree, invertible when the
+    # constant is a unit
     unit = {(0,) * len(ring.variables): data.draw(coefficients.filter(bool))}
     u_terms = ref_add(ring, unit, data.draw(term_dicts(ring, capped_low=1)))
     for terms in (a_terms, u_terms):
@@ -460,8 +469,8 @@ def test_dense_storage_matches_dict_reference(data):
 @given(data=st.data())
 def test_pochhammer_binomials_match_one_minus_mono(data):
     # each factor is a pair (c, e) standing for 1 + c x^e; alone in a product
-    # it must be the series the general subtraction builds, integrality flag
-    # included, and the list must run until the first discarded term
+    # it must be the series the general subtraction builds, and the list must
+    # run until the first discarded term
     ring = data.draw(rings())
     exps = lambda: {  # noqa: E731
         v: data.draw(st.integers(-2, ring.caps.get(v, 3))) for v in ring.variables
@@ -480,7 +489,7 @@ def test_pochhammer_binomials_match_one_minus_mono(data):
         assert exponents == tuple(current.exps.get(v, 0) for v in ring.variables)
         want = ring.one() - ring.from_mono(current)
         got = truncated_product(ring, [factor])
-        assert got == want and got._integral == want._integral
+        assert got == want
         assert_matches(got, want.terms)
         current = current * modulus
     assert current.coeff == 0 or ring.negligible(current)
@@ -670,7 +679,7 @@ def test_a_binomial_eats_its_reciprocal_doubling_chain():
     cases = [
         (ring.mono(1, p=1), (-1, (0, 16))),
         (ring.mono(2, x=-1, p=3), (-16, (-4, 12))),
-        (ring.mono(Fraction(1, 2), p=3), (Fraction(-1, 16), (0, 12))),
+        (ring.mono(-1, p=3), (-1, (0, 12))),
     ]
     for m, left in cases:
         forward, chain = binomial_factors(ring, m), binomial_factors(ring, m, -1)
@@ -727,7 +736,7 @@ def _enumeration(build, ring, *args):
     type and message of the error it raises."""
     try:
         factors = build(ring, *args)
-    except (NonTerminating, NotInvertible, ZeroDivisionError) as exc:
+    except (NonTerminating, NotInvertible) as exc:
         return type(exc), str(exc)
     return [(type(c), c, e) for c, e in factors]
 
@@ -768,14 +777,14 @@ def test_builders_enumerate_as_the_mono_reference(data):
 def test_builders_enumerate_as_the_mono_reference_on_pinned_cases():
     # the cases the property must reach: a zero modulus (under a discarded
     # argument too), a reciprocal, each error the builders raise, and a
-    # coefficient made integral by a product
+    # coefficient grown by a product
     ring = SeriesRing(("x", "p", "q"), {"p": 6, "q": 4})
     p, q = ring.mono(1, p=1), ring.mono(1, q=1)
     cases = [
         (ring.mono(1, p=1, x=-1), Mono(0, {"p": -1}), q, 1),
         (ring.mono(1, p=6), Mono(0), ring.mono(1, q=-1), 1),
         (ring.mono(-1, p=1, q=1), Mono(0), Mono(0), -1),
-        (ring.mono(Fraction(1, 2), p=1), ring.mono(2, p=1, x=1), ring.mono(3, q=2), -1),
+        (ring.mono(-1, p=1), ring.mono(2, p=1, x=1), ring.mono(3, q=2), -1),
         (ring.mono(2, x=1, p=1), p * q, q, -1),
         (p, ring.mono(1, q=-1), p, 1),
         (p, ring.mono(1, x=2), p, 1),
@@ -799,6 +808,7 @@ def test_builders_enumerate_as_the_mono_reference_on_pinned_cases():
         ),
         (NotInvertible, "negative exponent in a truncated variable"),
         (NotInvertible, "divisor free of every truncated variable"),
+        (NotInvertible, "reciprocal of a monomial whose coefficient is not a unit"),
     }
 
 
