@@ -9,7 +9,7 @@ Layers
 ``lemmas``       pointwise auxiliary identities used by the larger evaluations
 ``catalog``      registry of every check and its kind: numeric checks with
                  samplers and tolerances, exact series checks with runners
-``series``       exact truncated Laurent arithmetic over the rationals
+``series``       exact truncated Laurent arithmetic over the integers
 ``conjectures``  order-by-order series verification of product conjectures
 ``bridge``       numeric evaluation of the series-side closed forms at complex
                  points, tying both routes together

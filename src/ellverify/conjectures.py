@@ -1,6 +1,6 @@
 """Order-by-order verification of the product-form conjectures.
 
-Everything here runs in exact rational arithmetic on truncated Laurent
+Everything here runs in exact integer arithmetic on truncated Laurent
 series (:mod:`.series`), so a passing check shows that two expansions
 agree identically through the stated order — no tolerances involved.
 

@@ -137,18 +137,20 @@ def _without_reprs(tree):
     return tree
 
 
-@pytest.mark.parametrize("cls", ["Mono", "SeriesRing", "LaurentSeries"])
-def test_every_public_series_member_is_read(cls):
+def test_every_public_series_member_is_read():
     # a method or property of the series classes that nothing in src/ or
     # bench/ reads is code that only tests call
-    members = [
-        attr
-        for attr, value in vars(getattr(importlib.import_module("ellverify.series"), cls)).items()
-        if not attr.startswith("_") and (callable(value) or isinstance(value, property))
-    ]
     used = set().union(
         *(_names_used(_without_reprs(tree)) for tree in SOURCES.values()),
         *(_names_used(_without_reprs(tree), strings=True) for tree in BENCH_SOURCES),
     )
-    unread = [attr for attr in members if attr not in used]
-    assert members and not unread, f"ellverify.series.{cls} members read only by tests: {unread}"
+    series = importlib.import_module("ellverify.series")
+    unread = [
+        f"{cls}.{attr}"
+        for cls in ("Mono", "SeriesRing", "LaurentSeries")
+        for attr, value in vars(getattr(series, cls)).items()
+        if not attr.startswith("_")
+        and (callable(value) or isinstance(value, property))
+        and attr not in used
+    ]
+    assert not unread, f"ellverify.series members read only by tests: {unread}"
