@@ -6,7 +6,11 @@ The character-side quantities live in a multiplicative picture with a base
 integral-side machinery (:mod:`.special`) works with additive parameters in
 the upper/lower half planes.  This module converts between the two and
 assembles the closed product relating them, so the character-side statements
-can be tested against audited quadrature of the elliptic side.
+can be tested against audited quadrature of the elliptic side.  Its products
+are :mod:`.special` declarations in the additive coordinates: ``q**n =
+e(n eta)``, ``p = q**(-2*omega) = e(tau)`` and ``Q = q**(-2*kappa) =
+e(sigma)``, ``sigma = -2 kappa eta``, and the bases ``q**-2`` and ``q**-8``
+are the moduli ``-2 eta`` and ``-8 eta``, each in the upper half plane.
 
 The evaluators work in double precision; the conversion itself contributes
 error at machine scale, so the overall accuracy is set by the quadrature
@@ -21,7 +25,8 @@ import math
 from typing import NamedTuple
 
 from . import special
-from .kernel import qpoch1, qpoch2, theta0_mult
+from .kernel import e2pi, qpoch2
+from .special import Factor
 
 __all__ = [
     "AffineParams",
@@ -84,15 +89,13 @@ def convert_conventions(q, lam, omega):
     return AdditiveCoords(eta=eta, tau=-2 * eta * omega, lam=2 * eta * lam)
 
 
-def _qpow(q, exponent):
-    return cmath.exp(complex(exponent) * cmath.log(q))
-
-
 def f22(q, omega):
-    """Unit-constant-term normalizing function of the rank-one graded trace."""
-    q = complex(q)
-    p = _qpow(q, -2 * complex(omega))
-    return qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
+    """Unit-constant-term normalizing function of the rank-one graded trace,
+    ``(p q^2; p) / (p q^4; p)``."""
+    eta, tau, _ = convert_conventions(q, 0, omega)
+    return special.product(
+        1, Factor("qpoch", tau + 2 * eta, 0, (tau,)), Factor("qpoch", tau + 4 * eta, 0, (tau,), -1)
+    )
 
 
 def J_mu_k2(mu, k, q, lam, omega):
@@ -103,30 +106,27 @@ def J_mu_k2(mu, k, q, lam, omega):
     the character-side quantity, normalized so the zero weight gives 1.
     """
     params = AffineParams(mu, k, complex(q), complex(lam), complex(omega))
-    kappa = params.kappa
-    coords = convert_conventions(q, lam, omega)
+    eta, tau, lam = convert_conventions(q, lam, omega)
     q = complex(q)
-    omega = complex(omega)
-    p = _qpow(q, -2 * omega)
-    Q = q ** (-2 * kappa)
+    sigma = -2 * params.kappa * eta
 
-    polynomial = special.ellmac_P(mu, kappa, coords.lam, coords.tau, coords.eta)
-    front = polynomial / (2 * math.pi * f22(q, omega))
-    grading_block = (
-        qpoch1(q**-4, p)
-        * qpoch1(p, p) ** 3
-        / qpoch1(p * q**2, p)
+    polynomial = special.ellmac_P(mu, params.kappa, lam, tau, eta)
+    p, Q = e2pi(tau), e2pi(sigma)
+    # (p q^2; p, Q) / (p q^-2; p, Q) has no gamma form, so it stays a double product
+    mixed_block = (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
+    blocks = special.product(
+        q ** (mu + 4) / (2 * math.pi * f22(q, omega)),
+        # the grading block (q^-4; p) (p; p)^3 / (p q^2; p)
+        Factor("qpoch", -4 * eta, 0, (tau,)),
+        Factor("qpoch", tau, 0, (tau,), 3),
+        Factor("qpoch", tau + 2 * eta, 0, (tau,), -1),
+        # the weight block (q^(-2 mu - 6); Q) (q^(2 mu + 2) Q; Q) / ((q^-4; Q) (Q; Q))
+        Factor("qpoch", (-2 * mu - 6) * eta, 0, (sigma,)),
+        Factor("qpoch", (2 * mu + 2) * eta + sigma, 0, (sigma,)),
+        Factor("qpoch", -4 * eta, 0, (sigma,), -1),
+        Factor("qpoch", sigma, 0, (sigma,), -1),
     )
-    mixed_block = (
-        qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)
-    ) ** 2
-    weight_block = (
-        q ** (mu + 4)
-        * qpoch1(q ** (-2 * mu - 6), Q)
-        * qpoch1(q ** (2 * mu + 2) * Q, Q)
-        / (qpoch1(q**-4, Q) * qpoch1(Q, Q))
-    )
-    return front * grading_block * mixed_block * weight_block
+    return polynomial * mixed_block * blocks
 
 
 def eval_conj_rhs(mu, k, q):
@@ -136,21 +136,18 @@ def eval_conj_rhs(mu, k, q):
     ``(lam, omega) = (2, 4)``; it involves no quadrature.
     """
     params = AffineParams(mu, k, complex(q), 2.0, 4.0)
-    kappa = params.kappa
-    q = complex(q)
-    Q = q ** (-2 * kappa)
-    return (
-        q ** (2 * mu)
-        * qpoch1(q**-2, Q)
-        / qpoch1(q**-4, Q)
-        * theta0_mult(q ** (-2 * mu - 4), Q)
-        * qpoch1(q ** (-2 * mu - 6), Q)
-        * qpoch1(q ** (2 * mu + 2) * Q, Q)
-        * qpoch1(Q, Q)
-        * qpoch1(Q * q**-2, Q)
-        / (
-            qpoch1(q**-4, q**-2)
-            * qpoch1(q**-6, q**-8)
-            * qpoch1(q**-2, q**-8)
-        )
+    eta = convert_conventions(q, 2.0, 4.0).eta
+    sigma = -2 * params.kappa * eta
+    return special.product(
+        complex(q) ** (2 * mu),
+        Factor("qpoch", -2 * eta, 0, (sigma,)),
+        Factor("qpoch", -4 * eta, 0, (sigma,), -1),
+        Factor("theta0", (-2 * mu - 4) * eta, 0, (sigma,)),
+        Factor("qpoch", (-2 * mu - 6) * eta, 0, (sigma,)),
+        Factor("qpoch", (2 * mu + 2) * eta + sigma, 0, (sigma,)),
+        Factor("qpoch", sigma, 0, (sigma,)),
+        Factor("qpoch", sigma - 2 * eta, 0, (sigma,)),
+        Factor("qpoch", -4 * eta, 0, (-2 * eta,), -1),
+        Factor("qpoch", -6 * eta, 0, (-8 * eta,), -1),
+        Factor("qpoch", -2 * eta, 0, (-8 * eta,), -1),
     )

@@ -269,17 +269,6 @@ class UniformMap:
         return {name: values.tolist()[0] for name, values in params.items()}
 
 
-def _lattice_distance(z, tau) -> float:
-    """Distance from z to the lattice Z + Z*tau."""
-    z = complex(z)
-    tau = complex(tau)
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    b -= round(b)
-    a -= round(a)
-    return abs(a + b * tau)
-
-
 def _reject(draw, accept, tries=500):
     for _ in range(tries):
         params = draw()
@@ -340,7 +329,7 @@ def _sample_eval3(rng, index):
             return False
         # keep the closed form's theta zeros at a working distance
         return all(
-            _lattice_distance(p["lam"] - shift, p["tau"]) > 0.04
+            special.lattice_distance(p["lam"] - shift, p["tau"]) > 0.04
             for shift in (0, 2 * p["eta"], -2 * p["eta"])
         )
 
@@ -359,7 +348,7 @@ def _sample_ellmac_val(rng, index):
 
     def accept(p):
         return all(
-            _lattice_distance(which - shift, p["tau"]) > 0.04
+            special.lattice_distance(which - shift, p["tau"]) > 0.04
             for which in (p["lam"], p["lam_alt"])
             for shift in (0, 2 * p["eta"], -2 * p["eta"])
         )
@@ -410,7 +399,7 @@ def _sample_modular(rng, index, branch):
         eta2 = eta / tau if branch == "minus" else -eta / tau
         for t, e in ((tau, eta), (tau2, eta2)):
             for shift in (0, 2 * e, -2 * e):
-                if _lattice_distance(lam - shift, t) < 0.03:
+                if special.lattice_distance(lam - shift, t) < 0.03:
                     return False
         return True
 
@@ -845,7 +834,7 @@ def _register_series(check_id, ref, runner, default_order):
         IdentityEntry(
             id=check_id,
             ref=ref,
-            domain="exact rational coefficients through the configured order",
+            domain="exact integer coefficients through the configured order",
             kind="series",
             tolerance=None,
             default_samples=None,

@@ -1,8 +1,9 @@
 """Elliptic special-function kernel.
 
 Infinite q-Pochhammer products (single and double), theta functions and
-the elliptic gamma function, in both multiplicative (nome) and additive
-(half-period ratio) conventions.
+the elliptic gamma function, in multiplicative (nome) and additive
+(half-period ratio) conventions.  Elsewhere a product of these values is a
+``special.product`` declaration, but for ``bridge.J_mu_k2``'s ``qpoch2`` block.
 
 Conventions
 -----------
@@ -85,7 +86,6 @@ __all__ = [
     "qpoch2",
     "qpoch1_add",
     "theta0",
-    "theta0_mult",
     "jacobi_theta",
     "ell_gamma",
     "ell_gamma_modular_Q",
@@ -450,15 +450,6 @@ def theta0(z, tau):
         a *= q
         b *= q
     return total
-
-
-def theta0_mult(u, q):
-    """Multiplicative form ``theta0(u; q) = (u; q) (q/u; q)``."""
-    u = complex(u)
-    if u == 0:
-        raise PoleHit("theta0 requires a nonzero multiplicative argument")
-    q = complex(q)
-    return qpoch1(u, q) * qpoch1(q / u, q)
 
 
 def _euler_columns(tau):

@@ -6,7 +6,8 @@ product evaluation, the three-dimensional-representation hypergeometric
 function ``fv_u``, the level-kappa hypergeometric theta functions, the
 normalized symmetrized ratio ``ellmac_P`` with its two special-value closed
 forms, and the three-term modular relations (the supporting lemmas are in
-:mod:`.lemmas`).
+:mod:`.lemmas`).  Near a zero of its denominator, ``ellmac_P`` is a mean
+over a small circle, where the quotient it divides out is analytic.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
 return builtin complex numbers.  Each integral evaluator declares its
@@ -15,7 +16,10 @@ integrand once, as an :class:`Integrand`: kernel factors
 for a sum such as :func:`I_sym` or :func:`delta_sym`, one term per sign of
 ``lam``, so that the sum is one quadrature.  A closed form is the same
 declaration with every slope 0, evaluated by :func:`product`; what is not a
-product of kernel values (a phase, a square root) is its scale.  On a node
+product of kernel values (a phase, a square root) is its scale.  Every
+product of kernel values in the package is such a declaration, the scales
+of the gamma-pair forms and the products of :mod:`.bridge` too, but for
+``bridge.J_mu_k2``'s double product block, which has no gamma form.  On a node
 array, and on a batch of draws (one shift, modulus or scale entry per
 draw), the factors that share a kernel function and moduli, those of the
 terms included, make one kernel call on their stacked arguments; a number
@@ -85,6 +89,7 @@ __all__ = [
     "delta_tilde",
     "delta_tilde_series",
     "delta_sym",
+    "lattice_distance",
     "ellmac_P",
     "ellmac_val_rhs",
     "ellmac_eval_rhs",
@@ -565,7 +570,9 @@ def _fv_forms(scale, mu, tau, sigma, eta, terms):
             Factor("gamma", 2 * eta, -1, (tau, sigma)),
             Factor("jacobi", mu, 1, (sigma,)),
         ),
-        scale * epi(-(tau + sigma) / 4) / (qpoch1_add(tau, tau) * qpoch1_add(sigma, sigma)),
+        product(
+            scale * epi(-(tau + sigma) / 4), *(Factor("qpoch", m, 0, (m,), -1) for m in (tau, sigma))
+        ),
         terms=terms,
     )
 
@@ -658,7 +665,8 @@ def _htf_integral(mu, kappa, lam, tau, eta, signs):
         Factor("jacobi", s * lam, 1, (tau,)),
         Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * s * lam, 2, (2 * kappa * tau,)),
     )) for s in signs)
-    scale = epi(tau * mu**2 / (2 * kappa)) * qpoch1_add(2 * kappa * tau, 2 * kappa * tau)
+    level = 2 * kappa * tau
+    scale = product(epi(tau * mu**2 / (2 * kappa)), Factor("qpoch", level, 0, (level,)))
     return audited_integral(*_fv_forms(scale, 2 * eta * mu, tau, -2 * eta * kappa, eta, terms))
 
 
@@ -729,10 +737,36 @@ def delta_sym(mu, kappa, lam, tau, eta):
     return _delta_weight(mu, kappa, eta) * _htf_integral(mu, kappa, lam, tau, eta, (1, -1))
 
 
+def lattice_distance(z, tau):
+    """Distance from ``z`` to the lattice ``Z + tau Z``."""
+    z = complex(z)
+    tau = complex(tau)
+    b = z.imag / tau.imag
+    a = z.real - b * tau.real
+    b -= round(b)
+    a -= round(a)
+    return abs(a + b * tau)
+
+
+#: :func:`ellmac_P` at a ``lam`` within half the radius ``CIRCLE_RADIUS |2 eta|``
+#: of a zero of its denominator is the mean of its values at ``CIRCLE_POINTS``
+#: points on the circle of that radius about ``lam``
+CIRCLE_RADIUS = 0.05
+CIRCLE_POINTS = 8
+
+
 def ellmac_P(mu, kappa, lam, tau, eta):
     """Normalized symmetrized function at shifted index mu + 2.
 
-    Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.
+    Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.  Its
+    denominator ``theta(lam) theta(lam - 2 eta) theta(lam + 2 eta)`` vanishes
+    where :func:`delta_sym` does, so the quotient is analytic there, but the
+    quadrature error of ``delta_sym`` is divided by the vanishing factor too.
+    So near such a zero the value is the mean over the circle of radius
+    ``CIRCLE_RADIUS |2 eta|`` about ``lam`` (0.05 in the bridge's ``lam``):
+    by Cauchy's formula that is the quotient at the centre, the error's pole
+    part ``c / (lam - zero)`` averages to zero, and the trapezoid rule on a
+    circle converges geometrically (Trefethen & Weideman 2014).
     """
     kappa = int(kappa)
     if (mu + 2) % kappa in (1 % kappa, (-1) % kappa):
@@ -740,10 +774,18 @@ def ellmac_P(mu, kappa, lam, tau, eta):
     lam = complex(lam)
     tau = complex(tau)
     eta = complex(eta)
-    numerator = delta_sym(mu + 2, kappa, lam, tau, eta)
-    denominator = product(1, *(Factor("jacobi", lam + k * eta, 0, (tau,)) for k in (-2, 0, 2)))
     prefactor = epi(-(4 * eta + tau) * (mu + 2) ** 2 / (2 * kappa) + 0.75 * tau)
-    return prefactor * numerator / denominator
+
+    def value(z):
+        numerator = delta_sym(mu + 2, kappa, z, tau, eta)
+        denominator = product(1, *(Factor("jacobi", z + k * eta, 0, (tau,)) for k in (-2, 0, 2)))
+        return prefactor * numerator / denominator
+
+    radius = CIRCLE_RADIUS * abs(2 * eta)
+    if all(lattice_distance(lam - zero, tau) >= radius / 2 for zero in (0, 2 * eta, -2 * eta)):
+        return value(lam)
+    circle = [lam + radius * epi((2 * k + 1) / CIRCLE_POINTS) for k in range(CIRCLE_POINTS)]
+    return sum(map(value, circle)) / CIRCLE_POINTS
 
 
 def ellmac_val_rhs(tau, eta):

@@ -1,12 +1,15 @@
 """Shared test helpers: a numeric value for exact series, the canonical text
 of a series, a series rebuilt under tighter caps, a reference enumeration of the series product builders,
 a reference build of the evaluation conjecture's factors, reference forms
-of the pointwise lemma sides that are sums, a recorder for the quadratures
-the integral evaluators run, and the audit clearance of a declared
-integrand."""
+of the pointwise lemma sides that are sums, the bridge's products multiplied
+by hand, a recorder for the quadratures the integral evaluators run, and the
+audit clearance of a declared integrand."""
+
+import cmath
+import math
 
 from ellverify import contour, special
-from ellverify.kernel import e2pi, epi
+from ellverify.kernel import e2pi, epi, qpoch1, qpoch2
 from ellverify.special import Factor, product
 from ellverify.conjectures import AffineRootLayer
 from ellverify.series import (
@@ -255,6 +258,45 @@ REFERENCE_LEMMA_SIDES = {
     ("lemma.theta-simp3", "lhs"): reference_theta_simp3_lhs,
     ("lemma.theta-simp3", "rhs"): reference_theta_simp3_rhs,
 }
+
+
+# ---------------------------------------------------------------------------
+# the bridge's products by hand, in the multiplicative convention: the
+# factors of bridge.J_mu_k2 other than ellmac_P, and bridge.eval_conj_rhs
+
+
+def reference_J_mu_k2_blocks(mu, k, q, omega):
+    q = complex(q)
+    p = cmath.exp(-2 * complex(omega) * cmath.log(q))
+    Q = q ** (-2 * (k + 4))
+    f22 = qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
+    grading_block = qpoch1(q**-4, p) * qpoch1(p, p) ** 3 / qpoch1(p * q**2, p)
+    mixed_block = (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
+    weight_block = (
+        q ** (mu + 4)
+        * qpoch1(q ** (-2 * mu - 6), Q)
+        * qpoch1(q ** (2 * mu + 2) * Q, Q)
+        / (qpoch1(q**-4, Q) * qpoch1(Q, Q))
+    )
+    return grading_block * mixed_block * weight_block / (2 * math.pi * f22)
+
+
+def reference_eval_conj_rhs(mu, k, q):
+    q = complex(q)
+    Q = q ** (-2 * (k + 4))
+    u = q ** (-2 * mu - 4)
+    return (
+        q ** (2 * mu)
+        * qpoch1(q**-2, Q)
+        / qpoch1(q**-4, Q)
+        * qpoch1(u, Q)
+        * qpoch1(Q / u, Q)
+        * qpoch1(q ** (-2 * mu - 6), Q)
+        * qpoch1(q ** (2 * mu + 2) * Q, Q)
+        * qpoch1(Q, Q)
+        * qpoch1(Q * q**-2, Q)
+        / (qpoch1(q**-4, q**-2) * qpoch1(q**-6, q**-8) * qpoch1(q**-2, q**-8))
+    )
 
 
 def record_quadratures(monkeypatch):

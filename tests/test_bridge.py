@@ -13,8 +13,10 @@ from ellverify.bridge import (
     f22,
     J_mu_k2,
 )
-from ellverify.catalog import run_check
+from ellverify import catalog, special
+from ellverify.catalog import COMPOUND_TOLERANCE, run_check
 from ellverify.special import DomainViolation
+from helpers import reference_eval_conj_rhs, reference_J_mu_k2_blocks
 
 
 def close(a, b, tol=1e-12):
@@ -108,3 +110,40 @@ def test_pipeline_degenerate_weight_vanishes():
 
 def test_closed_form_trivial_weight():
     assert close(eval_conj_rhs(0, 0, 1.3), 1.0, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the declared products against the products multiplied by hand
+
+
+def _bridge_points():
+    """``(mu, k, q, lam, omega)`` of the seed 0-3 draws of aff-eval and
+    bridge-unity, and of one complex ``q``."""
+    points = [(1, 1, 1.3 + 0.2j, 0.7, 4.5)]
+    for cid in ("aff-eval", "bridge-unity"):
+        for seed in range(4):
+            for index in range(catalog.get_entry(cid).default_samples):
+                p = catalog.sample_params(cid, seed, index)
+                point = p.get("mu", 0), p.get("k", 0), p["q"], p.get("lam", 2.0), p.get("omega", 4.0)
+                points.append(point)
+    return points
+
+
+def test_declared_products_match_the_hand_multiplied_ones(monkeypatch):
+    # with ellmac_P read as 1, J_mu_k2 is its product blocks; an exact 0, as
+    # eval_conj_rhs's at (mu, k) = (2, 0), must stay one
+    monkeypatch.setattr(special, "ellmac_P", lambda *args: 1)
+    for mu, k, q, lam, omega in _bridge_points():
+        want = reference_J_mu_k2_blocks(mu, k, q, omega)
+        assert abs(J_mu_k2(mu, k, q, lam, omega) - want) <= 1e-13 * abs(want), (mu, k, q)
+        want = reference_eval_conj_rhs(mu, k, q)
+        assert abs(eval_conj_rhs(mu, k, q) - want) <= 1e-13 * abs(want), (mu, k, q)
+
+
+@pytest.mark.parametrize("lam", [1.0] + [1 + s * 10.0**-n for n in range(1, 7) for s in (1, -1)])
+def test_bridge_unity_holds_at_and_next_to_a_theta_zero(lam):
+    # lam = 1 is the additive 2 eta, a zero of ellmac_P's denominator that
+    # its numerator shares: the quotient is analytic there
+    result = run_check("bridge-unity", params={"q": 1.240, "lam": lam, "omega": 5.359})
+    assert result.tolerance == COMPOUND_TOLERANCE
+    assert result.passed, result.abs_error

@@ -126,6 +126,14 @@ def test_only_the_audit_picks_a_path():
     assert _callers("gamma_pair_tower_correction") == {("special", "audited_integral")}
 
 
+def test_kernel_products_outside_kernel_are_declarations():
+    # a product of kernel values is a special.product declaration, but for
+    # J_mu_k2's double product block, which has no gamma form
+    for callee in ("qpoch1", "qpoch1_add", "theta0", "jacobi_theta", "ell_gamma"):
+        assert {c for c in _callers(callee) if c[0] != "kernel"} == set(), callee
+    assert _callers("qpoch2") == {("bridge", "J_mu_k2")}
+
+
 
 def _without_reprs(tree):
     """A copy of ``tree`` with no ``__repr__``: a repr is what a failed
