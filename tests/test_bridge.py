@@ -1,6 +1,7 @@
 """Bridge tests: coordinate conversion, parameter validation, the
-normalizing function, and agreement of the assembled numeric pipeline with
-the closed-form evaluation."""
+normalizing function, agreement of the assembled numeric pipeline with the
+closed-form evaluation, the declared products against the products
+multiplied by hand, and the pipeline at and next to a theta zero."""
 
 import cmath
 
