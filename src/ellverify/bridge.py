@@ -25,7 +25,6 @@ import math
 from typing import NamedTuple
 
 from . import special
-from .kernel import e2pi, qpoch2
 from .special import Factor
 
 __all__ = [
@@ -111,9 +110,6 @@ def J_mu_k2(mu, k, q, lam, omega):
     sigma = -2 * params.kappa * eta
 
     polynomial = special.ellmac_P(mu, params.kappa, lam, tau, eta)
-    p, Q = e2pi(tau), e2pi(sigma)
-    # (p q^2; p, Q) / (p q^-2; p, Q) has no gamma form, so it stays a double product
-    mixed_block = (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
     blocks = special.product(
         q ** (mu + 4) / (2 * math.pi * f22(q, omega)),
         # the grading block (q^-4; p) (p; p)^3 / (p q^2; p)
@@ -125,8 +121,13 @@ def J_mu_k2(mu, k, q, lam, omega):
         Factor("qpoch", (2 * mu + 2) * eta + sigma, 0, (sigma,)),
         Factor("qpoch", -4 * eta, 0, (sigma,), -1),
         Factor("qpoch", sigma, 0, (sigma,), -1),
+        # the mixed block ((p q^2; p, Q) / (p q^-2; p, Q))^2 = (Gamma(p q^-2) (q^2; p) / (q^2; Q))^2,
+        # as D(x) = (x; p) D(xQ) = (x; Q) D(xp), D = (.; p, Q), and Gamma(x) = D(pQ/x) / D(x)
+        Factor("gamma", tau - 2 * eta, 0, (tau, sigma), 2),
+        Factor("qpoch", 2 * eta, 0, (tau,), 2),
+        Factor("qpoch", 2 * eta, 0, (sigma,), -2),
     )
-    return polynomial * mixed_block * blocks
+    return polynomial * blocks
 
 
 def eval_conj_rhs(mu, k, q):

@@ -9,9 +9,9 @@ integral evaluators in :mod:`.special` and :mod:`.lemmas` end in
 inventory derived from the declared factors and audits it before the
 quadrature, raising :class:`PoleOnPath` on a rejected path;
 :func:`run_check` reports the largest error those quadratures achieved.
-The sides of the pointwise checks take arrays (``array_sides``), and
-:func:`run_batch` evaluates many of their draws in one call and returns
-them as columns, one array per parameter, side and error (a :class:`Batch`).
+The pointwise checks sample with a :class:`UniformMap` and their sides take
+arrays (``array_sides``): :func:`run_batch` evaluates many of their draws in
+one call, as columns, one array per parameter, side and error (a :class:`Batch`).
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
@@ -74,8 +74,8 @@ class IdentityEntry:
     """One registered check.
 
     A ``numeric`` entry compares ``lhs`` and ``rhs`` at points drawn by
-    ``sampler``, a function ``(rng, index) -> params``; a check with
-    ``array_sides`` has a :class:`UniformMap` there.  A ``series`` entry has
+    ``sampler``, a function ``(rng, index) -> params``; a check whose
+    sampler is a :class:`UniformMap` has ``array_sides``.  A ``series`` entry has
     ``runner``, which maps an order to a list of case dicts with an ``exact``
     flag, and ``default_order``; its ``tolerance`` and ``default_samples``
     are ``None``.
@@ -96,10 +96,12 @@ class IdentityEntry:
     default_samples: Optional[int] = 20
     runner: Optional[Callable[[int], list]] = None
     default_order: Optional[int] = None
-    #: the sides run no quadrature and take a dict of numpy arrays, one entry
-    #: per draw, as well as a dict of numbers: a fact about the check's
-    #: formulas, which :func:`run_batch` relies on
-    array_sides: bool = False
+
+    @property
+    def array_sides(self) -> bool:
+        """The sides run no quadrature and take arrays, one entry per draw, as
+        well as numbers: the sampler is a :class:`UniformMap`, as :func:`run_batch` needs."""
+        return isinstance(self.sampler, UniformMap)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -666,7 +668,6 @@ _register(
             Factor("jacobi", p["z"], 0, (p["tau"],)),
         ),
         sampler=_sample_theta_mod,
-        array_sides=True,
     )
 )
 
@@ -687,7 +688,6 @@ _register(
             Factor("gamma", p["z"], 0, (p["tau"], p["sigma"])),
         ),
         sampler=_sample_ellgam_mod,
-        array_sides=True,
     )
 )
 
@@ -701,7 +701,6 @@ _register(
         lhs=lambda p: lemmas.sym_rearrange_lhs(p["t"], p["tau"], p["eta"]),
         rhs=lambda p: lemmas.sym_rearrange_rhs(p["t"], p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
-        array_sides=True,
     )
 )
 
@@ -724,7 +723,6 @@ _register(
         lhs=lambda p: lemmas.theta_simp_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.theta_simp_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
-        array_sides=True,
     )
 )
 
@@ -736,7 +734,6 @@ _register(
         lhs=lambda p: lemmas.full_sym_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.full_sym_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
-        array_sides=True,
     )
 )
 
@@ -748,7 +745,6 @@ _register(
         lhs=lambda p: lemmas.theta_simp2_lhs(p["z"], p["sigma"]),
         rhs=lambda p: lemmas.theta_simp2_rhs(p["z"], p["sigma"]),
         sampler=_sample_theta_simp2,
-        array_sides=True,
     )
 )
 
@@ -760,7 +756,6 @@ _register(
         lhs=lambda p: lemmas.theta_simp3_lhs(p["t"], p["lam"], p["tau"]),
         rhs=lambda p: lemmas.theta_simp3_rhs(p["t"], p["lam"], p["tau"]),
         sampler=_sample_pointwise_lam,
-        array_sides=True,
     )
 )
 
@@ -772,7 +767,6 @@ _register(
         lhs=lambda p: lemmas.theta_simp4_lhs(p["tau"], p["eta"]),
         rhs=lambda p: lemmas.theta_simp4_rhs(p["tau"], p["eta"]),
         sampler=_sample_pointwise_eta,
-        array_sides=True,
     )
 )
 

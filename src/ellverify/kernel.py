@@ -3,7 +3,7 @@
 Infinite q-Pochhammer products (single and double), theta functions and
 the elliptic gamma function, in multiplicative (nome) and additive
 (half-period ratio) conventions.  Elsewhere a product of these values is a
-``special.product`` declaration, but for ``bridge.J_mu_k2``'s ``qpoch2`` block.
+``special.product`` declaration, with no exception.
 
 Conventions
 -----------

@@ -573,7 +573,7 @@ def truncated_product(ring, factors):
     discarded territory.  The seed comes first, so no budget counts it.
     That holds in any order; the factors whose terms dip to negative
     exponents in capped variables go first, which spends the budget early
-    and keeps the box small.
+    and keeps the box small.  A pair's coefficient is an ``int``, as a Mono's.
     """
     dims = len(ring.variables)
     scale, shift, steps, pairs = 1, (0,) * dims, [], []
@@ -585,6 +585,8 @@ def truncated_product(ring, factors):
                 steps.append(factor)
                 continue
             coeff, exps = factor.coeffs.flat[0], factor.lo
+        elif not isinstance(factor[0], int):
+            raise TypeError(f"int coefficient expected, got {type(factor[0]).__name__}")
         elif any(factor[1]):
             pairs.append(factor)
             continue

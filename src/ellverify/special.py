@@ -18,10 +18,10 @@ for a sum such as :func:`I_sym` or :func:`delta_sym`, one term per sign of
 declaration with every slope 0, evaluated by :func:`product`; what is not a
 product of kernel values (a phase, a square root) is its scale.  Every
 product of kernel values in the package is such a declaration, the scales
-of the gamma-pair forms and the products of :mod:`.bridge` too, but for
-``bridge.J_mu_k2``'s double product block, which has no gamma form.  On a node
-array, and on a batch of draws (one shift, modulus or scale entry per
-draw), the factors that share a kernel function and moduli, those of the
+of the gamma-pair forms and the products of :mod:`.bridge` too, its double
+product block as a gamma times two ``(z; tau)`` factors.  On a node array,
+and on a batch of draws (one shift, modulus or scale entry per draw), the
+factors that share a kernel function and moduli, those of the
 terms included, make one kernel call on their stacked arguments; a number
 takes one scalar kernel call per factor.  Every
 integral evaluator ends in one call, :func:`audited_integral`, which derives

@@ -265,20 +265,34 @@ REFERENCE_LEMMA_SIDES = {
 # factors of bridge.J_mu_k2 other than ellmac_P, and bridge.eval_conj_rhs
 
 
-def reference_J_mu_k2_blocks(mu, k, q, omega):
+def _grading_and_weight(k, q, omega):
+    """``(q, p, Q)`` of a multiplicative point, ``Q = q^(-2 kappa)``."""
     q = complex(q)
-    p = cmath.exp(-2 * complex(omega) * cmath.log(q))
-    Q = q ** (-2 * (k + 4))
+    return q, cmath.exp(-2 * complex(omega) * cmath.log(q)), q ** (-2 * (k + 4))
+
+
+def reference_mixed_block(k, q, omega):
+    """``((p q^2; p, Q) / (p q^-2; p, Q))^2``, on the double product."""
+    q, p, Q = _grading_and_weight(k, q, omega)
+    return (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
+
+
+def reference_single_blocks(mu, k, q, omega):
+    """The blocks of ``J_mu_k2`` but ``ellmac_P`` and the mixed block."""
+    q, p, Q = _grading_and_weight(k, q, omega)
     f22 = qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
     grading_block = qpoch1(q**-4, p) * qpoch1(p, p) ** 3 / qpoch1(p * q**2, p)
-    mixed_block = (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
     weight_block = (
         q ** (mu + 4)
         * qpoch1(q ** (-2 * mu - 6), Q)
         * qpoch1(q ** (2 * mu + 2) * Q, Q)
         / (qpoch1(q**-4, Q) * qpoch1(Q, Q))
     )
-    return grading_block * mixed_block * weight_block / (2 * math.pi * f22)
+    return grading_block * weight_block / (2 * math.pi * f22)
+
+
+def reference_J_mu_k2_blocks(mu, k, q, omega):
+    return reference_single_blocks(mu, k, q, omega) * reference_mixed_block(k, q, omega)
 
 
 def reference_eval_conj_rhs(mu, k, q):

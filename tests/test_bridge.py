@@ -17,7 +17,12 @@ from ellverify.bridge import (
 from ellverify import catalog, special
 from ellverify.catalog import COMPOUND_TOLERANCE, run_check
 from ellverify.special import DomainViolation
-from helpers import reference_eval_conj_rhs, reference_J_mu_k2_blocks
+from helpers import (
+    reference_eval_conj_rhs,
+    reference_J_mu_k2_blocks,
+    reference_mixed_block,
+    reference_single_blocks,
+)
 
 
 def close(a, b, tol=1e-12):
@@ -139,6 +144,19 @@ def test_declared_products_match_the_hand_multiplied_ones(monkeypatch):
         assert abs(J_mu_k2(mu, k, q, lam, omega) - want) <= 1e-13 * abs(want), (mu, k, q)
         want = reference_eval_conj_rhs(mu, k, q)
         assert abs(eval_conj_rhs(mu, k, q) - want) <= 1e-13 * abs(want), (mu, k, q)
+
+
+@pytest.mark.parametrize("kappa", [4, 5, 6, 8])
+def test_mixed_block_is_its_gamma_form(monkeypatch, kappa):
+    # ((p q^2; p, Q) / (p q^-2; p, Q))^2 is declared as Gamma(p q^-2; p, Q)^2
+    # (q^2; p)^2 / (q^2; Q)^2: J_mu_k2 over its single-product blocks, with
+    # ellmac_P read as 1, is the double product's ratio
+    monkeypatch.setattr(special, "ellmac_P", lambda *args: 1)
+    for q in (1.15, 1.3, 1.5, 1.3 + 0.2j):
+        for omega in (3.3, 4.4, 5.5):
+            got = J_mu_k2(1, kappa - 4, q, 0.5, omega) / reference_single_blocks(1, kappa - 4, q, omega)
+            want = reference_mixed_block(kappa - 4, q, omega)
+            assert abs(got - want) <= 1e-13 * abs(want), (q, omega)
 
 
 @pytest.mark.parametrize("lam", [1.0] + [1 + s * 10.0**-n for n in range(1, 7) for s in (1, -1)])

@@ -127,12 +127,16 @@ def test_only_the_audit_picks_a_path():
 
 
 def test_kernel_products_outside_kernel_are_declarations():
-    # a product of kernel values is a special.product declaration, but for
-    # J_mu_k2's double product block, which has no gamma form
-    for callee in ("qpoch1", "qpoch1_add", "theta0", "jacobi_theta", "ell_gamma"):
+    # a product of kernel values is a special.product declaration, with no
+    # exception: bridge, whose products are all declared, imports no kernel name
+    for callee in ("qpoch1", "qpoch1_add", "qpoch2", "theta0", "jacobi_theta", "ell_gamma"):
         assert {c for c in _callers(callee) if c[0] != "kernel"} == set(), callee
-    assert _callers("qpoch2") == {("bridge", "J_mu_k2")}
-
+    from_kernel = [
+        node
+        for node in ast.walk(SOURCES["bridge"])
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "kernel"
+    ]
+    assert not from_kernel, "bridge imports from .kernel"
 
 
 def _without_reprs(tree):

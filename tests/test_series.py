@@ -531,6 +531,15 @@ def monos(draw, ring):
     return Mono(draw(coefficients.filter(bool)), exps)
 
 
+def test_a_non_integral_pair_raises_a_named_error():
+    # a hand-built pair is read as Mono reads its coefficient, a pair of
+    # exponent 0 too, which the product folds into its scale
+    ring = SeriesRing(("x",), {"x": 4})
+    for pair in ((Fraction(1, 2), (1,)), (0.5, (1,)), (0.5, (0,))):
+        with pytest.raises(TypeError, match="int coefficient expected"):
+            truncated_product(ring, [pair])
+
+
 def test_monomials_past_every_cap_give_zero():
     # the monomials lift the unit term past the cap plus the whole negative
     # budget, so nothing the binomials do can bring a term back below it
