@@ -265,7 +265,7 @@ REFERENCE_LEMMA_SIDES = {
 # factors of bridge.J_mu_k2 other than ellmac_P, and bridge.eval_conj_rhs
 
 
-def _grading_and_weight(k, q, omega):
+def _moduli(k, q, omega):
     """``(q, p, Q)`` of a multiplicative point, ``Q = q^(-2 kappa)``."""
     q = complex(q)
     return q, cmath.exp(-2 * complex(omega) * cmath.log(q)), q ** (-2 * (k + 4))
@@ -273,13 +273,13 @@ def _grading_and_weight(k, q, omega):
 
 def reference_mixed_block(k, q, omega):
     """``((p q^2; p, Q) / (p q^-2; p, Q))^2``, on the double product."""
-    q, p, Q = _grading_and_weight(k, q, omega)
+    q, p, Q = _moduli(k, q, omega)
     return (qpoch2(p * q**2, p, Q) / qpoch2(p * q**-2, p, Q)) ** 2
 
 
 def reference_single_blocks(mu, k, q, omega):
     """The blocks of ``J_mu_k2`` but ``ellmac_P`` and the mixed block."""
-    q, p, Q = _grading_and_weight(k, q, omega)
+    q, p, Q = _moduli(k, q, omega)
     f22 = qpoch1(p * q**2, p) / qpoch1(p * q**4, p)
     grading_block = qpoch1(q**-4, p) * qpoch1(p, p) ** 3 / qpoch1(p * q**2, p)
     weight_block = (

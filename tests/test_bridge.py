@@ -1,7 +1,8 @@
 """Bridge tests: coordinate conversion, parameter validation, the
 normalizing function, agreement of the assembled numeric pipeline with the
-closed-form evaluation, the declared products against the products
-multiplied by hand, and the pipeline at and next to a theta zero."""
+closed-form evaluation, the declared products (the double product block's
+gamma form among them) against the products multiplied by hand, and the
+pipeline at and next to a theta zero."""
 
 import cmath
 
@@ -152,10 +153,11 @@ def test_mixed_block_is_its_gamma_form(monkeypatch, kappa):
     # (q^2; p)^2 / (q^2; Q)^2: J_mu_k2 over its single-product blocks, with
     # ellmac_P read as 1, is the double product's ratio
     monkeypatch.setattr(special, "ellmac_P", lambda *args: 1)
+    k = kappa - 4
     for q in (1.15, 1.3, 1.5, 1.3 + 0.2j):
         for omega in (3.3, 4.4, 5.5):
-            got = J_mu_k2(1, kappa - 4, q, 0.5, omega) / reference_single_blocks(1, kappa - 4, q, omega)
-            want = reference_mixed_block(kappa - 4, q, omega)
+            got = J_mu_k2(1, k, q, 0.5, omega) / reference_single_blocks(1, k, q, omega)
+            want = reference_mixed_block(k, q, omega)
             assert abs(got - want) <= 1e-13 * abs(want), (q, omega)
 
 

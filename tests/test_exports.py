@@ -131,12 +131,10 @@ def test_kernel_products_outside_kernel_are_declarations():
     # exception: bridge, whose products are all declared, imports no kernel name
     for callee in ("qpoch1", "qpoch1_add", "qpoch2", "theta0", "jacobi_theta", "ell_gamma"):
         assert {c for c in _callers(callee) if c[0] != "kernel"} == set(), callee
-    from_kernel = [
-        node
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.level and node.module == "kernel"
         for node in ast.walk(SOURCES["bridge"])
-        if isinstance(node, ast.ImportFrom) and node.level and node.module == "kernel"
-    ]
-    assert not from_kernel, "bridge imports from .kernel"
+    ), "bridge imports from .kernel"
 
 
 def _without_reprs(tree):
