@@ -31,7 +31,6 @@ __all__ = [
     "AffineParams",
     "AdditiveCoords",
     "convert_conventions",
-    "f22",
     "J_mu_k2",
     "eval_conj_rhs",
 ]
@@ -88,15 +87,6 @@ def convert_conventions(q, lam, omega):
     return AdditiveCoords(eta=eta, tau=-2 * eta * omega, lam=2 * eta * lam)
 
 
-def f22(q, omega):
-    """Unit-constant-term normalizing function of the rank-one graded trace,
-    ``(p q^2; p) / (p q^4; p)``."""
-    eta, tau, _ = convert_conventions(q, 0, omega)
-    return special.product(
-        1, Factor("qpoch", tau + 2 * eta, 0, (tau,)), Factor("qpoch", tau + 4 * eta, 0, (tau,), -1)
-    )
-
-
 def J_mu_k2(mu, k, q, lam, omega):
     """Normalized character ratio via the symmetrized elliptic polynomial.
 
@@ -111,11 +101,13 @@ def J_mu_k2(mu, k, q, lam, omega):
 
     polynomial = special.ellmac_P(mu, params.kappa, lam, tau, eta)
     blocks = special.product(
-        q ** (mu + 4) / (2 * math.pi * f22(q, omega)),
-        # the grading block (q^-4; p) (p; p)^3 / (p q^2; p)
+        q ** (mu + 4) / (2 * math.pi),
+        # the grading block (q^-4; p) (p; p)^3 / (p q^2; p) over the normalizing
+        # function (p q^2; p) / (p q^4; p) of the rank-one graded trace
         Factor("qpoch", -4 * eta, 0, (tau,)),
         Factor("qpoch", tau, 0, (tau,), 3),
-        Factor("qpoch", tau + 2 * eta, 0, (tau,), -1),
+        Factor("qpoch", tau + 2 * eta, 0, (tau,), -2),
+        Factor("qpoch", tau + 4 * eta, 0, (tau,)),
         # the weight block (q^(-2 mu - 6); Q) (q^(2 mu + 2) Q; Q) / ((q^-4; Q) (Q; Q))
         Factor("qpoch", (-2 * mu - 6) * eta, 0, (sigma,)),
         Factor("qpoch", (2 * mu + 2) * eta + sigma, 0, (sigma,)),

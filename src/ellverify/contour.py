@@ -120,7 +120,8 @@ MISSED_POLE_FACTOR = 10
 #: C, the safety factor on the predicted error; at C = 100 no value of 1,480
 #: quadratures (seeds 0-4) is tol / C away from the sum on 4 times its nodes
 _SAFETY = 100
-#: the rounding of a trapezoid sum per mean |f|: delta_sym's cancelling d2 read <= 1.1 eps
+#: the rounding of a trapezoid sum per mean |f|: the cancelling d2 of ellmac_P at
+#: mu + 2 = kappa = 4 read <= 1.1 eps
 _ROUNDING = 8 * float(np.finfo(float).eps)
 #: an observed rate implying under this share of the audited clearance raises
 #: MissedPole: honest quadratures read >= 0.56 (seeds 0-3), unlisted poles 0.08

@@ -6,16 +6,16 @@ product evaluation, the three-dimensional-representation hypergeometric
 function ``fv_u``, the level-kappa hypergeometric theta functions, the
 normalized symmetrized ratio ``ellmac_P`` with its two special-value closed
 forms, and the three-term modular relations (the supporting lemmas are in
-:mod:`.lemmas`).  Near a zero of its denominator, ``ellmac_P`` is a mean
-over a small circle, where the quotient it divides out is analytic.
+:mod:`.lemmas`).  ``ellmac_P`` integrates its quotient: the reciprocal
+denominator, and near its zeros a mean over a small circle, weight the terms.
 
 Functions receive additive parameters (moduli in the upper half-plane) and
 return builtin complex numbers.  Each integral evaluator declares its
 integrand once, as an :class:`Integrand`: kernel factors
 ``f(shift + slope t; moduli) ** power`` times a phase that has no poles and,
-for a sum such as :func:`I_sym` or :func:`delta_sym`, one term per sign of
-``lam``, so that the sum is one quadrature.  A closed form is the same
-declaration with every slope 0, evaluated by :func:`product`; what is not a
+for a sum such as :func:`I_sym` or :func:`ellmac_P`, one term per sign of
+``lam`` (and per point), so that the sum is one quadrature.  A closed form
+is the same declaration with every slope 0, evaluated by :func:`product`; what is not a
 product of kernel values (a phase, a square root) is its scale.  Every
 product of kernel values in the package is such a declaration, the scales
 of the gamma-pair forms and the products of :mod:`.bridge` too, its double
@@ -88,7 +88,6 @@ __all__ = [
     "htf_I_tilde",
     "delta_tilde",
     "delta_tilde_series",
-    "delta_sym",
     "lattice_distance",
     "ellmac_P",
     "ellmac_val_rhs",
@@ -654,17 +653,16 @@ def _check_htf_domain(mu, kappa, tau, eta):
             raise DomainViolation(f"j tau + 4 eta is an integer at j = {j}")
 
 
-def _htf_integral(mu, kappa, lam, tau, eta, signs):
-    """:func:`htf_I_tilde` at ``s lam`` for each sign ``s`` in ``signs``,
-    negated for ``s = -1`` and summed, as one integral: each sign is a term
-    ``s e^{-pi i s lam mu}`` times its factors in ``lam``."""
-    _check_htf_domain(mu, kappa, tau, eta)
+def _htf_integral(mu, kappa, points, tau, eta):
+    """The sum of ``w`` times :func:`htf_I_tilde` at ``x`` over the pairs
+    ``(w, x)`` of ``points``, as one integral: each pair is a term
+    ``w e^{-pi i x mu}`` times its factors in ``x``."""
     kappa = int(kappa)
-    lam, tau, eta = complex(lam), complex(tau), complex(eta)
-    terms = tuple((s * epi(-s * lam * mu), (
-        Factor("jacobi", s * lam, 1, (tau,)),
-        Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * s * lam, 2, (2 * kappa * tau,)),
-    )) for s in signs)
+    tau, eta = complex(tau), complex(eta)
+    terms = tuple((w * epi(-x * mu), (
+        Factor("jacobi", x, 1, (tau,)),
+        Factor("theta0", 0.5 + mu * tau + kappa * tau - kappa * x, 2, (2 * kappa * tau,)),
+    )) for w, x in points)
     level = 2 * kappa * tau
     scale = product(epi(tau * mu**2 / (2 * kappa)), Factor("qpoch", level, 0, (level,)))
     return audited_integral(*_fv_forms(scale, 2 * eta * mu, tau, -2 * eta * kappa, eta, terms))
@@ -681,7 +679,8 @@ def htf_I_tilde(mu, kappa, lam, tau, eta):
     ``e^{pi i tau mu^2 / 2 kappa - pi i lam mu} (2 kappa tau; 2 kappa tau)``
     prefactor is the integrand's scale and, in ``lam``, its one term.
     """
-    return _htf_integral(mu, kappa, lam, tau, eta, (1,))
+    _check_htf_domain(mu, kappa, tau, eta)
+    return _htf_integral(mu, kappa, ((1, complex(lam)),), tau, eta)
 
 
 def _delta_weight(mu, kappa, eta):
@@ -730,13 +729,6 @@ def delta_tilde_series(mu, kappa, lam, tau, eta):
     raise DomainViolation("series window exceeded 64 steps without tail cutoff")
 
 
-def delta_sym(mu, kappa, lam, tau, eta):
-    """Symmetrized hypergeometric theta function (integral route),
-    ``delta_tilde(lam) - delta_tilde(-lam)`` as one integral, a term for each
-    sign of ``lam``: one audited quadrature, one tower walk and one ``Q``."""
-    return _delta_weight(mu, kappa, eta) * _htf_integral(mu, kappa, lam, tau, eta, (1, -1))
-
-
 def lattice_distance(z, tau):
     """Distance from ``z`` to the lattice ``Z + tau Z``."""
     z = complex(z)
@@ -758,34 +750,38 @@ CIRCLE_POINTS = 8
 def ellmac_P(mu, kappa, lam, tau, eta):
     """Normalized symmetrized function at shifted index mu + 2.
 
-    Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.  Its
-    denominator ``theta(lam) theta(lam - 2 eta) theta(lam + 2 eta)`` vanishes
-    where :func:`delta_sym` does, so the quotient is analytic there, but the
-    quadrature error of ``delta_sym`` is divided by the vanishing factor too.
-    So near such a zero the value is the mean over the circle of radius
-    ``CIRCLE_RADIUS |2 eta|`` about ``lam`` (0.05 in the bridge's ``lam``):
-    by Cauchy's formula that is the quotient at the centre, the error's pole
-    part ``c / (lam - zero)`` averages to zero, and the trapezoid rule on a
-    circle converges geometrically (Trefethen & Weideman 2014).
+    Defined only when ``mu + 2`` is not congruent to +-1 modulo kappa.  It is
+    ``delta_tilde(z) - delta_tilde(-z)`` over ``theta(z) theta(z - 2 eta)
+    theta(z + 2 eta)`` at ``z = lam``, integrated as the quotient: ``z`` is
+    the terms ``(w, z)`` and ``(-w, -z)``, ``w`` the reciprocal denominator,
+    so the quadrature stops on the quotient and its estimate is the
+    quotient's.  The quotient is analytic where the denominator vanishes;
+    near such a zero the points are ``CIRCLE_POINTS`` on the circle of radius
+    ``CIRCLE_RADIUS |2 eta|`` about ``lam`` (0.05 in the bridge's ``lam``),
+    each ``w`` over ``CIRCLE_POINTS``: by Cauchy's formula their mean is the
+    quotient at the centre, and the trapezoid rule on a circle converges
+    geometrically (Trefethen & Weideman 2014).  Either way the value is one
+    audited quadrature, one tower walk and one ``Q``.
     """
     kappa = int(kappa)
     if (mu + 2) % kappa in (1 % kappa, (-1) % kappa):
         raise DomainViolation(f"mu + 2 = {mu + 2} is +-1 mod {kappa}")
+    _check_htf_domain(mu + 2, kappa, tau, eta)
     lam = complex(lam)
     tau = complex(tau)
     eta = complex(eta)
     prefactor = epi(-(4 * eta + tau) * (mu + 2) ** 2 / (2 * kappa) + 0.75 * tau)
-
-    def value(z):
-        numerator = delta_sym(mu + 2, kappa, z, tau, eta)
-        denominator = product(1, *(Factor("jacobi", z + k * eta, 0, (tau,)) for k in (-2, 0, 2)))
-        return prefactor * numerator / denominator
-
     radius = CIRCLE_RADIUS * abs(2 * eta)
-    if all(lattice_distance(lam - zero, tau) >= radius / 2 for zero in (0, 2 * eta, -2 * eta)):
-        return value(lam)
-    circle = [lam + radius * epi((2 * k + 1) / CIRCLE_POINTS) for k in range(CIRCLE_POINTS)]
-    return sum(map(value, circle)) / CIRCLE_POINTS
+    zs = [lam]
+    if not all(lattice_distance(lam - zero, tau) >= radius / 2 for zero in (0, 2 * eta, -2 * eta)):
+        zs = [lam + radius * epi((2 * k + 1) / CIRCLE_POINTS) for k in range(CIRCLE_POINTS)]
+    points = []
+    for z in zs:
+        denominator = product(1, *(Factor("jacobi", z + k * eta, 0, (tau,)) for k in (-2, 0, 2)))
+        w = 1 / (len(zs) * denominator)
+        points += [(w, z), (-w, -z)]
+    integral = _htf_integral(mu + 2, kappa, points, tau, eta)
+    return prefactor * _delta_weight(mu + 2, kappa, eta) * integral
 
 
 def ellmac_val_rhs(tau, eta):

@@ -1,5 +1,4 @@
-"""Bridge tests: coordinate conversion, parameter validation, the
-normalizing function, agreement of the assembled numeric pipeline with the
+"""Bridge tests: coordinate conversion, parameter validation, agreement of the assembled numeric pipeline with the
 closed-form evaluation, the declared products (the double product block's
 gamma form among them) against the products multiplied by hand, and the
 pipeline at and next to a theta zero."""
@@ -12,7 +11,6 @@ from ellverify.bridge import (
     AffineParams,
     convert_conventions,
     eval_conj_rhs,
-    f22,
     J_mu_k2,
 )
 from ellverify import catalog, special
@@ -80,19 +78,6 @@ def test_params_reject_bad_weight_or_level():
         AffineParams(0, -2, 1.3 + 0j, 0.0j, 4.0 + 0j)
     with pytest.raises(DomainViolation):
         AffineParams(1.5, 0, 1.3 + 0j, 0.0j, 4.0 + 0j)
-
-
-# ---------------------------------------------------------------------------
-# the normalizing function
-
-
-def test_f22_deep_grading_expansion():
-    # deep grading: the normalizing function is 1 + p*(q**4 - q**2) + O(p**2)
-    # in the grading variable p
-    q, omega = 1.3, 40.0
-    p = q ** (-2 * omega)
-    leading = p * (q**4 - q**2)
-    assert abs((f22(q, omega) - 1.0) - leading) <= 1e-3 * abs(leading)
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +153,12 @@ def test_bridge_unity_holds_at_and_next_to_a_theta_zero(lam):
     result = run_check("bridge-unity", params={"q": 1.240, "lam": lam, "omega": 5.359})
     assert result.tolerance == COMPOUND_TOLERANCE
     assert result.passed, result.abs_error
+
+
+@pytest.mark.parametrize("lam", [0.9, 0.95, 0.974, 1.03])
+def test_bridge_unity_is_exact_next_to_the_circle(lam):
+    # outside the circle rule but near the zero at lam = 1: the quadrature
+    # stops on the quotient, so the small denominator does not amplify its error
+    result = run_check("bridge-unity", params={"q": 1.240, "lam": lam, "omega": 5.359})
+    assert result.rhs_value == 1
+    assert result.abs_error <= 1e-11

@@ -8,6 +8,7 @@ main builders cannot hide."""
 import cmath
 import hashlib
 import itertools
+import math
 
 import pytest
 from helpers import reference_aff_eval_conjecture_series, render
@@ -308,6 +309,47 @@ def test_sym_rearrange_series_states_the_numeric_lemma(order):
         for side, numeric in ((side1, lemmas.sym_rearrange_lhs), (side2, lemmas.sym_rearrange_rhs)):
             value = sum(c * x**i * u**j * w**k for (i, j, k), c in side.terms.items()) / divisor
             want = numeric(t, tau, eta)
+            assert abs(value - want) <= tol * abs(want), (index, order)
+
+
+#: the twelve doubled-period arguments of theta-simp4's series form, as
+#: (coefficient, u-exponent, w-exponent)
+SIMP4_DOUBLED_ARGS = [
+    (1, 1, -4), (-1, 0, 6), (1, 0, -2), (-1, 0, 2), (1, 1, -2), (1, 1, -2),
+    (1, 2, -2), (-1, 0, 8), (1, 0, 12), (-1, 1, 8), (-1, 0, 4), (1, 1, 0),
+]
+
+
+@pytest.mark.parametrize("order, tol", [(28, 3e-7), (40, 7e-13)])
+def test_theta_simp4_series_states_the_numeric_lemma(order, tol):
+    # both sides of the series form, summed at u = e(tau) and w = e(eta) for
+    # seed-0 draws of the numeric check, are its sides times
+    # (u^2; u^2)(w^8; w^8) prod_a (a; u^2, w^8) (w^6; u, w^8)(u w^6; u, w^8)
+    # (u; u) theta0(tau + 4 eta; tau) (w^4; w^4)(-w^2; w^2), the divisor the
+    # series form clears.  At u^a the series reaches about w^-(a + 4), so the
+    # terms past the u cap shrink with |u| over a power of |w|, not with |u|:
+    # draw 3 (|u| / |w| = 0.88) is the slowest, 2.6e-7 at order 28 and
+    # 6.1e-13 at order 40, the other draws at most 5.4e-15
+    side1, side2 = _LEMMA_SERIES["theta-simp4"](order)
+    qpoch1, qpoch2 = kernel.qpoch1, kernel.qpoch2
+    for index in range(5):
+        p = catalog.sample_params("lemma.theta-simp4", 0, index)
+        tau, eta = p["tau"], p["eta"]
+        u, w = (cmath.exp(2j * cmath.pi * x) for x in (tau, eta))
+        divisor = (
+            qpoch1(u**2, u**2)
+            * qpoch1(w**8, w**8)
+            * math.prod(qpoch2(c * u**i * w**j, u**2, w**8) for c, i, j in SIMP4_DOUBLED_ARGS)
+            * qpoch2(w**6, u, w**8)
+            * qpoch2(u * w**6, u, w**8)
+            * qpoch1(u, u)
+            * kernel.theta0(tau + 4 * eta, tau)
+            * qpoch1(w**4, w**4)
+            * qpoch1(-(w**2), w**2)
+        )
+        for side, numeric in ((side1, lemmas.theta_simp4_lhs), (side2, lemmas.theta_simp4_rhs)):
+            value = sum(c * u**i * w**j for (i, j), c in side.terms.items()) / divisor
+            want = numeric(tau, eta)
             assert abs(value - want) <= tol * abs(want), (index, order)
 
 

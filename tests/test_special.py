@@ -4,6 +4,7 @@ forms.  Agreement of each integral with its closed form is exercised per
 identity through the catalog tests."""
 
 import dataclasses
+import functools
 import inspect
 import re
 
@@ -163,24 +164,51 @@ def test_sym_integral_vanishes_at_origin():
     assert special.I_sym(0.0, 0.1 + 0.55j, 0.07 + 0.4j) == 0
 
 
-@pytest.mark.parametrize("cid, symmetrized, one_sided, mu", [
-    ("eval3", special.I_sym, special.I_tilde, ()),
-    ("ellmac-val", special.delta_sym, special.delta_tilde, (2, 4)),
-])
+def _i_sym_of_one_sided(lam, tau, eta):
+    return special.I_tilde(lam, tau, eta) - special.I_tilde(-lam, tau, eta)
+
+
+def _ellmac_val_of_one_sided(lam, tau, eta):
+    """``ellmac_P(0, 4)``: the two one-sided integrals of index 2 and level 4
+    over ``theta(lam) theta(lam - 2 eta) theta(lam + 2 eta)``."""
+    prefactor = special.epi(-(4 * eta + tau) / 2 + 0.75 * tau)
+    numerator = special.delta_tilde(2, 4, lam, tau, eta) - special.delta_tilde(2, 4, -lam, tau, eta)
+    thetas = (special.Factor("jacobi", lam + k * eta, 0, (tau,)) for k in (-2, 0, 2))
+    return prefactor * numerator / special.product(1, *thetas)
+
+
+@pytest.mark.parametrize("cid, symmetrized, reference", [
+    ("eval3", special.I_sym, _i_sym_of_one_sided),
+    ("ellmac-val", functools.partial(special.ellmac_P, 0, 4), _ellmac_val_of_one_sided),
+], ids=["eval3", "ellmac-val"])
 def test_symmetrized_integral_is_one_quadrature_of_both_signs(monkeypatch, cid, symmetrized,
-                                                              one_sided, mu):
+                                                              reference):
     # the one integral with a term for each sign of lam is the difference of
     # the two one-sided integrals, which take a quadrature each
     runs = record_quadratures(monkeypatch)
     for index in range(5):
         p = catalog.sample_params(cid, 0, index)
-        args = (p["tau"], p["eta"])
+        args = (p["lam"], p["tau"], p["eta"])
         runs.clear()
-        value = symmetrized(*mu, p["lam"], *args)
+        value = symmetrized(*args)
         assert len(runs) == 1, (cid, index)
-        want = one_sided(*mu, p["lam"], *args) - one_sided(*mu, -p["lam"], *args)
+        want = reference(*args)
         assert len(runs) == 3, (cid, index)
         assert abs(value - want) <= 1e-9 * max(1.0, abs(want)), (cid, index)
+
+
+def test_ellmac_P_on_its_circle_is_one_quadrature(monkeypatch):
+    # 1e-6 from a zero of the denominator, the mean over the 8 circle points
+    # is one quadrature of the weighted terms of all 16 signed points
+    runs = record_quadratures(monkeypatch)
+    p = catalog.sample_params("ellmac-val", 0, 0)
+    tau, eta = p["tau"], p["eta"]
+    for zero in (0, 2 * eta, -2 * eta):
+        runs.clear()
+        value = special.ellmac_P(0, 4, zero + 1e-6, tau, eta)
+        assert len(runs) == 1, zero
+        assert len(runs[0][0].terms) == 2 * special.CIRCLE_POINTS, zero
+        assert close(value, special.ellmac_val_rhs(tau, eta), 1e-10), zero
 
 
 def test_i_tilde_requires_upper_half_moduli():
@@ -270,7 +298,7 @@ ETA_BOX = [complex(re, im) for re in (-0.05, 0.05) for im in (-0.3, -0.08)] + [-
 
 @pytest.mark.parametrize("eta", ETA_BOX)
 def test_ellmac_eval_holds_where_both_signs_cancel(eta):
-    # at mu + 2 = kappa = 4 the rhs is 0: the two sign terms of delta_sym's
+    # at mu + 2 = kappa = 4 the rhs is 0: the two sign terms of ellmac_P's
     # one integral cancel, over the whole sampled range of eta
     result = catalog.run_check("ellmac-eval", params={"mu": 2, "kappa": 4, "eta": eta})
     assert result.passed, result
@@ -280,7 +308,7 @@ def test_ellmac_eval_holds_where_both_signs_cancel(eta):
 def test_cancelling_terms_stop_at_their_rounding(monkeypatch, eta):
     # scaled until the rounding of its node values exceeds the tolerance, the
     # cancelling integrand stops at that rounding instead of raising MissedPole
-    f, path = declared(monkeypatch, special.delta_sym, 4, 4, 4 * eta, -8 * eta, eta)
+    f, path = declared(monkeypatch, special.ellmac_P, 2, 4, 4 * eta, -8 * eta, eta)
     scaled = dataclasses.replace(f, scale=f.scale * 1e8)
     t = np.arange(64) / 64
     size = float(np.mean(np.abs(scaled(path.point(t)))))
@@ -462,7 +490,6 @@ def closed_forms():
     with pytest.MonkeyPatch.context() as mp:
         for module in (special, lemmas):
             mp.setattr(module, "audited_integral", lambda f, pair=None: 1)
-        mp.setattr(special, "delta_sym", lambda *args: 1)
         call = special.Integrand.__call__
 
         def recording(self, t):
