@@ -183,8 +183,8 @@ def _ellmac_val_of_one_sided(lam, tau, eta):
 ], ids=["eval3", "ellmac-val"])
 def test_symmetrized_integral_is_one_quadrature_of_both_signs(monkeypatch, cid, symmetrized,
                                                               reference):
-    # the one integral with a term for each sign of lam is the difference of
-    # the two one-sided integrals, which take a quadrature each
+    # the one integral with a term for each sign of lam is the reference built
+    # from the two one-sided integrals, which take a quadrature each
     runs = record_quadratures(monkeypatch)
     for index in range(5):
         p = catalog.sample_params(cid, 0, index)
