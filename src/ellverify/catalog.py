@@ -18,6 +18,13 @@ keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
 reordering catalog entries never shifts another identity's draws.
 :func:`rng_for` defines each draw's stream; a batch draws every draw's
 stream at once (:func:`uniforms_for`), bit-identical to :func:`rng_for`.
+It keeps each SeedSequence hash word and each Philox4x64-10 word of the whole
+batch in one Python int, one lane per draw, so each step of the hash or of a
+Philox round is one big-int operation.  Lanes cannot carry into each other:
+a 32-bit hash word sits in a 64-bit lane, where its products by 32-bit
+constants fit and its differences are taken with 2**32 added to every lane,
+and a 64-bit Philox word sits in a 128-bit lane, where its product by a
+64-bit multiplier fits and is split by shift and mask.
 """
 
 from __future__ import annotations
@@ -140,88 +147,127 @@ def rng_for(seed: int, identity_id: str, sample_index: int) -> np.random.Generat
     return np.random.Generator(np.random.Philox(ss))
 
 
-# numpy's Philox4x64-10 multipliers and key increments
 _MASK32 = 0xFFFFFFFF
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64).reshape(2, 1, 1)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _words(n: int) -> list:
     """The uint32 words ``SeedSequence`` makes of the int ``n``, low word first."""
     if n < 0:
         raise ValueError("expected non-negative integer")
-    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
 
-def _hasher(const, mult):
-    """``SeedSequence``'s hash of uint32 words, masked ints or arrays: a call
-    xors in ``const``, steps it by ``mult`` and multiplies by the new ``const``."""
-
-    def hash_(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    return hash_
+def _lanes(width: int, n: int) -> int:
+    """The int with a 1 at the bottom of each of ``n`` lanes ``width`` bits wide."""
+    return ((1 << width * n) - 1) // ((1 << width) - 1)
 
 
 def _philox_keys(words) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(2, uint64)`` of each row of the
     entropy whose words are ``words`` (pool size 4), as a (2, N) uint64 array:
-    a word is an int, the same in every row, or a uint32 array of N rows."""
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    a word is an int, the same in every row, or N uint32 words, one per row.
+
+    Each hash word of all N rows is one int, row k's 32-bit word in its k-th
+    64-bit lane.  A product of a 32-bit word and a 32-bit constant is below
+    2**64, so it stays inside its lane and is masked back to 32 bits; ``mix``
+    adds 2**32 to every lane (still below 2**64) before it subtracts a 32-bit
+    word, so no lane borrows from the next.
+    """
+    n = next(len(word) for word in words if not isinstance(word, int))
+    ones = _lanes(64, n)
+    low = _MASK32 * ones
+
+    def hasher(const, mult):
+        # SeedSequence's hash: xor in const, step it by mult, multiply by the new const
+        def hash_(value):
+            nonlocal const
+            value ^= const * ones
+            const = const * mult & _MASK32
+            value = value * const & low
+            return value ^ value >> 16 & low
+
+        return hash_
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    borrow = ones << 32
 
     def mix(x, y):
-        result = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
-        return result ^ result >> 16
+        result = (0xCA01F9DD * x + borrow - (0x4973F715 * y & low)) & low
+        return result ^ result >> 16 & low
 
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    lanes = [
+        word * ones if isinstance(word, int) else int.from_bytes(np.asarray(word, "<u8"), "little")
+        for word in words
+    ]
+    pool = [hashmix(lanes[i] if i < len(lanes) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
+    for word in lanes[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    state = [word.astype(np.uint64) for word in map(_hasher(0x8B51F9DD, 0x58F38DED), pool)]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32])
+    state = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool))
+    keys = (state[0] | state[1] << 32, state[2] | state[3] << 32)
+    raw = b"".join(key.to_bytes(8 * n, "little") for key in keys)
+    return np.frombuffer(raw, "<u8").reshape(2, n)
 
 
 def _philox_doubles(keys, count) -> np.ndarray:
     """``Generator(Philox(key=k)).random(count)`` for each column k of the
-    (2, N) ``keys``: Philox4x64-10 on counters 1, 2, ..., as (N, count) doubles."""
-    blocks = -(-count // 4)
-    key = keys[:, :, None]
-    # words 0 and 2 of each counter block, the ones multiplied, then words 1 and 3
-    even = np.zeros((2, keys.shape[1], blocks), np.uint64)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)
-    m_lo, m_hi = _PHILOX_M & _MASK32, _PHILOX_M >> 32
+    (2, N) ``keys``: Philox4x64-10 on counters 1, 2, ..., as (N, count) doubles.
+
+    Each word of every counter block of all N rows is one int, one 128-bit
+    lane per (block, row).  The product of a 64-bit multiplier and a 64-bit
+    word fills at most its lane, so ``p >> 64`` is the lane's high word once
+    masked.  A lane may carry junk above its low 64 bits (a product's high
+    word, an unmasked key sum) only where the next step is an xor masked to
+    the low 64 bits, or the final read, which takes the low 64 bits alone.
+    """
+    n, blocks = keys.shape[1], -(-count // 4)
+    ones = _lanes(128, n * blocks)
+    low = _MASK64 * ones
+    spread = np.zeros((blocks, n, 2), "<u8")
+
+    def lanes(values):
+        spread[..., 0] = values
+        return int.from_bytes(spread.tobytes(), "little")
+
+    k0, k1 = lanes(keys[0]), lanes(keys[1])
+    w0, w1 = 0x9E3779B97F4A7C15 * ones, 0xBB67AE8584CAA73B * ones
+    c0, c1, c2, c3 = lanes(np.arange(1, blocks + 1)[:, None]), 0, 0, 0
     for round_ in range(10):
         if round_:
-            key = key + _PHILOX_W
-        # high words of the 128-bit products, from 32-bit halves
-        x_lo, x_hi = even & _MASK32, even >> 32
-        mid = m_lo * x_hi + (m_lo * x_lo >> 32)
-        high = m_hi * x_hi + (mid >> 32) + (m_hi * x_lo + (mid & _MASK32) >> 32)
-        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-    return (words.reshape(keys.shape[1], 4 * blocks)[:, :count] >> 11) * 2.0**-53
+            k0, k1 = k0 + w0, k1 + w1
+        p1, p0 = 0xCA5A826395121157 * c2, 0xD2E7470EE14C6C93 * c0
+        c0, c1, c2, c3 = (p1 >> 64 ^ c1 ^ k0) & low, p1, (p0 >> 64 ^ c3 ^ k1) & low, p0
+    raw = b"".join(word.to_bytes(16 * n * blocks, "little") for word in (c0, c1, c2, c3))
+    words = np.frombuffer(raw, "<u8").reshape(4, blocks, n, 2)[..., 0].transpose(2, 1, 0)
+    return (words.reshape(n, 4 * blocks)[:, :count] >> 11) * 2.0**-53
 
 
 def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.ndarray:
     """Row k is ``rng_for(seed, identity_id, sample_indices[k]).random(count)``,
-    bit for bit, for indices in [0, 2**64); all rows are drawn at once."""
+    bit for bit, for every index ``rng_for`` accepts; any other raises its error.
+
+    All rows are drawn at once, one pass per number of words in an index (a
+    longer entropy mixes differently).  A pass holds each word of all its rows
+    in one int, one lane per row, and no lane carries into the next (see
+    :func:`_philox_keys` and :func:`_philox_doubles`), so a row never depends
+    on its batch.
+    """
     prefix = _words(int(seed)) + _words(fnv1a64(identity_id))
-    index = np.asarray(sample_indices, dtype=np.uint64)
-    low, high = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
-    keys = _philox_keys(prefix + [low])
-    # an index of two words makes a longer entropy, which mixes differently
-    if (wide := high > 0).any():
-        keys[:, wide] = _philox_keys(prefix + [low[wide], high[wide]])
-    return _philox_doubles(keys, count)
+    words = [_words(int(index)) for index in sample_indices]
+    uniforms = np.empty((len(words), count))
+    for length in {len(index) for index in words}:
+        rows = [row for row, index in enumerate(words) if len(index) == length]
+        columns = zip(*(words[row] for row in rows))
+        uniforms[rows] = _philox_doubles(_philox_keys(prefix + list(columns)), count)
+    return uniforms
 
 
 class _Uniforms:

@@ -127,6 +127,40 @@ def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
     assert str(batch.value) == str(single.value)
 
 
+@pytest.mark.parametrize("index", [-1, -(2**40)])
+def test_a_rejected_index_raises_the_same_error_on_both_paths(index):
+    with pytest.raises(Exception) as single:
+        catalog.rng_for(0, "theta-mod", index)
+    with pytest.raises(type(single.value)) as batch:
+        catalog.uniforms_for(0, "theta-mod", [0, index, 2**32], 4)
+    assert str(batch.value) == str(single.value)
+
+
+#: batches start where an index's word count changes: at 2**32 and 2**64
+#: an index takes one more uint32 word, so its key is mixed from a longer entropy
+BATCH_STARTS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]
+
+
+@pytest.mark.parametrize("size", [1, 2, 20, 50, 3000])
+@pytest.mark.parametrize("seed", [7, 2**40 + 3, 2**70 + 5], ids=["1-word", "2-word", "3-word"])
+def test_batch_uniforms_are_rng_for_bit_for_bit_at_real_batch_sizes(seed, size):
+    counts = range(1, 15)
+    assert {catalog.get_entry(cid).sampler.count for cid in POINTWISE} <= set(counts)
+    # a strided subset of a long batch, its last row included
+    rows = sorted({*range(0, size, 97), size - 1})
+    for start in BATCH_STARTS:
+        indices = range(start, start + size)
+        for count in counts:
+            uniforms = catalog.uniforms_for(seed, "theta-mod", indices, count)
+            assert uniforms.shape == (size, count)
+            for row in rows:
+                want = catalog.rng_for(seed, "theta-mod", indices[row]).random(count)
+                assert uniforms[row].tobytes() == want.tobytes(), (start, row, count)
+            if size > 50:  # a row never depends on its batch
+                head = catalog.uniforms_for(seed, "theta-mod", indices[:50], count)
+                assert uniforms[:50].tobytes() == head.tobytes(), (start, count)
+
+
 @pytest.mark.parametrize("size", [1, 2, 20, 3000])
 @pytest.mark.parametrize("identity_id", POINTWISE)
 def test_batched_parameters_do_not_depend_on_the_batch_size(identity_id, size):
