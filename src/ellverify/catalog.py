@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -142,9 +143,11 @@ def fnv1a64(text: str) -> int:
 
 
 def rng_for(seed: int, identity_id: str, sample_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, identity, sample)."""
-    ss = np.random.SeedSequence((int(seed), fnv1a64(identity_id), int(sample_index)))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox stream keyed by (seed, identity, sample).  The seed and the
+    index are integers (``operator.index``): a float or a numpy bool raises
+    ``TypeError``, as it does in :func:`uniforms_for`."""
+    entropy = (operator.index(seed), fnv1a64(identity_id), operator.index(sample_index))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 _MASK32 = 0xFFFFFFFF
@@ -260,8 +263,8 @@ def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.
     :func:`_philox_keys` and :func:`_philox_doubles`), so a row never depends
     on its batch.
     """
-    prefix = _words(int(seed)) + _words(fnv1a64(identity_id))
-    words = [_words(int(index)) for index in sample_indices]
+    prefix = _words(operator.index(seed)) + _words(fnv1a64(identity_id))
+    words = [_words(operator.index(index)) for index in sample_indices]
     uniforms = np.empty((len(words), count))
     for length in {len(index) for index in words}:
         rows = [row for row, index in enumerate(words) if len(index) == length]

@@ -50,23 +50,25 @@ scalar ``theta0`` is the one loop over ``(1 - x q^n)(1 - q^{n+1}/x)``; on a
 5-6x the scalar loop for ``ell_gamma``.  So a single draw of a pointwise
 check makes scalar calls, while a batch of draws (``catalog.run_batch``)
 passes one modulus per draw and each quadrature passes its node array with
-scalar moduli.  Moduli given per draw have shape ``(N,)``, and ``z`` may
-stack rows of arguments ``(G, N)`` against them, as a group of factors
-does: the moduli broadcast over the rows and are never tiled, so their
-tables stay one column per draw.  An array ``theta0`` reduces ``z`` into
-``0 <= Im z < Im tau`` by ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``,
-then takes ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep
-their cached tables (``_theta_powers``, ``_gamma_coefficient_array``); a
-modulus per draw gets its powers as running products, cached by the bytes
-of its array, so the factors of a batch that share moduli build them once,
-and ``jacobi_theta`` takes its ``(tau; tau)`` from the same powers.  The
+scalar moduli.  A modulus is a number or one axis ``(N,)`` of moduli, one
+per draw; a modulus of more axes raises ``ValueError``.  Against moduli
+per draw ``z`` may stack rows of arguments ``(G, N)``, as a group of
+factors does, so their tables stay one column per draw.  An array
+``theta0`` reduces ``z`` into ``0 <= Im z < Im tau`` by
+``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``, then takes
+``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep their cached
+tables (``_theta_powers``, ``_gamma_coefficients``); a modulus per draw
+gets its powers as running products, cached by the bytes of its array, so
+the factors of a batch that share moduli build them once, and
+``jacobi_theta`` takes its ``(tau; tau)`` from the same powers.  The
 ``theta0`` shift factors of ``ell_gamma`` are taken at the shifted points
 alone; for moduli per draw their selection of moduli gets its table
 outside the cache, which it would only miss and churn.  Every point takes
-as many terms as the slowest point of its array needs.  The array path
-alone cuts its work arrays into blocks of ``_BLOCK_CELLS`` cells, or takes
-rows of draws of at most ``_WHOLE_CELLS`` cells whole, so a caller passes
-its whole array in one call.
+as many terms as the slowest point of its array needs.  Only ``theta0``'s
+work array, the largest the kernel makes, is cut: into blocks of whole
+columns of at most ``_BLOCK_CELLS`` cells, or one column.  The power sums
+of ``ell_gamma`` and the product of ``qpoch1_add`` take their arrays
+whole, so a caller passes its whole array in one call.
 """
 
 from __future__ import annotations
@@ -107,12 +109,8 @@ TERM_EPSILON = 1e-17
 MAX_TERMS = 100_000
 #: a denominator factor smaller than this is treated as an exact pole
 POLE_EPSILON = 1e-13
-#: node x term cells in one block of the array path's work arrays
-_BLOCK_CELLS = 1 << 11
-#: the most cells of rows of draws that the array path takes as one block:
-#: a batch's stacks are short, and in blocks numpy's fixed cost per call
-#: outweighs what the cache saves (a node array keeps ``_BLOCK_CELLS``)
-_WHOLE_CELLS = 1 << 13
+#: point x term cells in one block of ``theta0``'s work array
+_BLOCK_CELLS = 1 << 13
 
 
 def e2pi(z):
@@ -129,48 +127,27 @@ def epi(z):
     return cmath.exp(1j * math.pi * complex(z))
 
 
-def _flat(*values):
-    """``values`` as complex arrays broadcast together and flattened, and
-    their broadcast shape."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))
-    return arrays[0].shape, [a.ravel() for a in arrays]
-
-
 def _rows(z, *moduli):
     """The broadcast shape, ``z`` as rows ``(G, N)`` and the moduli as one
-    entry per column ``(N,)``: moduli that broadcast to the last axis are
-    never tiled over the rows.  Moduli of any other shape are tiled with
-    ``z``, which is then one row."""
+    entry per column ``(N,)``, broadcast over the rows and never tiled.  A
+    modulus of more than one axis raises ``ValueError``."""
     z = np.asarray(z, dtype=complex)
     moduli = [np.asarray(m, dtype=complex) for m in moduli]
     columns = moduli[0].shape
     # a group's rows against its moduli, the common case, needs no broadcast
     if len(columns) == 1 and z.shape[-1:] == columns and all(m.shape == columns for m in moduli):
         return z.shape, z.reshape(-1, columns[0]), moduli
-    columns = np.broadcast_shapes(*(m.shape for m in moduli))
-    shape = np.broadcast_shapes(z.shape, columns)
-    if len(columns) == 1 and shape[-1:] == columns:
-        z = np.broadcast_to(z, shape).reshape(-1, columns[0])
-        return shape, z, [np.broadcast_to(m, columns) for m in moduli]
-    shape, (z, *moduli) = _flat(z, *moduli)
-    return shape, z[None], moduli
+    if any(m.ndim > 1 for m in moduli):
+        raise ValueError("a modulus is a number or one axis of moduli")
+    shape = np.broadcast_shapes(z.shape, *(m.shape for m in moduli))
+    columns = shape[-1:] or (1,)
+    z = np.broadcast_to(z, shape).reshape(-1, columns[0])
+    return shape, z, [np.broadcast_to(m, columns) for m in moduli]
 
 
 def _part(modulus, columns):
     """The entries of a per-column ``modulus`` at ``columns``; a scalar as it is."""
     return modulus[columns] if isinstance(modulus, np.ndarray) else modulus
-
-
-def _block_columns(array, cells):
-    """Columns of ``array`` in one block of the array path's work arrays,
-    ``cells`` per point: as many as ``_BLOCK_CELLS`` work cells hold, every
-    row of a column together, and one at least; rows of draws of at most
-    ``_WHOLE_CELLS`` work cells are one block."""
-    if array.ndim == 1:
-        return max(1, _BLOCK_CELLS // cells)
-    if cells * array.size <= _WHOLE_CELLS:
-        return array.shape[-1]
-    return max(1, _BLOCK_CELLS // (cells * len(array)))
 
 
 def _term_count(ratio, start=1.0):
@@ -189,7 +166,9 @@ def _theta_powers(tau):
 
 @functools.lru_cache(maxsize=32)
 def _gamma_coefficients(tau, sigma):
-    """The ratio ``max(|p|, |q|)`` and a list of ``(a_n - 1) / n`` for ``n = 1 ..``."""
+    """The ratio ``max(|p|, |q|)``, a list of ``(a_n - 1) / n`` for
+    ``n = 1 ..`` for the scalar loop, and the list as one numpy column for
+    the array path."""
     p, q = e2pi(tau), e2pi(sigma)
     ratio = max(abs(p), abs(q))
     coeffs, pn, qn = [], 1, 1
@@ -197,14 +176,7 @@ def _gamma_coefficients(tau, sigma):
         pn *= p
         qn *= q
         coeffs.append((pn + qn - pn * qn) / (n * (1 - pn) * (1 - qn)))
-    return ratio, coeffs
-
-
-@functools.lru_cache(maxsize=32)
-def _gamma_coefficient_array(tau, sigma):
-    """:func:`_gamma_coefficients` with the list as a one-column numpy array."""
-    ratio, coeffs = _gamma_coefficients(tau, sigma)
-    return ratio, np.array(coeffs)[:, None]
+    return ratio, coeffs, np.array(coeffs)[:, None]
 
 
 def _theta_power_table(tau):
@@ -232,7 +204,7 @@ def _theta_power_columns(key):
 
 @functools.lru_cache(maxsize=2)
 def _gamma_coefficient_columns(tau_key, sigma_key):
-    """:func:`_gamma_coefficient_array` for moduli given per column, as the
+    """:func:`_gamma_coefficients`' column for moduli given per column, as the
     bytes of their complex arrays: the largest ratio, and one column per
     modulus pair, as long as the slowest pair needs, with a middle axis of
     length 1."""
@@ -256,17 +228,11 @@ def _power_sum(w, ratio, coeffs):
     flat against one column of ``coeffs``, or rows against one per column.
     """
     coeffs = coeffs[: _term_count(float(np.abs(w).max()) * ratio)]
-    out = np.empty(w.shape, dtype=complex)
-    step = _block_columns(w, len(coeffs))
-    for start in range(0, w.shape[-1], step):
-        block = slice(start, start + step)
-        powers = w[..., block][None]
-        while len(powers) < len(coeffs):
-            powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
-        c = coeffs if coeffs.shape[-1] == 1 else coeffs[..., block]
-        # a plain sum: a BLAS product may start threads for a few hundred cells
-        out[..., block] = (powers * c).sum(axis=0)
-    return out
+    powers = w[None]
+    while len(powers) < len(coeffs):
+        powers = np.concatenate((powers, powers[: len(coeffs) - len(powers)] * powers[-1]))
+    # a plain sum: a BLAS product may start threads for a few hundred cells
+    return (powers * coeffs).sum(axis=0)
 
 
 def _theta0_array(z, tau, qn=None):
@@ -280,7 +246,8 @@ def _theta0_array(z, tau, qn=None):
     k = np.floor(z.imag / tau.imag)
     w = z - k * tau
     value = np.empty(z.shape, dtype=complex)
-    step = _block_columns(z, 2 * len(qn))
+    # blocks of whole columns, as many as _BLOCK_CELLS work cells hold, and one at least
+    step = max(1, _BLOCK_CELLS // (2 * len(qn) * max(1, math.prod(z.shape[:-1]))))
     for start in range(0, z.shape[-1], step):
         block = slice(start, start + step)
         part = w[..., block]
@@ -320,7 +287,7 @@ def _ell_gamma_array(z, tau, sigma):
     if isinstance(tau, np.ndarray):
         ratio, coeffs = _gamma_coefficient_columns(tau.tobytes(), sigma.tobytes())
     else:
-        ratio, coeffs = _gamma_coefficient_array(tau, sigma)
+        ratio, _, coeffs = _gamma_coefficients(tau, sigma)
     top = (tau + sigma).imag
     k = np.ceil(np.maximum(-z.imag, 0) / tau.imag)
     k -= np.ceil(np.maximum(z.imag - top, 0) / tau.imag)
@@ -348,7 +315,7 @@ def _ell_gamma_array(z, tau, sigma):
 def _ell_gamma_scalar(z, tau, sigma):
     """The array path's series and window as a plain loop over one point."""
     tau, sigma = _larger_im_first(tau, sigma)
-    ratio, coeffs = _gamma_coefficients(tau, sigma)
+    ratio, coeffs, _ = _gamma_coefficients(tau, sigma)
     z = complex(z)
     top = (tau + sigma).imag
     k = math.ceil(max(-z.imag, 0) / tau.imag) - math.ceil(max(z.imag - top, 0) / tau.imag)
@@ -418,16 +385,11 @@ def qpoch1_add(z, tau):
         return qpoch1(e2pi(z), e2pi(tau))
     term, q = e2pi(np.asarray(z, dtype=complex)), e2pi(np.asarray(tau, dtype=complex))
     count = _term_count(float(np.abs(q).max()), float(np.abs(term).max()))
-    value = np.ones(np.broadcast_shapes(term.shape, q.shape), dtype=complex)
-    rows = max(1, _BLOCK_CELLS // max(1, value.size))
-    for start in range(0, count, rows):
-        # the terms u q^n of this block as running products, as qpoch1's term *= q
-        terms = np.empty((min(rows, count - start), *value.shape), complex)
-        terms[0], terms[1:] = term, q
-        np.cumprod(terms, axis=0, out=terms)
-        value *= (1 - terms).prod(axis=0)
-        term = terms[-1] * q
-    return value
+    # the terms u q^n as running products, as qpoch1's term *= q
+    terms = np.empty((count, *np.broadcast_shapes(term.shape, q.shape)), complex)
+    terms[0], terms[1:] = term, q
+    np.cumprod(terms, axis=0, out=terms)
+    return (1 - terms).prod(axis=0)
 
 
 def theta0(z, tau):

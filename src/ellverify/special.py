@@ -166,7 +166,8 @@ class Integrand:
     nodes against one modulus, or rows of draws against a modulus per draw,
     which the kernel broadcasts over the rows; arrays of moduli group by
     their bytes, as the kernel's caches key them.  Each term takes its
-    product from its own rows, and the kernel blocks its own work arrays.  A
+    product from its own rows, and a group passes its whole stack in one
+    call: the kernel alone cuts its ``theta0`` work array into blocks.  A
     number ``t`` with numbers everywhere takes one scalar kernel call per
     factor; whether a declaration is a batch is found once, from the types
     of its values, so a declaration called again on numbers pays no scan.

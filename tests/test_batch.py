@@ -118,7 +118,7 @@ def test_philox_keys_are_seed_sequence_states(rows):
         assert key.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("seed", [-1, -(2**40)])
+@pytest.mark.parametrize("seed", [-1, -(2**40), 2.0])
 def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
     with pytest.raises(Exception) as single:
         catalog.rng_for(seed, "theta-mod", 0)
@@ -127,13 +127,29 @@ def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
     assert str(batch.value) == str(single.value)
 
 
-@pytest.mark.parametrize("index", [-1, -(2**40)])
+@pytest.mark.parametrize("index", [-1, -(2**40), 1.5, 1.9, np.True_])
 def test_a_rejected_index_raises_the_same_error_on_both_paths(index):
     with pytest.raises(Exception) as single:
         catalog.rng_for(0, "theta-mod", index)
     with pytest.raises(type(single.value)) as batch:
         catalog.uniforms_for(0, "theta-mod", [0, index, 2**32], 4)
     assert str(batch.value) == str(single.value)
+    # a non-integral index is refused, not truncated to index 1's draw
+    if not isinstance(index, int):
+        assert type(single.value) is TypeError
+        with pytest.raises(TypeError):
+            catalog.sample_params("theta-mod", 0, index)
+
+
+def test_numpy_integer_indices_draw_as_ints():
+    indices = np.arange(3, 6, dtype=np.int64)
+    assert np.array_equal(
+        catalog.uniforms_for(np.int64(7), "theta-mod", indices, 4),
+        catalog.uniforms_for(7, "theta-mod", [3, 4, 5], 4),
+    )
+    assert catalog.rng_for(7, "theta-mod", np.int64(4)).random(4).tolist() == (
+        catalog.rng_for(7, "theta-mod", 4).random(4).tolist()
+    )
 
 
 #: batches start where an index's word count changes: at 2**32 and 2**64

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ellverify import special
+from ellverify import kernel, special
 from ellverify.kernel import (
     NonConvergent,
     PoleHit,
@@ -440,6 +440,30 @@ def _assert_close_per_point(got, want, tol):
         assert abs(g - w) <= tol * abs(w), (g, w)
 
 
+def test_rows_of_draws_in_several_blocks_agree_with_one_column():
+    # a stack of rows against per-draw moduli whose theta0 work array spans
+    # several blocks: every row of a column stays in one block, so the cut
+    # changes nothing beyond the order of the roundoff in a product
+    z, tau = THETA_COLUMNS
+    columns = np.arange(400) % len(z)
+    rows = z[columns] + np.linspace(-0.3, 0.3, 6)[:, None] * (0.2 + 0.4j)
+    tau = tau[columns]
+    assert 2 * len(kernel._theta_power_table(tau)) * rows.size > 4 * kernel._BLOCK_CELLS
+    theta, gamma = theta0(rows, tau), ell_gamma(rows, tau, 0.75 * tau + 0.1)
+    for k in (0, 199, 399):
+        one = slice(k, k + 1)
+        want_theta = theta0(rows[:, one], tau[one])[:, 0]
+        want_gamma = ell_gamma(rows[:, one], tau[one], 0.75 * tau[one] + 0.1)[:, 0]
+        for row in range(len(rows)):
+            assert close(theta[row, k], want_theta[row], 1e-15)
+            assert close(gamma[row, k], want_gamma[row], 1e-15)
+    # qpoch1_add's product is never cut, also beyond the 2048 cells it was once cut at
+    got = qpoch1_add(rows, tau)
+    assert got.size > 2048
+    want = [qpoch1_add(a, b) for a, b in zip(rows.ravel(), np.tile(tau, len(rows)))]
+    _assert_close_per_point(got.ravel(), want, 1e-14)
+
+
 @pytest.mark.parametrize("fn", [theta0, jacobi_theta, qpoch1_add])
 def test_theta_per_point_moduli_match_scalar(fn):
     z, tau = THETA_COLUMNS
@@ -473,9 +497,9 @@ def test_ell_gamma_per_point_moduli_match_shared_moduli():
 
 def test_per_point_moduli_broadcast_against_the_points():
     z, tau = THETA_COLUMNS
-    grid = theta0(z[:, None], tau[None, :4])
-    assert grid.shape == (len(z), 4)
-    assert grid[5, 2] == pytest.approx(theta0(complex(z[5]), complex(tau[2])), rel=1e-14)
+    # a modulus is a number or one axis of moduli: a grid of moduli is refused
+    with pytest.raises(ValueError, match="one axis"):
+        theta0(z[:, None], tau[None, :4])
     # a scalar point against per-point moduli, as theta0(1/2; 2 tau) in a lemma
     _assert_close_per_point(theta0(0.5, tau), [theta0(0.5, complex(t)) for t in tau], 1e-14)
 
