@@ -50,11 +50,11 @@ scalar ``theta0`` is the one loop over ``(1 - x q^n)(1 - q^{n+1}/x)``; on a
 5-6x the scalar loop for ``ell_gamma``.  So a single draw of a pointwise
 check makes scalar calls, while a batch of draws (``catalog.run_batch``)
 passes one modulus per draw and each quadrature passes its node array with
-scalar moduli.  A modulus is a number or one axis ``(N,)`` of moduli, one
-per draw; a modulus of more axes raises ``ValueError``.  Against moduli
-per draw ``z`` may stack rows of arguments ``(G, N)``, as a group of
-factors does, so their tables stay one column per draw.  An array
-``theta0`` reduces ``z`` into ``0 <= Im z < Im tau`` by
+scalar moduli.  A modulus of ``theta0``, ``jacobi_theta`` or ``ell_gamma``
+is a number or one axis ``(N,)`` of moduli, one per draw; more axes raise
+``ValueError``.  Against moduli per draw ``z`` may stack rows of arguments
+``(G, N)``, as a group of factors does, so their tables stay one column per
+draw.  An array ``theta0`` reduces ``z`` into ``0 <= Im z < Im tau`` by
 ``theta0(z + tau) = -e^{-2 pi i z} theta0(z)``, then takes
 ``(x; q)(q/x; q)`` as one outer product.  Scalar moduli keep their cached
 tables (``_theta_powers``, ``_gamma_coefficients``); a modulus per draw
