@@ -15,10 +15,13 @@ one call, as columns, one array per parameter, side and error (a :class:`Batch`)
 
 Sampling is reproducible by construction: the random stream for a check is
 keyed by ``(seed, fnv1a64(identity_id), sample_index)``, so adding or
-reordering catalog entries never shifts another identity's draws.
-:func:`rng_for` defines each draw's stream; a batch draws every draw's
-stream at once (:func:`uniforms_for`), bit-identical to :func:`rng_for`.
-It keeps each SeedSequence hash word and each Philox4x64-10 word of the whole
+reordering catalog entries never shifts another identity's draws.  The
+stream is numpy's SeedSequence + Philox4x64-10 algorithm, computed in this
+module by :func:`uniforms_for`, not by numpy's generators;
+``tests/helpers.rng_for`` is the numpy reference it matches bit for bit.
+Every sampler reads its draw's stream in order through one reader,
+:class:`_Uniforms`.  :func:`uniforms_for` draws many streams at once: it
+keeps each SeedSequence hash word and each Philox4x64-10 word of the whole
 batch in one Python int, one lane per draw, so each step of the hash or of a
 Philox round is one big-int operation.  Lanes cannot carry into each other:
 a 32-bit hash word sits in a 64-bit lane, where its products by 32-bit
@@ -82,8 +85,9 @@ class IdentityEntry:
     """One registered check.
 
     A ``numeric`` entry compares ``lhs`` and ``rhs`` at points drawn by
-    ``sampler``, a function ``(rng, index) -> params``; a check whose
-    sampler is a :class:`UniformMap` has ``array_sides``.  A ``series`` entry has
+    ``sampler``, a function ``(uniforms, index) -> params`` that reads its
+    draw's stream from a :class:`_Uniforms` reader; a check whose sampler is
+    a :class:`UniformMap` has ``array_sides``.  A ``series`` entry has
     ``runner``, which maps an order to a list of case dicts with an ``exact``
     flag, and ``default_order``; its ``tolerance`` and ``default_samples``
     are ``None``.
@@ -140,14 +144,6 @@ def fnv1a64(text: str) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
-
-
-def rng_for(seed: int, identity_id: str, sample_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, identity, sample).  The seed and the
-    index are integers (``operator.index``): a float or a numpy bool raises
-    ``TypeError``, as it does in :func:`uniforms_for`."""
-    entropy = (operator.index(seed), fnv1a64(identity_id), operator.index(sample_index))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 _MASK32 = 0xFFFFFFFF
@@ -254,8 +250,11 @@ def _philox_doubles(keys, count) -> np.ndarray:
 
 
 def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.ndarray:
-    """Row k is ``rng_for(seed, identity_id, sample_indices[k]).random(count)``,
-    bit for bit, for every index ``rng_for`` accepts; any other raises its error.
+    """Row k is the first ``count`` doubles of draw ``sample_indices[k]``'s
+    stream: ``Generator(Philox(SeedSequence((seed, fnv1a64(identity_id),
+    index)))).random(count)`` in numpy, bit for bit.  The seed and each
+    index are integers (``operator.index``): a float or a numpy bool raises
+    ``TypeError``, and a negative one ``ValueError``.
 
     All rows are drawn at once, one pass per number of words in an index (a
     longer entropy mixes differently).  A pass holds each word of all its rows
@@ -273,51 +272,47 @@ def uniforms_for(seed: int, identity_id: str, sample_indices, count: int) -> np.
     return uniforms
 
 
-class _Uniforms:
-    """``count`` uniforms from one ``rng.random(count)``, handed out in order.
+#: uniforms a draw's reader fetches first: every sampler's first try reads at most 14
+_FIRST_FETCH = 16
 
-    ``lo + (hi - lo) * u`` is numpy's own ``uniform`` formula, so the doubles
-    are those of ``count`` consecutive ``rng.uniform`` calls, at a fraction
-    of their cost.  A sampler asks for exactly as many as it uses, so that
-    a later draw from the same stream starts where it did.
+
+class _Uniforms:
+    """Uniforms handed out in stream order, each read as ``lo + (hi - lo) * u``,
+    numpy's own ``uniform`` formula.
+
+    On an (N, count) array, read j is its column j, an array with one entry
+    per draw; a :class:`UniformMap` reads exactly ``count``.  Given the
+    ``draw`` ``(seed, identity_id, [index])`` of its single row, read j is
+    the j-th double of that draw's stream, a float, however many a rejection
+    sampler reads: past the doubles fetched, the reader fetches a prefix of
+    the lane twice as long, so each try reads the doubles that follow the
+    last.
     """
 
-    def __init__(self, rng, count):
-        self._next = iter(rng.random(count).tolist()).__next__
+    def __init__(self, uniforms, draw=None):
+        self._draw = draw
+        self._values = list(uniforms.T) if draw is None else uniforms[0].tolist()
+        self._read = 0
 
-    def real(self, lo, hi) -> float:
-        return lo + (hi - lo) * self._next()
+    def real(self, lo, hi):
+        if self._read == len(self._values):
+            self._values = uniforms_for(*self._draw, 2 * self._read)[0].tolist()
+        self._read += 1
+        return lo + (hi - lo) * self._values[self._read - 1]
 
-    def cx(self, re_lo, re_hi, im_lo, im_hi) -> complex:
-        return complex(self.real(re_lo, re_hi), self.real(im_lo, im_hi))
-
-
-class _Columns(_Uniforms):
-    """:class:`_Uniforms` for many draws: hands out the columns of an
-    (N, count) array of uniforms, so each value has an entry per draw."""
-
-    def __init__(self, uniforms):
-        self._next = iter(uniforms.T).__next__
-
-    def cx(self, re_lo, re_hi, im_lo, im_hi) -> np.ndarray:
-        z = self.real(re_lo, re_hi).astype(complex)
-        z.imag = self.real(im_lo, im_hi)
-        return z
+    def cx(self, re_lo, re_hi, im_lo, im_hi):
+        # exactly complex(re, im): 1j * im has a zero real part
+        return self.real(re_lo, re_hi) + 1j * self.real(im_lo, im_hi)
 
 
 @dataclasses.dataclass(frozen=True)
 class UniformMap:
     """A sampler that maps ``count`` uniforms per draw: ``to_params`` takes
     an (N, count) array, row k the uniforms of draw k, to one array per
-    parameter.  Called as a sampler, it maps the one row ``rng.random(count)``.
-    """
+    parameter."""
 
     count: int
     to_params: Callable
-
-    def __call__(self, rng, index) -> dict:
-        params = self.to_params(rng.random(self.count)[None])
-        return {name: values.tolist()[0] for name, values in params.items()}
 
 
 def _reject(draw, accept, tries=500):
@@ -350,8 +345,7 @@ def _tower_clear(tau, eta) -> bool:
 # samplers
 
 
-def _sample_spiridonov(rng, index):
-    u = _Uniforms(rng, 14)
+def _sample_spiridonov(u, index):
     tau = u.cx(-0.3, 0.3, 0.5, 1.2)
     sigma = u.cx(-0.3, 0.3, 0.5, 1.2)
     s = [u.cx(-0.25, 0.25, 0.10, 0.18) for _ in range(5)]
@@ -359,17 +353,15 @@ def _sample_spiridonov(rng, index):
     return {"s": s, "tau": tau, "sigma": sigma}
 
 
-def _sample_two_moduli(rng, index):
-    u = _Uniforms(rng, 4)
+def _sample_two_moduli(u, index):
     return {
         "tau": u.cx(-0.3, 0.3, 0.5, 1.2),
         "sigma": u.cx(-0.3, 0.3, 0.5, 1.2),
     }
 
 
-def _sample_eval3(rng, index):
+def _sample_eval3(u, index):
     def draw():
-        u = _Uniforms(rng, 6)
         tau = u.cx(-0.25, 0.25, 0.2, 0.8)
         eta = u.cx(-0.2, 0.2, 0.2, 0.8)
         lam = u.cx(-0.45, 0.45, -0.25, 0.25)
@@ -387,9 +379,8 @@ def _sample_eval3(rng, index):
     return _reject(draw, accept)
 
 
-def _sample_ellmac_val(rng, index):
+def _sample_ellmac_val(u, index):
     def draw():
-        u = _Uniforms(rng, 8)
         eta = u.cx(-0.06, 0.06, -0.5, -0.1)
         depth = 2 * abs(eta.imag)
         tau = u.cx(-0.3, 0.3, depth + 0.15, depth + 1.0)
@@ -416,14 +407,12 @@ ELLMAC_EVAL_COMBOS = tuple(
 )
 
 
-def _sample_ellmac_eval(rng, index):
+def _sample_ellmac_eval(u, index):
     kappa, mu = ELLMAC_EVAL_COMBOS[index % len(ELLMAC_EVAL_COMBOS)]
-    eta = _Uniforms(rng, 2).cx(-0.05, 0.05, -0.3, -0.08)
-    return {"mu": mu, "kappa": kappa, "eta": eta}
+    return {"mu": mu, "kappa": kappa, "eta": u.cx(-0.05, 0.05, -0.3, -0.08)}
 
 
-def _sample_htf_series(rng, index):
-    u = _Uniforms(rng, 6)
+def _sample_htf_series(u, index):
     eta = u.cx(-0.04, 0.04, -0.12, -0.05)
     gap = 4 * abs(eta.imag)  # series convergence needs Im(tau + 4 eta) > 0
     tau = u.cx(-0.25, 0.25, gap + 0.15, gap + 0.8)
@@ -431,9 +420,8 @@ def _sample_htf_series(rng, index):
     return {"mu": 2, "kappa": 4, "lam": lam, "tau": tau, "eta": eta}
 
 
-def _sample_modular(rng, index, branch):
+def _sample_modular(u, index, branch):
     def draw():
-        u = _Uniforms(rng, 6)
         h = u.real(0.10, 0.20)
         alpha = u.real(0.35, 0.60)
         T = u.real(0.80, 1.10)
@@ -459,7 +447,7 @@ def _sample_modular(rng, index, branch):
 
 @functools.partial(UniformMap, 4)
 def _sample_theta_mod(uniforms):
-    u = _Columns(uniforms)
+    u = _Uniforms(uniforms)
     r = u.real(0.6, 1.3)
     theta = u.real(0.3, 2.6)
     tau = r * np.exp(1j * theta)
@@ -469,7 +457,7 @@ def _sample_theta_mod(uniforms):
 
 @functools.partial(UniformMap, 6)
 def _sample_ellgam_mod(uniforms):
-    u = _Columns(uniforms)
+    u = _Uniforms(uniforms)
     arg_sigma = u.real(0.2, 1.2)
     arg_tau = arg_sigma + u.real(0.3, 1.3)
     sigma = u.real(0.5, 1.2) * np.exp(1j * arg_sigma)
@@ -480,7 +468,7 @@ def _sample_ellgam_mod(uniforms):
 
 @functools.partial(UniformMap, 6)
 def _sample_pointwise_eta(uniforms):
-    u = _Columns(uniforms)
+    u = _Uniforms(uniforms)
     return {
         "t": u.cx(-0.4, 0.4, -0.25, 0.25),
         "tau": u.cx(-0.2, 0.2, 0.4, 0.9),
@@ -490,7 +478,7 @@ def _sample_pointwise_eta(uniforms):
 
 @functools.partial(UniformMap, 6)
 def _sample_pointwise_lam(uniforms):
-    u = _Columns(uniforms)
+    u = _Uniforms(uniforms)
     return {
         "t": u.cx(-0.4, 0.4, -0.25, 0.25),
         "lam": u.cx(-0.4, 0.4, -0.2, 0.2),
@@ -500,16 +488,15 @@ def _sample_pointwise_lam(uniforms):
 
 @functools.partial(UniformMap, 4)
 def _sample_theta_simp2(uniforms):
-    u = _Columns(uniforms)
+    u = _Uniforms(uniforms)
     return {
         "z": u.cx(-0.4, 0.4, -0.25, 0.25),
         "sigma": u.cx(-0.2, 0.2, 0.4, 1.0),
     }
 
 
-def _sample_int_lemma(rng, index):
+def _sample_int_lemma(u, index):
     def draw():
-        u = _Uniforms(rng, 4)
         return {
             "tau": u.cx(-0.2, 0.2, 0.35, 0.8),
             "eta": u.cx(-0.1, 0.1, 0.2, 0.45),
@@ -518,14 +505,13 @@ def _sample_int_lemma(rng, index):
     return _reject(draw, lambda p: _tower_clear(p["tau"], p["eta"]))
 
 
-def _sample_int_rearrange(rng, index):
-    params = _sample_int_lemma(rng, index)
-    params["lam"] = _Uniforms(rng, 2).cx(-0.4, 0.4, -0.2, 0.2)
+def _sample_int_rearrange(u, index):
+    params = _sample_int_lemma(u, index)
+    params["lam"] = u.cx(-0.4, 0.4, -0.2, 0.2)
     return params
 
 
-def _sample_bridge_unity(rng, index):
-    u = _Uniforms(rng, 3)
+def _sample_bridge_unity(u, index):
     return {
         "q": u.real(1.15, 1.45),
         "lam": u.real(0.25, 1.75),
@@ -537,9 +523,9 @@ def _sample_bridge_unity(rng, index):
 AFF_EVAL_COMBOS = ((1, 1), (2, 0), (0, 2))
 
 
-def _sample_aff_eval(rng, index):
+def _sample_aff_eval(u, index):
     mu, k = AFF_EVAL_COMBOS[index % len(AFF_EVAL_COMBOS)]
-    return {"mu": mu, "k": k, "q": float(rng.uniform(1.25, 1.5))}
+    return {"mu": mu, "k": k, "q": u.real(1.25, 1.5)}
 
 
 # --------------------------------------------------------------------------
@@ -687,7 +673,7 @@ _register(
         domain="eta = -i h e^{i a}, tau = i T e^{i b} with b < a",
         lhs=_mod_lhs("minus"),
         rhs=lambda p: special.mod_minus_rhs(p["tau"], p["eta"]),
-        sampler=lambda rng, index: _sample_modular(rng, index, "minus"),
+        sampler=lambda u, index: _sample_modular(u, index, "minus"),
         tolerance=COMPOUND_TOLERANCE,
         default_samples=5,
     )
@@ -700,7 +686,7 @@ _register(
         domain="eta = -i h e^{i a}, tau = i T e^{i b} with b > a",
         lhs=_mod_lhs("plus"),
         rhs=lambda p: special.mod_plus_rhs(p["tau"], p["eta"]),
-        sampler=lambda rng, index: _sample_modular(rng, index, "plus"),
+        sampler=lambda u, index: _sample_modular(u, index, "plus"),
         tolerance=COMPOUND_TOLERANCE,
         default_samples=5,
     )
@@ -947,8 +933,13 @@ def entry_of_kind(identity_id: str, kind: str) -> IdentityEntry:
 
 
 def sample_params(identity_id: str, seed: int, sample_index: int) -> dict:
+    """The parameters of draw ``sample_index``, read from its stream."""
     entry = entry_of_kind(identity_id, "numeric")
-    return entry.sampler(rng_for(seed, identity_id, sample_index), sample_index)
+    sampler, draw = entry.sampler, (seed, identity_id, [sample_index])
+    if entry.array_sides:  # a batch of one, mapped as run_batch maps a batch
+        params = sampler.to_params(uniforms_for(*draw, sampler.count))
+        return {name: values.tolist()[0] for name, values in params.items()}
+    return sampler(_Uniforms(uniforms_for(*draw, _FIRST_FETCH), draw), sample_index)
 
 
 def run_check(
@@ -1027,10 +1018,12 @@ def run_batch(
 ) -> Batch:
     """:func:`run_check` for many draws of a check with ``array_sides``.
 
-    Every draw's stream is drawn at once by :func:`uniforms_for`, bit for bit
-    the stream :func:`rng_for` gives the draw alone, and the check's
-    :class:`UniformMap` turns the whole batch into one array per parameter,
-    so each draw gets exactly the parameters :func:`sample_params` gives it;
+    Every draw's stream is drawn at once by :func:`uniforms_for`, a row of
+    its batch being the row it has alone (numpy's SeedSequence +
+    Philox4x64-10 stream, with ``tests/helpers.rng_for`` the reference), and
+    the check's :class:`UniformMap` turns the whole batch into one array per
+    parameter, as :func:`sample_params` turns a batch of one, so each draw
+    gets exactly the parameters :func:`sample_params` gives it;
     each side is evaluated once on the arrays, and both are compared by the
     function :func:`run_check` uses.  Returns a :class:`Batch` with one row
     per distinct index, in order.  A draw is settled unless the sampling or

@@ -318,9 +318,12 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
     The draws of a check whose sides take arrays (the pointwise checks) are
     evaluated as one batch by :func:`catalog.run_batch`, which draws every
-    draw's stream at once, bit-identical to :func:`catalog.rng_for`, so a
-    batched draw has exactly the parameters it has alone; a draw the batch
-    cannot settle (a raise, a side that is not finite, or a comparison that
+    draw's stream at once: numpy's SeedSequence + Philox4x64-10 algorithm,
+    computed in the package by :func:`catalog.uniforms_for`, with
+    ``tests/helpers.rng_for`` as the reference.  Each row is the stream
+    :func:`catalog.sample_params` reads for the draw alone, so a batched
+    draw has exactly the parameters it has alone; a draw the batch cannot
+    settle (a raise, a side that is not finite, or a comparison that
     overflows) runs on its own through :func:`catalog.run_check`, and gets
     the same result or error as it would alone.  Only a batched draw's sides
     may differ in their last bits from the per-draw ones, since numpy's SIMD

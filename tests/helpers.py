@@ -2,13 +2,17 @@
 of a series, a series rebuilt under tighter caps, a reference enumeration of the series product builders,
 a reference build of the evaluation conjecture's factors, reference forms
 of the pointwise lemma sides that are sums, the bridge's products multiplied
-by hand, a recorder for the quadratures the integral evaluators run, and the
-audit clearance of a declared integrand."""
+by hand, a recorder for the quadratures the integral evaluators run, the
+audit clearance of a declared integrand, and numpy's generator for a draw's
+stream, the reference for ``catalog.uniforms_for``."""
 
 import cmath
 import math
+import operator
 
-from ellverify import contour, special
+import numpy as np
+
+from ellverify import catalog, contour, special
 from ellverify.kernel import e2pi, epi, qpoch1, qpoch2
 from ellverify.special import Factor, product
 from ellverify.conjectures import AffineRootLayer
@@ -333,3 +337,11 @@ def audit_clearance(integrand, path):
     ``integrand`` enters, the audit clearance
     :func:`ellverify.special.audited_integral` passes to the quadrature."""
     return contour.pole_audit(path, special.pole_inventory(integrand)).clearance
+
+
+def rng_for(seed, identity_id, sample_index):
+    """numpy's Philox generator keyed by (seed, identity, sample): the reference
+    whose ``random(count)`` ``catalog.uniforms_for`` gives bit for bit.  The
+    seed and the index are integers (``operator.index``), as they are there."""
+    entropy = (operator.index(seed), catalog.fnv1a64(identity_id), operator.index(sample_index))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

@@ -1,7 +1,8 @@
 """Batched pointwise draws: ``run_suite`` samples all draws of a check with
 array sides at once and evaluates them in one call of each side, and every
 draw must come out as ``run_check`` gives it on its own.  The batch's
-uniforms are ``rng_for``'s streams bit for bit.  A draw the batch cannot
+uniforms are the streams of numpy's generator (``helpers.rng_for``) bit for
+bit.  A draw the batch cannot
 settle (a raise, a side that is not finite, a failed sampling) runs on its
 own and gets the per-draw result or error, while its companions are
 unaffected."""
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellverify import catalog, report
 from ellverify.report import RunConfig, run_suite
+from helpers import rng_for
 
 POINTWISE = [cid for cid in catalog.identity_ids("numeric") if catalog.get_entry(cid).array_sides]
 
@@ -96,7 +98,7 @@ def test_batch_uniforms_are_rng_for_bit_for_bit(seed, identity_id, indices, coun
     rows = catalog.uniforms_for(seed, identity_id, indices, count)
     assert rows.shape == (len(indices), count)
     for row, index in zip(rows, indices):
-        want = catalog.rng_for(seed, identity_id, index).random(count)
+        want = rng_for(seed, identity_id, index).random(count)
         assert row.tobytes() == want.tobytes(), index
 
 
@@ -121,19 +123,26 @@ def test_philox_keys_are_seed_sequence_states(rows):
 @pytest.mark.parametrize("seed", [-1, -(2**40), 2.0])
 def test_a_rejected_seed_raises_the_same_error_on_both_paths(seed):
     with pytest.raises(Exception) as single:
-        catalog.rng_for(seed, "theta-mod", 0)
+        rng_for(seed, "theta-mod", 0)
     with pytest.raises(type(single.value)) as batch:
         catalog.uniforms_for(seed, "theta-mod", [0, 2**32], 4)
     assert str(batch.value) == str(single.value)
+    with pytest.raises(type(single.value)) as alone:
+        catalog.sample_params("eval3", seed, 0)
+    assert str(alone.value) == str(single.value)
 
 
 @pytest.mark.parametrize("index", [-1, -(2**40), 1.5, 1.9, np.True_])
 def test_a_rejected_index_raises_the_same_error_on_both_paths(index):
     with pytest.raises(Exception) as single:
-        catalog.rng_for(0, "theta-mod", index)
+        rng_for(0, "theta-mod", index)
     with pytest.raises(type(single.value)) as batch:
         catalog.uniforms_for(0, "theta-mod", [0, index, 2**32], 4)
     assert str(batch.value) == str(single.value)
+    # a per-draw sampler reads the same stream, so it raises the same error
+    with pytest.raises(type(single.value)) as alone:
+        catalog.sample_params("eval3", 0, index)
+    assert str(alone.value) == str(single.value)
     # a non-integral index is refused, not truncated to index 1's draw
     if not isinstance(index, int):
         assert type(single.value) is TypeError
@@ -147,8 +156,8 @@ def test_numpy_integer_indices_draw_as_ints():
         catalog.uniforms_for(np.int64(7), "theta-mod", indices, 4),
         catalog.uniforms_for(7, "theta-mod", [3, 4, 5], 4),
     )
-    assert catalog.rng_for(7, "theta-mod", np.int64(4)).random(4).tolist() == (
-        catalog.rng_for(7, "theta-mod", 4).random(4).tolist()
+    assert rng_for(7, "theta-mod", np.int64(4)).random(4).tolist() == (
+        rng_for(7, "theta-mod", 4).random(4).tolist()
     )
 
 
@@ -170,7 +179,7 @@ def test_batch_uniforms_are_rng_for_bit_for_bit_at_real_batch_sizes(seed, size):
             uniforms = catalog.uniforms_for(seed, "theta-mod", indices, count)
             assert uniforms.shape == (size, count)
             for row in rows:
-                want = catalog.rng_for(seed, "theta-mod", indices[row]).random(count)
+                want = rng_for(seed, "theta-mod", indices[row]).random(count)
                 assert uniforms[row].tobytes() == want.tobytes(), (start, row, count)
             if size > 50:  # a row never depends on its batch
                 head = catalog.uniforms_for(seed, "theta-mod", indices[:50], count)
@@ -244,7 +253,7 @@ def _patched_map(monkeypatch, identity_id, seed, index, change):
     parameter arrays, ``rows`` flagging the rows that are draw ``index``.
     The batch map and the per-draw sampler both run through it."""
     original = catalog.get_entry(identity_id).sampler
-    bad = catalog.rng_for(seed, identity_id, index).random(original.count)
+    bad = rng_for(seed, identity_id, index).random(original.count)
 
     def to_params(uniforms):
         params = original.to_params(uniforms)

@@ -3,6 +3,7 @@ rule, the achieved quadrature error, and the mandatory pre-integration pole
 audit."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -23,7 +24,6 @@ from ellverify.catalog import (
     fnv1a64,
     get_entry,
     identity_ids,
-    rng_for,
     run_check,
     sample_params,
 )
@@ -155,10 +155,63 @@ def test_sampling_streams_are_keyed():
     assert sample_params("eval1", 7, 4) != base
 
 
-def test_rng_for_is_stable():
-    draws = rng_for(1, "eval1", 0).uniform(size=3)
-    again = rng_for(1, "eval1", 0).uniform(size=3)
-    assert list(draws) == list(again)
+#: sha256 of the reprs of sample_params(id, seed, index), one per line, for
+#: seeds 0-3 and DIGEST_INDICES, recorded when samplers drew from numpy's
+#: Generator; eval3 draws 5 and 30 at seed 0 read past their first fetch
+SAMPLE_DIGESTS = {
+    "aff-eval": "c45bacc32aa25fa65d6a99c2020970ab5af6c28a877478047267ec529cdcfb1b",
+    "bridge-unity": "0c30758e726603c9008e5bfdcfa045f12f71ad5060f5f9df613b9e6877b5f677",
+    "ellgam-mod": "bdab66da247f8b5dd99c1bdf0b1dd5e0088bc360e66f0aa0e4e18ee86bfbce8b",
+    "ellmac-eval": "8694390552ce87bbf55024ccd330662172125630d911bc4f6c8a714cc65b36ee",
+    "ellmac-val": "3346feaad9fad869d90ff93ade5ed449ecd6d6265ff26e05cb886c7d7ad8b6f7",
+    "eval1": "fab5af44370ff61b6138b2483122219dc04a2d46f2a41511fe60bb2646a39482",
+    "eval2": "ccb48cbfe39237cd40ec911ce5f9b468e647d9319a10da83aaff7eff19c1a175",
+    "eval3": "4243827fe35482daa850d41645df3f339182b936fbb277b8cd4e66a712b7cdc1",
+    "fv-val1": "551651aba831246a214b41afe63b0e83fae7151c7fe6e2bd920a8e7b559d548b",
+    "fv-val2": "4d3c579bd5351f1b07d67ac702eda83c194a22561948cfa0160d37ee0a3e7c71",
+    "htf-series": "847aa89dd8b07d4930b278ce4939a8cf5eb48c53f95df82231faea1d6a5a96b4",
+    "lemma.full-sym": "3ef3641a62bcab8e7276dae71570df0b2d2888f3d0a20d76306b99e4ccb70ffa",
+    "lemma.int-eval1": "047e21e45ecb133115fe150404be4d8e8d7fc7edb5a9ef6e99cfbfbd9ce3a86e",
+    "lemma.int-eval2": "207e6f7dbc11253c1fe80652c9576b152df8ee4b80e0df852204d00e69215c41",
+    "lemma.int-rearrange": "6ea1e4d7928bb9ec5823b4a478df5b6896138dc78edada0bec5f81bc26c7a468",
+    "lemma.sym-rearrange": "4b57523180654967a47008b391f9c008b2b165d537798ff153eec646e1dba9fe",
+    "lemma.theta-simp": "d3f815943a12b7410fcc3328917c340ad067586332656757c13a61bd6b24ff20",
+    "lemma.theta-simp2": "46ec31695230e62ca287445168082e06737c0b9d72d44aa1af006832673b74fe",
+    "lemma.theta-simp3": "64891b4cae139d5bf1b643002d9f2c04e01dd5c0a905753476c5370dc4cc4c4f",
+    "lemma.theta-simp4": "3c31800f31ad70b585c847a5c190dda34acbfc456b18f842c5e6858f4e54788b",
+    "mod-minus": "b8185728db682f0636e5972e62f85e310e7d57f4ac3e73ac5d7fb72381022fc3",
+    "mod-plus": "f75b66b627fc6ca07d5739dc8c150bbf897a5d2c4771b567654f3c7ed7b37669",
+    "spiridonov": "20e8b632bec11c6b0fe39b569ae187b8e1d509d922d8358405e2f78fbbb6ac5f",
+    "theta-mod": "836aaa189e6ec98b383f9065dd025a836b962fe2a7acfcb81f83f2e32c41e9ca",
+}
+DIGEST_INDICES = [*range(40), 2**32, 2**64]
+
+
+@pytest.mark.parametrize("identity_id", identity_ids("numeric"))
+def test_sample_params_digests_are_pinned(identity_id):
+    text = "\n".join(
+        repr(sample_params(identity_id, seed, index))
+        for seed in range(4)
+        for index in DIGEST_INDICES
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_DIGESTS[identity_id]
+
+
+def test_a_rejection_sampler_reads_on_past_its_first_fetch(monkeypatch):
+    # eval3 draw 5 takes three tries of 6 uniforms, more than one fetch holds:
+    # the reader fetches a longer prefix of the same stream and reads on
+    fetched = []
+    uniforms_for = catalog.uniforms_for
+
+    def recording(seed, identity_id, indices, count):
+        fetched.append(count)
+        return uniforms_for(seed, identity_id, indices, count)
+
+    monkeypatch.setattr(catalog, "uniforms_for", recording)
+    for index in (5, 30):
+        fetched.clear()
+        sample_params("eval3", 0, index)
+        assert fetched == [catalog._FIRST_FETCH, 2 * catalog._FIRST_FETCH], index
 
 
 def test_a_rejection_sampler_that_finds_nothing_names_its_failure():

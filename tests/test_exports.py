@@ -1,12 +1,15 @@
 """Every name a module exports in ``__all__`` exists in that module and is
-used outside the tests, and no module reads another module's underscore
-names."""
+used outside the tests, no module reads another module's underscore
+names, and no module draws from ``numpy.random``."""
 
 import ast
 import copy
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +167,31 @@ def test_every_public_series_member_is_read():
         and attr not in used
     ]
     assert not unread, f"ellverify.series members read only by tests: {unread}"
+
+
+#: one seed-0 draw of every numeric check, then whether numpy.random was loaded
+ONE_DRAW_EACH = """
+import sys
+from ellverify import catalog, report
+config = report.RunConfig(catalog.identity_ids("numeric"), samples_per_identity=1, seed=0)
+assert report.run_suite(config).all_passed
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_no_module_draws_from_numpy_random():
+    # every draw is read from catalog.uniforms_for; numpy's generators are
+    # only the tests' reference (helpers.rng_for)
+    package = Path(ellverify.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "np.random" not in text and "numpy.random" not in text, path.name
+    # in a fresh interpreter, since hypothesis and the tests load numpy.random
+    loaded = subprocess.run(
+        [sys.executable, "-c", ONE_DRAW_EACH],
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded.split() == ["False"]
