@@ -2,10 +2,9 @@
 array sides at once and evaluates them in one call of each side, and every
 draw must come out as ``run_check`` gives it on its own.  The batch's
 uniforms are the streams of numpy's generator (``helpers.rng_for``) bit for
-bit.  A draw the batch cannot
-settle (a raise, a side that is not finite, a failed sampling) runs on its
-own and gets the per-draw result or error, while its companions are
-unaffected."""
+bit.  A draw the batch cannot settle (a raise, a side that is not finite, a
+failed sampling) runs on its own and gets the per-draw result or error,
+while its companions are unaffected."""
 
 import dataclasses
 import json
